@@ -210,10 +210,9 @@ def cmd_periodogram(args) -> int:
     path, _, days = _load_days(args, tz)
     calendar = _load_calendar_arg(args)
     pairs = compute_window_periodograms(
-        days, calendar, cfg,
-        estimator=args.estimator, normalization=args.normalization,
-        keep_skipped=False,
+        days, calendar, cfg, estimator=args.estimator, normalization=args.normalization,
     )
+    pairs = [(w, pg) for w, pg in pairs if pg is not None]
     if args.start is not None:
         try:
             wanted = date.fromisoformat(args.start)
@@ -223,7 +222,7 @@ def cmd_periodogram(args) -> int:
         if not pairs:
             raise DataError(f"no emitted window starts at {wanted}")
     elif not pairs:
-        raise DataError("no window has enough valid days")
+        raise DataError("no window has enough valid days for the estimator")
     window, pg = pairs[0]
     out = _out_dir(args)
     write_periodogram_csv(pg, out / "periodogram.csv")
@@ -254,18 +253,11 @@ def cmd_track(args) -> int:
     tz = _timezone_of(args)
     path, _, days = _load_days(args, tz)
     calendar = _load_calendar_arg(args)
-    series = track_intensity(
-        days, calendar, cfg,
-        estimator=args.estimator, normalization=args.normalization,
-        keep_skipped=True,
-    )
     pairs = compute_window_periodograms(
-        days, calendar, cfg,
-        estimator=args.estimator, normalization=args.normalization,
-        keep_skipped=False,
+        days, calendar, cfg, estimator=args.estimator, normalization=args.normalization,
     )
     out = _out_dir(args)
-    write_intensity_csv(series, out / "intensity.csv")
+    write_intensity_csv(track_intensity(pairs, cfg), out / "intensity.csv")
     write_overlay_csv(pairs, out / "overlay.csv")
     vacations = calendar.vacation_ranges() if calendar is not None else []
     config = {
@@ -285,7 +277,7 @@ def cmd_track(args) -> int:
         estimator=args.estimator, normalization=args.normalization,
         vacation_ranges=[[a.isoformat(), b.isoformat()] for a, b in vacations],
     )
-    n_emitted = sum(1 for p in series.points if not p.skipped) // max(len(cfg.target_periods), 1)
+    n_emitted = sum(1 for _, pg in pairs if pg is not None)
     print(f"wrote intensity.csv ({n_emitted} emitted window(s)) and overlay.csv")
     return 0
 

@@ -21,6 +21,11 @@ that is an integer multiple of the window fundamental 1/T (the default grid
 uses exactly those). normalization="variance" divides raw power by
 (n/2) * Var(y), which for the floating-mean estimator is the dimensionless
 p in [0, 1] of the reference above.
+
+Both are one-row calls of row-wise cores (``classic_rows``,
+``lomb_scargle_rows``) that take a stack of series sharing one sampling
+clock, NaN marking missing samples, and one ``trig_table`` for that clock.
+The tracking layer runs the same cores on blocks of windows.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DegenerateTimes,
     InvalidConfig,
     PeriodNotOnGrid,
     TooFewSamples,
@@ -124,43 +128,39 @@ class FrequencyGrid:
         window_hours: float,
         min_period_hours: float = 4.0,
         max_period_hours: float = 120.0,
-        oversample: int = 1,
     ) -> "FrequencyGrid":
         """Fundamental-aligned grid for a window of the given length.
 
-        Frequencies are k / (oversample * window_hours) covering periods
-        [min_period_hours, max_period_hours]. With oversample=1 (the
-        default) every frequency is an integer multiple of the window
-        fundamental 1/T; on complete even data the two estimators then
-        agree exactly at every grid point. Larger oversample gives a denser
-        display grid but the off-fundamental points lose that identity.
+        Frequencies are k / window_hours covering periods
+        [min_period_hours, max_period_hours], so every frequency is an
+        integer multiple of the window fundamental 1/T; on complete even
+        data the two estimators then agree exactly at every grid point.
 
-        oversample * window_hours must be a multiple of 12 hours so that
-        1/24 and 1/12 cycles/hour land exactly on the grid.
+        window_hours must be a multiple of 12 hours so that 1/24 and 1/12
+        cycles/hour land exactly on the grid.
         """
-        if window_hours <= 0 or oversample < 1:
-            raise InvalidConfig("window_hours must be > 0 and oversample >= 1")
+        if window_hours <= 0:
+            raise InvalidConfig("window_hours must be > 0")
         if not 0 < min_period_hours < max_period_hours:
             raise InvalidConfig("need 0 < min_period_hours < max_period_hours")
         if not (min_period_hours <= 12.0 and max_period_hours >= 24.0):
             raise InvalidConfig(
                 "period range must bracket the 12 h and 24 h targets"
             )
-        span = oversample * window_hours
-        if abs(span / 12.0 - round(span / 12.0)) > 1e-9:
+        if abs(window_hours / 12.0 - round(window_hours / 12.0)) > 1e-9:
             raise InvalidConfig(
-                f"oversample * window_hours = {span} h is not a multiple of "
+                f"window_hours = {window_hours} h is not a multiple of "
                 "12 h, so 1/24 and 1/12 cycles/hour would miss the grid"
             )
-        k_min = int(np.ceil(span / max_period_hours - 1e-9))
-        k_max = int(np.floor(span / min_period_hours + 1e-9))
-        k_max = min(k_max, int(np.floor(NYQUIST_CPH * span + 1e-9)))
+        k_min = int(np.ceil(window_hours / max_period_hours - 1e-9))
+        k_max = int(np.floor(window_hours / min_period_hours + 1e-9))
+        k_max = min(k_max, int(np.floor(NYQUIST_CPH * window_hours + 1e-9)))
         if k_min < 1 or k_max < k_min:
             raise InvalidConfig(
                 f"period range [{min_period_hours}, {max_period_hours}] h "
                 f"yields an empty grid for a {window_hours} h window"
             )
-        return cls(np.arange(k_min, k_max + 1) / span)
+        return cls(np.arange(k_min, k_max + 1) / window_hours)
 
     @property
     def periods_hours(self) -> np.ndarray:
@@ -198,7 +198,6 @@ class Periodogram:
     estimator: str
     normalization: str = "raw"
     n_samples: int = 0
-    window_id: str | None = None
     window_start: str | None = None
     window_hours: float | None = None
 
@@ -217,6 +216,84 @@ def _check_normalization(normalization: str) -> None:
         raise InvalidConfig(
             f"normalization must be one of {_NORMALIZATIONS}, got {normalization!r}"
         )
+
+
+def trig_table(times: np.ndarray, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi f t, each (len(grid), len(times)).
+
+    The basis both estimators project onto. Every series sampled on the
+    same clock shares it, so a tracking run builds it once for all of its
+    windows.
+    """
+    omega_t = 2.0 * np.pi * np.outer(grid.frequencies_cph, times)
+    return np.cos(omega_t), np.sin(omega_t)
+
+
+def classic_rows(
+    values: np.ndarray, table: tuple[np.ndarray, np.ndarray], normalization: str = "raw"
+) -> np.ndarray:
+    """Schuster power of each row of values, shape (rows, len(grid)).
+
+    values is (rows, len(times)) on the clock of `table`; NaN marks a
+    missing sample. The caller guarantees every row is a complete evenly
+    spaced series of at least two samples: its valid samples are contiguous
+    on an evenly spaced clock.
+    """
+    _check_normalization(normalization)
+    cos_t, sin_t = table
+    valid = ~np.isnan(values)
+    n = valid.sum(axis=1, keepdims=True)
+    mean = np.where(valid, values, 0.0).sum(axis=1, keepdims=True) / n
+    x = np.where(valid, values - mean, 0.0)
+    a = x @ cos_t.T
+    b = x @ sin_t.T
+    power = (a * a + b * b) / n
+    if normalization == "variance":
+        variance = (x * x).sum(axis=1, keepdims=True) / n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            power = np.where(variance == 0.0, 0.0, power * 2.0 / (n * variance))
+    return np.maximum(power, 0.0)
+
+
+def lomb_scargle_rows(
+    values: np.ndarray, table: tuple[np.ndarray, np.ndarray], normalization: str = "raw"
+) -> np.ndarray:
+    """Floating-mean least-squares power of each row, shape (rows, len(grid)).
+
+    values is (rows, len(times)) on the clock of `table`; NaN marks a
+    missing sample and each row needs at least three valid ones. Every
+    valid sample of a row has equal weight. See lomb_scargle for the model.
+    """
+    _check_normalization(normalization)
+    cos_t, sin_t = table
+    valid = ~np.isnan(values)
+    n = valid.sum(axis=1, keepdims=True)
+    w = valid / n
+    y = np.where(valid, values, 0.0)
+    wy = w * y
+    mean_y = wy.sum(axis=1, keepdims=True)
+    yy = (w * (y * y)).sum(axis=1, keepdims=True) - mean_y * mean_y
+
+    # Weighted moments of Zechmeister & Kuerster (2009), eqs. 5-14. The
+    # squared terms are formed per call rather than kept beside the table:
+    # holding them for a whole run raises peak memory more than they cost.
+    c_mean = w @ cos_t.T
+    s_mean = w @ sin_t.T
+    yc = wy @ cos_t.T - mean_y * c_mean
+    ys = wy @ sin_t.T - mean_y * s_mean
+    cc = w @ (cos_t * cos_t).T - c_mean * c_mean
+    ss = w @ (sin_t * sin_t).T - s_mean * s_mean
+    cs = w @ (cos_t * sin_t).T - c_mean * s_mean
+
+    det = cc * ss - cs * cs
+    num = ss * yc * yc + cc * ys * ys - 2.0 * cs * yc * ys
+    # det -> 0 means the sinusoid is indistinguishable from the offset at
+    # this frequency (pathological sampling); report zero power there.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reduction = np.maximum(np.where(det > 1e-13, num / det, 0.0), 0.0)
+        if normalization == "variance":
+            return np.where(yy <= 0, 0.0, np.minimum(reduction / yy, 1.0))
+    return reduction * (n / 2.0)
 
 
 def classic_periodogram(
@@ -245,7 +322,6 @@ def classic_periodogram(
     UnevenSpacing
         Sample spacing is not uniform; use lomb_scargle instead.
     """
-    _check_normalization(normalization)
     if samples.n < 2:
         raise TooFewSamples(f"need at least 2 samples, got {samples.n}")
     steps = np.diff(samples.times)
@@ -255,27 +331,17 @@ def classic_periodogram(
             "sample spacing varies; the classic periodogram requires a "
             "complete evenly spaced series"
         )
-    x = samples.values - samples.values.mean()
-    omega_t = 2.0 * np.pi * np.outer(grid.frequencies_cph, samples.times)
-    a = np.cos(omega_t) @ x
-    b = np.sin(omega_t) @ x
-    power = (a * a + b * b) / samples.n
-    if normalization == "variance":
-        variance = float(np.mean(x * x))
-        power = np.zeros_like(power) if variance == 0.0 else power * 2.0 / (samples.n * variance)
-    return Periodogram(grid, np.maximum(power, 0.0), "classic", normalization, samples.n)
+    power = classic_rows(samples.values[None, :], trig_table(samples.times, grid), normalization)
+    return Periodogram(grid, power[0], "classic", normalization, samples.n)
 
 
 def lomb_scargle(
-    samples: Samples,
-    grid: FrequencyGrid,
-    weights: np.ndarray | None = None,
-    normalization: str = "raw",
+    samples: Samples, grid: FrequencyGrid, normalization: str = "raw"
 ) -> Periodogram:
     """Floating-mean least-squares periodogram (generalised Lomb-Scargle).
 
     At each grid frequency the model a*cos(w t) + b*sin(w t) + c is fit by
-    weighted least squares; the power is the weighted chi-squared reduction
+    least squares with equal weights; the power is the chi-squared reduction
     relative to the best constant fit, evaluated in closed form from the
     weighted moments (Zechmeister & Kuerster 2009, eqs. 5-14). Fitting the
     offset c jointly, rather than subtracting the sample mean up front,
@@ -287,9 +353,6 @@ def lomb_scargle(
         Arbitrarily gapped samples, at least three of them.
     grid : FrequencyGrid
         Frequencies to evaluate, cycles/hour.
-    weights : array, optional
-        Per-sample positive weights; equal weights by default. Normalised
-        internally to sum to one.
     normalization : {"raw", "variance"}
         "raw" is (n/2) * chi-squared reduction, litres^2 * samples, chosen
         so complete even data reproduce the classic estimator exactly on
@@ -304,58 +367,13 @@ def lomb_scargle(
     ------
     TooFewSamples
         Fewer than three samples (two parameters plus an offset).
-    DegenerateTimes
-        Zero time span.
     """
-    _check_normalization(normalization)
     if samples.n < 3:
         raise TooFewSamples(f"need at least 3 samples, got {samples.n}")
-    t = samples.times
-    y = samples.values
-    if t[-1] - t[0] <= 0:
-        raise DegenerateTimes("sample times span zero duration")
-    if weights is None:
-        w = np.full(samples.n, 1.0 / samples.n)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != t.shape:
-            raise ValueError("weights must match the number of samples")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise ValueError("weights must be finite and > 0")
-        w = w / w.sum()
-
-    mean_y = float(w @ y)
-    yy = float(w @ (y * y)) - mean_y * mean_y
-
-    omega_t = 2.0 * np.pi * np.outer(grid.frequencies_cph, t)
-    cos_t = np.cos(omega_t)
-    sin_t = np.sin(omega_t)
-    wy = w * y
-
-    c_mean = cos_t @ w
-    s_mean = sin_t @ w
-    yc = cos_t @ wy - mean_y * c_mean
-    ys = sin_t @ wy - mean_y * s_mean
-    cc = (cos_t * cos_t) @ w - c_mean * c_mean
-    ss = (sin_t * sin_t) @ w - s_mean * s_mean
-    cs = (cos_t * sin_t) @ w - c_mean * s_mean
-
-    det = cc * ss - cs * cs
-    num = ss * yc * yc + cc * ys * ys - 2.0 * cs * yc * ys
-    # det -> 0 means the sinusoid is indistinguishable from the offset at
-    # this frequency (pathological sampling); report zero power there.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reduction = np.where(det > 1e-13, num / np.where(det > 1e-13, det, 1.0), 0.0)
-    reduction = np.maximum(reduction, 0.0)
-
-    if normalization == "variance":
-        power = np.zeros_like(reduction) if yy <= 0 else reduction / yy
-        power = np.minimum(power, 1.0)
-    else:
-        power = reduction * (samples.n / 2.0)
-    return Periodogram(
-        grid, np.maximum(power, 0.0), "lomb_scargle", normalization, samples.n
+    power = lomb_scargle_rows(
+        samples.values[None, :], trig_table(samples.times, grid), normalization
     )
+    return Periodogram(grid, power[0], "lomb_scargle", normalization, samples.n)
 
 
 def intensity_at(periodogram: Periodogram, period_hours: float) -> float:
@@ -380,7 +398,6 @@ def write_periodogram_sidecar(periodogram: Periodogram, path: str | Path) -> Non
         "estimator": periodogram.estimator,
         "normalization": periodogram.normalization,
         "n_samples": periodogram.n_samples,
-        "window_id": periodogram.window_id,
         "window_start": periodogram.window_start,
         "window_hours": periodogram.window_hours,
         "n_frequencies": len(periodogram.grid),

@@ -1,31 +1,34 @@
 """Sliding-window periodicity tracking.
 
-Slides a fixed-length window over the binned day series, computes one
-periodogram per window, and reads off the intensity at the target periods
-(24 h and 12 h by default). Windows advance in calendar time, so excluded
-or missing days thin a window out rather than stretching it; windows with
-too few valid days become explicit skip markers, never silent zeros.
+Lays the binned days out as one (span x 96) day matrix, slides a
+fixed-length window over its rows, computes one periodogram per window, and
+reads off the intensity at the target periods (24 h and 12 h by default).
+Windows advance in calendar time, so excluded or missing days thin a window
+out (as NaN rows) rather than stretching it; windows with too few valid days
+become explicit skip markers, never silent zeros.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Sequence
 
-from .binning import SLOT_MINUTES, BinnedDay
+import numpy as np
+
+from .binning import SLOT_MINUTES, SLOTS_PER_DAY, BinnedDay
 from .errors import DataError, EmptyInput, InvalidConfig, PeriodNotOnGrid
 from .exclusions import DayClass, ExclusionCalendar
 from .spectral import (
     FrequencyGrid,
     Periodogram,
-    Samples,
-    classic_periodogram,
+    classic_rows,
     intensity_at,
-    lomb_scargle,
+    lomb_scargle_rows,
+    trig_table,
 )
 
 log = logging.getLogger(__name__)
@@ -35,7 +38,15 @@ DEFAULT_STRIDE_DAYS = 1
 DEFAULT_MIN_VALID_DAYS = 8
 DEFAULT_TARGET_PERIODS = (24.0, 12.0)
 
-ESTIMATORS = ("ls", "classic")
+# Estimator name -> (periodogram label, row-wise core, fewest samples it takes).
+_ESTIMATORS = {
+    "ls": ("lomb_scargle", lomb_scargle_rows, 3),
+    "classic": ("classic", classic_rows, 2),
+}
+ESTIMATORS = tuple(_ESTIMATORS)
+# Windows estimated per stacked block: large enough to amortise one matrix
+# product over many windows, small enough to keep the block's memory flat.
+BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -85,11 +96,11 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class AnalysisWindow:
-    """One window position: its valid days, or a skip marker with the reason."""
+    """One window position and its valid-day count; skip markers carry the reason."""
 
     start_date: date
     window_days: int
-    days: tuple[BinnedDay, ...]
+    valid_day_count: int
     skipped: bool = False
     reason: str | None = None
 
@@ -97,85 +108,77 @@ class AnalysisWindow:
     def end_date(self) -> date:
         return self.start_date + timedelta(days=self.window_days - 1)
 
-    @property
-    def valid_day_count(self) -> int:
-        return len(self.days)
+
+def _day_matrix(
+    days: Sequence[BinnedDay], calendar: ExclusionCalendar | None
+) -> tuple[date, np.ndarray, np.ndarray]:
+    """First date, the (span x 96) day matrix, and which of its rows are valid.
+
+    Row i holds the day `first + i`. A day is valid when it was retained by
+    binning and the calendar (if any) classifies it normal; every other row
+    is all NaN.
+    """
+    if not days:
+        raise EmptyInput("no binned days to window")
+    first = min(d.day for d in days)
+    span = (max(d.day for d in days) - first).days + 1
+    matrix = np.full((span, SLOTS_PER_DAY), np.nan)
+    seen = np.zeros(span, dtype=bool)
+    valid = np.zeros(span, dtype=bool)
+    for d in days:
+        row = (d.day - first).days
+        if seen[row]:
+            raise DataError(f"duplicate binned day {d.day}")
+        seen[row] = True
+        if calendar is None or calendar.classify(d.day) is DayClass.NORMAL:
+            matrix[row] = d.bins
+            valid[row] = True
+    return first, matrix, valid
+
+
+def _windows(first: date, valid: np.ndarray, cfg: WindowConfig) -> list[AnalysisWindow]:
+    counts = np.concatenate([[0], np.cumsum(valid)])
+    out = []
+    for row in range(0, len(valid) - cfg.window_days + 1, cfg.stride_days):
+        n = int(counts[row + cfg.window_days] - counts[row])
+        window = AnalysisWindow(first + timedelta(days=row), cfg.window_days, n)
+        if n < cfg.min_valid_days:
+            window = replace(window, skipped=True, reason=f"{n} valid day(s) < {cfg.min_valid_days}")
+        out.append(window)
+    return out
 
 
 def make_windows(
     days: Sequence[BinnedDay],
     calendar: ExclusionCalendar | None,
     cfg: WindowConfig,
-    keep_skipped: bool = False,
 ) -> list[AnalysisWindow]:
-    """Slide the window over calendar time and collect valid days per position.
+    """Slide the window over calendar time and count valid days per position.
 
     A day is valid when it was retained by binning and the calendar (if any)
     classifies it normal. Window starts run from the first retained day to the
     last position still fully inside the observed span, advancing by the
     stride; positions with fewer than min_valid_days valid days become skip
-    markers, dropped unless keep_skipped is set.
+    markers that keep their count.
     """
-    if not days:
-        raise EmptyInput("no binned days to window")
-    by_date: dict[date, BinnedDay] = {}
-    for d in days:
-        if d.day in by_date:
-            raise DataError(f"duplicate binned day {d.day}")
-        by_date[d.day] = d
-    first = min(by_date)
-    last = max(by_date)
-    out: list[AnalysisWindow] = []
-    start = first
-    while start + timedelta(days=cfg.window_days - 1) <= last:
-        valid = []
-        for offset in range(cfg.window_days):
-            d = start + timedelta(days=offset)
-            day = by_date.get(d)
-            if day is None:
-                continue
-            if calendar is not None and calendar.classify(d) is not DayClass.NORMAL:
-                continue
-            valid.append(day)
-        if len(valid) >= cfg.min_valid_days:
-            out.append(AnalysisWindow(start, cfg.window_days, tuple(valid)))
-        elif keep_skipped:
-            out.append(
-                AnalysisWindow(
-                    start,
-                    cfg.window_days,
-                    (),
-                    skipped=True,
-                    reason=f"{len(valid)} valid day(s) < {cfg.min_valid_days}",
-                )
+    first, _, valid = _day_matrix(days, calendar)
+    return _windows(first, valid, cfg)
+
+
+def _rejection(present: np.ndarray, estimator: str) -> str | None:
+    """Why the estimator cannot take a window's samples, or None if it can."""
+    n = int(np.count_nonzero(present))
+    minimum = _ESTIMATORS[estimator][2]
+    if n < minimum:
+        return f"need at least {minimum} samples, got {n}"
+    if estimator == "classic":
+        slots = np.flatnonzero(present)
+        if slots[-1] - slots[0] + 1 != n:
+            return (
+                "sample spacing varies; the classic periodogram requires a "
+                "complete evenly spaced series"
             )
-        start += timedelta(days=cfg.stride_days)
-    return out
-
-
-def window_samples(window: AnalysisWindow) -> Samples:
-    """Flatten a window's valid days into irregular samples.
-
-    Sample times are bin midpoints in nominal civil hours since window-start
-    midnight, so a complete window is evenly spaced and day gaps appear as
-    missing stretches rather than compressed time.
-    """
-    times = []
-    values = []
-    slot_hours = SLOT_MINUTES / 60.0
-    for day in window.days:
-        day_offset = 24.0 * (day.day - window.start_date).days
-        mask = day.valid_mask
-        for k in mask.nonzero()[0]:
-            times.append(day_offset + slot_hours * (k + 0.5))
-            values.append(float(day.bins[k]))
-    return Samples(times, values)
-
-
-def _estimate(samples: Samples, grid: FrequencyGrid, estimator: str, normalization: str) -> Periodogram:
-    if estimator == "ls":
-        return lomb_scargle(samples, grid, normalization=normalization)
-    return classic_periodogram(samples, grid, normalization=normalization)
+    return None
 
 
 def compute_window_periodograms(
@@ -184,45 +187,52 @@ def compute_window_periodograms(
     cfg: WindowConfig,
     estimator: str = "ls",
     normalization: str = "raw",
-    keep_skipped: bool = True,
 ) -> list[tuple[AnalysisWindow, Periodogram | None]]:
     """One periodogram per window position; None where the window is skipped.
 
-    A window whose samples defeat the estimator (for example the classic
-    estimator on gapped data) is demoted to a skip marker carrying the
-    estimator's complaint, so downstream output never holds a silent hole.
+    Every window is a row slice of the day matrix on the same clock: slot
+    midpoints 24 j + 0.25 (k + 0.5) hours after window-start midnight for
+    day j, slot k, with missing slots as NaN. So one trig table serves the
+    whole run, and the estimator runs on blocks of BLOCK_ROWS stacked
+    windows. A window whose samples defeat the estimator (too few samples,
+    or for the classic estimator a hole inside the window) is demoted to a
+    skip marker carrying the estimator's complaint, so downstream output
+    never holds a silent hole.
     """
     if estimator not in ESTIMATORS:
         raise InvalidConfig(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    label, core, _ = _ESTIMATORS[estimator]
     grid = cfg.grid()
-    windows = make_windows(days, calendar, cfg, keep_skipped=keep_skipped)
-    out: list[tuple[AnalysisWindow, Periodogram | None]] = []
-    for window in windows:
-        if window.skipped:
-            out.append((window, None))
-            continue
-        samples = window_samples(window)
-        try:
-            pg = _estimate(samples, grid, estimator, normalization)
-        except DataError as exc:
-            log.warning("window %s skipped: %s", window.start_date, exc)
-            marker = AnalysisWindow(
-                window.start_date, window.window_days, (), skipped=True, reason=str(exc)
+    first, matrix, valid = _day_matrix(days, calendar)
+    width = cfg.window_days * SLOTS_PER_DAY
+    flat = matrix.reshape(-1)
+    pairs: list[tuple[AnalysisWindow, Periodogram | None]] = []
+    todo: list[tuple[int, int]] = []  # (index into pairs, offset into flat)
+    for window in _windows(first, valid, cfg):
+        if not window.skipped:
+            offset = (window.start_date - first).days * SLOTS_PER_DAY
+            reason = _rejection(~np.isnan(flat[offset : offset + width]), estimator)
+            if reason is None:
+                todo.append((len(pairs), offset))
+            else:
+                log.warning("window %s skipped: %s", window.start_date, reason)
+                window = replace(window, skipped=True, reason=reason)
+        pairs.append((window, None))
+
+    table = trig_table((np.arange(width) + 0.5) * (SLOT_MINUTES / 60.0), grid)
+    for b in range(0, len(todo), BLOCK_ROWS):
+        block = todo[b : b + BLOCK_ROWS]
+        values = np.stack([flat[o : o + width] for _, o in block])
+        counts = np.count_nonzero(~np.isnan(values), axis=1)
+        for (i, _), power, n in zip(block, core(values, table, normalization), counts):
+            window = pairs[i][0]
+            pg = Periodogram(
+                grid, power, label, normalization, int(n),
+                window_start=window.start_date.isoformat(),
+                window_hours=cfg.window_hours,
             )
-            out.append((marker, None))
-            continue
-        pg = Periodogram(
-            grid=pg.grid,
-            power=pg.power,
-            estimator=pg.estimator,
-            normalization=pg.normalization,
-            n_samples=pg.n_samples,
-            window_id=window.start_date.isoformat(),
-            window_start=window.start_date.isoformat(),
-            window_hours=cfg.window_hours,
-        )
-        out.append((window, pg))
-    return out
+            pairs[i] = (window, pg)
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -243,8 +253,6 @@ class IntensitySeries:
 
     points: tuple[IntensityPoint, ...]
     config: WindowConfig
-    estimator: str
-    normalization: str
 
     def at_period(self, period_hours: float) -> list[IntensityPoint]:
         matches = [p for p in self.points if p.period_hours == period_hours]
@@ -254,59 +262,34 @@ class IntensitySeries:
 
 
 def track_intensity(
-    days: Sequence[BinnedDay],
-    calendar: ExclusionCalendar | None = None,
-    cfg: WindowConfig | None = None,
-    estimator: str = "ls",
-    normalization: str = "raw",
-    keep_skipped: bool = True,
+    pairs: Sequence[tuple[AnalysisWindow, Periodogram | None]], cfg: WindowConfig
 ) -> IntensitySeries:
-    """Track periodicity intensity at the configured target periods.
+    """Read the intensity at each configured target period off every window.
 
     Parameters
     ----------
-    days : sequence of BinnedDay
-        Retained binned days, as produced by the binning stage.
-    calendar : ExclusionCalendar, optional
-        Excluded dates; days classified other than normal never enter a
-        window. Omit to treat every retained day as valid.
-    cfg : WindowConfig, optional
-        Window geometry; defaults to 10-day windows, stride 1, at least
-        8 valid days, tracking 24 h and 12 h.
-    estimator : {"ls", "classic"}
-        Spectral estimator; "ls" handles the gapped windows real data
-        produces, "classic" requires complete evenly spaced windows.
-    normalization : {"raw", "variance"}
-        Power scale passed through to the estimator.
-    keep_skipped : bool
-        Keep skip markers (with power None) in the output series.
+    pairs : sequence of (AnalysisWindow, Periodogram or None)
+        Per-window periodograms from compute_window_periodograms run with
+        the same `cfg`; None marks a skipped window.
+    cfg : WindowConfig
+        Window geometry and the target periods to read.
 
     Returns
     -------
     IntensitySeries
+        One point per window and target period; a skipped window's points
+        have power None and keep its valid-day count and reason.
     """
-    cfg = cfg or WindowConfig()
-    pairs = compute_window_periodograms(
-        days, calendar, cfg, estimator, normalization, keep_skipped=keep_skipped
+    points = tuple(
+        IntensityPoint(
+            window.start_date, period,
+            None if pg is None else intensity_at(pg, period),
+            window.valid_day_count, skipped=pg is None, reason=window.reason,
+        )
+        for window, pg in pairs
+        for period in cfg.target_periods
     )
-    points = []
-    for window, pg in pairs:
-        for period in cfg.target_periods:
-            if pg is None:
-                points.append(
-                    IntensityPoint(
-                        window.start_date, period, None, window.valid_day_count,
-                        skipped=True, reason=window.reason,
-                    )
-                )
-            else:
-                points.append(
-                    IntensityPoint(
-                        window.start_date, period, intensity_at(pg, period),
-                        window.valid_day_count, skipped=False,
-                    )
-                )
-    return IntensitySeries(tuple(points), cfg, estimator, normalization)
+    return IntensitySeries(points, cfg)
 
 
 def write_intensity_csv(series: IntensitySeries, path: str | Path) -> None:

@@ -125,6 +125,16 @@ def test_periodogram_bad_start(tmp_path, flat_dir):
     assert rc == 3
 
 
+def test_periodogram_classic_window_with_inner_hole_exits_three(tmp_path, flat_dir):
+    calendar = tmp_path / "cal.txt"
+    calendar.write_text("2021-03-15,hardware\n")
+    base = ["periodogram", str(flat_dir / "readings.csv"), "--calendar", str(calendar),
+            "--estimator", "classic"]
+    # the excluded day opens this window, so its samples stay contiguous
+    assert main(base + ["--start", "2021-03-15", "--out", str(tmp_path / "edge")]) == 0
+    assert main(base + ["--start", "2021-03-10", "--out", str(tmp_path / "hole")]) == 3
+
+
 def test_track_point_count(tmp_path, flat_dir):
     out = tmp_path / "track"
     assert main(["track", str(flat_dir / "readings.csv"), "--out", str(out)]) == 0

@@ -196,13 +196,18 @@ def test_constant_signal_zero_power():
     assert np.all(vn.power == 0.0)
 
 
-def test_ls_weights_default_equivalence():
-    rng = np.random.default_rng(31)
-    values = rng.normal(0, 1, 480)
-    times = T10[:480]
-    equal = lomb_scargle(Samples(times, values), GRID10)
-    explicit = lomb_scargle(Samples(times, values), GRID10, weights=np.full(480, 7.0))
-    assert rel_close(equal.power, explicit.power, 1e-12)
+def test_lomb_scargle_matches_scipy_floating_mean():
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(11)
+    keep = np.sort(rng.permutation(960)[:672])  # 30 % of the window missing
+    times = T10[keep]
+    values = 3.0 + 2.0 * np.cos(2 * np.pi * times / 24.0) + rng.normal(0, 1.0, len(times))
+    ours = lomb_scargle(Samples(times, values), GRID10, normalization="variance").power
+    oracle = signal.lombscargle(
+        times, values, 2 * np.pi * GRID10.frequencies_cph,
+        floating_mean=True, normalize="normalize",
+    )
+    assert np.max(np.abs(ours - oracle)) <= 1e-12
 
 
 def test_samples_validation():

@@ -8,7 +8,6 @@ import pytest
 
 from flowrhythm.errors import InvalidConfig
 from flowrhythm.pipeline import readings_to_days
-from flowrhythm.spectral import lomb_scargle
 from flowrhythm.synth import (
     PureTone,
     ScenarioConfig,
@@ -19,7 +18,7 @@ from flowrhythm.synth import (
     scenario_from_json,
     scenario_to_json,
 )
-from flowrhythm.tracking import WindowConfig, window_samples, make_windows
+from flowrhythm.tracking import WindowConfig, compute_window_periodograms
 
 FLAT = tuple([1.0] * 96)
 
@@ -104,10 +103,10 @@ def test_pure_tone_recovers_period_through_pipeline():
     )
     days = readings_to_days(generate(cfg))
     wc = WindowConfig()
-    window = make_windows(days, None, wc)[0]
-    pg = lomb_scargle(window_samples(window), wc.grid())
-    grid = wc.grid()
-    assert int(np.argmax(pg.power)) == grid.index_of_period(24.0)
+    window, pg = compute_window_periodograms(days, None, wc)[0]
+    assert window.start_date == date(2021, 3, 1)
+    assert pg.estimator == "lomb_scargle"
+    assert int(np.argmax(pg.power)) == wc.grid().index_of_period(24.0)
 
 
 def test_demo_scenario_statistics():

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from flowrhythm.binning import SLOTS_PER_DAY
 from flowrhythm.errors import DataError, EmptyInput, InvalidConfig
 from flowrhythm.exclusions import DayClass, ExclusionCalendar
+from flowrhythm.spectral import Samples, classic_periodogram, lomb_scargle
 from flowrhythm.tracking import (
     WindowConfig,
     compute_window_periodograms,
     make_windows,
     track_intensity,
-    window_samples,
     write_intensity_csv,
     write_overlay_csv,
 )
@@ -25,6 +25,45 @@ SLOT_HOURS = 0.25
 def cosine_bins(period_hours=24.0, amplitude=1.0, offset=2.0):
     mid = SLOT_HOURS * (np.arange(SLOTS_PER_DAY) + 0.5)
     return offset + amplitude * np.cos(2 * np.pi * mid / period_hours)
+
+
+def noisy_tone_days(day_factory, n, seed=7):
+    rng = np.random.default_rng(seed)
+    return [
+        day_factory(START + timedelta(days=k), cosine_bins(offset=8.0) + rng.normal(0, 0.5, SLOTS_PER_DAY))
+        for k in range(n)
+    ]
+
+
+def track(days, calendar=None, cfg=None):
+    cfg = cfg or WindowConfig()
+    return track_intensity(compute_window_periodograms(days, calendar, cfg), cfg)
+
+
+def reference_samples(days, calendar, start, window_days):
+    """A window's samples built slot by slot, as the single-series estimators take them.
+
+    Times are bin midpoints in hours since window-start midnight; Missing
+    slots, absent days and days the calendar excludes are left out.
+    """
+    by_date = {d.day: d for d in days}
+    times, values = [], []
+    for j in range(window_days):
+        d = start + timedelta(days=j)
+        day = by_date.get(d)
+        if day is None or (calendar is not None and calendar.classify(d) is not DayClass.NORMAL):
+            continue
+        for k in range(SLOTS_PER_DAY):
+            if not np.isnan(day.bins[k]):
+                times.append(24.0 * j + SLOT_HOURS * (k + 0.5))
+                values.append(float(day.bins[k]))
+    return Samples(times, values)
+
+
+def assert_matches_reference(pg, ref):
+    assert pg.n_samples == ref.n_samples
+    assert pg.normalization == ref.normalization
+    assert np.max(np.abs(pg.power - ref.power)) <= 1e-12 * np.max(ref.power)
 
 
 @pytest.fixture
@@ -71,7 +110,7 @@ def test_two_hundred_twenty_six_days(day_run_factory):
 
 def test_vacation_span_skips_low_occupancy_windows(vacation_fixture):
     days, calendar = vacation_fixture
-    windows = make_windows(days, calendar, WindowConfig(), keep_skipped=True)
+    windows = make_windows(days, calendar, WindowConfig())
     assert len(windows) == 11
     emitted = [w for w in windows if not w.skipped]
     skipped = [w for w in windows if w.skipped]
@@ -85,8 +124,18 @@ def test_vacation_span_skips_low_occupancy_windows(vacation_fixture):
     assert [w.valid_day_count for w in emitted] == [10, 9, 8]
     for w in skipped:
         assert w.reason is not None and "valid day" in w.reason
-    # dropped silently unless asked for
-    assert len(make_windows(days, calendar, WindowConfig())) == 3
+
+
+def test_skip_rows_report_valid_day_count(tmp_path, vacation_fixture):
+    days, calendar = vacation_fixture
+    cfg = WindowConfig()
+    pairs = compute_window_periodograms(days, calendar, cfg)
+    assert [w.valid_day_count for w, pg in pairs if pg is None] == [7, 6, 5, 4, 3, 2, 1, 1]
+    path = tmp_path / "intensity.csv"
+    write_intensity_csv(track_intensity(pairs, cfg), path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    skipped = [int(r[3]) for r in rows if r[4] == "true"]
+    assert skipped == [n for n in (7, 6, 5, 4, 3, 2, 1, 1) for _ in cfg.target_periods]
 
 
 def test_stride_spaces_window_starts(day_run_factory):
@@ -111,39 +160,76 @@ def test_empty_input():
         make_windows([], None, WindowConfig())
 
 
-def test_window_samples_times(day_factory):
-    days = (day_factory(START, 2.0), day_factory(START + timedelta(days=1), 3.0))
-    window = make_windows(list(days), None, WindowConfig(window_days=2, min_valid_days=2))[0]
-    samples = window_samples(window)
-    assert len(samples.times) == 192
-    assert samples.times[0] == pytest.approx(0.125)
-    assert samples.times[95] == pytest.approx(23.875)
-    assert samples.times[96] == pytest.approx(24.125)
-    assert np.all(samples.values[:96] == 2.0)
-    assert np.all(samples.values[96:] == 3.0)
+def test_window_clock_is_slot_midpoints(day_factory):
+    days = noisy_tone_days(day_factory, 2)
+    cfg = WindowConfig(window_days=2, min_valid_days=2)
+    (window, pg), = compute_window_periodograms(days, None, cfg)
+    times = SLOT_HOURS * (np.arange(192) + 0.5)
+    values = np.concatenate([d.bins for d in days])
+    assert_matches_reference(pg, lomb_scargle(Samples(times, values), cfg.grid()))
 
 
-def test_window_samples_skip_missing_slots(day_factory):
-    bins = np.ones(SLOTS_PER_DAY)
+def test_missing_slot_leaves_the_window(day_factory):
+    bins = cosine_bins(offset=4.0)
     bins[5] = np.nan
-    window = make_windows(
-        [day_factory(START, bins)], None, WindowConfig(window_days=2, min_valid_days=1)
-    )
-    assert window == []  # 1-day span cannot host a 2-day window
+    cfg = WindowConfig(window_days=2, min_valid_days=1)
+    assert make_windows([day_factory(START, bins)], None, cfg) == []  # 1-day span cannot host a 2-day window
 
-    window = make_windows(
-        [day_factory(START, bins), day_factory(START + timedelta(days=1))],
-        None,
-        WindowConfig(window_days=2, min_valid_days=1),
-    )[0]
-    samples = window_samples(window)
-    assert len(samples.times) == 191
-    assert samples.times[5] == pytest.approx(SLOT_HOURS * 6.5)
+    days = [day_factory(START, bins), day_factory(START + timedelta(days=1), cosine_bins(amplitude=2.0))]
+    (window, pg), = compute_window_periodograms(days, None, cfg)
+    assert pg.n_samples == 191
+    times = np.delete(SLOT_HOURS * (np.arange(192) + 0.5), 5)
+    values = np.delete(np.concatenate([d.bins for d in days]), 5)
+    assert_matches_reference(pg, lomb_scargle(Samples(times, values), cfg.grid()))
+
+
+@pytest.mark.parametrize("normalization", ["raw", "variance"])
+def test_batched_ls_matches_single_series_on_demo(demo_days, study_calendar, normalization):
+    cfg = WindowConfig()
+    grid = cfg.grid()
+    pairs = compute_window_periodograms(demo_days, study_calendar, cfg, normalization=normalization)
+    emitted = [(w, pg) for w, pg in pairs if pg is not None]
+    assert len(emitted) > 100
+    for window, pg in emitted:
+        samples = reference_samples(demo_days, study_calendar, window.start_date, cfg.window_days)
+        assert_matches_reference(pg, lomb_scargle(samples, grid, normalization=normalization))
+
+
+@pytest.mark.parametrize("normalization", ["raw", "variance"])
+def test_batched_classic_matches_single_series_on_complete_tone(day_factory, normalization):
+    days = noisy_tone_days(day_factory, 45)  # 36 windows: more than one block
+    cfg = WindowConfig()
+    grid = cfg.grid()
+    pairs = compute_window_periodograms(days, None, cfg, estimator="classic", normalization=normalization)
+    assert len(pairs) == 36 and all(pg is not None for _, pg in pairs)
+    for window, pg in pairs:
+        samples = reference_samples(days, None, window.start_date, cfg.window_days)
+        assert_matches_reference(pg, classic_periodogram(samples, grid, normalization=normalization))
+        assert int(np.argmax(pg.power)) == grid.index_of_period(24.0)
+
+
+def test_classic_accepts_edge_gap_and_rejects_inner_hole(day_factory):
+    days = noisy_tone_days(day_factory, 20)
+    hole = START + timedelta(days=10)
+    calendar = ExclusionCalendar({hole: DayClass.HARDWARE_FAULT})
+    cfg = WindowConfig()
+    pairs = dict(
+        (w.start_date, (w, pg))
+        for w, pg in compute_window_periodograms(days, calendar, cfg, estimator="classic")
+    )
+    for start in (START + timedelta(days=1), hole):  # the hole is the last, then the first day
+        window, pg = pairs[start]
+        assert not window.skipped and window.valid_day_count == 9
+        samples = reference_samples(days, calendar, start, cfg.window_days)
+        assert_matches_reference(pg, classic_periodogram(samples, cfg.grid()))
+    window, pg = pairs[START + timedelta(days=5)]
+    assert pg is None and window.skipped and window.valid_day_count == 9
+    assert "spacing" in window.reason
 
 
 def test_pure_cosine_constant_intensity(day_run_factory):
     days = day_run_factory(START, 14, cosine_bins())
-    series = track_intensity(days, None, WindowConfig())
+    series = track(days)
     p24 = [pt.power for pt in series.at_period(24.0)]
     p12 = [pt.power for pt in series.at_period(12.0)]
     assert len(p24) == 5
@@ -154,7 +240,7 @@ def test_pure_cosine_constant_intensity(day_run_factory):
 
 def test_single_window_series(day_run_factory):
     days = day_run_factory(START, 10, cosine_bins())
-    series = track_intensity(days, None, WindowConfig(target_periods=(24.0,)))
+    series = track(days, cfg=WindowConfig(target_periods=(24.0,)))
     assert len(series.points) == 1
     point = series.points[0]
     assert point.window_start == START
@@ -210,14 +296,14 @@ def test_noise_ladder_erodes_periodic_fraction(day_factory):
 
 def test_track_intensity_deterministic(day_run_factory):
     days = day_run_factory(START, 20, cosine_bins())
-    a = track_intensity(days, None, WindowConfig())
-    b = track_intensity(days, None, WindowConfig())
+    a = track(days)
+    b = track(days)
     assert a == b
 
 
 def test_point_order_is_window_major(day_run_factory):
     days = day_run_factory(START, 11, cosine_bins())
-    series = track_intensity(days, None, WindowConfig())
+    series = track(days)
     heads = [(p.window_start, p.period_hours) for p in series.points[:4]]
     assert heads == [
         (START, 24.0),
@@ -229,7 +315,7 @@ def test_point_order_is_window_major(day_run_factory):
 
 def test_intensity_csv(tmp_path, vacation_fixture, day_run_factory):
     days, calendar = vacation_fixture
-    series = track_intensity(days, calendar, WindowConfig())
+    series = track(days, calendar)
     path = tmp_path / "intensity.csv"
     write_intensity_csv(series, path)
     lines = path.read_text().splitlines()
