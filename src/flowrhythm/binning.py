@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from datetime import date, tzinfo
+from datetime import date, datetime, tzinfo
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import IntervalOutsideDay, NoMatchingDays
-from .readings import IntervalUsage
+from .errors import NoMatchingDays
+from .readings import Intervals
 
 __all__ = [
     "SLOTS_PER_DAY",
@@ -36,8 +36,8 @@ __all__ = [
     "GROUPS",
     "BinnedDay",
     "DayProfile",
-    "bin_day",
     "bin_intervals",
+    "local_seconds",
     "profile",
     "write_profile_csv",
 ]
@@ -89,62 +89,62 @@ class BinnedDay:
         return int(np.count_nonzero(self.valid_mask))
 
 
-def _local_slot(interval: IntervalUsage, tz: tzinfo) -> tuple[date, int]:
-    local = interval.end.astimezone(tz)
-    seconds = local.hour * 3600 + local.minute * 60 + local.second
-    return local.date(), seconds // (SLOT_MINUTES * 60)
+def local_seconds(epoch_s: np.ndarray, tz: tzinfo) -> np.ndarray:
+    """Local wall-clock seconds since 1970-01-01 00:00 for UTC epoch seconds.
 
-
-def bin_day(
-    intervals: Iterable[IntervalUsage], day: date, tz: tzinfo = UTC
-) -> BinnedDay:
-    """Bin the intervals that close on one local calendar day.
-
-    Every interval's closing instant must fall on `day` in `tz`, otherwise
-    IntervalOutsideDay is raised. An empty iterable yields an all-Missing
-    day.
+    The UTC offset is looked up once per distinct UTC hour, at the hour's
+    start and at the next hour's start. Where the two differ, a transition
+    falls inside the hour and each instant in it is looked up on its own,
+    so the result equals `datetime.fromtimestamp(t, tz)` read as a wall
+    clock, provided an offset changes at most once within an hour.
     """
-    bins = np.full(SLOTS_PER_DAY, np.nan)
-    for interval in intervals:
-        local_day, slot = _local_slot(interval, tz)
-        if local_day != day:
-            raise IntervalOutsideDay(
-                f"interval closing {interval.end.isoformat()} falls on "
-                f"{local_day}, not {day}"
-            )
-        if np.isnan(bins[slot]):
-            bins[slot] = interval.litres
-        else:
-            bins[slot] += interval.litres
-    return BinnedDay(day, bins)
+    epoch_s = np.asarray(epoch_s, dtype=np.int64)
+    hours, which = np.unique(epoch_s // 3600, return_inverse=True)
+    edges = np.union1d(hours, hours + 1)
+    at_edge = np.array([_offset_s(int(h) * 3600, tz) for h in edges.tolist()], dtype=np.int64)
+    at_start = at_edge[np.searchsorted(edges, hours)]
+    changes = (at_start != at_edge[np.searchsorted(edges, hours + 1)])[which]
+    offset = at_start[which]
+    offset[changes] = [_offset_s(t, tz) for t in epoch_s[changes].tolist()]
+    return epoch_s + offset
+
+
+def _offset_s(t: int, tz: tzinfo) -> int:
+    return int(datetime.fromtimestamp(t, tz).utcoffset().total_seconds())
 
 
 def bin_intervals(
-    intervals: Sequence[IntervalUsage],
+    intervals: Intervals,
     tz: tzinfo = UTC,
     min_valid_slots: int = DEFAULT_MIN_VALID_SLOTS,
 ) -> list[BinnedDay]:
-    """Group intervals by local closing day, bin each, drop sparse days.
+    """Bin intervals into the local day and slot of their closing instant.
 
-    Days with fewer than min_valid_slots observed slots (outages, stream
-    edges) are dropped with a warning; they would distort profiles and
-    windows more than their few observations are worth.
+    Litres closing in the same slot add up in interval order; slots no
+    interval closes in are Missing (NaN). Days with fewer than
+    min_valid_slots observed slots (outages, stream edges) are dropped with
+    a warning; they would distort profiles and windows more than their few
+    observations are worth. Days no interval closes on do not appear.
     """
-    by_day: dict[date, list[IntervalUsage]] = {}
-    for interval in intervals:
-        local_day, _ = _local_slot(interval, tz)
-        by_day.setdefault(local_day, []).append(interval)
-    days = [bin_day(items, d, tz) for d, items in sorted(by_day.items())]
-    kept = [d for d in days if d.valid_count >= min_valid_slots]
-    if len(kept) < len(days):
-        dropped = [d.day.isoformat() for d in days if d.valid_count < min_valid_slots]
+    local_day, second = np.divmod(local_seconds(intervals.end_s, tz), 86400)
+    days, row = np.unique(local_day, return_inverse=True)
+    size = len(days) * SLOTS_PER_DAY
+    flat = row * SLOTS_PER_DAY + second // (SLOT_MINUTES * 60)
+    counts = np.bincount(flat, minlength=size).reshape(-1, SLOTS_PER_DAY)
+    # bincount adds the weights in input order, as a per-slot running sum would.
+    sums = np.bincount(flat, weights=intervals.litres, minlength=size)
+    bins = np.where(counts > 0, sums.reshape(-1, SLOTS_PER_DAY), np.nan)
+    dates = days.astype("datetime64[D]").tolist()
+    keep = np.count_nonzero(counts, axis=1) >= min_valid_slots
+    if not keep.all():
+        dropped = [d.isoformat() for d, k in zip(dates, keep) if not k]
         log.warning(
             "dropped %d day(s) with fewer than %d observed slots: %s",
             len(dropped),
             min_valid_slots,
             ", ".join(dropped),
         )
-    return kept
+    return [BinnedDay(d, b) for d, b, k in zip(dates, bins, keep) if k]
 
 
 @dataclass(frozen=True)

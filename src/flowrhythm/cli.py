@@ -24,7 +24,7 @@ from .binning import DEFAULT_MIN_VALID_SLOTS, GROUPS, profile, write_profile_csv
 from .errors import ConfigError, DataError, FlowRhythmError, InvalidConfig
 from .exclusions import DayClass, ExclusionCalendar, load_calendar
 from .pipeline import readings_to_days
-from .readings import read_stream, write_stream_csv, write_stream_jsonl
+from .readings import read_stream, segment_litres, write_stream_csv, write_stream_jsonl
 from .spectral import write_periodogram_csv, write_periodogram_sidecar
 from .synth import demo_scenario, generate, load_scenario, scenario_to_json
 from .tracking import (
@@ -158,12 +158,11 @@ def cmd_ingest(args) -> int:
     path, stream, days = _load_days(args, tz)
     out = _out_dir(args)
     write_stream_csv(stream, out / "readings.csv")
-    total = float(stream.litres[-1] - stream.litres[0])
     summary = {
         "n_readings": len(stream),
         "first": stream[0].timestamp.isoformat(),
         "last": stream[-1].timestamp.isoformat(),
-        "total_litres": total,
+        "total_litres": segment_litres(stream),
         "n_binned_days": len(days),
         "timezone": args.timezone,
     }

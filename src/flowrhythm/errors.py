@@ -56,10 +56,6 @@ class CounterDecrease(DataError):
         self.index = index
 
 
-class IntervalOutsideDay(DataError):
-    """An interval's closing instant falls outside the requested local date."""
-
-
 class NoMatchingDays(DataError):
     """A profile group matched no retained days."""
 

@@ -1,36 +1,39 @@
 """End-to-end glue from raw cumulative readings to binned days.
 
-Cleaning order matters: counter decreases split the stream first so no
-interval straddles a meter reset, then differencing yields per-interval
-usage, then outage-length intervals are dropped so their accumulated
-volume cannot masquerade as a burst.
+Cleaning order matters: the pair of readings across a counter decrease is
+not usage, so no interval straddles a meter reset; outage-length intervals
+are then dropped so their accumulated volume cannot masquerade as a burst.
 """
 
 from __future__ import annotations
 
+import logging
 from datetime import timedelta, tzinfo
-from typing import Sequence
+
+import numpy as np
 
 from .binning import DEFAULT_MIN_VALID_SLOTS, UTC, BinnedDay, bin_intervals
-from .readings import (
-    DEFAULT_MAX_GAP,
-    IntervalUsage,
-    ReadingStream,
-    difference_cumulative,
-    drop_long_gaps,
-    split_on_counter_decrease,
-)
+from .readings import DEFAULT_MAX_GAP, Intervals, ReadingStream, drop_long_gaps
+
+log = logging.getLogger(__name__)
 
 
 def clean_intervals(
     stream: ReadingStream, max_gap: timedelta = DEFAULT_MAX_GAP
-) -> list[IntervalUsage]:
-    """Difference a raw stream into usage intervals, dropping outage spans."""
-    intervals: list[IntervalUsage] = []
-    for segment in split_on_counter_decrease(stream):
-        if len(segment) < 2:
-            continue
-        intervals.extend(difference_cumulative(segment))
+) -> Intervals:
+    """Difference a raw stream into usage intervals within counter segments,
+    dropping outage spans."""
+    diffs = np.diff(stream.litres)
+    within = diffs >= 0
+    if not within.all():
+        drops = np.flatnonzero(~within) + 1
+        log.warning(
+            "cumulative counter decreases at reading index(es) %s (source %r); "
+            "no interval spans a decrease",
+            drops.tolist(),
+            stream.source_id,
+        )
+    intervals = Intervals(stream.epoch_s[:-1][within], stream.epoch_s[1:][within], diffs[within])
     return drop_long_gaps(intervals, max_gap)
 
 

@@ -37,12 +37,13 @@ __all__ = [
     "NOMINAL_PERIOD",
     "DEFAULT_MAX_GAP",
     "RawReading",
-    "IntervalUsage",
+    "Intervals",
     "ReadingStream",
     "parse_stream",
     "read_stream",
     "difference_cumulative",
     "split_on_counter_decrease",
+    "segment_litres",
     "drop_long_gaps",
     "write_stream_csv",
     "write_stream_jsonl",
@@ -73,27 +74,43 @@ class RawReading:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class IntervalUsage:
-    """Litres consumed between two consecutive readings.
+@dataclass(frozen=True)
+class Intervals:
+    """Litres consumed between consecutive readings, as parallel arrays.
 
-    `end` is the instant of the reading that closes the interval; downstream
-    binning assigns the whole interval to the day and slot containing `end`.
+    Interval i runs from `start_s[i]` to `end_s[i]` (UTC epoch seconds) and
+    used `litres[i]`. `end_s` is the instant of the reading that closes the
+    interval; binning assigns the whole interval to the local day and slot
+    containing it.
     """
 
-    start: datetime
-    end: datetime
-    litres: float
+    start_s: np.ndarray
+    end_s: np.ndarray
+    litres: np.ndarray
 
     def __post_init__(self):
-        if not self.end > self.start:
-            raise ValueError("interval must end after it starts")
-        if not self.litres >= 0.0:
-            raise ValueError(f"interval litres must be >= 0, got {self.litres}")
+        start = np.asarray(self.start_s, dtype=np.int64)
+        end = np.asarray(self.end_s, dtype=np.int64)
+        litres = np.asarray(self.litres, dtype=np.float64)
+        if start.ndim != 1 or not start.shape == end.shape == litres.shape:
+            raise ValueError("start_s, end_s and litres must be 1-d arrays of equal length")
+        if not np.all(end > start):
+            raise ValueError("every interval must end after it starts")
+        if not np.all(litres >= 0.0):
+            raise ValueError("interval litres must be >= 0")
+        for name, arr in (("start_s", start), ("end_s", end), ("litres", litres)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
-    @property
-    def duration(self) -> timedelta:
-        return self.end - self.start
+    def __len__(self) -> int:
+        return len(self.litres)
+
+    def __iter__(self):
+        # One numpy record per interval (fields start_s, end_s, litres) for
+        # callers that want rows; the pipeline itself only uses the arrays.
+        return iter(np.rec.fromarrays(
+            (self.start_s, self.end_s, self.litres), names="start_s,end_s,litres"
+        ))
 
 
 @dataclass(frozen=True)
@@ -101,7 +118,7 @@ class ReadingStream:
     """Immutable, strictly time-ordered readings from one source.
 
     Stored as parallel arrays (epoch seconds, litres) so million-reading
-    streams stay cheap; items materialize as RawReading on access.
+    streams stay cheap; an item materializes as RawReading on access.
     """
 
     epoch_s: np.ndarray
@@ -142,12 +159,129 @@ class ReadingStream:
             float(self.litres[i]),
         )
 
-    def __iter__(self) -> Iterator[RawReading]:
-        for i in range(len(self)):
-            yield self[i]
 
-    def timestamps(self) -> list[datetime]:
-        return [r.timestamp for r in self]
+# --- parsing -------------------------------------------------------------------
+
+_CSV_HEADER = b"timestamp,cumulative_litres"
+# Timestamps as fixed-width bytes. A field of 26 bytes or more is cut to 26,
+# a length no canonical timestamp (20 or 25 bytes) has, so it cannot pass.
+_STAMP = "S26"
+_CSV_ROW = np.dtype([("ts", _STAMP), ("litres", np.float64)])
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _decode_timestamps(b: np.ndarray) -> np.ndarray | None:
+    """Epoch seconds of canonical timestamps, or None if any is not canonical.
+
+    `b` holds one `_STAMP` per row as bytes, in its first 26 columns.
+    Canonical is whole-second `YYYY-MM-DDTHH:MM:SS` followed by `Z` or
+    `+HH:MM` / `-HH:MM`. Each field is decoded with digit arithmetic over
+    the byte columns and range-checked as datetime.fromisoformat checks it,
+    so an accepted stamp decodes to what the row parser makes of it.
+    """
+    n = len(b)
+
+    def number(first: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+        value = np.zeros(n, dtype=np.int32)
+        valid = np.ones(n, dtype=bool)
+        for c in range(first, first + width):
+            digit = b[:, c] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
+            valid &= digit <= 9
+            value = value * 10 + digit
+        return value, valid
+
+    (year, y_ok), (month, mo_ok), (day, d_ok) = number(0, 4), number(5, 2), number(8, 2)
+    (hour, h_ok), (minute, mi_ok), (second, s_ok) = number(11, 2), number(14, 2), number(17, 2)
+    (off_h, oh_ok), (off_m, om_ok) = number(20, 2), number(23, 2)
+    ok = y_ok & mo_ok & d_ok & h_ok & mi_ok & s_ok
+    for col, char in ((4, "-"), (7, "-"), (10, "T"), (13, ":"), (16, ":")):
+        ok &= b[:, col] == ord(char)
+    utc = (b[:, 19] == ord("Z")) & ~b[:, 20:26].any(axis=1)
+    negative = b[:, 19] == ord("-")
+    signed = (
+        (negative | (b[:, 19] == ord("+"))) & (b[:, 22] == ord(":")) & (b[:, 25] == 0)
+        & oh_ok & om_ok & (off_h <= 23) & (off_m <= 59)
+    )
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    ok &= (
+        (utc | signed) & (year >= 1) & (month >= 1) & (month <= 12)
+        & (day >= 1) & (day <= month_days) & (hour <= 23) & (minute <= 59) & (second <= 59)
+    )
+    if not ok.all():
+        return None
+    # Days since 1970-01-01 of a proleptic Gregorian date, counting years
+    # from March so that the leap day ends the year.
+    era, yoe = np.divmod(year - (month <= 2), 400)
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    seconds = days.astype(np.int64) * 86400 + (hour * 3600 + minute * 60 + second)
+    offset = np.where(utc, 0, np.where(negative, -60, 60) * (60 * off_h + off_m))
+    return seconds - offset
+
+
+def _checked_arrays(b: np.ndarray, litres) -> tuple[np.ndarray, np.ndarray] | None:
+    """Decoded epochs and litres when every row is clean and time-ordered, else None."""
+    litres = np.ascontiguousarray(litres, dtype=np.float64)
+    if not len(litres) or not np.all(np.isfinite(litres) & (litres >= 0)):
+        return None
+    epoch = _decode_timestamps(b)
+    if epoch is None or np.any(np.diff(epoch) <= 0):
+        return None
+    return epoch, litres
+
+
+def _fast_csv(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch_s, litres) of a canonical CSV, or None to leave it to the row parser.
+
+    Canonical is an optional `timestamp,cumulative_litres` header, then rows
+    of a canonical timestamp and a finite, non-negative number; empty lines
+    are skipped, as the row parser skips them.
+    """
+    header = data.partition(b"\n")[0].rstrip(b"\r") == _CSV_HEADER
+    # A NUL byte would end a fixed-width stamp early; no comma after the
+    # header means no data row (loadtxt would only warn).
+    if b"\x00" in data or data.find(b",", len(_CSV_HEADER) if header else 0) < 0:
+        return None
+    try:
+        rows = np.loadtxt(
+            io.BytesIO(data), dtype=_CSV_ROW, delimiter=",", skiprows=int(header),
+            comments=None, encoding="utf-8", ndmin=1,
+        )
+    except ValueError:
+        return None
+    # The stamp is the first field, so each row's bytes start with it.
+    return _checked_arrays(rows.view(np.uint8).reshape(len(rows), -1), rows["litres"])
+
+
+def _fast_jsonl(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch_s, litres) of JSONL with canonical stamps and plain numbers, else None.
+
+    Lines are read one at a time from the bytes, so no list of lines is
+    built. Only ASCII input without NUL bytes is taken: json.loads then
+    reads every line as UTF-8, as the row parser does.
+    """
+    if not data.isascii() or b"\x00" in data:
+        return None
+    stamps, values = [], []
+    for raw in io.BytesIO(data):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+            stamps.append(obj["ts"])
+            values.append(obj["litres_total"])
+        except (ValueError, TypeError, KeyError):
+            return None
+    if not all(type(s) is str and "\x00" not in s for s in stamps):
+        return None
+    if not all(type(v) is float or type(v) is int for v in values):
+        return None
+    try:
+        stamp_bytes = np.array(stamps, dtype=_STAMP).view(np.uint8).reshape(-1, 26)
+        return _checked_arrays(stamp_bytes, np.array(values, dtype=np.float64))
+    except (ValueError, OverflowError):
+        return None
 
 
 def _parse_timestamp(text: str) -> datetime:
@@ -161,17 +295,22 @@ def _parse_timestamp(text: str) -> datetime:
     return dt
 
 
-def _as_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+def _epoch(dt: datetime) -> int:
+    return int(round(dt.timestamp()))
 
 
-def _looks_like_header(fields: list[str]) -> bool:
-    return bool(fields) and not any(ch.isdigit() for ch in fields[0])
+def _is_header(fields: list[str]) -> bool:
+    """A first row is a header when its timestamp field holds no digit and
+    its value field, if it has one, is not a number."""
+    if not fields or any(ch.isdigit() for ch in fields[0]):
+        return False
+    if len(fields) < 2:
+        return True
+    try:
+        float(fields[1])
+    except ValueError:
+        return True
+    return False
 
 
 def parse_stream(source, fmt: str = "csv", source_id: str = "") -> ReadingStream:
@@ -180,27 +319,30 @@ def parse_stream(source, fmt: str = "csv", source_id: str = "") -> ReadingStream
     fmt="csv": rows of `timestamp,cumulative_litres`, optional header row.
     fmt="jsonl": one object per line with keys `ts` and `litres_total`.
 
-    Raises MalformedRow / NonMonotonicTimestamp / EmptyInput with 1-based
-    physical line numbers in the diagnostics.
+    Input in the canonical layout (whole-second `...Z` or `...+HH:MM`
+    timestamps, plain numbers) is decoded as whole arrays. Anything else,
+    including every input with a defect, goes through the row parser, which
+    raises MalformedRow / NonMonotonicTimestamp / EmptyInput with 1-based
+    physical line numbers in the diagnostics. Timestamps must strictly
+    increase once rounded to whole seconds.
     """
-    text = _as_text(source)
-    if fmt == "csv":
-        rows = list(_parse_csv_rows(text))
-    elif fmt == "jsonl":
-        rows = list(_parse_jsonl_rows(text))
-    else:
+    if fmt not in _PARSERS:
         raise ValueError(f"unknown stream format {fmt!r}")
-    if not rows:
-        raise EmptyInput("no readings found")
+    fast, parse_rows = _PARSERS[fmt]
+    raw = source if isinstance(source, (bytes, str)) else source.read()
+    parsed = fast(raw if isinstance(raw, bytes) else raw.encode("utf-8", "surrogatepass"))
+    if parsed is None:
+        rows = list(parse_rows(raw.decode("utf-8") if isinstance(raw, bytes) else raw))
+        if not rows:
+            raise EmptyInput("no readings found")
+        lines, epoch, litres = (np.array(col) for col in zip(*rows))
+        bad = np.flatnonzero(np.diff(epoch) <= 0)
+        if len(bad):
+            raise NonMonotonicTimestamp(int(lines[bad[0] + 1]))
+    else:
+        epoch, litres = parsed
 
-    last_line, last_dt = rows[0][0], rows[0][1]
-    sub_nominal = 0
-    for line_no, dt, _ in rows[1:]:
-        if dt <= last_dt:
-            raise NonMonotonicTimestamp(line_no)
-        if dt - last_dt < NOMINAL_PERIOD:
-            sub_nominal += 1
-        last_line, last_dt = line_no, dt
+    sub_nominal = int(np.count_nonzero(np.diff(epoch) < NOMINAL_PERIOD.total_seconds()))
     if sub_nominal:
         log.warning(
             "%d reading pair(s) closer than the 15-minute nominal period "
@@ -208,19 +350,16 @@ def parse_stream(source, fmt: str = "csv", source_id: str = "") -> ReadingStream
             sub_nominal,
             source_id,
         )
-
-    epoch = np.array([int(round(dt.timestamp())) for _, dt, _ in rows], dtype=np.int64)
-    litres = np.array([v for _, _, v in rows], dtype=np.float64)
     return ReadingStream(epoch, litres, source_id)
 
 
-def _parse_csv_rows(text: str) -> Iterator[tuple[int, datetime, float]]:
+def _parse_csv_rows(text: str) -> Iterator[tuple[int, int, float]]:
     first_data_row = True
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
-        fields = next(csv.reader(io.StringIO(raw)))
-        if first_data_row and _looks_like_header(fields):
+        fields = next(csv.reader([raw]))
+        if first_data_row and _is_header(fields):
             first_data_row = False
             continue
         if len(fields) != 2:
@@ -236,10 +375,10 @@ def _parse_csv_rows(text: str) -> Iterator[tuple[int, datetime, float]]:
         if not np.isfinite(value) or value < 0:
             raise MalformedRow(line_no, f"cumulative value {value!r} out of range")
         first_data_row = False
-        yield line_no, dt, value
+        yield line_no, _epoch(dt), value
 
 
-def _parse_jsonl_rows(text: str) -> Iterator[tuple[int, datetime, float]]:
+def _parse_jsonl_rows(text: str) -> Iterator[tuple[int, int, float]]:
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -259,7 +398,11 @@ def _parse_jsonl_rows(text: str) -> Iterator[tuple[int, datetime, float]]:
         value = float(value)
         if not np.isfinite(value) or value < 0:
             raise MalformedRow(line_no, f"litres_total {value!r} out of range")
-        yield line_no, dt, value
+        yield line_no, _epoch(dt), value
+
+
+# Format -> (array fast path, row parser).
+_PARSERS = {"csv": (_fast_csv, _parse_csv_rows), "jsonl": (_fast_jsonl, _parse_jsonl_rows)}
 
 
 def read_stream(path: str | Path, fmt: str | None = None) -> ReadingStream:
@@ -267,27 +410,29 @@ def read_stream(path: str | Path, fmt: str | None = None) -> ReadingStream:
     p = Path(path)
     if fmt is None:
         fmt = "jsonl" if p.suffix.lower() in {".jsonl", ".ndjson"} else "csv"
-    return parse_stream(p.read_text(encoding="utf-8"), fmt, source_id=str(p))
+    return parse_stream(p.read_bytes(), fmt, source_id=str(p))
 
 
-def difference_cumulative(stream: ReadingStream) -> list[IntervalUsage]:
+# --- cleaning ------------------------------------------------------------------
+
+
+def difference_cumulative(stream: ReadingStream) -> Intervals:
     """First-difference a stream into usage intervals.
 
-    The sum of the returned litres telescopes to last - first exactly (each
-    pairwise difference of nearby same-sign doubles is exact), so no volume
-    is created or lost. Raises CounterDecrease at the first drop rather than
-    emitting a negative usage.
+    The difference of two neighbouring totals is exact when the later total
+    is at most twice the earlier (Sterbenz), which a running meter breaks
+    only in its first readings after zero. Where it holds, the exact sum of
+    the differences telescopes to last - first; elsewhere each difference
+    carries one rounding. The conservation and litres-balance tests check
+    the rest to 1e-9 relative. Raises CounterDecrease at the first drop
+    rather than emitting a negative usage.
     """
     if len(stream) < 2:
         raise TooFewReadings(f"need at least 2 readings, got {len(stream)}")
     diffs = np.diff(stream.litres)
     if np.any(diffs < 0):
         raise CounterDecrease(int(np.argmax(diffs < 0)) + 1)
-    times = stream.timestamps()
-    return [
-        IntervalUsage(times[i], times[i + 1], float(diffs[i]))
-        for i in range(len(diffs))
-    ]
+    return Intervals(stream.epoch_s[:-1], stream.epoch_s[1:], diffs)
 
 
 def split_on_counter_decrease(stream: ReadingStream) -> list[ReadingStream]:
@@ -317,48 +462,64 @@ def split_on_counter_decrease(stream: ReadingStream) -> list[ReadingStream]:
     ]
 
 
-def drop_long_gaps(
-    intervals: Sequence[IntervalUsage], max_gap: timedelta = DEFAULT_MAX_GAP
-) -> list[IntervalUsage]:
+def segment_litres(stream: ReadingStream) -> float:
+    """Litres the meter counted: last - first within each segment between
+    counter decreases, summed. Without a decrease it is last - first."""
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(stream.litres) < 0) + 1])
+    ends = np.append(starts[1:], len(stream)) - 1
+    return sum(float(stream.litres[b] - stream.litres[a]) for a, b in zip(starts, ends))
+
+
+def drop_long_gaps(intervals: Intervals, max_gap: timedelta = DEFAULT_MAX_GAP) -> Intervals:
     """Discard intervals longer than max_gap.
 
     The volume accumulated across an outage cannot be placed within it, so it
     is dropped (with a warning) and the covered slots stay Missing instead of
     absorbing a bogus spike.
     """
-    kept = [iv for iv in intervals if iv.duration <= max_gap]
-    dropped = len(intervals) - len(kept)
-    if dropped:
-        litres = sum(iv.litres for iv in intervals if iv.duration > max_gap)
-        log.warning(
-            "discarded %d interval(s) longer than %s covering %.3f litres; "
-            "the affected slots stay missing",
-            dropped,
-            max_gap,
-            litres,
-        )
-    return kept
+    long = intervals.end_s - intervals.start_s > max_gap.total_seconds()
+    if not long.any():
+        return intervals
+    log.warning(
+        "discarded %d interval(s) longer than %s covering %.3f litres; "
+        "the affected slots stay missing",
+        int(np.count_nonzero(long)),
+        max_gap,
+        float(intervals.litres[long].sum()),
+    )
+    keep = ~long
+    return Intervals(intervals.start_s[keep], intervals.end_s[keep], intervals.litres[keep])
 
 
-def _format_litres(value: float) -> str:
-    # repr round-trips exactly, so downstream parsing reproduces the float.
-    return repr(float(value))
+# --- writing -------------------------------------------------------------------
+
+# Readings formatted per write: block by block, a long stream's text is
+# never held in memory whole.
+WRITE_BLOCK_ROWS = 1 << 12
+
+
+def _blocks(stream: ReadingStream) -> Iterator[Iterator[tuple[str, float]]]:
+    """(UTC timestamp, litres) pairs, one iterator per block of readings.
+
+    The writers append a +00:00 offset to the timestamp, as
+    datetime.isoformat does in UTC, and write litres by repr, which
+    round-trips exactly, so parsing a written file reproduces the stream.
+    """
+    for a in range(0, len(stream), WRITE_BLOCK_ROWS):
+        block = slice(a, a + WRITE_BLOCK_ROWS)
+        stamps = np.datetime_as_string(stream.epoch_s[block].astype("datetime64[s]"))
+        yield zip(stamps.tolist(), stream.litres[block].tolist())
 
 
 def write_stream_csv(stream: ReadingStream, path: str | Path) -> None:
-    lines = ["timestamp,cumulative_litres"]
-    lines += [
-        f"{r.timestamp.isoformat()},{_format_litres(r.cumulative_litres)}"
-        for r in stream
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("timestamp,cumulative_litres\n")
+        for rows in _blocks(stream):
+            fh.write("".join([f"{t}+00:00,{v!r}\n" for t, v in rows]))
 
 
 def write_stream_jsonl(stream: ReadingStream, path: str | Path) -> None:
-    lines = [
-        json.dumps(
-            {"ts": r.timestamp.isoformat(), "litres_total": r.cumulative_litres}
-        )
-        for r in stream
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # The same bytes per line as json.dumps({"ts": ..., "litres_total": ...}).
+    with open(path, "w", encoding="utf-8") as fh:
+        for rows in _blocks(stream):
+            fh.write("".join([f'{{"ts": "{t}+00:00", "litres_total": {v!r}}}\n' for t, v in rows]))

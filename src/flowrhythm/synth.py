@@ -19,10 +19,9 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
+from .binning import SLOTS_PER_DAY, local_seconds
 from .errors import InvalidConfig
 from .readings import ReadingStream
-
-SLOTS_PER_DAY = 96
 
 _SCENARIO_KEYS = {
     "start",
@@ -275,19 +274,14 @@ def generate(cfg: ScenarioConfig) -> ReadingStream:
     t_start = int(datetime.combine(cfg.start, time(0), tz).timestamp())
     t_end = int(datetime.combine(cfg.end + timedelta(days=1), time(0), tz).timestamp())
     lo, hi = cfg.jitter
-    day_templates = (cfg.weekday_template,) * 5 + (cfg.saturday_template, cfg.sunday_template)
-    vacation_days = set()
-    for first, last in cfg.vacations:
-        d = first
-        while d <= last:
-            vacation_days.add(d)
-            d += timedelta(days=1)
 
     rng = np.random.default_rng(cfg.seed)
-    epochs = [t_start]
-    litres = [float(cfg.initial_litres)]
-    counter = float(cfg.initial_litres)
-    t = t_start
+    # Every step advances at least 900 + lo seconds, which bounds the count.
+    most = (t_end - t_start) // (900 + lo)
+    times = np.empty(most, dtype=np.int64)
+    noises = np.empty(most)
+    draws = np.empty(most)
+    n, t = 0, t_start
     while True:
         step = int(rng.integers(lo, hi + 1))
         noise = float(rng.standard_normal())
@@ -295,24 +289,36 @@ def generate(cfg: ScenarioConfig) -> ReadingStream:
         t += 900 + step
         if t > t_end:
             break
-        if cfg.daily_pattern is not None:
-            tone = cfg.daily_pattern
-            phase = 2.0 * math.pi * ((t - t_start) / 3600.0) / tone.period_hours
-            base = tone.amplitude * (1.0 + math.cos(phase))
-        else:
-            local = datetime.fromtimestamp(t, tz)
-            if local.date() in vacation_days:
-                base = cfg.vacation_level
-            else:
-                slot = (local.hour * 3600 + local.minute * 60 + local.second) // 900
-                base = day_templates[local.weekday()][slot]
-        usage = max(0.0, base + cfg.noise_sd * noise)
-        counter += usage
-        if drop >= cfg.dropout_rate:
-            epochs.append(t)
-            litres.append(counter)
-    return ReadingStream(
-        np.asarray(epochs, dtype=np.int64),
-        np.asarray(litres, dtype=np.float64),
-        source_id=f"synthetic:{cfg.seed}",
-    )
+        times[n], noises[n], draws[n] = t, noise, drop
+        n += 1
+    t, noises, draws = times[:n], noises[:n], draws[:n]
+
+    if cfg.daily_pattern is not None:
+        tone = cfg.daily_pattern
+        phase = 2.0 * math.pi * ((t - t_start) / 3600.0) / tone.period_hours
+        # math.cos per step: np.cos need not round the same in the last bit.
+        base = tone.amplitude * (1.0 + np.array([math.cos(p) for p in phase.tolist()]))
+    else:
+        local_day, second = np.divmod(local_seconds(t, tz), 86400)
+        templates = np.array(
+            (cfg.weekday_template,) * 5 + (cfg.saturday_template, cfg.sunday_template)
+        )
+        # 1970-01-01 was a Thursday, weekday 3.
+        base = templates[(local_day + 3) % 7, second // 900]
+        vacation = np.zeros(len(t), dtype=bool)
+        for first, last in cfg.vacations:
+            vacation |= (local_day >= _day_number(first)) & (local_day <= _day_number(last))
+        base[vacation] = cfg.vacation_level
+    usage = base + cfg.noise_sd * noises
+    usage = np.where(usage > 0.0, usage, 0.0)  # as max(0.0, usage): -0.0 becomes 0.0
+    # cumsum adds in sequence, exactly as a running counter += usage does.
+    counter = np.cumsum(np.concatenate([[float(cfg.initial_litres)], usage]))
+    kept = np.concatenate([[True], draws >= cfg.dropout_rate])
+    epochs = np.concatenate([[t_start], t])[kept]
+    litres = counter[kept]
+    return ReadingStream(epochs, litres, source_id=f"synthetic:{cfg.seed}")
+
+
+def _day_number(d: date) -> int:
+    """Days since 1970-01-01."""
+    return int(np.datetime64(d, "D").astype(np.int64))

@@ -1,103 +1,134 @@
 import math
 from datetime import date, datetime, timedelta, timezone
+from functools import lru_cache
 from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowrhythm.binning import (
     SLOTS_PER_DAY,
     BinnedDay,
-    bin_day,
     bin_intervals,
+    local_seconds,
     profile,
     write_profile_csv,
 )
-from flowrhythm.errors import IntervalOutsideDay, NoMatchingDays
-from flowrhythm.readings import IntervalUsage
+from flowrhythm.errors import NoMatchingDays
+from flowrhythm.readings import Intervals
 
 UTC = timezone.utc
 DUBLIN = ZoneInfo("Europe/Dublin")
 MON = date(2021, 3, 1)
 
 
-def interval(day: date, end_minutes: float, litres: float, tz=UTC) -> IntervalUsage:
-    base = datetime(day.year, day.month, day.day, tzinfo=tz)
-    end = base + timedelta(minutes=end_minutes)
-    return IntervalUsage(end - timedelta(minutes=15), end, litres)
+def midnight(day: date, tz=UTC) -> int:
+    return int(datetime(day.year, day.month, day.day, tzinfo=tz).timestamp())
 
 
-def complete_day(day: date, litres=1.0) -> list[IntervalUsage]:
+def closing_at(ends, litres=1.0) -> Intervals:
+    """Quarter-hour intervals closing at the given UTC epoch seconds."""
+    ends = np.asarray(ends, dtype=np.int64)
+    return Intervals(ends - 900, ends, np.broadcast_to(np.float64(litres), ends.shape))
+
+
+def joined(*parts: Intervals) -> Intervals:
+    return Intervals(*(np.concatenate([getattr(p, f) for p in parts]) for f in ("start_s", "end_s", "litres")))
+
+
+def complete_day(day: date, litres=1.0) -> Intervals:
     # One interval closing inside each slot (at slot start + 5 min).
-    return [interval(day, 15 * k + 5, litres) for k in range(SLOTS_PER_DAY)]
+    return closing_at(midnight(day) + 900 * np.arange(SLOTS_PER_DAY) + 300, litres)
+
+
+def bin_one_day(intervals: Intervals, tz=UTC) -> BinnedDay:
+    """The single day that intervals all closing on one local day bin into."""
+    days = bin_intervals(intervals, tz, min_valid_slots=0)
+    assert len(days) == 1
+    return days[0]
+
+
+def oracle_days(intervals: Intervals, tz, min_valid_slots: int) -> dict:
+    """Per-interval astimezone binning: the reference for bin_intervals."""
+    by_day: dict = {}
+    for end, litres in zip(intervals.end_s.tolist(), intervals.litres.tolist()):
+        local = datetime.fromtimestamp(end, UTC).astimezone(tz)
+        slot = (local.hour * 3600 + local.minute * 60 + local.second) // 900
+        bins = by_day.setdefault(local.date(), np.full(SLOTS_PER_DAY, np.nan))
+        bins[slot] = litres if np.isnan(bins[slot]) else bins[slot] + litres
+    return {
+        d: b for d, b in sorted(by_day.items())
+        if np.count_nonzero(~np.isnan(b)) >= min_valid_slots
+    }
 
 
 def test_bin_day_complete_no_missing():
-    b = bin_day(complete_day(MON), MON, UTC)
+    b = bin_one_day(complete_day(MON))
+    assert b.day == MON
     assert b.valid_count == SLOTS_PER_DAY
     assert np.all(b.bins == 1.0)
     assert b.weekday == 0
 
 
 def test_bin_day_92_intervals_4_missing():
-    items = [interval(MON, 15 * k + 5, 1.0) for k in range(92)]
-    b = bin_day(items, MON, UTC)
+    ends = midnight(MON) + 900 * np.arange(92) + 300
+    b = bin_one_day(closing_at(ends))
     assert b.valid_count == 92
     assert np.isnan(b.bins[92:]).all()
+    assert [d.day for d in bin_intervals(closing_at(ends), UTC, min_valid_slots=92)] == [MON]
+    assert bin_intervals(closing_at(ends), UTC, min_valid_slots=93) == []
 
 
 def test_bin_day_empty_all_missing():
-    b = bin_day([], MON, UTC)
-    assert b.valid_count == 0
-    assert np.isnan(b.bins).all()
+    # A day no interval closes on is Missing as a whole: it never appears,
+    # neither between observed days nor from empty input.
+    assert bin_intervals(closing_at([]), UTC, min_valid_slots=0) == []
+    gap = joined(complete_day(MON), complete_day(MON + timedelta(days=2)))
+    days = bin_intervals(gap, UTC, min_valid_slots=0)
+    assert [d.day for d in days] == [MON, MON + timedelta(days=2)]
 
 
 def test_bin_day_end_instant_decides_slot():
     # 00:14:59 closes in slot 0; exactly 00:15:00 belongs to slot 1.
-    just_before = interval(MON, 14 + 59 / 60, 2.0)
-    at_boundary = interval(MON, 15.0, 3.0)
-    b = bin_day([just_before, at_boundary], MON, UTC)
+    b = bin_one_day(joined(closing_at([midnight(MON) + 899], 2.0), closing_at([midnight(MON) + 900], 3.0)))
     assert b.bins[0] == 2.0
     assert b.bins[1] == 3.0
+    assert b.valid_count == 2
 
 
 def test_bin_day_accumulates_same_slot():
-    a = interval(MON, 7.0, 1.25)
-    b = interval(MON, 12.0, 2.5)
-    binned = bin_day([a, b], MON, UTC)
+    binned = bin_one_day(joined(closing_at([midnight(MON) + 420], 1.25), closing_at([midnight(MON) + 720], 2.5)))
     assert binned.bins[0] == 3.75
+    assert binned.valid_count == 1
 
 
-def test_bin_day_rejects_interval_from_other_day():
-    stray = interval(MON + timedelta(days=1), 30.0, 1.0)
-    with pytest.raises(IntervalOutsideDay):
-        bin_day([stray], MON, UTC)
+def test_bin_intervals_keeps_interval_on_its_own_day():
+    stray = closing_at([midnight(MON + timedelta(days=1)) + 1800])
+    days = bin_intervals(joined(complete_day(MON), stray), UTC, min_valid_slots=0)
+    assert [d.day for d in days] == [MON, MON + timedelta(days=1)]
+    assert np.all(days[0].bins == 1.0)
+    assert days[1].valid_count == 1 and days[1].bins[2] == 1.0
 
 
 def test_bin_day_midnight_close_belongs_to_next_day():
-    at_midnight = interval(MON, 24 * 60.0, 1.0)
-    with pytest.raises(IntervalOutsideDay):
-        bin_day([at_midnight], MON, UTC)
-    b = bin_day([at_midnight], MON + timedelta(days=1), UTC)
+    b = bin_one_day(closing_at([midnight(MON + timedelta(days=1))]))
+    assert b.day == MON + timedelta(days=1)
     assert b.bins[0] == 1.0
+    assert b.valid_count == 1
 
 
-def epoch_intervals(local_midnight: datetime, n: int) -> list[IntervalUsage]:
+def epoch_intervals(local_midnight: datetime, n: int) -> Intervals:
     # Step real instants (not wall clocks): ends at midnight + 5min + 15min*k.
-    base = local_midnight.timestamp()
-    items = []
-    for k in range(n):
-        end = datetime.fromtimestamp(base + 300 + 900 * k, tz=UTC)
-        items.append(IntervalUsage(end - timedelta(minutes=15), end, 1.0))
-    return items
+    return closing_at(int(local_midnight.timestamp()) + 300 + 900 * np.arange(n))
 
 
 def test_bin_day_dst_spring_forward_slots_stay_missing():
     # Dublin 2018-03-25: 01:00 local jumps to 02:00. The day is 23 h (92
     # slots of wall time) and no instant can close in slots 4..7.
-    day = date(2018, 3, 25)
-    items = epoch_intervals(datetime(2018, 3, 25, 0, 0, tzinfo=DUBLIN), 92)
-    b = bin_day(items, day, DUBLIN)
+    b = bin_one_day(epoch_intervals(datetime(2018, 3, 25, 0, 0, tzinfo=DUBLIN), 92), DUBLIN)
+    assert b.day == date(2018, 3, 25)
     assert np.isnan(b.bins[4:8]).all()
     assert b.valid_count == 92
 
@@ -105,21 +136,81 @@ def test_bin_day_dst_spring_forward_slots_stay_missing():
 def test_bin_day_dst_fall_back_accumulates():
     # Dublin 2017-10-29: 01:00-02:00 local happens twice; the 25 h day holds
     # 100 closing instants and both passes sum into the same civil slots.
-    day = date(2017, 10, 29)
-    items = epoch_intervals(datetime(2017, 10, 29, 0, 0, tzinfo=DUBLIN), 100)
-    b = bin_day(items, day, DUBLIN)
+    b = bin_one_day(epoch_intervals(datetime(2017, 10, 29, 0, 0, tzinfo=DUBLIN), 100), DUBLIN)
+    assert b.day == date(2017, 10, 29)
     assert b.valid_count == SLOTS_PER_DAY
     assert b.bins[4:8].sum() == 8.0  # the repeated hour counts twice
     assert float(np.nansum(b.bins)) == 100.0
 
 
 def test_bin_intervals_groups_and_drops_sparse_days():
-    full = complete_day(MON)
-    sparse = [interval(MON + timedelta(days=1), 15 * k + 5, 1.0) for k in range(20)]
-    days = bin_intervals(full + sparse, UTC, min_valid_slots=92)
+    sparse = closing_at(midnight(MON + timedelta(days=1)) + 900 * np.arange(20) + 300)
+    days = bin_intervals(joined(complete_day(MON), sparse), UTC, min_valid_slots=92)
     assert [d.day for d in days] == [MON]
-    both = bin_intervals(full + sparse, UTC, min_valid_slots=10)
+    both = bin_intervals(joined(complete_day(MON), sparse), UTC, min_valid_slots=10)
     assert [d.day for d in both] == [MON, MON + timedelta(days=1)]
+
+
+# --- vectorised local time against per-instant astimezone -------------------------
+
+ZONES = ("Europe/Dublin", "America/New_York", "Australia/Lord_Howe", "Asia/Kolkata", "UTC")
+
+
+@lru_cache(maxsize=None)
+def offset_changes(zone: str, year: int) -> tuple[int, ...]:
+    """UTC hours in a year at whose start the zone's offset differs from an hour before."""
+    tz = ZoneInfo(zone)
+    start = int(datetime(year, 1, 1, tzinfo=UTC).timestamp())
+
+    def offset(t):
+        return datetime.fromtimestamp(t, tz).utcoffset()
+
+    found = []
+    for d in range(366):
+        day = start + 86400 * d
+        if offset(day) != offset(day + 86400):
+            found += [h for h in range(day + 3600, day + 86401, 3600) if offset(h) != offset(h - 3600)]
+    return tuple(found) or (start,)
+
+
+@st.composite
+def crossing_intervals(draw):
+    """Intervals of 1 s to 1 h around a UTC offset change of a drawn zone."""
+    zone = draw(st.sampled_from(ZONES))
+    anchor = draw(st.sampled_from(offset_changes(zone, draw(st.integers(1995, 2030)))))
+    n = draw(st.integers(1, 300))
+    steps = draw(st.lists(st.integers(1, 3600), min_size=n + 1, max_size=n + 1))
+    bounds = anchor - draw(st.integers(0, 2 * 86400)) + np.cumsum(steps)
+    litres = draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n))
+    return zone, Intervals(bounds[:-1], bounds[1:], litres)
+
+
+@settings(max_examples=150, deadline=None)
+@given(crossing_intervals(), st.integers(0, 8))
+def test_bin_intervals_matches_astimezone_oracle(case, min_valid_slots):
+    zone, intervals = case
+    tz = ZoneInfo(zone)
+    local = [datetime.fromtimestamp(t, UTC).astimezone(tz) for t in intervals.end_s.tolist()]
+    wall = [int(dt.replace(tzinfo=UTC).timestamp()) for dt in local]
+    assert local_seconds(intervals.end_s, tz).tolist() == wall
+    days = bin_intervals(intervals, tz, min_valid_slots)
+    expected = oracle_days(intervals, tz, min_valid_slots)
+    assert [d.day for d in days] == list(expected)
+    for d in days:
+        assert np.array_equal(d.bins, expected[d.day], equal_nan=True)
+
+
+def test_local_seconds_resolves_instants_inside_a_transition_hour():
+    # Lord Howe Island moves its clocks by 30 minutes at 02:00 local, which
+    # is inside a UTC hour: every second around it must match astimezone.
+    tz = ZoneInfo("Australia/Lord_Howe")
+    change = offset_changes("Australia/Lord_Howe", 2021)[0]
+    t = np.arange(change - 3600, change + 3600, 7)
+    expected = [
+        int(datetime.fromtimestamp(s, UTC).astimezone(tz).replace(tzinfo=UTC).timestamp())
+        for s in t.tolist()
+    ]
+    assert local_seconds(t, tz).tolist() == expected
 
 
 def brute_force_profile(days, weekdays, std_kind="population"):

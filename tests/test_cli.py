@@ -206,3 +206,21 @@ def test_json_errors_payload(tmp_path, capsys):
     assert payload["exit_code"] == 2
     assert "absent.csv" in payload["message"]
     assert payload["error"]
+
+
+def test_ingest_total_litres_sums_within_counter_segments(tmp_path):
+    # 5.0 litres are read before the counter resets to 0.5: last - first
+    # would say 0.5.
+    readings = tmp_path / "reset.csv"
+    readings.write_text(
+        "timestamp,cumulative_litres\n"
+        "2021-03-01T00:00:00Z,0.0\n"
+        "2021-03-01T00:15:00Z,2.0\n"
+        "2021-03-01T00:30:00Z,5.0\n"
+        "2021-03-01T00:45:00Z,0.5\n"
+    )
+    out = tmp_path / "ingest"
+    assert main(["ingest", str(readings), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["total_litres"] == 5.0
+    assert summary["n_readings"] == 4

@@ -1,7 +1,15 @@
+import contextlib
+import json
+import math
 from datetime import datetime, timedelta, timezone
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowrhythm import readings
 
 from flowrhythm.errors import (
     CounterDecrease,
@@ -15,6 +23,7 @@ from flowrhythm.readings import (
     difference_cumulative,
     drop_long_gaps,
     parse_stream,
+    segment_litres,
     split_on_counter_decrease,
     write_stream_csv,
     write_stream_jsonl,
@@ -103,9 +112,12 @@ def test_parse_jsonl_rejects_missing_keys():
 def test_difference_cumulative_values_and_bounds():
     s = parse_stream(CSV)
     intervals = difference_cumulative(s)
+    assert len(intervals) == 3
+    assert intervals.litres.tolist() == [1.5, 0.0, 2.75]
+    assert intervals.start_s.tolist() == s.epoch_s[:-1].tolist()
+    assert intervals.end_s.tolist() == s.epoch_s[1:].tolist()
+    assert datetime.fromtimestamp(int(intervals.start_s[0]), timezone.utc) == s[0].timestamp
     assert [iv.litres for iv in intervals] == [1.5, 0.0, 2.75]
-    assert intervals[0].start == s[0].timestamp
-    assert intervals[0].end == s[1].timestamp
 
 
 def test_difference_requires_two_readings():
@@ -122,7 +134,7 @@ def test_difference_raises_on_counter_decrease_with_index():
 
 def test_conservation_sum_of_intervals(demo_stream):
     intervals = difference_cumulative(demo_stream)
-    total = sum(iv.litres for iv in intervals)
+    total = math.fsum(intervals.litres)
     expected = float(demo_stream.litres[-1] - demo_stream.litres[0])
     assert total == pytest.approx(expected, rel=1e-9)
 
@@ -134,8 +146,8 @@ def test_consecutive_differences_are_exact():
     litres = np.cumsum(rng.uniform(0, 20, 500))
     s = make_stream(np.arange(500) * 900, litres)
     intervals = difference_cumulative(s)
-    for k, iv in enumerate(intervals):
-        assert iv.litres == float(litres[k + 1]) - float(litres[k])
+    for k, used in enumerate(intervals.litres.tolist()):
+        assert used == float(litres[k + 1]) - float(litres[k])
 
 
 def test_split_on_counter_decrease_segments():
@@ -155,7 +167,8 @@ def test_drop_long_gaps():
     s = make_stream([0, 900, 900 + 3600, 900 + 4500], [0.0, 1.0, 7.0, 8.0])
     intervals = difference_cumulative(s)
     kept = drop_long_gaps(intervals, timedelta(minutes=45))
-    assert [iv.litres for iv in kept] == [1.0, 1.0]
+    assert kept.litres.tolist() == [1.0, 1.0]
+    assert kept.end_s.tolist() == [900, 900 + 4500]
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -178,3 +191,186 @@ def test_jsonl_round_trip_is_exact(tmp_path):
     back = parse_stream(path.read_text(), fmt="jsonl")
     assert np.array_equal(back.epoch_s, s.epoch_s)
     assert np.array_equal(back.litres, s.litres)
+
+
+def test_sub_second_stamps_rounding_together_report_physical_line():
+    # 00:15:00.200 and 00:15:00.400 both round to 00:15:00; the second of
+    # the pair sits on physical line 5 (after a header and a blank line).
+    text = (
+        "timestamp,cumulative_litres\n"
+        "2021-03-01T00:00:00Z,1.0\n"
+        "\n"
+        "2021-03-01T00:15:00.200Z,2.0\n"
+        "2021-03-01T00:15:00.400Z,3.0\n"
+    )
+    with pytest.raises(NonMonotonicTimestamp) as err:
+        parse_stream(text)
+    assert err.value.row == 5
+
+
+def test_digit_free_first_row_with_numeric_value_is_not_a_header():
+    with pytest.raises(MalformedRow) as err:
+        parse_stream("meter-a,1.0\n2021-03-01T00:00:00Z,1.0\n")
+    assert err.value.row == 1
+    s = parse_stream("time,litres\n2021-03-01T00:00:00Z,1.0\n")
+    assert len(s) == 1 and s.litres[0] == 1.0
+
+
+def test_segment_litres_sums_within_counter_segments():
+    s = make_stream([0, 900, 1800, 2700], [0.0, 2.0, 5.0, 0.5])
+    assert segment_litres(s) == 5.0
+    s = make_stream([0, 900, 1800, 2700, 3600], [1.0, 2.0, 0.5, 3.0, 1.0])
+    assert segment_litres(s) == 1.0 + 2.5 + 0.0
+    s = make_stream([0, 900], [0.25, 7.5])
+    assert segment_litres(s) == 7.25
+
+
+def test_writers_match_per_reading_isoformat_across_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(readings, "WRITE_BLOCK_ROWS", 7)
+    rng = np.random.default_rng(21)
+    epochs = np.cumsum(rng.integers(1, 10**6, 40)) - 2 * 10**9  # from 1906 on
+    s = make_stream(epochs, np.cumsum(rng.uniform(0, 1e4, 40)))
+    stamps = [datetime.fromtimestamp(int(t), timezone.utc).isoformat() for t in epochs]
+    write_stream_csv(s, tmp_path / "r.csv")
+    write_stream_jsonl(s, tmp_path / "r.jsonl")
+    csv_lines = ["timestamp,cumulative_litres"] + [
+        f"{t},{float(v)!r}" for t, v in zip(stamps, s.litres)
+    ]
+    jsonl_lines = [json.dumps({"ts": t, "litres_total": float(v)}) for t, v in zip(stamps, s.litres)]
+    assert (tmp_path / "r.csv").read_text() == "\n".join(csv_lines) + "\n"
+    assert (tmp_path / "r.jsonl").read_text() == "\n".join(jsonl_lines) + "\n"
+
+
+# --- array fast path against the row parser ---------------------------------------
+
+
+def outcome(text: str, fmt: str = "csv", fast: bool = True):
+    """What parse_stream makes of text: the stream's bits, or the error."""
+    with contextlib.ExitStack() as stack:
+        if not fast:
+            stack.enter_context(patch.object(readings, f"_fast_{fmt}", return_value=None))
+        try:
+            s = parse_stream(text, fmt)
+        except Exception as exc:  # every error type must agree, not just DataError
+            return type(exc), str(exc)
+    return s.epoch_s.tolist(), [v.hex() for v in s.litres.tolist()]
+
+
+def stamp(epoch: int, offset_minutes: int | None) -> str:
+    """Canonical ISO text of an instant, with `Z` when the offset is None."""
+    if offset_minutes is None:
+        return datetime.fromtimestamp(epoch, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    local = datetime.fromtimestamp(epoch, timezone(timedelta(minutes=offset_minutes)))
+    return local.isoformat()
+
+
+# Instants on month ends and leap days, where digit arithmetic goes wrong first.
+EDGE_DAYS = [
+    datetime(y, m, d, tzinfo=timezone.utc)
+    for y, m, d in [(1900, 2, 28), (1904, 2, 29), (2000, 2, 29), (2019, 12, 31),
+                    (2020, 2, 29), (2021, 1, 31), (2100, 2, 28), (2400, 2, 29), (1970, 1, 1)]
+]
+offsets = st.one_of(st.none(), st.integers(-(24 * 60 - 1), 24 * 60 - 1))
+
+
+@st.composite
+def canonical_rows(draw):
+    """Strictly increasing instants as canonical stamps, with repr'd litres."""
+    base = draw(st.one_of(
+        st.integers(-2_000_000_000, 4_000_000_000),
+        st.sampled_from(EDGE_DAYS).map(lambda d: int(d.timestamp())),
+    ))
+    n = draw(st.integers(1, 30))
+    epochs = base - 3 * 86400 + np.cumsum(draw(st.lists(st.integers(1, 86400), min_size=n, max_size=n)))
+    values = draw(st.lists(st.floats(0.0, 1e12, allow_subnormal=True), min_size=n, max_size=n))
+    return [(stamp(int(t), draw(offsets)), v) for t, v in zip(epochs, values)]
+
+
+def csv_text(rows, header: bool) -> str:
+    lines = ["timestamp,cumulative_litres"] if header else []
+    return "\n".join(lines + [f"{t},{v!r}" for t, v in rows]) + "\n"
+
+
+def jsonl_text(rows) -> str:
+    return "\n".join(json.dumps({"ts": t, "litres_total": v}) for t, v in rows) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_rows(), st.booleans())
+def test_fast_csv_equals_row_parser_on_canonical_input(rows, header):
+    text = csv_text(rows, header)
+    assert readings._fast_csv(text.encode()) is not None  # the fast path took it
+    assert outcome(text) == outcome(text, fast=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_rows())
+def test_fast_jsonl_equals_row_parser_on_canonical_input(rows):
+    text = jsonl_text(rows)
+    assert readings._fast_jsonl(text.encode()) is not None
+    assert outcome(text, "jsonl") == outcome(text, "jsonl", fast=False)
+
+
+MUTANTS = list("0123456789-:T+Z zt.,\"'\t\x00\x0b\r\n") + ["é", "١", " ", "24", "60", "nan", "-1", "1_0"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_rows(), st.booleans(), st.data())
+def test_mutated_csv_gets_the_row_parsers_outcome(rows, header, data):
+    text = csv_text(rows, header)
+    at = data.draw(st.integers(0, len(text) - 1))
+    cut = data.draw(st.integers(0, 2))
+    text = text[:at] + data.draw(st.sampled_from(MUTANTS)) + text[at + cut:]
+    assert outcome(text) == outcome(text, fast=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_rows(), st.data())
+def test_mutated_jsonl_gets_the_row_parsers_outcome(rows, data):
+    text = jsonl_text(rows)
+    at = data.draw(st.integers(0, len(text) - 1))
+    cut = data.draw(st.integers(0, 2))
+    text = text[:at] + data.draw(st.sampled_from(MUTANTS + ["true", "{}", "[]"])) + text[at + cut:]
+    assert outcome(text, "jsonl") == outcome(text, "jsonl", fast=False)
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ("0001-01-01T00:00:00-01:00", True),
+    ("9999-12-31T23:59:59+01:00", True),
+    ("2020-02-29T23:59:59-23:59", True),
+    ("2000-02-29T12:00:00Z", True),
+    ("2400-02-29T00:00:00+05:30", True),
+    ("2021-02-29T00:00:00Z", False),
+    ("2100-02-29T00:00:00Z", False),
+    ("1900-02-29T00:00:00Z", False),
+    ("2021-04-31T00:00:00Z", False),
+    ("2021-03-01T00:00:60Z", False),
+    ("2021-03-01T00:00:00+24:00", False),
+    ("2021-03-01T00:00:00z", False),
+    ("2021-03-01 00:00:00Z", False),
+    ("0000-01-01T00:00:00Z", False),
+    ("2021-03-01T00:00:00Z\x00", False),
+    ("2021-03-01T00:00:00+00:00\x00", False),
+])
+def test_fast_path_edges_match_row_parser(text, canonical):
+    line = f"{text},1.5\n"
+    assert (readings._fast_csv(line.encode()) is not None) == canonical
+    assert outcome(line) == outcome(line, fast=False)
+
+
+@pytest.mark.parametrize("line, canonical", [
+    ('{"ts": "2021-03-01T00:00:00Z", "litres_total": 1}', True),
+    ('{"ts": "2021-03-01T00:00:00Z\\u0000", "litres_total": 1.0}', False),
+    ('{"ts": "2021-03-01T00:00:00Z", "litres_total": true}', False),
+    ('{"ts": "2021-03-01T00:00:00Z", "litres_total": "1.0"}', False),
+    ('{"ts": "2021-03-01T00:00:00Z", "litres_total": NaN}', False),
+    ('{"ts": 20210301, "litres_total": 1.0}', False),
+    ('{"ts": "2021-03-01T00:00:00\\u00e9", "litres_total": 1.0}', False),
+    ('["2021-03-01T00:00:00Z", 1.0]', False),
+    ('\ufeff{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.0}', False),
+    ('{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.0}\r{"ts": "2021-03-01T00:15:00Z", "litres_total": 2.0}', False),
+])
+def test_fast_jsonl_edges_match_row_parser(line, canonical):
+    text = line + "\n"
+    assert (readings._fast_jsonl(text.encode()) is not None) == canonical
+    assert outcome(text, "jsonl") == outcome(text, "jsonl", fast=False)
