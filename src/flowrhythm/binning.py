@@ -92,25 +92,49 @@ class BinnedDay:
 def local_seconds(epoch_s: np.ndarray, tz: tzinfo) -> np.ndarray:
     """Local wall-clock seconds since 1970-01-01 00:00 for UTC epoch seconds.
 
-    The UTC offset is looked up once per distinct UTC hour, at the hour's
-    start and at the next hour's start. Where the two differ, a transition
-    falls inside the hour and each instant in it is looked up on its own,
-    so the result equals `datetime.fromtimestamp(t, tz)` read as a wall
-    clock, provided an offset changes at most once within an hour.
+    The UTC offset is looked up once per distinct UTC day edge: at the start
+    of each day holding an instant and at the start of the next day. Only a
+    day whose two edges differ holds a transition; its instants are resolved
+    the same way per UTC hour, and only an hour whose two edges differ is
+    resolved instant by instant. So the result equals
+    `datetime.fromtimestamp(t, tz)` read as a wall clock, provided an offset
+    changes at most once per UTC day.
     """
     epoch_s = np.asarray(epoch_s, dtype=np.int64)
-    hours, which = np.unique(epoch_s // 3600, return_inverse=True)
-    edges = np.union1d(hours, hours + 1)
-    at_edge = np.array([_offset_s(int(h) * 3600, tz) for h in edges.tolist()], dtype=np.int64)
-    at_start = at_edge[np.searchsorted(edges, hours)]
-    changes = (at_start != at_edge[np.searchsorted(edges, hours + 1)])[which]
+    return epoch_s + _offsets(epoch_s, tz, (86400, 3600))
+
+
+def _offsets(t: np.ndarray, tz: tzinfo, units: tuple[int, ...]) -> np.ndarray:
+    """UTC offsets in seconds at the instants t.
+
+    Each cell of units[0] seconds that holds an instant is looked up at its
+    two edges. The instants of a cell whose edges differ are resolved with
+    the remaining units, or one by one when none remain.
+    """
+    if not units:
+        return _lookup(t, tz)
+    unit = units[0]
+    cells, which = np.unique(t // unit, return_inverse=True)
+    at_start = _lookup(cells * unit, tz)
+    # A cell's end is the next cell's start when that cell follows it.
+    at_end = np.empty_like(at_start)
+    at_end[:-1] = at_start[1:]
+    apart = np.ones(len(cells), dtype=bool)
+    apart[:-1] = cells[1:] != cells[:-1] + 1
+    at_end[apart] = _lookup((cells[apart] + 1) * unit, tz)
     offset = at_start[which]
-    offset[changes] = [_offset_s(t, tz) for t in epoch_s[changes].tolist()]
-    return epoch_s + offset
+    changes = (at_start != at_end)[which]
+    if changes.any():
+        offset[changes] = _offsets(t[changes], tz, units[1:])
+    return offset
 
 
-def _offset_s(t: int, tz: tzinfo) -> int:
-    return int(datetime.fromtimestamp(t, tz).utcoffset().total_seconds())
+def _lookup(t: np.ndarray, tz: tzinfo) -> np.ndarray:
+    """UTC offsets in seconds at the instants t, one zone lookup each."""
+    return np.array(
+        [int(datetime.fromtimestamp(s, tz).utcoffset().total_seconds()) for s in t.tolist()],
+        dtype=np.int64,
+    )
 
 
 def bin_intervals(

@@ -220,13 +220,12 @@ def _decode_timestamps(b: np.ndarray) -> np.ndarray | None:
     return seconds - offset
 
 
-def _checked_arrays(b: np.ndarray, litres) -> tuple[np.ndarray, np.ndarray] | None:
-    """Decoded epochs and litres when every row is clean and time-ordered, else None."""
-    litres = np.ascontiguousarray(litres, dtype=np.float64)
-    if not len(litres) or not np.all(np.isfinite(litres) & (litres >= 0)):
+def _checked(epoch: np.ndarray | None, litres: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch, litres) when every stamp decoded and every row is clean and
+    time-ordered, else None."""
+    if epoch is None or not len(litres) or not np.all(np.isfinite(litres) & (litres >= 0)):
         return None
-    epoch = _decode_timestamps(b)
-    if epoch is None or np.any(np.diff(epoch) <= 0):
+    if np.any(np.diff(epoch) <= 0):
         return None
     return epoch, litres
 
@@ -251,37 +250,93 @@ def _fast_csv(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     except ValueError:
         return None
     # The stamp is the first field, so each row's bytes start with it.
-    return _checked_arrays(rows.view(np.uint8).reshape(len(rows), -1), rows["litres"])
+    epoch = _decode_timestamps(rows.view(np.uint8).reshape(len(rows), -1))
+    return _checked(epoch, np.ascontiguousarray(rows["litres"]))
+
+
+# The writer's JSONL line: _JSONL_HEAD, a 20- or 25-byte stamp, _JSONL_MID,
+# a number, then "}".
+_JSONL_HEAD = np.frombuffer(b'{"ts": "', dtype=np.uint8)
+_JSONL_MID = np.frombuffer(b'", "litres_total": ', dtype=np.uint8)
+_JSONL_MIN_LINE = len(_JSONL_HEAD) + 20 + len(_JSONL_MID) + 2
+# Bytes a JSON number is made of; which strings of them are numbers is left
+# to json.loads.
+_NUMBER_BYTES = np.zeros(256, dtype=bool)
+_NUMBER_BYTES[list(b"0123456789+-.eE")] = True
 
 
 def _fast_jsonl(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of JSONL with canonical stamps and plain numbers, else None.
+    """(epoch_s, litres) of JSONL in the writer's layout, or None to leave it to the row parser.
 
-    Lines are read one at a time from the bytes, so no list of lines is
-    built. Only ASCII input without NUL bytes is taken: json.loads then
-    reads every line as UTF-8, as the row parser does.
+    Every line must read `{"ts": "<stamp>", "litres_total": <number>}` with
+    a canonical stamp and nothing else. The lines are checked as arrays, in
+    blocks of about WRITE_BLOCK_ROWS lines, with no Python loop over them.
     """
-    if not data.isascii() or b"\x00" in data:
-        return None
-    stamps, values = [], []
-    for raw in io.BytesIO(data):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-            stamps.append(obj["ts"])
-            values.append(obj["litres_total"])
-        except (ValueError, TypeError, KeyError):
+    blocks = []
+    start = 0
+    while start < len(data):
+        # A writer line is 60-80 bytes long.
+        stop = data.find(b"\n", start + 64 * WRITE_BLOCK_ROWS)
+        stop = len(data) if stop < 0 else stop + 1
+        block = _jsonl_block(np.frombuffer(data, np.uint8, stop - start, start))
+        if block is None:
             return None
-    if not all(type(s) is str and "\x00" not in s for s in stamps):
+        blocks.append(block)
+        start = stop
+    if not blocks:
         return None
-    if not all(type(v) is float or type(v) is int for v in values):
+    epochs, litres = zip(*blocks)
+    return _checked(np.concatenate(epochs), np.concatenate(litres))
+
+
+def _jsonl_block(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch_s, litres) of whole lines in the writer's JSONL layout, else None.
+
+    The literals are compared at their fixed offsets, the stamps decoded by
+    _decode_timestamps, and the numbers parsed by one json.loads of a JSON
+    array, so JSON's own number grammar decides. Only int and float values
+    that a float holds are taken.
+    """
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not len(ends) or ends[-1] != len(buf) - 1:
+        ends = np.append(ends, len(buf))  # a last line without a newline
+    starts = np.append(0, ends[:-1] + 1)
+    if np.any(ends - starts < _JSONL_MIN_LINE):
         return None
+    utc = buf[starts + len(_JSONL_HEAD) + 19] == ord("Z")
+    mid = starts + len(_JSONL_HEAD) + np.where(utc, 20, 25)
+    first, close = mid + len(_JSONL_MID), ends - 1
+    if not (
+        np.all(first < close)
+        and np.all(buf[close] == ord("}"))
+        and np.all(buf[starts[:, None] + np.arange(len(_JSONL_HEAD))] == _JSONL_HEAD)
+        and np.all(buf[mid[:, None] + np.arange(len(_JSONL_MID))] == _JSONL_MID)
+    ):
+        return None
+    stamps = np.zeros((len(starts), 26), dtype=np.uint8)
+    stamps[:, :25] = buf[starts[:, None] + len(_JSONL_HEAD) + np.arange(25)]
+    stamps[utc, 20:] = 0
+    epoch = _decode_timestamps(stamps)
+    if epoch is None:
+        return None
+    # Each number runs from `first` up to its line's "}"; with every "}"
+    # turned into a comma, the numbers read as one JSON array.
+    edge = np.zeros(len(buf) + 1, dtype=np.int8)
+    edge[first], edge[close] = 1, -1
+    number = np.cumsum(edge[:-1], dtype=np.int8).view(bool)
+    if np.any(number & ~_NUMBER_BYTES[buf]):
+        return None
+    number[close] = True
+    text = buf[number]
+    text[text == ord("}")] = ord(",")
     try:
-        stamp_bytes = np.array(stamps, dtype=_STAMP).view(np.uint8).reshape(-1, 26)
-        return _checked_arrays(stamp_bytes, np.array(values, dtype=np.float64))
+        values = json.loads(b"[" + text[:-1].tobytes() + b"]")
+        litres = np.array(values, dtype=np.float64)
     except (ValueError, OverflowError):
         return None
+    if len(values) != len(starts) or not {type(v) for v in values} <= {int, float}:
+        return None
+    return epoch, litres
 
 
 def _parse_timestamp(text: str) -> datetime:
@@ -320,11 +375,12 @@ def parse_stream(source, fmt: str = "csv", source_id: str = "") -> ReadingStream
     fmt="jsonl": one object per line with keys `ts` and `litres_total`.
 
     Input in the canonical layout (whole-second `...Z` or `...+HH:MM`
-    timestamps, plain numbers) is decoded as whole arrays. Anything else,
-    including every input with a defect, goes through the row parser, which
-    raises MalformedRow / NonMonotonicTimestamp / EmptyInput with 1-based
-    physical line numbers in the diagnostics. Timestamps must strictly
-    increase once rounded to whole seconds.
+    timestamps, plain numbers; for JSONL, the writer's exact line layout) is
+    decoded as whole arrays. Anything else, including every input with a
+    defect, goes through the row parser, which raises MalformedRow /
+    NonMonotonicTimestamp / EmptyInput with 1-based physical line numbers in
+    the diagnostics. Timestamps must strictly increase once rounded to whole
+    seconds.
     """
     if fmt not in _PARSERS:
         raise ValueError(f"unknown stream format {fmt!r}")
@@ -384,7 +440,7 @@ def _parse_jsonl_rows(text: str) -> Iterator[tuple[int, int, float]]:
             continue
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # e.g. an over-long integer, deep nesting
             raise MalformedRow(line_no, f"bad JSON: {exc}")
         if not isinstance(obj, dict) or "ts" not in obj or "litres_total" not in obj:
             raise MalformedRow(line_no, "object must have keys 'ts' and 'litres_total'")
@@ -395,7 +451,10 @@ def _parse_jsonl_rows(text: str) -> Iterator[tuple[int, int, float]]:
         value = obj["litres_total"]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise MalformedRow(line_no, f"litres_total must be a number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise MalformedRow(line_no, "litres_total is too large for a float")
         if not np.isfinite(value) or value < 0:
             raise MalformedRow(line_no, f"litres_total {value!r} out of range")
         yield line_no, _epoch(dt), value

@@ -309,13 +309,13 @@ def write_overlay_csv(
 ) -> None:
     """Write every window's full periodogram as one long-format CSV."""
     lines = ["window_start,frequency_cph,period_hours,power"]
+    grid = cells = None
     for window, pg in pairs:
         if pg is None:
             continue
-        freqs = pg.grid.frequencies_cph
-        for f, power in zip(freqs, pg.power):
-            lines.append(
-                f"{window.start_date.isoformat()},{repr(float(f))},"
-                f"{repr(1.0 / float(f))},{repr(float(power))}"
-            )
+        if pg.grid is not grid:  # every window of a run shares one grid
+            grid = pg.grid
+            cells = [f",{f!r},{1.0 / f!r}," for f in grid.frequencies_cph.tolist()]
+        start = window.start_date.isoformat()
+        lines += [start + cell + repr(power) for cell, power in zip(cells, pg.power.tolist())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,5 +1,8 @@
 import math
-from datetime import date, datetime, timedelta, timezone
+import os
+import subprocess
+import sys
+from datetime import date, datetime, timedelta, timezone, tzinfo
 from functools import lru_cache
 from zoneinfo import ZoneInfo
 
@@ -16,6 +19,7 @@ from flowrhythm.binning import (
     profile,
     write_profile_csv,
 )
+import flowrhythm
 from flowrhythm.errors import NoMatchingDays
 from flowrhythm.readings import Intervals
 
@@ -211,6 +215,126 @@ def test_local_seconds_resolves_instants_inside_a_transition_hour():
         for s in t.tolist()
     ]
     assert local_seconds(t, tz).tolist() == expected
+
+
+# --- offset lookups per UTC day ----------------------------------------------------
+
+TRANSITION_ZONES = (
+    "Europe/Dublin",
+    "America/New_York",
+    "Australia/Lord_Howe",  # 30-minute changes, inside a UTC hour
+    "America/St_Johns",  # changes at half past a UTC hour
+    "Pacific/Apia",  # skipped 2011-12-30
+    "Asia/Tehran",  # changes at half past a UTC hour, until 2022
+)
+
+
+def offset_at(t: int, tz) -> int:
+    return int(datetime.fromtimestamp(t, tz).utcoffset().total_seconds())
+
+
+def wall_seconds(t: np.ndarray, tz) -> list[int]:
+    """Per-instant oracle: datetime.fromtimestamp(t, tz) read as a wall clock."""
+    return [s + offset_at(s, tz) for s in t.tolist()]
+
+
+class CountingZone(tzinfo):
+    """A ZoneInfo that counts its UTC-to-local conversions, i.e. offset lookups."""
+
+    def __init__(self, key: str):
+        self.zone = ZoneInfo(key)
+        self.lookups = 0
+
+    def _as_zone(self, dt):
+        return None if dt is None else dt.replace(tzinfo=self.zone)
+
+    def fromutc(self, dt):
+        self.lookups += 1
+        return self.zone.fromutc(self._as_zone(dt)).replace(tzinfo=self)
+
+    def utcoffset(self, dt):
+        return self.zone.utcoffset(self._as_zone(dt))
+
+    def dst(self, dt):
+        return self.zone.dst(self._as_zone(dt))
+
+    def tzname(self, dt):
+        return self.zone.tzname(self._as_zone(dt))
+
+
+@pytest.mark.parametrize("zone", TRANSITION_ZONES)
+def test_local_seconds_matches_fromtimestamp_around_every_transition(zone):
+    # Every minute within 2 h of each 2000-2030 change, as one stream: the
+    # clusters are months apart, so days with and without changes alternate.
+    tz = ZoneInfo(zone)
+    hours = {h for year in range(2000, 2031) for h in offset_changes(zone, year)}
+    t = np.unique(np.concatenate([np.arange(h - 7200, h + 7200, 60) for h in hours]))
+    assert local_seconds(t, tz).tolist() == wall_seconds(t, tz)
+
+
+@pytest.mark.parametrize("zone", TRANSITION_ZONES)
+def test_local_seconds_across_a_multi_decade_gap(zone):
+    # The offsets at the two ends of the gap agree (both in January) although
+    # dozens of changes fall between them; the readings after the gap still
+    # get their own day's offset.
+    tz = ZoneInfo(zone)
+    t = np.array([
+        int(datetime(*stamp, tzinfo=UTC).timestamp())
+        for stamp in [(1975, 1, 15, 23, 59, 59), (1975, 7, 1, 12), (2031, 1, 16, 0),
+                      (2031, 1, 16, 0, 15), (2031, 7, 1, 12)]
+    ])
+    assert local_seconds(t, tz).tolist() == wall_seconds(t, tz)
+
+
+@pytest.mark.parametrize("zone", TRANSITION_ZONES)
+def test_local_seconds_looks_offsets_up_per_day_edge(zone):
+    # A year at the nominal cadence with transmission delay, then one reading
+    # 30 years later.
+    oracle = ZoneInfo(zone)
+    rng = np.random.default_rng(11)
+    first = int(datetime(2011, 1, 1, tzinfo=UTC).timestamp())
+    t = first + np.cumsum(900 + rng.integers(0, 30, 35_040))
+    t = np.append(t, t[-1] + 30 * 365 * 86400)
+    tz = CountingZone(zone)
+    assert local_seconds(t, tz).tolist() == wall_seconds(t, oracle)
+
+    days = set((t // 86400).tolist())
+    edges = days | {d + 1 for d in days}
+    assert len(edges) == len(days) + 2  # one stretch of days, then one more
+    changing = {d for d in days if offset_at(86400 * d, oracle) != offset_at(86400 * (d + 1), oracle)}
+    assert 1 <= len(changing) <= 3
+    # Instants of an hour whose two edges differ are looked up one by one;
+    # that includes the hour that ends on a change.
+    in_changing_hours = sum(
+        1 for s in t.tolist()
+        if s // 86400 in changing
+        and offset_at(s // 3600 * 3600, oracle) != offset_at(s // 3600 * 3600 + 3600, oracle)
+    )
+    assert tz.lookups <= len(edges) + 25 * len(changing) + in_changing_hours
+
+
+def test_binning_leaves_numpy_ma_unimported():
+    # numpy.ma takes 10-30 ms to import; set routines such as np.union1d load it.
+    code = (
+        "import sys\n"
+        "from zoneinfo import ZoneInfo\n"
+        "import numpy as np\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "from flowrhythm.pipeline import readings_to_days\n"
+        "from flowrhythm.readings import ReadingStream\n"
+        "t = 1616803200 + 900 * np.arange(3 * 96)  # 2021-03-27..29 UTC, Dublin springs forward\n"
+        "days = readings_to_days(ReadingStream(t, 1.5 * np.arange(len(t))), ZoneInfo('Europe/Dublin'))\n"
+        "assert days\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flowrhythm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    after_numpy, after_binning = done.stdout.split()
+    if after_numpy == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert after_binning == "False"
 
 
 def brute_force_profile(days, weekdays, std_kind="population"):

@@ -224,3 +224,10 @@ def test_ingest_total_litres_sums_within_counter_segments(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["total_litres"] == 5.0
     assert summary["n_readings"] == 4
+
+
+def test_ingest_jsonl_integer_too_large_for_a_float_exits_three(tmp_path, capsys):
+    readings = tmp_path / "huge.jsonl"
+    readings.write_text('{"ts": "2021-03-01T00:00:00Z", "litres_total": 1' + "0" * 400 + "}\n")
+    assert main(["ingest", str(readings), "--out", str(tmp_path / "ingest")]) == 3
+    assert "row 1" in capsys.readouterr().err

@@ -374,3 +374,78 @@ def test_fast_jsonl_edges_match_row_parser(line, canonical):
     text = line + "\n"
     assert (readings._fast_jsonl(text.encode()) is not None) == canonical
     assert outcome(text, "jsonl") == outcome(text, "jsonl", fast=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_rows(), st.integers(1, 3), st.booleans())
+def test_fast_jsonl_blocks_equal_row_parser(rows, block_rows, final_newline):
+    # Blocks of 64 * block_rows bytes hold one or two lines, so most lines
+    # sit at a block edge; the last line may lack its newline.
+    text = jsonl_text(rows)
+    text = text if final_newline else text[:-1]
+    with patch.object(readings, "WRITE_BLOCK_ROWS", block_rows):
+        assert readings._fast_jsonl(text.encode()) is not None
+        assert outcome(text, "jsonl") == outcome(text, "jsonl", fast=False)
+
+
+@pytest.mark.parametrize("number, canonical", [
+    ("0", True),
+    ("7", True),
+    ("-0.0", True),
+    ("12.5", True),
+    ("1e3", True),
+    ("2.5E+2", True),
+    ("1e-3", True),
+    ("9007199254740993", True),  # an int the float rounds
+    ("1" + "0" * 400, False),  # an int too large for a float
+    ("1" + "0" * 5000, False),  # more digits than int() takes
+    ("1e400", False),
+    ("-1", False),
+    ("01", False),
+    ("1.", False),
+    (".5", False),
+    ("+1", False),
+    ("1e", False),
+    ("--1", False),
+    ("1-2", False),
+])
+def test_fast_jsonl_numbers_match_row_parser(number, canonical):
+    text = (
+        '{"ts": "2021-03-01T00:00:00Z", "litres_total": 0.5}\n'
+        f'{{"ts": "2021-03-01T00:15:00+00:00", "litres_total": {number}}}\n'
+    )
+    assert (readings._fast_jsonl(text.encode()) is not None) == canonical
+    assert outcome(text, "jsonl") == outcome(text, "jsonl", fast=False)
+
+
+@pytest.mark.parametrize("text", [
+    '{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5}\r\n',
+    '{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5}\n\n{"ts": "2021-03-01T00:15:00Z", "litres_total": 2.5}\n',
+    '{"litres_total": 1.5, "ts": "2021-03-01T00:00:00Z"}\n',
+    '{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5 }\n',
+    '{"ts":"2021-03-01T00:00:00Z","litres_total":1.5}\n',
+    '{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5, "litres_total": 2.5}\n',
+    '{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5, "x": 1}\n',
+    '{"ts": "2021-03-01T00:00:00.5Z", "litres_total": 1.5}\n',
+    '{"ts": "2021-03-01T00:00:00Z", "litres_total": 2.5}\n{"ts": "2021-03-01T00:00:00Z", "litres_total": 2.5}\n',
+    '{"ts": "2021-03-01T00:00:00Z", "litres_total": }\n',
+    '{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.55\n',
+    '{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5}}\n',
+    '\n',
+    '',
+])
+def test_other_jsonl_layouts_go_to_the_row_parser(text):
+    assert readings._fast_jsonl(text.encode()) is None
+    assert outcome(text, "jsonl") == outcome(text, "jsonl", fast=False)
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"ts": "2021-03-01T00:15:00Z", "litres_total": 1' + "0" * 400 + "}", "too large for a float"),
+    ('{"ts": "2021-03-01T00:15:00Z", "litres_total": 1' + "0" * 5000 + "}", "bad JSON"),
+    ("[" * 100_000, "bad JSON"),
+])
+def test_jsonl_row_parser_reports_unreadable_values_as_malformed_rows(line, message):
+    text = '{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.0}\n' + line + "\n"
+    with pytest.raises(MalformedRow, match=message) as exc:
+        parse_stream(text, "jsonl")
+    assert exc.value.row == 2

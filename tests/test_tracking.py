@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowrhythm.binning import SLOTS_PER_DAY
+from flowrhythm.binning import SLOTS_PER_DAY, BinnedDay
 from flowrhythm.errors import DataError, EmptyInput, InvalidConfig
 from flowrhythm.exclusions import DayClass, ExclusionCalendar
 from flowrhythm.spectral import Samples, classic_periodogram, lomb_scargle
@@ -84,6 +84,37 @@ def test_ten_days_single_window(day_run_factory):
     assert windows[0].end_date == START + timedelta(days=9)
     assert windows[0].valid_day_count == 10
     assert not windows[0].skipped
+
+
+EXCLUDED = [c for c in DayClass if c is not DayClass.NORMAL]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_window_count_over_spans_calendars_and_strides(data):
+    # Window positions depend on the span from the first to the last binned
+    # day alone; absent and calendar-excluded days only thin windows out.
+    window = data.draw(st.integers(2, 15), label="window_days")
+    cfg = WindowConfig(
+        window_days=window,
+        stride_days=data.draw(st.integers(1, window), label="stride_days"),
+        min_valid_days=data.draw(st.integers(1, window), label="min_valid_days"),
+    )
+    span = data.draw(st.integers(1, 80), label="span")
+    inner = data.draw(st.sets(st.integers(0, span - 1)), label="present")
+    days = [
+        BinnedDay(START + timedelta(days=k), np.ones(SLOTS_PER_DAY))
+        for k in sorted(inner | {0, span - 1})
+    ]
+    excluded = data.draw(st.dictionaries(st.integers(0, span - 1), st.sampled_from(EXCLUDED)), label="excluded")
+    calendar = data.draw(st.sampled_from([None, ExclusionCalendar.from_ranges(
+        (START + timedelta(days=k), START + timedelta(days=k), c) for k, c in excluded.items()
+    )]))
+    windows = make_windows(days, calendar, cfg)
+    assert len(windows) == max(0, (span - cfg.window_days) // cfg.stride_days + 1)
+    assert [w.start_date for w in windows] == [
+        START + timedelta(days=i * cfg.stride_days) for i in range(len(windows))
+    ]
 
 
 @settings(max_examples=30, deadline=None)
@@ -370,3 +401,31 @@ def test_window_config_defaults():
     assert cfg.min_valid_days == 8
     assert cfg.target_periods == (24.0, 12.0)
     assert cfg.window_hours == 240.0
+
+
+def per_row_overlay(pairs) -> str:
+    """overlay.csv formatted row by row, frequency and period included."""
+    lines = ["window_start,frequency_cph,period_hours,power"]
+    for window, pg in pairs:
+        if pg is None:
+            continue
+        for f, power in zip(pg.grid.frequencies_cph, pg.power):
+            lines.append(
+                f"{window.start_date.isoformat()},{repr(float(f))},"
+                f"{repr(1.0 / float(f))},{repr(float(power))}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def test_overlay_rows_equal_the_per_row_formula_on_demo(tmp_path, demo_days, study_calendar):
+    pairs = compute_window_periodograms(demo_days, study_calendar, WindowConfig())
+    assert sum(pg is not None for _, pg in pairs) > 100
+    write_overlay_csv(pairs, tmp_path / "overlay.csv")
+    assert (tmp_path / "overlay.csv").read_text() == per_row_overlay(pairs)
+
+
+def test_overlay_rows_equal_the_per_row_formula_on_a_complete_tone(tmp_path, day_factory):
+    pairs = compute_window_periodograms(noisy_tone_days(day_factory, 45), None, WindowConfig(), "classic")
+    assert len(pairs) == 36 and all(pg is not None for _, pg in pairs)
+    write_overlay_csv(pairs, tmp_path / "overlay.csv")
+    assert (tmp_path / "overlay.csv").read_text() == per_row_overlay(pairs)
