@@ -4,148 +4,12 @@ The pipeline turns cumulative household meter readings into 15-minute
 interval usage, day-of-week usage profiles, and sliding-window periodicity
 intensity at target periods (24 h and 12 h by default), with explicit
 handling of missing data and excluded days throughout.
+
+The command line (`flowrhythm`, or `python -m flowrhythm`) is the supported
+interface; Python callers import from the submodules, such as
+`flowrhythm.pipeline` and `flowrhythm.tracking`.
 """
 
 __version__ = "0.1.0"
 
-from .binning import (
-    GROUPS,
-    SLOTS_PER_DAY,
-    BinnedDay,
-    DayProfile,
-    bin_intervals,
-    profile,
-    write_profile_csv,
-)
-from .errors import (
-    CalendarError,
-    ConfigError,
-    CounterDecrease,
-    DataError,
-    EmptyInput,
-    FlowRhythmError,
-    InvalidConfig,
-    MalformedRow,
-    NoMatchingDays,
-    NonMonotonicTimestamp,
-    PeriodNotOnGrid,
-    TooFewReadings,
-    TooFewSamples,
-)
-from .exclusions import (
-    DayClass,
-    ExclusionCalendar,
-    classify_day,
-    count_normal_days,
-    load_calendar,
-    parse_calendar,
-)
-from .pipeline import clean_intervals, readings_to_days
-from .readings import (
-    Intervals,
-    RawReading,
-    ReadingStream,
-    difference_cumulative,
-    drop_long_gaps,
-    parse_stream,
-    read_stream,
-    split_on_counter_decrease,
-    write_stream_csv,
-    write_stream_jsonl,
-)
-from .spectral import (
-    FrequencyGrid,
-    Periodogram,
-    Samples,
-    classic_periodogram,
-    intensity_at,
-    lomb_scargle,
-    write_periodogram_csv,
-)
-from .synth import (
-    PureTone,
-    ScenarioConfig,
-    default_templates,
-    demo_scenario,
-    generate,
-    load_scenario,
-    scenario_from_json,
-    scenario_to_json,
-)
-from .tracking import (
-    AnalysisWindow,
-    IntensityPoint,
-    IntensitySeries,
-    WindowConfig,
-    compute_window_periodograms,
-    make_windows,
-    track_intensity,
-    write_intensity_csv,
-    write_overlay_csv,
-)
-
-__all__ = [
-    "__version__",
-    "AnalysisWindow",
-    "BinnedDay",
-    "CalendarError",
-    "ConfigError",
-    "CounterDecrease",
-    "DataError",
-    "DayClass",
-    "DayProfile",
-    "EmptyInput",
-    "ExclusionCalendar",
-    "FlowRhythmError",
-    "FrequencyGrid",
-    "GROUPS",
-    "IntensityPoint",
-    "IntensitySeries",
-    "Intervals",
-    "InvalidConfig",
-    "MalformedRow",
-    "NoMatchingDays",
-    "NonMonotonicTimestamp",
-    "Periodogram",
-    "PeriodNotOnGrid",
-    "PureTone",
-    "RawReading",
-    "ReadingStream",
-    "Samples",
-    "ScenarioConfig",
-    "SLOTS_PER_DAY",
-    "TooFewReadings",
-    "TooFewSamples",
-    "WindowConfig",
-    "bin_intervals",
-    "classic_periodogram",
-    "classify_day",
-    "clean_intervals",
-    "compute_window_periodograms",
-    "count_normal_days",
-    "default_templates",
-    "demo_scenario",
-    "difference_cumulative",
-    "drop_long_gaps",
-    "generate",
-    "intensity_at",
-    "load_calendar",
-    "load_scenario",
-    "lomb_scargle",
-    "make_windows",
-    "parse_calendar",
-    "parse_stream",
-    "profile",
-    "read_stream",
-    "readings_to_days",
-    "scenario_from_json",
-    "scenario_to_json",
-    "split_on_counter_decrease",
-    "track_intensity",
-    "write_intensity_csv",
-    "write_overlay_csv",
-    "write_periodogram_csv",
-    "write_profile_csv",
-    "write_stream_csv",
-    "write_stream_jsonl",
-]
+__all__ = ["__version__"]

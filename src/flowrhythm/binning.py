@@ -13,20 +13,27 @@ On the clock-change days themselves civil time does odd things: the four
 slots inside a spring-forward hour can never be observed (they stay
 Missing), and during a fall-back hour two intervals can close in the same
 wall-clock slot, in which case their litres add.
+
+Binned days are laid out once, as a DayMatrix: row i of its (span x 96)
+`values` holds the local day `first + i`, and `retained[i]` says whether
+binning kept that day. The span runs from the first retained day to the
+last, so window starts and profiles never see a dropped edge day. Rows of
+days dropped as sparse, or never observed, are all NaN and not retained.
+Profiles and sliding windows read rows of this one matrix.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from datetime import date, datetime, tzinfo
+from datetime import date, datetime, timedelta, tzinfo
 from pathlib import Path
 from typing import Mapping, Sequence
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import NoMatchingDays
+from .errors import DataError, NoMatchingDays
 from .readings import Intervals
 
 __all__ = [
@@ -35,6 +42,7 @@ __all__ = [
     "DEFAULT_MIN_VALID_SLOTS",
     "GROUPS",
     "BinnedDay",
+    "DayMatrix",
     "DayProfile",
     "bin_intervals",
     "local_seconds",
@@ -50,6 +58,8 @@ SLOT_MINUTES = 15
 DEFAULT_MIN_VALID_SLOTS = 92
 
 UTC = ZoneInfo("UTC")
+# Local days are counted from this date, as epoch seconds count from its midnight.
+_EPOCH = date(1970, 1, 1)
 
 # Day-of-week groups for profiles; datetime convention, Monday == 0.
 GROUPS: Mapping[str, tuple[int, ...]] = {
@@ -76,17 +86,37 @@ class BinnedDay:
         bins.setflags(write=False)
         object.__setattr__(self, "bins", bins)
 
-    @property
-    def weekday(self) -> int:
-        return self.day.weekday()
 
-    @property
-    def valid_mask(self) -> np.ndarray:
-        return ~np.isnan(self.bins)
+@dataclass(frozen=True)
+class DayMatrix:
+    """Binned days as one (span x 96) matrix; see the module docstring."""
 
-    @property
-    def valid_count(self) -> int:
-        return int(np.count_nonzero(self.valid_mask))
+    first: date
+    values: np.ndarray
+    retained: np.ndarray
+
+    @classmethod
+    def from_days(cls, days: "DayMatrix | Sequence[BinnedDay]") -> "DayMatrix":
+        """Lay a list of binned days out as a matrix; a DayMatrix passes unchanged.
+
+        Every listed day is retained; the span runs from the earliest listed
+        day to the latest, in any input order.
+        """
+        if isinstance(days, DayMatrix):
+            return days
+        if not days:
+            return cls(_EPOCH, np.empty((0, SLOTS_PER_DAY)), np.zeros(0, dtype=bool))
+        first = min(d.day for d in days)
+        span = (max(d.day for d in days) - first).days + 1
+        values = np.full((span, SLOTS_PER_DAY), np.nan)
+        retained = np.zeros(span, dtype=bool)
+        for d in days:
+            row = (d.day - first).days
+            if retained[row]:
+                raise DataError(f"duplicate binned day {d.day}")
+            retained[row] = True
+            values[row] = d.bins
+        return cls(first, values, retained)
 
 
 def local_seconds(epoch_s: np.ndarray, tz: tzinfo) -> np.ndarray:
@@ -141,14 +171,16 @@ def bin_intervals(
     intervals: Intervals,
     tz: tzinfo = UTC,
     min_valid_slots: int = DEFAULT_MIN_VALID_SLOTS,
-) -> list[BinnedDay]:
+) -> DayMatrix:
     """Bin intervals into the local day and slot of their closing instant.
 
     Litres closing in the same slot add up in interval order; slots no
     interval closes in are Missing (NaN). Days with fewer than
     min_valid_slots observed slots (outages, stream edges) are dropped with
     a warning; they would distort profiles and windows more than their few
-    observations are worth. Days no interval closes on do not appear.
+    observations are worth. Dropped days and days no interval closes on are
+    all-NaN rows that are not retained; with no retained day the matrix has
+    no rows.
     """
     local_day, second = np.divmod(local_seconds(intervals.end_s, tz), 86400)
     days, row = np.unique(local_day, return_inverse=True)
@@ -158,29 +190,34 @@ def bin_intervals(
     # bincount adds the weights in input order, as a per-slot running sum would.
     sums = np.bincount(flat, weights=intervals.litres, minlength=size)
     bins = np.where(counts > 0, sums.reshape(-1, SLOTS_PER_DAY), np.nan)
-    dates = days.astype("datetime64[D]").tolist()
     keep = np.count_nonzero(counts, axis=1) >= min_valid_slots
     if not keep.all():
-        dropped = [d.isoformat() for d, k in zip(dates, keep) if not k]
+        dropped = [d.isoformat() for d in days[~keep].astype("datetime64[D]").tolist()]
         log.warning(
             "dropped %d day(s) with fewer than %d observed slots: %s",
             len(dropped),
             min_valid_slots,
             ", ".join(dropped),
         )
-    return [BinnedDay(d, b) for d, b, k in zip(dates, bins, keep) if k]
+    kept = days[keep]
+    if not len(kept):
+        return DayMatrix.from_days([])
+    rows = kept - kept[0]
+    values = np.full((rows[-1] + 1, SLOTS_PER_DAY), np.nan)
+    values[rows] = bins[keep]
+    retained = np.zeros(len(values), dtype=bool)
+    retained[rows] = True
+    return DayMatrix(_EPOCH + timedelta(days=int(kept[0])), values, retained)
 
 
 @dataclass(frozen=True)
 class DayProfile:
     """Per-slot mean and spread across the days of one group."""
 
-    group: str
     mean: np.ndarray
     std: np.ndarray
     bin_counts: np.ndarray
     n_days: int
-    std_kind: str = "population"
 
     def __post_init__(self):
         for name in ("mean", "std"):
@@ -207,25 +244,25 @@ def _resolve_group(group) -> tuple[str, tuple[int, ...]]:
 
 
 def profile(
-    days: Sequence[BinnedDay], group, std_kind: str = "population"
+    days: DayMatrix | Sequence[BinnedDay], group, std_kind: str = "population"
 ) -> DayProfile:
     """Per-slot mean and std over the non-Missing values of matching days.
 
-    `group` is "weekday" / "saturday" / "sunday", a single weekday int, or an
-    iterable of weekday ints (Monday == 0). Slots Missing on every matching
-    day stay Missing (NaN) in the profile; they are never coerced to zero.
-    std_kind "population" divides by n, "sample" by n-1 (0.0 when n == 1).
+    The matching days are the retained rows whose weekday is in `group`:
+    "weekday" / "saturday" / "sunday", a single weekday int, or an iterable
+    of weekday ints (Monday == 0). Slots Missing on every matching day stay
+    Missing (NaN) in the profile; they are never coerced to zero. std_kind
+    "population" divides by n, "sample" by n-1 (0.0 when n == 1).
     """
     if std_kind not in ("population", "sample"):
         raise ValueError(f"std_kind must be 'population' or 'sample', got {std_kind!r}")
     label, weekdays = _resolve_group(group)
-    matching = [d for d in days if d.weekday in weekdays]
-    if not matching:
+    matrix = DayMatrix.from_days(days)
+    weekday = (matrix.first.weekday() + np.arange(len(matrix.retained))) % 7
+    # Rows in date order make the result exactly permutation-invariant.
+    stacked = matrix.values[matrix.retained & np.isin(weekday, weekdays)]
+    if not len(stacked):
         raise NoMatchingDays(f"no days match group {label!r}")
-    # Canonical date order makes the result exactly permutation-invariant.
-    matching.sort(key=lambda d: d.day)
-
-    stacked = np.vstack([d.bins for d in matching])
     valid = ~np.isnan(stacked)
     counts = valid.sum(axis=0)
     mean = np.full(SLOTS_PER_DAY, np.nan)
@@ -241,7 +278,7 @@ def profile(
             std[k] = np.sqrt(squares / counts[k])
         else:
             std[k] = 0.0 if counts[k] == 1 else np.sqrt(squares / (counts[k] - 1))
-    return DayProfile(label, mean, std, counts, len(matching), std_kind)
+    return DayProfile(mean, std, counts, len(stacked))
 
 
 def _slot_clock(k: int) -> str:

@@ -22,7 +22,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 from . import __version__
 from .binning import DEFAULT_MIN_VALID_SLOTS, GROUPS, profile, write_profile_csv
 from .errors import ConfigError, DataError, FlowRhythmError, InvalidConfig
-from .exclusions import DayClass, ExclusionCalendar, load_calendar
+from .exclusions import ExclusionCalendar, load_calendar
 from .pipeline import readings_to_days
 from .readings import read_stream, segment_litres, write_stream_csv, write_stream_jsonl
 from .spectral import write_periodogram_csv, write_periodogram_sidecar
@@ -44,6 +44,10 @@ def _timestamp() -> str:
     else:
         when = datetime.now(tz=timezone.utc)
     return when.isoformat(timespec="seconds")
+
+
+def _utc_stamp(epoch_s) -> str:
+    return datetime.fromtimestamp(int(epoch_s), tz=timezone.utc).isoformat()
 
 
 def _sha256_file(path: Path) -> str:
@@ -158,36 +162,33 @@ def cmd_ingest(args) -> int:
     path, stream, days = _load_days(args, tz)
     out = _out_dir(args)
     write_stream_csv(stream, out / "readings.csv")
+    n_days = int(days.retained.sum())
     summary = {
         "n_readings": len(stream),
-        "first": stream[0].timestamp.isoformat(),
-        "last": stream[-1].timestamp.isoformat(),
+        "first": _utc_stamp(stream.epoch_s[0]),
+        "last": _utc_stamp(stream.epoch_s[-1]),
         "total_litres": segment_litres(stream),
-        "n_binned_days": len(days),
+        "n_binned_days": n_days,
         "timezone": args.timezone,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     config = {"timezone": args.timezone, "min_valid_slots": args.min_valid_slots}
     _write_manifest(out, "ingest", config, [path])
-    print(f"ingested {len(stream)} readings covering {len(days)} day(s)")
+    print(f"ingested {len(stream)} readings covering {n_days} day(s)")
     return 0
-
-
-def _normal_days(days, calendar):
-    if calendar is None:
-        return days
-    return [d for d in days if calendar.classify(d.day) is DayClass.NORMAL]
 
 
 def cmd_profile(args) -> int:
     tz = _timezone_of(args)
     path, _, days = _load_days(args, tz)
     calendar = _load_calendar_arg(args)
-    kept = _normal_days(days, calendar)
+    if calendar is not None:
+        normal = calendar.normal_mask(days.first, len(days.retained))
+        days = replace(days, retained=days.retained & normal)
     out = _out_dir(args)
     written = []
     for group in GROUPS:
-        p = profile(kept, group, std_kind=args.std)
+        p = profile(days, group, std_kind=args.std)
         target = out / f"profile_{group}.csv"
         write_profile_csv(p, target)
         written.append(target.name)
@@ -199,7 +200,7 @@ def cmd_profile(args) -> int:
     }
     inputs = [path] + ([Path(args.calendar)] if args.calendar else [])
     _write_manifest(out, "profile", config, inputs)
-    print(f"wrote {', '.join(written)} from {len(kept)} day(s)")
+    print(f"wrote {', '.join(written)} from {int(days.retained.sum())} day(s)")
     return 0
 
 

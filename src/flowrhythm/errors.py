@@ -68,10 +68,6 @@ class TooFewSamples(DataError):
     """Not enough samples to estimate a periodogram."""
 
 
-class DegenerateTimes(DataError):
-    """All sample times coincide; no frequency content is defined."""
-
-
 class UnevenSpacing(DataError):
     """The classic estimator requires strictly uniform sample spacing."""
 

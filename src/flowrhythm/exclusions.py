@@ -20,12 +20,13 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .errors import CalendarError
 
 __all__ = [
     "DayClass",
     "ExclusionCalendar",
-    "classify_day",
     "count_normal_days",
     "load_calendar",
     "parse_calendar",
@@ -93,6 +94,13 @@ class ExclusionCalendar:
     def classify(self, d: date) -> DayClass:
         return self.entries.get(d, DayClass.NORMAL)
 
+    def normal_mask(self, first: date, n: int) -> np.ndarray:
+        """Which of the n days from `first` on are Normal, in one pass over the entries."""
+        rows = np.array([(d - first).days for d in self.entries], dtype=np.int64)
+        mask = np.ones(n, dtype=bool)
+        mask[rows[(rows >= 0) & (rows < n)]] = False
+        return mask
+
     def vacation_ranges(self) -> list[tuple[date, date]]:
         """Maximal runs of consecutive vacation days, for plot annotation."""
         days = sorted(d for d, c in self.entries.items() if c is DayClass.VACATION)
@@ -108,11 +116,6 @@ class ExclusionCalendar:
         return len(self.entries)
 
 
-def classify_day(calendar: ExclusionCalendar, d: date) -> DayClass:
-    """Classify one date; any date the calendar does not list is Normal."""
-    return calendar.classify(d)
-
-
 def count_normal_days(
     calendar: ExclusionCalendar, start: date, end: date, weekday: int
 ) -> int:
@@ -124,11 +127,9 @@ def count_normal_days(
         raise ValueError(f"weekday must be 0..6, got {weekday}")
     if end < start:
         raise ValueError(f"span {start}..{end} ends before it starts")
-    return sum(
-        1
-        for d in _iter_span(start, end)
-        if d.weekday() == weekday and calendar.classify(d) is DayClass.NORMAL
-    )
+    n = (end - start).days + 1
+    on_weekday = (start.weekday() + np.arange(n)) % 7 == weekday
+    return int(np.count_nonzero(calendar.normal_mask(start, n) & on_weekday))
 
 
 def parse_calendar(text: str) -> ExclusionCalendar:

@@ -1,4 +1,4 @@
-"""End-to-end glue from raw cumulative readings to binned days.
+"""End-to-end glue from raw cumulative readings to a matrix of binned days.
 
 Cleaning order matters: the pair of readings across a counter decrease is
 not usage, so no interval straddles a meter reset; outage-length intervals
@@ -12,7 +12,7 @@ from datetime import timedelta, tzinfo
 
 import numpy as np
 
-from .binning import DEFAULT_MIN_VALID_SLOTS, UTC, BinnedDay, bin_intervals
+from .binning import DEFAULT_MIN_VALID_SLOTS, UTC, DayMatrix, bin_intervals
 from .readings import DEFAULT_MAX_GAP, Intervals, ReadingStream, drop_long_gaps
 
 log = logging.getLogger(__name__)
@@ -42,6 +42,6 @@ def readings_to_days(
     tz: tzinfo = UTC,
     max_gap: timedelta = DEFAULT_MAX_GAP,
     min_valid_slots: int = DEFAULT_MIN_VALID_SLOTS,
-) -> list[BinnedDay]:
+) -> DayMatrix:
     """Full cleaning and binning chain for one household stream."""
     return bin_intervals(clean_intervals(stream, max_gap), tz, min_valid_slots)

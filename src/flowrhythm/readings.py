@@ -7,9 +7,9 @@ never closer than 15 minutes; streams that violate that are accepted with a
 warning because the defect lives in the data, not the parser.
 
 Differencing turns n readings into n-1 usage intervals. The cumulative
-counter never decreases on a healthy meter; a decrease is either rejected
-(difference_cumulative) or used as a split point (split_on_counter_decrease)
-so the surrounding data survive a counter reset.
+counter never decreases on a healthy meter: difference_cumulative rejects a
+decrease, while the pipeline drops the one pair across it, so the data on
+either side survive a counter reset.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import io
 import json
 import logging
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -36,13 +36,11 @@ from .errors import (
 __all__ = [
     "NOMINAL_PERIOD",
     "DEFAULT_MAX_GAP",
-    "RawReading",
     "Intervals",
     "ReadingStream",
     "parse_stream",
     "read_stream",
     "difference_cumulative",
-    "split_on_counter_decrease",
     "segment_litres",
     "drop_long_gaps",
     "write_stream_csv",
@@ -55,23 +53,6 @@ NOMINAL_PERIOD = timedelta(minutes=15)
 # Gaps longer than three nominal periods are treated as outages: the volume
 # accumulated across the gap is discarded rather than attributed to one bin.
 DEFAULT_MAX_GAP = timedelta(minutes=45)
-
-
-@dataclass(frozen=True, slots=True)
-class RawReading:
-    """One transmitted meter sample, at second resolution, in UTC."""
-
-    timestamp: datetime
-    cumulative_litres: float
-
-    def __post_init__(self):
-        if self.timestamp.tzinfo is None:
-            raise ValueError("reading timestamps must be timezone-aware")
-        if not self.cumulative_litres >= 0.0:
-            raise ValueError(f"cumulative litres must be >= 0, got {self.cumulative_litres}")
-        object.__setattr__(
-            self, "timestamp", self.timestamp.astimezone(timezone.utc)
-        )
 
 
 @dataclass(frozen=True)
@@ -117,8 +98,8 @@ class Intervals:
 class ReadingStream:
     """Immutable, strictly time-ordered readings from one source.
 
-    Stored as parallel arrays (epoch seconds, litres) so million-reading
-    streams stay cheap; an item materializes as RawReading on access.
+    Stored as parallel arrays (UTC epoch seconds, litres) so
+    million-reading streams stay cheap.
     """
 
     epoch_s: np.ndarray
@@ -140,24 +121,8 @@ class ReadingStream:
         object.__setattr__(self, "epoch_s", epoch)
         object.__setattr__(self, "litres", litres)
 
-    @classmethod
-    def from_readings(
-        cls, readings: Sequence[RawReading], source_id: str = ""
-    ) -> "ReadingStream":
-        epoch = np.array(
-            [int(round(r.timestamp.timestamp())) for r in readings], dtype=np.int64
-        )
-        litres = np.array([r.cumulative_litres for r in readings], dtype=np.float64)
-        return cls(epoch, litres, source_id)
-
     def __len__(self) -> int:
         return len(self.epoch_s)
-
-    def __getitem__(self, i: int) -> RawReading:
-        return RawReading(
-            datetime.fromtimestamp(int(self.epoch_s[i]), tz=timezone.utc),
-            float(self.litres[i]),
-        )
 
 
 # --- parsing -------------------------------------------------------------------
@@ -492,33 +457,6 @@ def difference_cumulative(stream: ReadingStream) -> Intervals:
     if np.any(diffs < 0):
         raise CounterDecrease(int(np.argmax(diffs < 0)) + 1)
     return Intervals(stream.epoch_s[:-1], stream.epoch_s[1:], diffs)
-
-
-def split_on_counter_decrease(stream: ReadingStream) -> list[ReadingStream]:
-    """Split at every counter drop, keeping all maximal clean segments.
-
-    A meter swap or register reset shows up as one decrease; everything on
-    either side is still usable. Segments may be as short as one reading;
-    callers that difference them should skip those.
-    """
-    diffs = np.diff(stream.litres)
-    drops = np.flatnonzero(diffs < 0)
-    if len(drops) == 0:
-        return [stream]
-    log.warning(
-        "cumulative counter decreases at reading index(es) %s (source %r); "
-        "splitting into %d segments",
-        [int(i) + 1 for i in drops],
-        stream.source_id,
-        len(drops) + 1,
-    )
-    bounds = [0, *(int(i) + 1 for i in drops), len(stream)]
-    return [
-        ReadingStream(
-            stream.epoch_s[a:b].copy(), stream.litres[a:b].copy(), stream.source_id
-        )
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
 
 
 def segment_litres(stream: ReadingStream) -> float:

@@ -1,8 +1,8 @@
 """Sliding-window periodicity tracking.
 
-Lays the binned days out as one (span x 96) day matrix, slides a
-fixed-length window over its rows, computes one periodogram per window, and
-reads off the intensity at the target periods (24 h and 12 h by default).
+Slides a fixed-length window over the rows of the binned days' DayMatrix,
+computes one periodogram per window, and reads off the intensity at the
+target periods (24 h and 12 h by default).
 Windows advance in calendar time, so excluded or missing days thin a window
 out (as NaN rows) rather than stretching it; windows with too few valid days
 become explicit skip markers, never silent zeros.
@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .binning import SLOT_MINUTES, SLOTS_PER_DAY, BinnedDay
-from .errors import DataError, EmptyInput, InvalidConfig, PeriodNotOnGrid
-from .exclusions import DayClass, ExclusionCalendar
+from .binning import SLOT_MINUTES, SLOTS_PER_DAY, BinnedDay, DayMatrix
+from .errors import EmptyInput, InvalidConfig, PeriodNotOnGrid
+from .exclusions import ExclusionCalendar
 from .spectral import (
     FrequencyGrid,
     Periodogram,
@@ -109,31 +109,20 @@ class AnalysisWindow:
         return self.start_date + timedelta(days=self.window_days - 1)
 
 
-def _day_matrix(
-    days: Sequence[BinnedDay], calendar: ExclusionCalendar | None
-) -> tuple[date, np.ndarray, np.ndarray]:
-    """First date, the (span x 96) day matrix, and which of its rows are valid.
+def _valid_days(
+    days: DayMatrix | Sequence[BinnedDay], calendar: ExclusionCalendar | None
+) -> tuple[DayMatrix, np.ndarray]:
+    """The binned days as a DayMatrix, and which of its rows are valid.
 
-    Row i holds the day `first + i`. A day is valid when it was retained by
-    binning and the calendar (if any) classifies it normal; every other row
-    is all NaN.
+    A day is valid when it was retained by binning and the calendar (if any)
+    classifies it normal.
     """
-    if not days:
+    days = DayMatrix.from_days(days)
+    if not len(days.retained):
         raise EmptyInput("no binned days to window")
-    first = min(d.day for d in days)
-    span = (max(d.day for d in days) - first).days + 1
-    matrix = np.full((span, SLOTS_PER_DAY), np.nan)
-    seen = np.zeros(span, dtype=bool)
-    valid = np.zeros(span, dtype=bool)
-    for d in days:
-        row = (d.day - first).days
-        if seen[row]:
-            raise DataError(f"duplicate binned day {d.day}")
-        seen[row] = True
-        if calendar is None or calendar.classify(d.day) is DayClass.NORMAL:
-            matrix[row] = d.bins
-            valid[row] = True
-    return first, matrix, valid
+    if calendar is None:
+        return days, days.retained
+    return days, days.retained & calendar.normal_mask(days.first, len(days.retained))
 
 
 def _windows(first: date, valid: np.ndarray, cfg: WindowConfig) -> list[AnalysisWindow]:
@@ -149,7 +138,7 @@ def _windows(first: date, valid: np.ndarray, cfg: WindowConfig) -> list[Analysis
 
 
 def make_windows(
-    days: Sequence[BinnedDay],
+    days: DayMatrix | Sequence[BinnedDay],
     calendar: ExclusionCalendar | None,
     cfg: WindowConfig,
 ) -> list[AnalysisWindow]:
@@ -157,12 +146,12 @@ def make_windows(
 
     A day is valid when it was retained by binning and the calendar (if any)
     classifies it normal. Window starts run from the first retained day to the
-    last position still fully inside the observed span, advancing by the
+    last position still fully inside the span of retained days, advancing by the
     stride; positions with fewer than min_valid_days valid days become skip
     markers that keep their count.
     """
-    first, _, valid = _day_matrix(days, calendar)
-    return _windows(first, valid, cfg)
+    days, valid = _valid_days(days, calendar)
+    return _windows(days.first, valid, cfg)
 
 
 def _rejection(present: np.ndarray, estimator: str) -> str | None:
@@ -182,7 +171,7 @@ def _rejection(present: np.ndarray, estimator: str) -> str | None:
 
 
 def compute_window_periodograms(
-    days: Sequence[BinnedDay],
+    days: DayMatrix | Sequence[BinnedDay],
     calendar: ExclusionCalendar | None,
     cfg: WindowConfig,
     estimator: str = "ls",
@@ -190,11 +179,11 @@ def compute_window_periodograms(
 ) -> list[tuple[AnalysisWindow, Periodogram | None]]:
     """One periodogram per window position; None where the window is skipped.
 
-    Every window is a row slice of the day matrix on the same clock: slot
+    Every window is a row slice of the DayMatrix on the same clock: slot
     midpoints 24 j + 0.25 (k + 0.5) hours after window-start midnight for
-    day j, slot k, with missing slots as NaN. So one trig table serves the
-    whole run, and the estimator runs on blocks of BLOCK_ROWS stacked
-    windows. A window whose samples defeat the estimator (too few samples,
+    day j, slot k, with missing slots and invalid days as NaN. So one trig
+    table serves the whole run, and the estimator runs on blocks of
+    BLOCK_ROWS stacked windows. A window whose samples defeat the estimator (too few samples,
     or for the classic estimator a hole inside the window) is demoted to a
     skip marker carrying the estimator's complaint, so downstream output
     never holds a silent hole.
@@ -203,14 +192,17 @@ def compute_window_periodograms(
         raise InvalidConfig(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     label, core, _ = _ESTIMATORS[estimator]
     grid = cfg.grid()
-    first, matrix, valid = _day_matrix(days, calendar)
+    days, valid = _valid_days(days, calendar)
+    # Days the calendar excludes are blanked in a copy; without a calendar
+    # the windows slice the matrix itself.
+    values = days.values if calendar is None else np.where(valid[:, None], days.values, np.nan)
+    flat = values.reshape(-1)
     width = cfg.window_days * SLOTS_PER_DAY
-    flat = matrix.reshape(-1)
     pairs: list[tuple[AnalysisWindow, Periodogram | None]] = []
     todo: list[tuple[int, int]] = []  # (index into pairs, offset into flat)
-    for window in _windows(first, valid, cfg):
+    for window in _windows(days.first, valid, cfg):
         if not window.skipped:
-            offset = (window.start_date - first).days * SLOTS_PER_DAY
+            offset = (window.start_date - days.first).days * SLOTS_PER_DAY
             reason = _rejection(~np.isnan(flat[offset : offset + width]), estimator)
             if reason is None:
                 todo.append((len(pairs), offset))
@@ -252,7 +244,6 @@ class IntensitySeries:
     """All intensity points for a run, window-major then period order."""
 
     points: tuple[IntensityPoint, ...]
-    config: WindowConfig
 
     def at_period(self, period_hours: float) -> list[IntensityPoint]:
         matches = [p for p in self.points if p.period_hours == period_hours]
@@ -289,7 +280,7 @@ def track_intensity(
         for window, pg in pairs
         for period in cfg.target_periods
     )
-    return IntensitySeries(points, cfg)
+    return IntensitySeries(points)
 
 
 def write_intensity_csv(series: IntensitySeries, path: str | Path) -> None:

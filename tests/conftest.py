@@ -7,10 +7,18 @@ from zoneinfo import ZoneInfo
 import numpy as np
 import pytest
 
-from flowrhythm.binning import SLOTS_PER_DAY, BinnedDay
+from flowrhythm.binning import SLOTS_PER_DAY, BinnedDay, DayMatrix
 from flowrhythm.exclusions import parse_calendar
 from flowrhythm.pipeline import readings_to_days
 from flowrhythm.synth import demo_scenario, generate
+
+
+def day_rows(days: DayMatrix) -> list[tuple[date, np.ndarray]]:
+    """The retained days of a matrix as (date, row of 96 slots) pairs, in date order."""
+    return [
+        (days.first + timedelta(days=int(i)), days.values[i])
+        for i in np.flatnonzero(days.retained)
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import day_rows
 from flowrhythm.binning import (
     SLOTS_PER_DAY,
     BinnedDay,
+    DayMatrix,
     bin_intervals,
     local_seconds,
     profile,
@@ -47,11 +49,20 @@ def complete_day(day: date, litres=1.0) -> Intervals:
     return closing_at(midnight(day) + 900 * np.arange(SLOTS_PER_DAY) + 300, litres)
 
 
-def bin_one_day(intervals: Intervals, tz=UTC) -> BinnedDay:
+def bin_one_day(intervals: Intervals, tz=UTC) -> tuple[date, np.ndarray]:
     """The single day that intervals all closing on one local day bin into."""
     days = bin_intervals(intervals, tz, min_valid_slots=0)
-    assert len(days) == 1
-    return days[0]
+    assert len(days.retained) == 1
+    (day,) = day_rows(days)
+    return day
+
+
+def dates(days: DayMatrix) -> list[date]:
+    return [d for d, _ in day_rows(days)]
+
+
+def observed(bins: np.ndarray) -> int:
+    return int(np.count_nonzero(~np.isnan(bins)))
 
 
 def oracle_days(intervals: Intervals, tz, min_valid_slots: int) -> dict:
@@ -69,58 +80,61 @@ def oracle_days(intervals: Intervals, tz, min_valid_slots: int) -> dict:
 
 
 def test_bin_day_complete_no_missing():
-    b = bin_one_day(complete_day(MON))
-    assert b.day == MON
-    assert b.valid_count == SLOTS_PER_DAY
-    assert np.all(b.bins == 1.0)
-    assert b.weekday == 0
+    day, bins = bin_one_day(complete_day(MON))
+    assert day == MON
+    assert observed(bins) == SLOTS_PER_DAY
+    assert np.all(bins == 1.0)
 
 
 def test_bin_day_92_intervals_4_missing():
     ends = midnight(MON) + 900 * np.arange(92) + 300
-    b = bin_one_day(closing_at(ends))
-    assert b.valid_count == 92
-    assert np.isnan(b.bins[92:]).all()
-    assert [d.day for d in bin_intervals(closing_at(ends), UTC, min_valid_slots=92)] == [MON]
-    assert bin_intervals(closing_at(ends), UTC, min_valid_slots=93) == []
+    _, bins = bin_one_day(closing_at(ends))
+    assert observed(bins) == 92
+    assert np.isnan(bins[92:]).all()
+    assert dates(bin_intervals(closing_at(ends), UTC, min_valid_slots=92)) == [MON]
+    none = bin_intervals(closing_at(ends), UTC, min_valid_slots=93)
+    assert none.values.shape == (0, SLOTS_PER_DAY) and none.retained.shape == (0,)
 
 
 def test_bin_day_empty_all_missing():
-    # A day no interval closes on is Missing as a whole: it never appears,
-    # neither between observed days nor from empty input.
-    assert bin_intervals(closing_at([]), UTC, min_valid_slots=0) == []
+    # A day no interval closes on is Missing as a whole: an all-NaN row that
+    # is not retained between observed days, and no row at all from empty input.
+    assert bin_intervals(closing_at([]), UTC, min_valid_slots=0).values.shape == (0, SLOTS_PER_DAY)
     gap = joined(complete_day(MON), complete_day(MON + timedelta(days=2)))
     days = bin_intervals(gap, UTC, min_valid_slots=0)
-    assert [d.day for d in days] == [MON, MON + timedelta(days=2)]
+    assert days.first == MON
+    assert days.retained.tolist() == [True, False, True]
+    assert np.isnan(days.values[1]).all()
+    assert dates(days) == [MON, MON + timedelta(days=2)]
 
 
 def test_bin_day_end_instant_decides_slot():
     # 00:14:59 closes in slot 0; exactly 00:15:00 belongs to slot 1.
-    b = bin_one_day(joined(closing_at([midnight(MON) + 899], 2.0), closing_at([midnight(MON) + 900], 3.0)))
-    assert b.bins[0] == 2.0
-    assert b.bins[1] == 3.0
-    assert b.valid_count == 2
+    _, bins = bin_one_day(joined(closing_at([midnight(MON) + 899], 2.0), closing_at([midnight(MON) + 900], 3.0)))
+    assert bins[0] == 2.0
+    assert bins[1] == 3.0
+    assert observed(bins) == 2
 
 
 def test_bin_day_accumulates_same_slot():
-    binned = bin_one_day(joined(closing_at([midnight(MON) + 420], 1.25), closing_at([midnight(MON) + 720], 2.5)))
-    assert binned.bins[0] == 3.75
-    assert binned.valid_count == 1
+    _, bins = bin_one_day(joined(closing_at([midnight(MON) + 420], 1.25), closing_at([midnight(MON) + 720], 2.5)))
+    assert bins[0] == 3.75
+    assert observed(bins) == 1
 
 
 def test_bin_intervals_keeps_interval_on_its_own_day():
     stray = closing_at([midnight(MON + timedelta(days=1)) + 1800])
-    days = bin_intervals(joined(complete_day(MON), stray), UTC, min_valid_slots=0)
-    assert [d.day for d in days] == [MON, MON + timedelta(days=1)]
-    assert np.all(days[0].bins == 1.0)
-    assert days[1].valid_count == 1 and days[1].bins[2] == 1.0
+    days = day_rows(bin_intervals(joined(complete_day(MON), stray), UTC, min_valid_slots=0))
+    assert [d for d, _ in days] == [MON, MON + timedelta(days=1)]
+    assert np.all(days[0][1] == 1.0)
+    assert observed(days[1][1]) == 1 and days[1][1][2] == 1.0
 
 
 def test_bin_day_midnight_close_belongs_to_next_day():
-    b = bin_one_day(closing_at([midnight(MON + timedelta(days=1))]))
-    assert b.day == MON + timedelta(days=1)
-    assert b.bins[0] == 1.0
-    assert b.valid_count == 1
+    day, bins = bin_one_day(closing_at([midnight(MON + timedelta(days=1))]))
+    assert day == MON + timedelta(days=1)
+    assert bins[0] == 1.0
+    assert observed(bins) == 1
 
 
 def epoch_intervals(local_midnight: datetime, n: int) -> Intervals:
@@ -131,28 +145,29 @@ def epoch_intervals(local_midnight: datetime, n: int) -> Intervals:
 def test_bin_day_dst_spring_forward_slots_stay_missing():
     # Dublin 2018-03-25: 01:00 local jumps to 02:00. The day is 23 h (92
     # slots of wall time) and no instant can close in slots 4..7.
-    b = bin_one_day(epoch_intervals(datetime(2018, 3, 25, 0, 0, tzinfo=DUBLIN), 92), DUBLIN)
-    assert b.day == date(2018, 3, 25)
-    assert np.isnan(b.bins[4:8]).all()
-    assert b.valid_count == 92
+    day, bins = bin_one_day(epoch_intervals(datetime(2018, 3, 25, 0, 0, tzinfo=DUBLIN), 92), DUBLIN)
+    assert day == date(2018, 3, 25)
+    assert np.isnan(bins[4:8]).all()
+    assert observed(bins) == 92
 
 
 def test_bin_day_dst_fall_back_accumulates():
     # Dublin 2017-10-29: 01:00-02:00 local happens twice; the 25 h day holds
     # 100 closing instants and both passes sum into the same civil slots.
-    b = bin_one_day(epoch_intervals(datetime(2017, 10, 29, 0, 0, tzinfo=DUBLIN), 100), DUBLIN)
-    assert b.day == date(2017, 10, 29)
-    assert b.valid_count == SLOTS_PER_DAY
-    assert b.bins[4:8].sum() == 8.0  # the repeated hour counts twice
-    assert float(np.nansum(b.bins)) == 100.0
+    day, bins = bin_one_day(epoch_intervals(datetime(2017, 10, 29, 0, 0, tzinfo=DUBLIN), 100), DUBLIN)
+    assert day == date(2017, 10, 29)
+    assert observed(bins) == SLOTS_PER_DAY
+    assert bins[4:8].sum() == 8.0  # the repeated hour counts twice
+    assert float(np.nansum(bins)) == 100.0
 
 
 def test_bin_intervals_groups_and_drops_sparse_days():
     sparse = closing_at(midnight(MON + timedelta(days=1)) + 900 * np.arange(20) + 300)
     days = bin_intervals(joined(complete_day(MON), sparse), UTC, min_valid_slots=92)
-    assert [d.day for d in days] == [MON]
+    assert dates(days) == [MON]
+    assert len(days.retained) == 1  # the span ends at the last retained day
     both = bin_intervals(joined(complete_day(MON), sparse), UTC, min_valid_slots=10)
-    assert [d.day for d in both] == [MON, MON + timedelta(days=1)]
+    assert dates(both) == [MON, MON + timedelta(days=1)]
 
 
 # --- vectorised local time against per-instant astimezone -------------------------
@@ -199,9 +214,13 @@ def test_bin_intervals_matches_astimezone_oracle(case, min_valid_slots):
     assert local_seconds(intervals.end_s, tz).tolist() == wall
     days = bin_intervals(intervals, tz, min_valid_slots)
     expected = oracle_days(intervals, tz, min_valid_slots)
-    assert [d.day for d in days] == list(expected)
-    for d in days:
-        assert np.array_equal(d.bins, expected[d.day], equal_nan=True)
+    assert dates(days) == list(expected)
+    for day, bins in day_rows(days):
+        assert np.array_equal(bins, expected[day], equal_nan=True)
+    # The span runs from the first retained day to the last; every other row is all NaN.
+    if len(days.retained):
+        assert days.retained[0] and days.retained[-1]
+    assert np.isnan(days.values[~days.retained]).all()
 
 
 def test_local_seconds_resolves_instants_inside_a_transition_hour():
@@ -324,7 +343,7 @@ def test_binning_leaves_numpy_ma_unimported():
         "from flowrhythm.readings import ReadingStream\n"
         "t = 1616803200 + 900 * np.arange(3 * 96)  # 2021-03-27..29 UTC, Dublin springs forward\n"
         "days = readings_to_days(ReadingStream(t, 1.5 * np.arange(len(t))), ZoneInfo('Europe/Dublin'))\n"
-        "assert days\n"
+        "assert days.retained.any()\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(flowrhythm.__file__)))
@@ -377,6 +396,51 @@ def test_profile_matches_brute_force_exactly(std_kind):
     assert np.array_equal(p.mean, np.asarray(mean), equal_nan=True)
     assert np.array_equal(p.std, np.asarray(std), equal_nan=True)
     assert p.n_days == 8
+
+
+# (group, its weekdays) for the matrix oracle below.
+ORACLE_GROUPS = (("weekday", (0, 1, 2, 3, 4)), ("saturday", (5,)), ("sunday", (6,)), (3, (3,)), ((1, 5), (1, 5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_profile_of_a_day_matrix_matches_brute_force_exactly(data):
+    group, weekdays = data.draw(st.sampled_from(ORACLE_GROUPS), label="group")
+    std_kind = data.draw(st.sampled_from(["population", "sample"]), label="std_kind")
+    span = data.draw(st.integers(1, 60), label="span")
+    first = MON + timedelta(days=data.draw(st.integers(0, 6), label="first"))
+    retained = np.array(data.draw(st.lists(st.booleans(), min_size=span, max_size=span), label="retained"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # Rows that are not retained keep values, as the CLI leaves a calendar's
+    # exclusions; absent days are rows that are not retained.
+    values = rng.integers(0, 65, (span, SLOTS_PER_DAY)) / 8.0
+    values[rng.random(values.shape) < 0.3] = np.nan
+    matching = [
+        i for i in range(span) if retained[i] and (first + timedelta(days=i)).weekday() in weekdays
+    ]
+    sizes = [c for c in (1, 2, 4, 8) if c <= len(matching)]
+    for k in range(SLOTS_PER_DAY):
+        # A power-of-two count of 1/8-litre values keeps every sum, mean and
+        # squared residual exact, so the summation order cannot matter.
+        present = rng.permutation(matching)[: rng.choice(sizes)] if sizes and k != 90 else []
+        absent = np.setdiff1d(matching, present).astype(int)
+        values[absent, k] = np.nan
+    days = DayMatrix(first, values, retained)
+    listed = [BinnedDay(d, bins) for d, bins in day_rows(days)]
+    if not matching:
+        with pytest.raises(NoMatchingDays):
+            profile(days, group, std_kind)
+        return
+    p = profile(days, group, std_kind)
+    mean, std = brute_force_profile(listed, weekdays, std_kind)
+    assert np.array_equal(p.mean, np.asarray(mean), equal_nan=True)
+    assert np.array_equal(p.std, np.asarray(std), equal_nan=True)
+    assert p.n_days == len(matching)
+    counts = np.count_nonzero(~np.isnan(values[matching]), axis=0)
+    assert p.bin_counts.tolist() == counts.tolist()
+    # No NaN becomes 0: a slot Missing on every matching day stays Missing.
+    assert p.bin_counts[90] == 0 and math.isnan(p.mean[90]) and math.isnan(p.std[90])
+    assert np.array_equal(np.isnan(p.mean), counts == 0)
 
 
 def test_profile_all_missing_slot_stays_missing_never_zero():

@@ -231,3 +231,31 @@ def test_ingest_jsonl_integer_too_large_for_a_float_exits_three(tmp_path, capsys
     readings.write_text('{"ts": "2021-03-01T00:00:00Z", "litres_total": 1' + "0" * 400 + "}\n")
     assert main(["ingest", str(readings), "--out", str(tmp_path / "ingest")]) == 3
     assert "row 1" in capsys.readouterr().err
+
+
+def test_ingest_summary_stamps_are_the_written_readings_ends(tmp_path):
+    readings = tmp_path / "offsets.csv"
+    readings.write_text(
+        "timestamp,cumulative_litres\n"
+        "2021-03-01T01:00:00+01:00,1.0\n"
+        "2021-03-01T00:15:00Z,2.0\n"
+        "2021-03-01T02:30:00+02:00,4.0\n"
+    )
+    out = tmp_path / "ingest"
+    assert main(["ingest", str(readings), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    rows = (out / "readings.csv").read_text().splitlines()[1:]
+    assert summary["first"] == rows[0].split(",")[0] == "2021-03-01T00:00:00+00:00"
+    assert summary["last"] == rows[-1].split(",")[0] == "2021-03-01T00:30:00+00:00"
+
+
+def test_zero_retained_days(tmp_path, flat_dir, capsys):
+    # No day has 97 of 96 slots: ingest reports zero days, the analyses fail on data.
+    base = [str(flat_dir / "readings.csv"), "--min-valid-slots", "97"]
+    out = tmp_path / "ingest"
+    assert main(["ingest", *base, "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["n_binned_days"] == 0
+    capsys.readouterr()
+    for command, error in (("profile", "NoMatchingDays"), ("track", "EmptyInput")):
+        assert main(["--json-errors", command, *base, "--out", str(tmp_path / command)]) == 3
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == error

@@ -1,12 +1,13 @@
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowrhythm.errors import CalendarError
 from flowrhythm.exclusions import (
     DayClass,
     ExclusionCalendar,
-    classify_day,
     count_normal_days,
     parse_calendar,
 )
@@ -17,7 +18,6 @@ MON = date(2021, 3, 1)  # a Monday
 def test_classify_defaults_to_normal():
     cal = ExclusionCalendar({})
     assert cal.classify(MON) is DayClass.NORMAL
-    assert classify_day(cal, MON) is DayClass.NORMAL
 
 
 def test_calendar_rejects_normal_entries():
@@ -126,3 +126,38 @@ def test_study_calendar_weekday_totals(study_calendar):
     ]
     assert counts == [28, 34, 34, 34, 31, 33, 32]
     assert sum(counts) == 226
+
+
+@st.composite
+def calendars_and_spans(draw):
+    """A calendar of single days and ranges within 60 days of MON, and a span
+    that may begin before, or end after, every entry."""
+    ranges = []
+    for start in draw(st.lists(st.integers(0, 60), max_size=8)):
+        end = start + draw(st.integers(0, 5))
+        label = draw(st.sampled_from([c for c in DayClass if c is not DayClass.NORMAL]))
+        ranges.append((MON + timedelta(days=start), MON + timedelta(days=end), label))
+    entries = {}
+    for start, end, label in ranges:  # later ranges win, so no label conflicts
+        for k in range((end - start).days + 1):
+            entries[start + timedelta(days=k)] = label
+    first = MON + timedelta(days=draw(st.integers(-30, 90)))
+    return ExclusionCalendar(entries), first, draw(st.integers(0, 100))
+
+
+@settings(max_examples=200, deadline=None)
+@given(calendars_and_spans())
+def test_normal_mask_equals_per_day_classify(case):
+    cal, first, n = case
+    expected = [cal.classify(first + timedelta(days=i)) is DayClass.NORMAL for i in range(n)]
+    assert cal.normal_mask(first, n).tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(calendars_and_spans(), st.integers(0, 6))
+def test_count_normal_days_equals_per_day_count(case, weekday):
+    cal, start, n = case
+    end = start + timedelta(days=n)
+    days = [start + timedelta(days=i) for i in range(n + 1)]
+    expected = sum(1 for d in days if d.weekday() == weekday and cal.classify(d) is DayClass.NORMAL)
+    assert count_normal_days(cal, start, end, weekday) == expected

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import day_rows
 from flowrhythm.pipeline import clean_intervals, readings_to_days
 from flowrhythm.readings import DEFAULT_MAX_GAP, ReadingStream, segment_litres
 
@@ -41,20 +42,20 @@ def test_litres_balance_through_cleaning_and_binning(case, min_valid_slots):
     t, v = stream.epoch_s.tolist(), stream.litres.tolist()
     pairs = [(t[i + 1] - t[i], v[i + 1] - v[i], t[i + 1]) for i in range(len(t) - 1) if v[i + 1] >= v[i]]
     in_gaps = math.fsum(used for dt, used, _ in pairs if dt > DEFAULT_MAX_GAP.total_seconds())
-    days = readings_to_days(stream, tz, min_valid_slots=min_valid_slots)
+    days = day_rows(readings_to_days(stream, tz, min_valid_slots=min_valid_slots))
     cleaned = clean_intervals(stream)
     closing: dict = defaultdict(set)  # local day -> slots some interval closes in
     in_sparse_days = []
-    kept = {d.day for d in days}
+    kept = {day for day, _ in days}
     for end, used in zip(cleaned.end_s.tolist(), cleaned.litres.tolist()):
         local = datetime.fromtimestamp(end, timezone.utc).astimezone(tz)
         closing[local.date()].add((local.hour * 3600 + local.minute * 60 + local.second) // 900)
         if local.date() not in kept:
             in_sparse_days.append(used)
-    binned = math.fsum(float(np.nansum(d.bins)) for d in days)
+    binned = math.fsum(float(np.nansum(bins)) for _, bins in days)
     total = binned + in_gaps + math.fsum(in_sparse_days)
     assert math.isclose(total, segment_litres(stream), rel_tol=1e-9, abs_tol=1e-9)
     # A slot holds a number exactly where an interval closed; Missing never becomes 0.
-    for d in days:
-        assert set(np.flatnonzero(~np.isnan(d.bins)).tolist()) == closing[d.day]
-        assert len(closing[d.day]) >= min_valid_slots
+    for day, bins in days:
+        assert set(np.flatnonzero(~np.isnan(bins)).tolist()) == closing[day]
+        assert len(closing[day]) >= min_valid_slots

@@ -24,7 +24,6 @@ from flowrhythm.readings import (
     drop_long_gaps,
     parse_stream,
     segment_litres,
-    split_on_counter_decrease,
     write_stream_csv,
     write_stream_jsonl,
 )
@@ -44,20 +43,20 @@ def make_stream(epochs, litres):
 def test_parse_csv_with_header():
     s = parse_stream(CSV, fmt="csv")
     assert len(s) == 4
-    assert s[0].cumulative_litres == 100.0
-    assert s[0].timestamp == datetime(2021, 3, 1, tzinfo=timezone.utc)
+    assert s.litres[0] == 100.0
+    assert s.epoch_s[0] == datetime(2021, 3, 1, tzinfo=timezone.utc).timestamp()
 
 
 def test_parse_csv_without_header():
     s = parse_stream("2021-03-01T00:00:00Z,1.0\n2021-03-01T00:15:00Z,2.0\n")
     assert len(s) == 2
-    assert s[1].cumulative_litres == 2.0
+    assert s.litres[1] == 2.0
 
 
 def test_parse_csv_z_suffix_and_offset_agree():
     a = parse_stream("2021-03-01T05:00:00Z,1.0\n")
     b = parse_stream("2021-03-01T06:00:00+01:00,1.0\n")
-    assert a[0].timestamp == b[0].timestamp
+    assert a.epoch_s[0] == b.epoch_s[0]
 
 
 def test_parse_csv_requires_timezone():
@@ -96,7 +95,7 @@ def test_parse_jsonl():
     )
     s = parse_stream(text, fmt="jsonl")
     assert len(s) == 2
-    assert s[1].cumulative_litres == 6.0
+    assert s.litres[1] == 6.0
 
 
 def test_parse_jsonl_rejects_bool_litres():
@@ -116,7 +115,7 @@ def test_difference_cumulative_values_and_bounds():
     assert intervals.litres.tolist() == [1.5, 0.0, 2.75]
     assert intervals.start_s.tolist() == s.epoch_s[:-1].tolist()
     assert intervals.end_s.tolist() == s.epoch_s[1:].tolist()
-    assert datetime.fromtimestamp(int(intervals.start_s[0]), timezone.utc) == s[0].timestamp
+    assert intervals.start_s[0] == datetime(2021, 3, 1, tzinfo=timezone.utc).timestamp()
     assert [iv.litres for iv in intervals] == [1.5, 0.0, 2.75]
 
 
@@ -148,19 +147,6 @@ def test_consecutive_differences_are_exact():
     intervals = difference_cumulative(s)
     for k, used in enumerate(intervals.litres.tolist()):
         assert used == float(litres[k + 1]) - float(litres[k])
-
-
-def test_split_on_counter_decrease_segments():
-    s = make_stream([0, 900, 1800, 2700, 3600], [5.0, 6.0, 2.0, 3.0, 4.0])
-    segments = split_on_counter_decrease(s)
-    assert [len(seg) for seg in segments] == [2, 3]
-    assert segments[1].litres[0] == 2.0
-
-
-def test_split_without_decrease_is_identity():
-    s = make_stream([0, 900], [1.0, 2.0])
-    segments = split_on_counter_decrease(s)
-    assert len(segments) == 1 and len(segments[0]) == 2
 
 
 def test_drop_long_gaps():

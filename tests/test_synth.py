@@ -6,6 +6,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 import pytest
 
+from conftest import day_rows
 from flowrhythm.errors import InvalidConfig
 from flowrhythm.pipeline import readings_to_days
 from flowrhythm.synth import (
@@ -87,13 +88,12 @@ def test_vacation_days_are_flat_and_low():
         vacations=((date(2021, 3, 6), date(2021, 3, 10)),),
         vacation_level=0.25,
     )
-    days = readings_to_days(generate(cfg))
-    by_date = {d.day: d for d in days}
+    by_date = dict(day_rows(readings_to_days(generate(cfg))))
     vac = by_date[date(2021, 3, 8)]
     normal = by_date[date(2021, 3, 3)]
     # Midnight-closing interval spills from the neighbouring day's slot.
-    assert float(np.nansum(vac.bins[1:])) == pytest.approx(0.25 * 95, rel=1e-9)
-    assert float(np.nansum(normal.bins[1:])) == pytest.approx(95.0, rel=1e-9)
+    assert float(np.nansum(vac[1:])) == pytest.approx(0.25 * 95, rel=1e-9)
+    assert float(np.nansum(normal[1:])) == pytest.approx(95.0, rel=1e-9)
 
 
 def test_pure_tone_recovers_period_through_pipeline():
@@ -117,9 +117,9 @@ def test_demo_scenario_statistics():
     # Frozen by the pinned seed; the band is what matters.
     assert len(stream) == 24993
     assert abs(len(stream) - 24994) <= 250
-    days = readings_to_days(stream, tz=ZoneInfo(cfg.timezone))
+    days = day_rows(readings_to_days(stream, tz=ZoneInfo(cfg.timezone)))
     assert len(days) == 264
-    counts = [d.valid_count for d in days]
+    counts = [int(np.count_nonzero(~np.isnan(bins))) for _, bins in days]
     in_band = sum(1 for c in counts if 92 <= c <= 96)
     assert in_band / len(days) >= 0.99
     assert float(np.mean(counts)) == pytest.approx(94.3, abs=0.2)

@@ -1,13 +1,16 @@
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowrhythm.binning import SLOTS_PER_DAY, BinnedDay
+from conftest import day_rows
+from flowrhythm.binning import SLOTS_PER_DAY, BinnedDay, DayMatrix
 from flowrhythm.errors import DataError, EmptyInput, InvalidConfig
 from flowrhythm.exclusions import DayClass, ExclusionCalendar
+from flowrhythm.pipeline import readings_to_days
+from flowrhythm.readings import ReadingStream
 from flowrhythm.spectral import Samples, classic_periodogram, lomb_scargle
 from flowrhythm.tracking import (
     WindowConfig,
@@ -44,19 +47,23 @@ def reference_samples(days, calendar, start, window_days):
     """A window's samples built slot by slot, as the single-series estimators take them.
 
     Times are bin midpoints in hours since window-start midnight; Missing
-    slots, absent days and days the calendar excludes are left out.
+    slots, absent days and days the calendar excludes are left out. `days`
+    is a list of BinnedDay or a DayMatrix.
     """
-    by_date = {d.day: d for d in days}
+    if isinstance(days, DayMatrix):
+        by_date = dict(day_rows(days))
+    else:
+        by_date = {d.day: d.bins for d in days}
     times, values = [], []
     for j in range(window_days):
         d = start + timedelta(days=j)
-        day = by_date.get(d)
-        if day is None or (calendar is not None and calendar.classify(d) is not DayClass.NORMAL):
+        bins = by_date.get(d)
+        if bins is None or (calendar is not None and calendar.classify(d) is not DayClass.NORMAL):
             continue
         for k in range(SLOTS_PER_DAY):
-            if not np.isnan(day.bins[k]):
+            if not np.isnan(bins[k]):
                 times.append(24.0 * j + SLOT_HOURS * (k + 0.5))
-                values.append(float(day.bins[k]))
+                values.append(float(bins[k]))
     return Samples(times, values)
 
 
@@ -189,6 +196,46 @@ def test_duplicate_days_rejected(day_factory):
 def test_empty_input():
     with pytest.raises(EmptyInput):
         make_windows([], None, WindowConfig())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_emitted_windows_count_the_present_slots_of_their_valid_rows(data):
+    window = data.draw(st.integers(2, 4), label="window_days")
+    cfg = WindowConfig(window_days=window, min_valid_days=data.draw(st.integers(1, window)))
+    span = data.draw(st.integers(1, 10), label="span")
+    retained = np.array(data.draw(st.lists(st.booleans(), min_size=span, max_size=span), label="retained"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = rng.uniform(0.0, 5.0, (span, SLOTS_PER_DAY))
+    values[rng.random(values.shape) < data.draw(st.floats(0.0, 1.0), label="missing")] = np.nan
+    values[~retained] = np.nan
+    excluded = data.draw(st.sets(st.integers(0, span - 1)), label="excluded")
+    calendar = ExclusionCalendar({START + timedelta(days=k): DayClass.WEATHER_EVENT for k in excluded})
+    valid = retained & ~np.isin(np.arange(span), list(excluded))
+    pairs = compute_window_periodograms(DayMatrix(START, values, retained), calendar, cfg)
+    for w, pg in pairs:
+        rows = slice((w.start_date - START).days, (w.start_date - START).days + window)
+        assert w.valid_day_count == int(valid[rows].sum())
+        if pg is not None:
+            assert pg.n_samples == int(np.count_nonzero(~np.isnan(values[rows][valid[rows]])))
+
+
+def test_windows_start_at_the_first_retained_day(tmp_path):
+    # Readings from 15:00 on day 0 to 06:00 on day 13: both edge days are too
+    # sparse to keep, so the matrix and its windows begin on day 1.
+    t = int(datetime(2021, 3, 1, 15, tzinfo=timezone.utc).timestamp()) + 900 * np.arange(12 * 96 + 61)
+    rng = np.random.default_rng(5)
+    litres = np.cumsum(2.0 + np.cos(2 * np.pi * t / 86400) + rng.uniform(0, 1, len(t)))
+    days = readings_to_days(ReadingStream(t, litres))
+    assert days.first == START + timedelta(days=1)
+    assert len(days.retained) == 12 and days.retained.all()
+    listed = DayMatrix.from_days([BinnedDay(d, bins) for d, bins in day_rows(days)])
+    cfg = WindowConfig()
+    for name, matrix in (("matrix", days), ("listed", listed)):
+        pairs = compute_window_periodograms(matrix, None, cfg)
+        assert pairs[0][0].start_date == START + timedelta(days=1)
+        write_intensity_csv(track_intensity(pairs, cfg), tmp_path / f"{name}.csv")
+    assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
 
 
 def test_window_clock_is_slot_midpoints(day_factory):
