@@ -22,7 +22,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 from . import __version__
 from .binning import DEFAULT_MIN_VALID_SLOTS, GROUPS, profile, write_profile_csv
 from .errors import ConfigError, DataError, FlowRhythmError, InvalidConfig
-from .exclusions import ExclusionCalendar, load_calendar
+from .exclusions import load_calendar
 from .pipeline import readings_to_days
 from .readings import read_stream, segment_litres, write_stream_csv, write_stream_jsonl
 from .spectral import write_periodogram_csv, write_periodogram_sidecar
@@ -30,7 +30,6 @@ from .synth import demo_scenario, generate, load_scenario, scenario_to_json
 from .tracking import (
     WindowConfig,
     compute_window_periodograms,
-    track_intensity,
     write_intensity_csv,
     write_overlay_csv,
 )
@@ -74,6 +73,19 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _config(args, **resolved) -> dict:
+    """The manifest config: every flag of the subcommand except the input and
+    output paths, with `resolved` values in place of the parsed ones."""
+    not_flags = {"readings", "out", "command", "func", "json_errors"}
+    return {k: v for k, v in vars(args).items() if k not in not_flags} | resolved
+
+
+def _inputs(args) -> list[Path]:
+    """The readings file, then the calendar file when --calendar is given."""
+    calendar = getattr(args, "calendar", None)
+    return [Path(args.readings)] + ([Path(calendar)] if calendar else [])
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -87,40 +99,44 @@ def _timezone_of(args) -> ZoneInfo:
         raise InvalidConfig(f"unknown timezone {args.timezone!r}") from exc
 
 
-def _parse_periods(text: str) -> tuple[float, ...]:
+def _input_file(text: str, what: str) -> Path:
+    path = Path(text)
+    if not path.is_file():
+        problem = "path is not a file" if path.exists() else "file not found"
+        raise InvalidConfig(f"{what} {problem}: {path}")
+    return path
+
+
+def _load_inputs(args):
+    """The readings, their binned days, and the exclusion calendar (None without --calendar)."""
+    tz = _timezone_of(args)
+    stream = read_stream(_input_file(args.readings, "readings"))
+    days = readings_to_days(stream, tz=tz, min_valid_slots=args.min_valid_slots)
+    calendar = getattr(args, "calendar", None)
+    if calendar is not None:
+        calendar = load_calendar(_input_file(calendar, "calendar"))
+    return stream, days, calendar
+
+
+def _window_pairs(args):
+    """Window config, calendar and per-window periodograms of a periodogram or track run."""
     try:
-        periods = tuple(float(part) for part in text.split(",") if part.strip())
+        periods = tuple(float(part) for part in args.periods.split(",") if part.strip())
     except ValueError as exc:
-        raise InvalidConfig(f"bad --periods value {text!r}: {exc}") from exc
+        raise InvalidConfig(f"bad --periods value {args.periods!r}: {exc}") from exc
     if not periods:
-        raise InvalidConfig(f"bad --periods value {text!r}: no periods")
-    return periods
-
-
-def _window_config(args) -> WindowConfig:
-    return WindowConfig(
+        raise InvalidConfig(f"bad --periods value {args.periods!r}: no periods")
+    cfg = WindowConfig(
         window_days=args.window_days,
         stride_days=args.stride_days,
         min_valid_days=args.min_valid_days,
-        target_periods=_parse_periods(args.periods),
+        target_periods=periods,
     )
-
-
-def _load_calendar_arg(args) -> ExclusionCalendar | None:
-    if args.calendar is None:
-        return None
-    path = Path(args.calendar)
-    if not path.exists():
-        raise InvalidConfig(f"calendar file not found: {path}")
-    return load_calendar(path)
-
-
-def _load_days(args, tz):
-    path = Path(args.readings)
-    if not path.exists():
-        raise InvalidConfig(f"readings file not found: {path}")
-    stream = read_stream(path)
-    return path, stream, readings_to_days(stream, tz=tz, min_valid_slots=args.min_valid_slots)
+    _, days, calendar = _load_inputs(args)
+    pairs = compute_window_periodograms(
+        days, calendar, cfg, estimator=args.estimator, normalization=args.normalization,
+    )
+    return cfg, calendar, pairs
 
 
 def cmd_simulate(args) -> int:
@@ -158,8 +174,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    tz = _timezone_of(args)
-    path, stream, days = _load_days(args, tz)
+    stream, days, _ = _load_inputs(args)
     out = _out_dir(args)
     write_stream_csv(stream, out / "readings.csv")
     n_days = int(days.retained.sum())
@@ -172,16 +187,13 @@ def cmd_ingest(args) -> int:
         "timezone": args.timezone,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    config = {"timezone": args.timezone, "min_valid_slots": args.min_valid_slots}
-    _write_manifest(out, "ingest", config, [path])
+    _write_manifest(out, "ingest", _config(args), _inputs(args))
     print(f"ingested {len(stream)} readings covering {n_days} day(s)")
     return 0
 
 
 def cmd_profile(args) -> int:
-    tz = _timezone_of(args)
-    path, _, days = _load_days(args, tz)
-    calendar = _load_calendar_arg(args)
+    _, days, calendar = _load_inputs(args)
     if calendar is not None:
         normal = calendar.normal_mask(days.first, len(days.retained))
         days = replace(days, retained=days.retained & normal)
@@ -192,26 +204,13 @@ def cmd_profile(args) -> int:
         target = out / f"profile_{group}.csv"
         write_profile_csv(p, target)
         written.append(target.name)
-    config = {
-        "timezone": args.timezone,
-        "min_valid_slots": args.min_valid_slots,
-        "std": args.std,
-        "calendar": str(args.calendar) if args.calendar else None,
-    }
-    inputs = [path] + ([Path(args.calendar)] if args.calendar else [])
-    _write_manifest(out, "profile", config, inputs)
+    _write_manifest(out, "profile", _config(args), _inputs(args))
     print(f"wrote {', '.join(written)} from {int(days.retained.sum())} day(s)")
     return 0
 
 
 def cmd_periodogram(args) -> int:
-    cfg = _window_config(args)
-    tz = _timezone_of(args)
-    path, _, days = _load_days(args, tz)
-    calendar = _load_calendar_arg(args)
-    pairs = compute_window_periodograms(
-        days, calendar, cfg, estimator=args.estimator, normalization=args.normalization,
-    )
+    cfg, _, pairs = _window_pairs(args)
     pairs = [(w, pg) for w, pg in pairs if pg is not None]
     if args.start is not None:
         try:
@@ -227,21 +226,9 @@ def cmd_periodogram(args) -> int:
     out = _out_dir(args)
     write_periodogram_csv(pg, out / "periodogram.csv")
     write_periodogram_sidecar(pg, out / "periodogram.meta.json")
-    config = {
-        "timezone": args.timezone,
-        "min_valid_slots": args.min_valid_slots,
-        "window_days": cfg.window_days,
-        "stride_days": cfg.stride_days,
-        "min_valid_days": cfg.min_valid_days,
-        "periods": list(cfg.target_periods),
-        "estimator": args.estimator,
-        "normalization": args.normalization,
-        "start": window.start_date.isoformat(),
-        "calendar": str(args.calendar) if args.calendar else None,
-    }
-    inputs = [path] + ([Path(args.calendar)] if args.calendar else [])
+    config = _config(args, periods=list(cfg.target_periods), start=window.start_date.isoformat())
     _write_manifest(
-        out, "periodogram", config, inputs,
+        out, "periodogram", config, _inputs(args),
         estimator=args.estimator, normalization=args.normalization,
     )
     print(f"wrote periodogram.csv for window starting {window.start_date}")
@@ -249,31 +236,13 @@ def cmd_periodogram(args) -> int:
 
 
 def cmd_track(args) -> int:
-    cfg = _window_config(args)
-    tz = _timezone_of(args)
-    path, _, days = _load_days(args, tz)
-    calendar = _load_calendar_arg(args)
-    pairs = compute_window_periodograms(
-        days, calendar, cfg, estimator=args.estimator, normalization=args.normalization,
-    )
+    cfg, calendar, pairs = _window_pairs(args)
     out = _out_dir(args)
-    write_intensity_csv(track_intensity(pairs, cfg), out / "intensity.csv")
+    write_intensity_csv(pairs, cfg.target_periods, out / "intensity.csv")
     write_overlay_csv(pairs, out / "overlay.csv")
     vacations = calendar.vacation_ranges() if calendar is not None else []
-    config = {
-        "timezone": args.timezone,
-        "min_valid_slots": args.min_valid_slots,
-        "window_days": cfg.window_days,
-        "stride_days": cfg.stride_days,
-        "min_valid_days": cfg.min_valid_days,
-        "periods": list(cfg.target_periods),
-        "estimator": args.estimator,
-        "normalization": args.normalization,
-        "calendar": str(args.calendar) if args.calendar else None,
-    }
-    inputs = [path] + ([Path(args.calendar)] if args.calendar else [])
     _write_manifest(
-        out, "track", config, inputs,
+        out, "track", _config(args, periods=list(cfg.target_periods)), _inputs(args),
         estimator=args.estimator, normalization=args.normalization,
         vacation_ranges=[[a.isoformat(), b.isoformat()] for a, b in vacations],
     )

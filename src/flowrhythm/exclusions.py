@@ -166,4 +166,8 @@ def parse_calendar(text: str) -> ExclusionCalendar:
 
 
 def load_calendar(path: str | Path) -> ExclusionCalendar:
-    return parse_calendar(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CalendarError(f"calendar {path}: not UTF-8 text: {exc.reason}") from None
+    return parse_calendar(text)

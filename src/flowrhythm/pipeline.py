@@ -8,19 +8,17 @@ are then dropped so their accumulated volume cannot masquerade as a burst.
 from __future__ import annotations
 
 import logging
-from datetime import timedelta, tzinfo
+from datetime import tzinfo
 
 import numpy as np
 
 from .binning import DEFAULT_MIN_VALID_SLOTS, UTC, DayMatrix, bin_intervals
-from .readings import DEFAULT_MAX_GAP, Intervals, ReadingStream, drop_long_gaps
+from .readings import Intervals, ReadingStream, drop_long_gaps
 
 log = logging.getLogger(__name__)
 
 
-def clean_intervals(
-    stream: ReadingStream, max_gap: timedelta = DEFAULT_MAX_GAP
-) -> Intervals:
+def clean_intervals(stream: ReadingStream) -> Intervals:
     """Difference a raw stream into usage intervals within counter segments,
     dropping outage spans."""
     diffs = np.diff(stream.litres)
@@ -34,14 +32,13 @@ def clean_intervals(
             stream.source_id,
         )
     intervals = Intervals(stream.epoch_s[:-1][within], stream.epoch_s[1:][within], diffs[within])
-    return drop_long_gaps(intervals, max_gap)
+    return drop_long_gaps(intervals)
 
 
 def readings_to_days(
     stream: ReadingStream,
     tz: tzinfo = UTC,
-    max_gap: timedelta = DEFAULT_MAX_GAP,
     min_valid_slots: int = DEFAULT_MIN_VALID_SLOTS,
 ) -> DayMatrix:
     """Full cleaning and binning chain for one household stream."""
-    return bin_intervals(clean_intervals(stream, max_gap), tz, min_valid_slots)
+    return bin_intervals(clean_intervals(stream), tz, min_valid_slots)

@@ -353,7 +353,14 @@ def parse_stream(source, fmt: str = "csv", source_id: str = "") -> ReadingStream
     raw = source if isinstance(source, (bytes, str)) else source.read()
     parsed = fast(raw if isinstance(raw, bytes) else raw.encode("utf-8", "surrogatepass"))
     if parsed is None:
-        rows = list(parse_rows(raw.decode("utf-8") if isinstance(raw, bytes) else raw))
+        try:
+            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        except UnicodeDecodeError as exc:
+            # Lines are counted as the row parsers count them, by
+            # str.splitlines; the "x" stands in for the bad byte's line.
+            line_no = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+            raise MalformedRow(line_no, f"not UTF-8 text: {exc.reason}") from None
+        rows = list(parse_rows(text))
         if not rows:
             raise EmptyInput("no readings found")
         lines, epoch, litres = (np.array(col) for col in zip(*rows))
@@ -429,11 +436,10 @@ def _parse_jsonl_rows(text: str) -> Iterator[tuple[int, int, float]]:
 _PARSERS = {"csv": (_fast_csv, _parse_csv_rows), "jsonl": (_fast_jsonl, _parse_jsonl_rows)}
 
 
-def read_stream(path: str | Path, fmt: str | None = None) -> ReadingStream:
-    """Read a stream file; the format defaults from the file extension."""
+def read_stream(path: str | Path) -> ReadingStream:
+    """Read a stream file; `.jsonl` and `.ndjson` files are JSONL, others CSV."""
     p = Path(path)
-    if fmt is None:
-        fmt = "jsonl" if p.suffix.lower() in {".jsonl", ".ndjson"} else "csv"
+    fmt = "jsonl" if p.suffix.lower() in {".jsonl", ".ndjson"} else "csv"
     return parse_stream(p.read_bytes(), fmt, source_id=str(p))
 
 
@@ -467,21 +473,21 @@ def segment_litres(stream: ReadingStream) -> float:
     return sum(float(stream.litres[b] - stream.litres[a]) for a, b in zip(starts, ends))
 
 
-def drop_long_gaps(intervals: Intervals, max_gap: timedelta = DEFAULT_MAX_GAP) -> Intervals:
-    """Discard intervals longer than max_gap.
+def drop_long_gaps(intervals: Intervals) -> Intervals:
+    """Discard intervals longer than DEFAULT_MAX_GAP.
 
     The volume accumulated across an outage cannot be placed within it, so it
     is dropped (with a warning) and the covered slots stay Missing instead of
     absorbing a bogus spike.
     """
-    long = intervals.end_s - intervals.start_s > max_gap.total_seconds()
+    long = intervals.end_s - intervals.start_s > DEFAULT_MAX_GAP.total_seconds()
     if not long.any():
         return intervals
     log.warning(
         "discarded %d interval(s) longer than %s covering %.3f litres; "
         "the affected slots stay missing",
         int(np.count_nonzero(long)),
-        max_gap,
+        DEFAULT_MAX_GAP,
         float(intervals.litres[long].sum()),
     )
     keep = ~long

@@ -51,7 +51,6 @@ __all__ = [
     "Periodogram",
     "classic_periodogram",
     "lomb_scargle",
-    "intensity_at",
     "write_periodogram_csv",
     "write_periodogram_sidecar",
 ]
@@ -60,6 +59,9 @@ __all__ = [
 NYQUIST_CPH = 2.0
 # The two behavioural periodicities tracked by default.
 TARGET_PERIODS_HOURS = (24.0, 12.0)
+# The shortest and longest period on every window grid.
+SHORTEST_PERIOD_HOURS = 4.0
+LONGEST_PERIOD_HOURS = 120.0
 
 _NORMALIZATIONS = ("raw", "variance")
 
@@ -123,17 +125,12 @@ class FrequencyGrid:
             self.index_of_period(period)
 
     @classmethod
-    def for_window(
-        cls,
-        window_hours: float,
-        min_period_hours: float = 4.0,
-        max_period_hours: float = 120.0,
-    ) -> "FrequencyGrid":
+    def for_window(cls, window_hours: float) -> "FrequencyGrid":
         """Fundamental-aligned grid for a window of the given length.
 
         Frequencies are k / window_hours covering periods
-        [min_period_hours, max_period_hours], so every frequency is an
-        integer multiple of the window fundamental 1/T; on complete even
+        SHORTEST_PERIOD_HOURS to LONGEST_PERIOD_HOURS, so every frequency is
+        an integer multiple of the window fundamental 1/T; on complete even
         data the two estimators then agree exactly at every grid point.
 
         window_hours must be a multiple of 12 hours so that 1/24 and 1/12
@@ -141,30 +138,14 @@ class FrequencyGrid:
         """
         if window_hours <= 0:
             raise InvalidConfig("window_hours must be > 0")
-        if not 0 < min_period_hours < max_period_hours:
-            raise InvalidConfig("need 0 < min_period_hours < max_period_hours")
-        if not (min_period_hours <= 12.0 and max_period_hours >= 24.0):
-            raise InvalidConfig(
-                "period range must bracket the 12 h and 24 h targets"
-            )
         if abs(window_hours / 12.0 - round(window_hours / 12.0)) > 1e-9:
             raise InvalidConfig(
                 f"window_hours = {window_hours} h is not a multiple of "
                 "12 h, so 1/24 and 1/12 cycles/hour would miss the grid"
             )
-        k_min = int(np.ceil(window_hours / max_period_hours - 1e-9))
-        k_max = int(np.floor(window_hours / min_period_hours + 1e-9))
-        k_max = min(k_max, int(np.floor(NYQUIST_CPH * window_hours + 1e-9)))
-        if k_min < 1 or k_max < k_min:
-            raise InvalidConfig(
-                f"period range [{min_period_hours}, {max_period_hours}] h "
-                f"yields an empty grid for a {window_hours} h window"
-            )
+        k_min = int(np.ceil(window_hours / LONGEST_PERIOD_HOURS - 1e-9))
+        k_max = int(np.floor(window_hours / SHORTEST_PERIOD_HOURS + 1e-9))
         return cls(np.arange(k_min, k_max + 1) / window_hours)
-
-    @property
-    def periods_hours(self) -> np.ndarray:
-        return 1.0 / self.frequencies_cph
 
     def index_of_period(self, period_hours: float) -> int:
         """Index whose frequency is exactly 1/period_hours, else raise.
@@ -296,6 +277,34 @@ def lomb_scargle_rows(
     return reduction * (n / 2.0)
 
 
+# Estimator name -> (periodogram label, row-wise core, fewest samples it takes).
+ESTIMATORS = {
+    "ls": ("lomb_scargle", lomb_scargle_rows, 3),
+    "classic": ("classic", classic_rows, 2),
+}
+UNEVEN_SPACING = (
+    "sample spacing varies; the classic periodogram requires a "
+    "complete evenly spaced series"
+)
+
+
+def too_few_samples(estimator: str, n: int) -> str | None:
+    """Why the estimator cannot take n samples, or None if it can."""
+    minimum = ESTIMATORS[estimator][2]
+    return f"need at least {minimum} samples, got {n}" if n < minimum else None
+
+
+def _estimate(
+    estimator: str, samples: Samples, grid: FrequencyGrid, normalization: str
+) -> Periodogram:
+    reason = too_few_samples(estimator, samples.n)
+    if reason is not None:
+        raise TooFewSamples(reason)
+    label, core, _ = ESTIMATORS[estimator]
+    power = core(samples.values[None, :], trig_table(samples.times, grid), normalization)
+    return Periodogram(grid, power[0], label, normalization, samples.n)
+
+
 def classic_periodogram(
     samples: Samples, grid: FrequencyGrid, normalization: str = "raw"
 ) -> Periodogram:
@@ -322,17 +331,10 @@ def classic_periodogram(
     UnevenSpacing
         Sample spacing is not uniform; use lomb_scargle instead.
     """
-    if samples.n < 2:
-        raise TooFewSamples(f"need at least 2 samples, got {samples.n}")
     steps = np.diff(samples.times)
-    step = steps[0]
-    if np.any(np.abs(steps - step) > 1e-9 * step):
-        raise UnevenSpacing(
-            "sample spacing varies; the classic periodogram requires a "
-            "complete evenly spaced series"
-        )
-    power = classic_rows(samples.values[None, :], trig_table(samples.times, grid), normalization)
-    return Periodogram(grid, power[0], "classic", normalization, samples.n)
+    if len(steps) and np.any(np.abs(steps - steps[0]) > 1e-9 * steps[0]):
+        raise UnevenSpacing(UNEVEN_SPACING)
+    return _estimate("classic", samples, grid, normalization)
 
 
 def lomb_scargle(
@@ -368,27 +370,14 @@ def lomb_scargle(
     TooFewSamples
         Fewer than three samples (two parameters plus an offset).
     """
-    if samples.n < 3:
-        raise TooFewSamples(f"need at least 3 samples, got {samples.n}")
-    power = lomb_scargle_rows(
-        samples.values[None, :], trig_table(samples.times, grid), normalization
-    )
-    return Periodogram(grid, power[0], "lomb_scargle", normalization, samples.n)
-
-
-def intensity_at(periodogram: Periodogram, period_hours: float) -> float:
-    """Power at exactly 1/period_hours; PeriodNotOnGrid if absent."""
-    return float(periodogram.power[periodogram.grid.index_of_period(period_hours)])
+    return _estimate("ls", samples, grid, normalization)
 
 
 def write_periodogram_csv(periodogram: Periodogram, path: str | Path) -> None:
+    """One `frequency_cph,period_hours,power` row per grid frequency."""
+    freqs = periodogram.grid.frequencies_cph.tolist()
     lines = ["frequency_cph,period_hours,power"]
-    freqs = periodogram.grid.frequencies_cph
-    periods = periodogram.grid.periods_hours
-    for i in range(len(freqs)):
-        lines.append(
-            f"{float(freqs[i])!r},{float(periods[i])!r},{float(periodogram.power[i])!r}"
-        )
+    lines += [f"{f!r},{1.0 / f!r},{p!r}" for f, p in zip(freqs, periodogram.power.tolist())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -23,11 +23,12 @@ from .binning import SLOT_MINUTES, SLOTS_PER_DAY, BinnedDay, DayMatrix
 from .errors import EmptyInput, InvalidConfig, PeriodNotOnGrid
 from .exclusions import ExclusionCalendar
 from .spectral import (
+    ESTIMATORS,
+    TARGET_PERIODS_HOURS,
+    UNEVEN_SPACING,
     FrequencyGrid,
     Periodogram,
-    classic_rows,
-    intensity_at,
-    lomb_scargle_rows,
+    too_few_samples,
     trig_table,
 )
 
@@ -36,14 +37,6 @@ log = logging.getLogger(__name__)
 DEFAULT_WINDOW_DAYS = 10
 DEFAULT_STRIDE_DAYS = 1
 DEFAULT_MIN_VALID_DAYS = 8
-DEFAULT_TARGET_PERIODS = (24.0, 12.0)
-
-# Estimator name -> (periodogram label, row-wise core, fewest samples it takes).
-_ESTIMATORS = {
-    "ls": ("lomb_scargle", lomb_scargle_rows, 3),
-    "classic": ("classic", classic_rows, 2),
-}
-ESTIMATORS = tuple(_ESTIMATORS)
 # Windows estimated per stacked block: large enough to amortise one matrix
 # product over many windows, small enough to keep the block's memory flat.
 BLOCK_ROWS = 32
@@ -56,7 +49,7 @@ class WindowConfig:
     window_days: int = DEFAULT_WINDOW_DAYS
     stride_days: int = DEFAULT_STRIDE_DAYS
     min_valid_days: int = DEFAULT_MIN_VALID_DAYS
-    target_periods: tuple[float, ...] = DEFAULT_TARGET_PERIODS
+    target_periods: tuple[float, ...] = TARGET_PERIODS_HOURS
 
     def __post_init__(self) -> None:
         if not (isinstance(self.window_days, int) and self.window_days >= 2):
@@ -74,6 +67,8 @@ class WindowConfig:
             raise InvalidConfig("target_periods must not be empty")
         if not all(math.isfinite(p) and p > 0 for p in periods):
             raise InvalidConfig(f"target_periods must be positive, got {periods}")
+        if len(set(periods)) != len(periods):
+            raise InvalidConfig(f"target_periods must not repeat, got {periods}")
         object.__setattr__(self, "target_periods", periods)
 
     @property
@@ -157,17 +152,12 @@ def make_windows(
 def _rejection(present: np.ndarray, estimator: str) -> str | None:
     """Why the estimator cannot take a window's samples, or None if it can."""
     n = int(np.count_nonzero(present))
-    minimum = _ESTIMATORS[estimator][2]
-    if n < minimum:
-        return f"need at least {minimum} samples, got {n}"
-    if estimator == "classic":
+    reason = too_few_samples(estimator, n)
+    if reason is None and estimator == "classic":
         slots = np.flatnonzero(present)
         if slots[-1] - slots[0] + 1 != n:
-            return (
-                "sample spacing varies; the classic periodogram requires a "
-                "complete evenly spaced series"
-            )
-    return None
+            return UNEVEN_SPACING
+    return reason
 
 
 def compute_window_periodograms(
@@ -189,8 +179,8 @@ def compute_window_periodograms(
     never holds a silent hole.
     """
     if estimator not in ESTIMATORS:
-        raise InvalidConfig(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    label, core, _ = _ESTIMATORS[estimator]
+        raise InvalidConfig(f"estimator must be one of {tuple(ESTIMATORS)}, got {estimator!r}")
+    label, core, _ = ESTIMATORS[estimator]
     grid = cfg.grid()
     days, valid = _valid_days(days, calendar)
     # Days the calendar excludes are blanked in a copy; without a calendar
@@ -227,71 +217,24 @@ def compute_window_periodograms(
     return pairs
 
 
-@dataclass(frozen=True)
-class IntensityPoint:
-    """Tracked intensity at one target period for one window position."""
+def write_intensity_csv(
+    pairs: Sequence[tuple[AnalysisWindow, Periodogram | None]],
+    periods: Sequence[float],
+    path: str | Path,
+) -> None:
+    """Write the power at each target period off every window as a long-format CSV.
 
-    window_start: date
-    period_hours: float
-    power: float | None
-    valid_days: int
-    skipped: bool
-    reason: str | None = None
-
-
-@dataclass(frozen=True)
-class IntensitySeries:
-    """All intensity points for a run, window-major then period order."""
-
-    points: tuple[IntensityPoint, ...]
-
-    def at_period(self, period_hours: float) -> list[IntensityPoint]:
-        matches = [p for p in self.points if p.period_hours == period_hours]
-        if not matches:
-            raise PeriodNotOnGrid(f"no tracked points at period {period_hours} h")
-        return matches
-
-
-def track_intensity(
-    pairs: Sequence[tuple[AnalysisWindow, Periodogram | None]], cfg: WindowConfig
-) -> IntensitySeries:
-    """Read the intensity at each configured target period off every window.
-
-    Parameters
-    ----------
-    pairs : sequence of (AnalysisWindow, Periodogram or None)
-        Per-window periodograms from compute_window_periodograms run with
-        the same `cfg`; None marks a skipped window.
-    cfg : WindowConfig
-        Window geometry and the target periods to read.
-
-    Returns
-    -------
-    IntensitySeries
-        One point per window and target period; a skipped window's points
-        have power None and keep its valid-day count and reason.
+    `pairs` come from compute_window_periodograms, whose WindowConfig
+    target_periods are `periods`. Rows run window-major, then in period
+    order; a skipped window (periodogram None) keeps its row per period,
+    with the power empty and its valid-day count.
     """
-    points = tuple(
-        IntensityPoint(
-            window.start_date, period,
-            None if pg is None else intensity_at(pg, period),
-            window.valid_day_count, skipped=pg is None, reason=window.reason,
-        )
-        for window, pg in pairs
-        for period in cfg.target_periods
-    )
-    return IntensitySeries(points)
-
-
-def write_intensity_csv(series: IntensitySeries, path: str | Path) -> None:
-    """Write the intensity track as a long-format CSV, skip markers included."""
     lines = ["window_start,period_hours,power,valid_days,skipped"]
-    for p in series.points:
-        power = "" if p.power is None else repr(p.power)
-        lines.append(
-            f"{p.window_start.isoformat()},{repr(p.period_hours)},{power},"
-            f"{p.valid_days},{str(p.skipped).lower()}"
-        )
+    for window, pg in pairs:
+        tail = f",{window.valid_day_count},{str(pg is None).lower()}"
+        for period in periods:
+            power = "" if pg is None else repr(float(pg.power[pg.grid.index_of_period(period)]))
+            lines.append(f"{window.start_date.isoformat()},{period!r},{power}{tail}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

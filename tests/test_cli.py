@@ -259,3 +259,69 @@ def test_zero_retained_days(tmp_path, flat_dir, capsys):
     for command, error in (("profile", "NoMatchingDays"), ("track", "EmptyInput")):
         assert main(["--json-errors", command, *base, "--out", str(tmp_path / command)]) == 3
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == error
+
+
+def test_track_repeated_period_exits_two(tmp_path, flat_dir):
+    out = tmp_path / "x"
+    rc = main(["track", str(flat_dir / "readings.csv"), "--periods", "24,24", "--out", str(out)])
+    assert rc == 2
+    assert not (out / "intensity.csv").exists()
+
+
+def test_readings_byte_not_utf8_exits_three_with_its_line(tmp_path, capsys):
+    readings = tmp_path / "latin1.csv"
+    readings.write_bytes(
+        b"timestamp,cumulative_litres\n"
+        b"2021-03-01T00:00:00Z,1.0\n"
+        b"2021-03-01T00:15:00Z,2.0 \xb5l\n"
+    )
+    assert main(["--json-errors", "ingest", str(readings), "--out", str(tmp_path / "x")]) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "MalformedRow"
+    assert payload["message"].startswith("row 3:")
+
+
+def test_calendar_byte_not_utf8_exits_three(tmp_path, flat_dir, capsys):
+    calendar = tmp_path / "cal.txt"
+    calendar.write_bytes(b"2021-03-05,holiday # f\xeate\n")
+    rc = main(["--json-errors", "profile", str(flat_dir / "readings.csv"),
+               "--calendar", str(calendar), "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "CalendarError"
+
+
+def test_directory_as_input_file_exits_two(tmp_path, flat_dir, capsys):
+    readings = str(flat_dir / "readings.csv")
+    for args in (["ingest", str(tmp_path)], ["track", readings, "--calendar", str(tmp_path)]):
+        assert main(["--json-errors", *args, "--out", str(tmp_path / "x")]) == 2
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "InvalidConfig"
+
+
+def test_manifest_config_records_every_flag_but_the_paths(tmp_path):
+    demo = tmp_path / "demo"
+    assert main(["simulate", "--out", str(demo)]) == 0
+    readings, calendar = str(demo / "readings.csv"), str(demo / "calendar.txt")
+    common = {"timezone": "Europe/Dublin", "min_valid_slots": 92}
+    window = {"stride_days": 1, "estimator": "ls", "normalization": "raw"}
+    runs = {
+        "ingest": ([], common),
+        "profile": (["--calendar", calendar], {**common, "calendar": calendar, "std": "population"}),
+        # The calendar's first excluded day, 2017-09-20, rules out every
+        # complete 14-day window that starts before 2017-09-21.
+        "periodogram": (
+            ["--calendar", calendar, "--periods", "24", "--window-days", "14", "--min-valid-days", "14"],
+            {**common, **window, "calendar": calendar, "periods": [24.0], "window_days": 14,
+             "min_valid_days": 14, "start": "2017-09-21"},
+        ),
+        "track": (
+            ["--periods", "24,12"],
+            {**common, **window, "calendar": None, "periods": [24.0, 12.0], "window_days": 10,
+             "min_valid_days": 8},
+        ),
+    }
+    for command, (flags, config) in runs.items():
+        out = tmp_path / command
+        assert main([command, readings, "--timezone", "Europe/Dublin", *flags, "--out", str(out)]) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["config"]
+        assert recorded == config, command
+        assert all(type(p) is float for p in recorded.get("periods", []))

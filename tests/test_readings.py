@@ -152,7 +152,7 @@ def test_consecutive_differences_are_exact():
 def test_drop_long_gaps():
     s = make_stream([0, 900, 900 + 3600, 900 + 4500], [0.0, 1.0, 7.0, 8.0])
     intervals = difference_cumulative(s)
-    kept = drop_long_gaps(intervals, timedelta(minutes=45))
+    kept = drop_long_gaps(intervals)
     assert kept.litres.tolist() == [1.0, 1.0]
     assert kept.end_s.tolist() == [900, 900 + 4500]
 

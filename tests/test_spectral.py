@@ -15,7 +15,6 @@ from flowrhythm.spectral import (
     FrequencyGrid,
     Samples,
     classic_periodogram,
-    intensity_at,
     lomb_scargle,
     write_periodogram_csv,
 )
@@ -77,13 +76,6 @@ def test_grid_rejects_span_not_multiple_of_twelve():
         FrequencyGrid.for_window(250.0)
 
 
-def test_grid_rejects_range_missing_targets():
-    with pytest.raises(InvalidConfig):
-        FrequencyGrid.for_window(240.0, min_period_hours=14.0)
-    with pytest.raises(InvalidConfig):
-        FrequencyGrid.for_window(240.0, max_period_hours=20.0)
-
-
 def test_index_of_period_off_grid():
     with pytest.raises(PeriodNotOnGrid):
         GRID10.index_of_period(13.0)
@@ -113,7 +105,7 @@ def test_pure_cosine_peak_value_frozen():
     values = np.cos(2 * np.pi * T10 / 24.0)
     for estimate in (classic_periodogram, lomb_scargle):
         pg = estimate(Samples(T10, values), GRID10)
-        assert intensity_at(pg, 24.0) == pytest.approx(240.0, rel=1e-9)
+        assert pg.power[GRID10.index_of_period(24.0)] == pytest.approx(240.0, rel=1e-9)
         assert int(np.argmax(pg.power)) == GRID10.index_of_period(24.0)
 
 
@@ -130,9 +122,9 @@ def test_variance_normalization_bounds_and_peak():
     values = np.cos(2 * np.pi * T10 / 24.0)
     pg = lomb_scargle(Samples(T10, values), GRID10, normalization="variance")
     assert np.all(pg.power >= 0.0) and np.all(pg.power <= 1.0)
-    assert intensity_at(pg, 24.0) == pytest.approx(1.0, rel=1e-9)
+    assert pg.power[GRID10.index_of_period(24.0)] == pytest.approx(1.0, rel=1e-9)
     cl = classic_periodogram(Samples(T10, values), GRID10, normalization="variance")
-    assert intensity_at(cl, 24.0) == pytest.approx(1.0, rel=1e-9)
+    assert cl.power[GRID10.index_of_period(24.0)] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_argmax_survives_thirty_percent_dropout():
@@ -227,5 +219,5 @@ def test_periodogram_csv_round_trip(tmp_path):
     assert len(lines) == 1 + len(GRID10)
     f0, p0, w0 = lines[1].split(",")
     assert float(f0) == GRID10.frequencies_cph[0]
-    assert float(p0) == GRID10.periods_hours[0]
+    assert float(p0) == 1.0 / GRID10.frequencies_cph[0]
     assert float(w0) == pg.power[0]

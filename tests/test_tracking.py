@@ -16,7 +16,6 @@ from flowrhythm.tracking import (
     WindowConfig,
     compute_window_periodograms,
     make_windows,
-    track_intensity,
     write_intensity_csv,
     write_overlay_csv,
 )
@@ -38,9 +37,12 @@ def noisy_tone_days(day_factory, n, seed=7):
     ]
 
 
-def track(days, calendar=None, cfg=None):
+def track(tmp_path, days, calendar=None, cfg=None):
+    """The rows of intensity.csv, each split into its five fields."""
     cfg = cfg or WindowConfig()
-    return track_intensity(compute_window_periodograms(days, calendar, cfg), cfg)
+    path = tmp_path / "intensity.csv"
+    write_intensity_csv(compute_window_periodograms(days, calendar, cfg), cfg.target_periods, path)
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
 
 def reference_samples(days, calendar, start, window_days):
@@ -170,7 +172,7 @@ def test_skip_rows_report_valid_day_count(tmp_path, vacation_fixture):
     pairs = compute_window_periodograms(days, calendar, cfg)
     assert [w.valid_day_count for w, pg in pairs if pg is None] == [7, 6, 5, 4, 3, 2, 1, 1]
     path = tmp_path / "intensity.csv"
-    write_intensity_csv(track_intensity(pairs, cfg), path)
+    write_intensity_csv(pairs, cfg.target_periods, path)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     skipped = [int(r[3]) for r in rows if r[4] == "true"]
     assert skipped == [n for n in (7, 6, 5, 4, 3, 2, 1, 1) for _ in cfg.target_periods]
@@ -234,7 +236,7 @@ def test_windows_start_at_the_first_retained_day(tmp_path):
     for name, matrix in (("matrix", days), ("listed", listed)):
         pairs = compute_window_periodograms(matrix, None, cfg)
         assert pairs[0][0].start_date == START + timedelta(days=1)
-        write_intensity_csv(track_intensity(pairs, cfg), tmp_path / f"{name}.csv")
+        write_intensity_csv(pairs, cfg.target_periods, tmp_path / f"{name}.csv")
     assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
 
 
@@ -305,25 +307,23 @@ def test_classic_accepts_edge_gap_and_rejects_inner_hole(day_factory):
     assert "spacing" in window.reason
 
 
-def test_pure_cosine_constant_intensity(day_run_factory):
+def test_pure_cosine_constant_intensity(tmp_path, day_run_factory):
     days = day_run_factory(START, 14, cosine_bins())
-    series = track(days)
-    p24 = [pt.power for pt in series.at_period(24.0)]
-    p12 = [pt.power for pt in series.at_period(12.0)]
+    rows = track(tmp_path, days)
+    p24 = [float(r[2]) for r in rows if r[1] == "24.0"]
+    p12 = [float(r[2]) for r in rows if r[1] == "12.0"]
     assert len(p24) == 5
     ref = p24[0]
     assert all(abs(p - ref) / ref <= 1e-6 for p in p24)
     assert all(p <= 0.01 * ref for p in p12)
 
 
-def test_single_window_series(day_run_factory):
+def test_single_window_series(tmp_path, day_run_factory):
     days = day_run_factory(START, 10, cosine_bins())
-    series = track(days, cfg=WindowConfig(target_periods=(24.0,)))
-    assert len(series.points) == 1
-    point = series.points[0]
-    assert point.window_start == START
-    assert point.valid_days == 10
-    assert not point.skipped
+    (row,) = track(tmp_path, days, cfg=WindowConfig(target_periods=(24.0,)))
+    start, period, power, valid_days, skipped = row
+    assert (start, period, valid_days, skipped) == (START.isoformat(), "24.0", "10", "false")
+    assert float(power) > 0
 
 
 def test_classic_estimator_demoted_on_gaps(day_run_factory, day_factory):
@@ -372,31 +372,27 @@ def test_noise_ladder_erodes_periodic_fraction(day_factory):
     assert fractions[-1] < fractions[0]
 
 
-def test_track_intensity_deterministic(day_run_factory):
+def test_track_intensity_deterministic(tmp_path, day_run_factory):
     days = day_run_factory(START, 20, cosine_bins())
-    a = track(days)
-    b = track(days)
-    assert a == b
+    assert track(tmp_path, days) == track(tmp_path, days)
 
 
-def test_point_order_is_window_major(day_run_factory):
+def test_point_order_is_window_major(tmp_path, day_run_factory):
     days = day_run_factory(START, 11, cosine_bins())
-    series = track(days)
-    heads = [(p.window_start, p.period_hours) for p in series.points[:4]]
+    heads = [(r[0], r[1]) for r in track(tmp_path, days)[:4]]
+    second = (START + timedelta(days=1)).isoformat()
     assert heads == [
-        (START, 24.0),
-        (START, 12.0),
-        (START + timedelta(days=1), 24.0),
-        (START + timedelta(days=1), 12.0),
+        (START.isoformat(), "24.0"),
+        (START.isoformat(), "12.0"),
+        (second, "24.0"),
+        (second, "12.0"),
     ]
 
 
 def test_intensity_csv(tmp_path, vacation_fixture, day_run_factory):
     days, calendar = vacation_fixture
-    series = track(days, calendar)
-    path = tmp_path / "intensity.csv"
-    write_intensity_csv(series, path)
-    lines = path.read_text().splitlines()
+    track(tmp_path, days, calendar)
+    lines = (tmp_path / "intensity.csv").read_text().splitlines()
     assert lines[0] == "window_start,period_hours,power,valid_days,skipped"
     assert len(lines) == 1 + 11 * 2
     emitted = [l for l in lines[1:] if l.endswith(",false")]
