@@ -24,6 +24,7 @@ Profiles and sliding windows read rows of this one matrix.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, tzinfo
@@ -34,7 +35,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from .errors import DataError, NoMatchingDays
-from .readings import Intervals
+from .readings import BLOCK_ROWS, Intervals
 
 __all__ = [
     "SLOTS_PER_DAY",
@@ -122,19 +123,30 @@ class DayMatrix:
 def local_seconds(epoch_s: np.ndarray, tz: tzinfo) -> np.ndarray:
     """Local wall-clock seconds since 1970-01-01 00:00 for UTC epoch seconds.
 
-    The UTC offset is looked up once per distinct UTC day edge: at the start
-    of each day holding an instant and at the start of the next day. Only a
-    day whose two edges differ holds a transition; its instants are resolved
-    the same way per UTC hour, and only an hour whose two edges differ is
-    resolved instant by instant. So the result equals
-    `datetime.fromtimestamp(t, tz)` read as a wall clock, provided an offset
-    changes at most once per UTC day.
+    The instants are converted in blocks of BLOCK_ROWS. The UTC offset is
+    looked up once per distinct UTC day edge: at the start of each day
+    holding an instant and at the start of the next day. Only a day whose
+    two edges differ holds a transition; its instants are resolved the same
+    way per UTC hour, and only an hour whose two edges differ is resolved
+    instant by instant. A lookup is made once per call, however many blocks
+    share its instant. So the result equals `datetime.fromtimestamp(t, tz)`
+    read as a wall clock, provided an offset changes at most once per UTC
+    day.
     """
     epoch_s = np.asarray(epoch_s, dtype=np.int64)
-    return epoch_s + _offsets(epoch_s, tz, (86400, 3600))
+    local = np.empty_like(epoch_s)
+
+    @functools.cache
+    def offset_at(t: int) -> int:
+        return int(datetime.fromtimestamp(t, tz).utcoffset().total_seconds())
+
+    for a in range(0, len(epoch_s), BLOCK_ROWS):
+        block = epoch_s[a : a + BLOCK_ROWS]
+        np.add(block, _offsets(block, offset_at, (86400, 3600)), out=local[a : a + BLOCK_ROWS])
+    return local
 
 
-def _offsets(t: np.ndarray, tz: tzinfo, units: tuple[int, ...]) -> np.ndarray:
+def _offsets(t: np.ndarray, offset_at, units: tuple[int, ...]) -> np.ndarray:
     """UTC offsets in seconds at the instants t.
 
     Each cell of units[0] seconds that holds an instant is looked up at its
@@ -142,29 +154,47 @@ def _offsets(t: np.ndarray, tz: tzinfo, units: tuple[int, ...]) -> np.ndarray:
     the remaining units, or one by one when none remain.
     """
     if not units:
-        return _lookup(t, tz)
+        return _lookup(t, offset_at)
     unit = units[0]
     cells, which = np.unique(t // unit, return_inverse=True)
-    at_start = _lookup(cells * unit, tz)
+    at_start = _lookup(cells * unit, offset_at)
     # A cell's end is the next cell's start when that cell follows it.
     at_end = np.empty_like(at_start)
     at_end[:-1] = at_start[1:]
     apart = np.ones(len(cells), dtype=bool)
     apart[:-1] = cells[1:] != cells[:-1] + 1
-    at_end[apart] = _lookup((cells[apart] + 1) * unit, tz)
+    at_end[apart] = _lookup((cells[apart] + 1) * unit, offset_at)
     offset = at_start[which]
     changes = (at_start != at_end)[which]
     if changes.any():
-        offset[changes] = _offsets(t[changes], tz, units[1:])
+        offset[changes] = _offsets(t[changes], offset_at, units[1:])
     return offset
 
 
-def _lookup(t: np.ndarray, tz: tzinfo) -> np.ndarray:
-    """UTC offsets in seconds at the instants t, one zone lookup each."""
-    return np.array(
-        [int(datetime.fromtimestamp(s, tz).utcoffset().total_seconds()) for s in t.tolist()],
-        dtype=np.int64,
-    )
+def _lookup(t: np.ndarray, offset_at) -> np.ndarray:
+    """UTC offsets in seconds at the instants t."""
+    return np.array([offset_at(s) for s in t.tolist()], dtype=np.int64)
+
+
+def _day_slots(end_s: np.ndarray, tz: tzinfo) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct local days (days since 1970-01-01, ascending) the instants
+    end_s fall on, and each instant's slot: row * SLOTS_PER_DAY + slot of the
+    day, where row indexes those days.
+
+    The slots are worked out in place in one array; a run of days no instant
+    falls on takes no rows.
+    """
+    slot = local_seconds(end_s, tz)
+    first = int(slot.min()) // 86400
+    slot -= first * 86400
+    slot //= SLOT_MINUTES * 60
+    day = slot // SLOTS_PER_DAY
+    observed = np.zeros(int(day.max()) + 1, dtype=bool)
+    observed[day] = True
+    day -= (np.cumsum(observed) - 1)[day]
+    day *= SLOTS_PER_DAY
+    slot -= day
+    return first + np.flatnonzero(observed), slot
 
 
 def bin_intervals(
@@ -182,15 +212,16 @@ def bin_intervals(
     all-NaN rows that are not retained; with no retained day the matrix has
     no rows.
     """
-    local_day, second = np.divmod(local_seconds(intervals.end_s, tz), 86400)
-    days, row = np.unique(local_day, return_inverse=True)
+    if not len(intervals):
+        return DayMatrix.from_days([])
+    days, slot = _day_slots(intervals.end_s, tz)
     size = len(days) * SLOTS_PER_DAY
-    flat = row * SLOTS_PER_DAY + second // (SLOT_MINUTES * 60)
-    counts = np.bincount(flat, minlength=size).reshape(-1, SLOTS_PER_DAY)
     # bincount adds the weights in input order, as a per-slot running sum would.
-    sums = np.bincount(flat, weights=intervals.litres, minlength=size)
-    bins = np.where(counts > 0, sums.reshape(-1, SLOTS_PER_DAY), np.nan)
-    keep = np.count_nonzero(counts, axis=1) >= min_valid_slots
+    bins = np.bincount(slot, weights=intervals.litres, minlength=size).reshape(-1, SLOTS_PER_DAY)
+    missing = np.bincount(slot, minlength=size).reshape(-1, SLOTS_PER_DAY) == 0
+    del slot
+    bins[missing] = np.nan
+    keep = SLOTS_PER_DAY - np.count_nonzero(missing, axis=1) >= min_valid_slots
     if not keep.all():
         dropped = [d.isoformat() for d in days[~keep].astype("datetime64[D]").tolist()]
         log.warning(

@@ -50,7 +50,12 @@ def _utc_stamp(epoch_s) -> str:
 
 
 def _sha256_file(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    # In 1 MiB chunks, so a long readings file is never held whole.
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return "sha256:" + digest.hexdigest()
 
 
 def _sha256_config(config: dict) -> str:
@@ -227,10 +232,7 @@ def cmd_periodogram(args) -> int:
     write_periodogram_csv(pg, out / "periodogram.csv")
     write_periodogram_sidecar(pg, out / "periodogram.meta.json")
     config = _config(args, periods=list(cfg.target_periods), start=window.start_date.isoformat())
-    _write_manifest(
-        out, "periodogram", config, _inputs(args),
-        estimator=args.estimator, normalization=args.normalization,
-    )
+    _write_manifest(out, "periodogram", config, _inputs(args))
     print(f"wrote periodogram.csv for window starting {window.start_date}")
     return 0
 
@@ -243,7 +245,6 @@ def cmd_track(args) -> int:
     vacations = calendar.vacation_ranges() if calendar is not None else []
     _write_manifest(
         out, "track", _config(args, periods=list(cfg.target_periods)), _inputs(args),
-        estimator=args.estimator, normalization=args.normalization,
         vacation_ranges=[[a.isoformat(), b.isoformat()] for a, b in vacations],
     )
     n_emitted = sum(1 for _, pg in pairs if pg is not None)

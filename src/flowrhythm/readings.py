@@ -42,7 +42,6 @@ __all__ = [
     "read_stream",
     "difference_cumulative",
     "segment_litres",
-    "drop_long_gaps",
     "write_stream_csv",
     "write_stream_jsonl",
 ]
@@ -53,6 +52,10 @@ NOMINAL_PERIOD = timedelta(minutes=15)
 # Gaps longer than three nominal periods are treated as outages: the volume
 # accumulated across the gap is discarded rather than attributed to one bin.
 DEFAULT_MAX_GAP = timedelta(minutes=45)
+# Readings handled per step of every block loop: parsing, timestamp
+# decoding, zone offset lookup and writing. A long stream's text and scratch
+# arrays are never held in memory whole.
+BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -185,12 +188,31 @@ def _decode_timestamps(b: np.ndarray) -> np.ndarray | None:
     return seconds - offset
 
 
-def _checked(epoch: np.ndarray | None, litres: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch, litres) when every stamp decoded and every row is clean and
-    time-ordered, else None."""
-    if epoch is None or not len(litres) or not np.all(np.isfinite(litres) & (litres >= 0)):
-        return None
-    if np.any(np.diff(epoch) <= 0):
+def _fast_blocks(data: bytes, start: int, parse_block) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch_s, litres) of data[start:] parsed block by block, or None
+    unless parse_block takes every block and the rows are clean and
+    time-ordered.
+
+    Each block runs on from the last to the first line end at least
+    64 * BLOCK_ROWS bytes further, so it holds whole lines: about BLOCK_ROWS
+    of the writers' 40-80 byte lines. Its rows go straight into two arrays
+    allocated once, with room for one row per line.
+    """
+    lines = data.count(b"\n", start) + 1
+    epoch, litres = np.empty(lines, dtype=np.int64), np.empty(lines, dtype=np.float64)
+    n = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + 64 * BLOCK_ROWS)
+        stop = len(data) if stop < 0 else stop + 1
+        rows = parse_block(data, start, stop)
+        if rows is None:
+            return None
+        m = len(rows[0])
+        epoch[n : n + m], litres[n : n + m] = rows
+        n += m
+        start = stop
+    epoch, litres = epoch[:n], litres[:n]
+    if not n or not np.all(np.isfinite(litres) & (litres >= 0)) or np.any(np.diff(epoch) <= 0):
         return None
     return epoch, litres
 
@@ -202,21 +224,35 @@ def _fast_csv(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     of a canonical timestamp and a finite, non-negative number; empty lines
     are skipped, as the row parser skips them.
     """
-    header = data.partition(b"\n")[0].rstrip(b"\r") == _CSV_HEADER
-    # A NUL byte would end a fixed-width stamp early; no comma after the
-    # header means no data row (loadtxt would only warn).
-    if b"\x00" in data or data.find(b",", len(_CSV_HEADER) if header else 0) < 0:
+    # A NUL byte would end a fixed-width stamp early.
+    if b"\x00" in data:
         return None
+    end = data.find(b"\n")
+    end = len(data) if end < 0 else end
+    header = data[:end].rstrip(b"\r") == _CSV_HEADER
+    return _fast_blocks(data, end + 1 if header else 0, _csv_block)
+
+
+def _csv_block(data: bytes, start: int, stop: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch_s, litres) of the canonical CSV rows in data[start:stop], else None.
+
+    loadtxt skips lines of nothing but line ends and rejects a line with one
+    column; a block without a comma holds no row, so it never reaches
+    loadtxt, which would warn that the block holds no data.
+    """
+    block = data[start:stop]
+    if b"," not in block:
+        return None if block.strip(b"\r\n") else (np.empty(0, dtype=np.int64), np.empty(0))
     try:
         rows = np.loadtxt(
-            io.BytesIO(data), dtype=_CSV_ROW, delimiter=",", skiprows=int(header),
-            comments=None, encoding="utf-8", ndmin=1,
+            io.BytesIO(block), dtype=_CSV_ROW, delimiter=",", comments=None,
+            encoding="utf-8", ndmin=1,
         )
     except ValueError:
         return None
     # The stamp is the first field, so each row's bytes start with it.
     epoch = _decode_timestamps(rows.view(np.uint8).reshape(len(rows), -1))
-    return _checked(epoch, np.ascontiguousarray(rows["litres"]))
+    return None if epoch is None else (epoch, rows["litres"])
 
 
 # The writer's JSONL line: _JSONL_HEAD, a 20- or 25-byte stamp, _JSONL_MID,
@@ -235,33 +271,20 @@ def _fast_jsonl(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 
     Every line must read `{"ts": "<stamp>", "litres_total": <number>}` with
     a canonical stamp and nothing else. The lines are checked as arrays, in
-    blocks of about WRITE_BLOCK_ROWS lines, with no Python loop over them.
+    blocks of about BLOCK_ROWS lines, with no Python loop over them.
     """
-    blocks = []
-    start = 0
-    while start < len(data):
-        # A writer line is 60-80 bytes long.
-        stop = data.find(b"\n", start + 64 * WRITE_BLOCK_ROWS)
-        stop = len(data) if stop < 0 else stop + 1
-        block = _jsonl_block(np.frombuffer(data, np.uint8, stop - start, start))
-        if block is None:
-            return None
-        blocks.append(block)
-        start = stop
-    if not blocks:
-        return None
-    epochs, litres = zip(*blocks)
-    return _checked(np.concatenate(epochs), np.concatenate(litres))
+    return _fast_blocks(data, 0, _jsonl_block)
 
 
-def _jsonl_block(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of whole lines in the writer's JSONL layout, else None.
+def _jsonl_block(data: bytes, start: int, stop: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch_s, litres) of data[start:stop], whole lines in the writer's JSONL layout, else None.
 
     The literals are compared at their fixed offsets, the stamps decoded by
     _decode_timestamps, and the numbers parsed by one json.loads of a JSON
     array, so JSON's own number grammar decides. Only int and float values
     that a float holds are taken.
     """
+    buf = np.frombuffer(data, np.uint8, stop - start, start)
     ends = np.flatnonzero(buf == ord("\n"))
     if not len(ends) or ends[-1] != len(buf) - 1:
         ends = np.append(ends, len(buf))  # a last line without a newline
@@ -341,7 +364,7 @@ def parse_stream(source, fmt: str = "csv", source_id: str = "") -> ReadingStream
 
     Input in the canonical layout (whole-second `...Z` or `...+HH:MM`
     timestamps, plain numbers; for JSONL, the writer's exact line layout) is
-    decoded as whole arrays. Anything else, including every input with a
+    decoded as arrays, block by block. Anything else, including every input with a
     defect, goes through the row parser, which raises MalformedRow /
     NonMonotonicTimestamp / EmptyInput with 1-based physical line numbers in
     the diagnostics. Timestamps must strictly increase once rounded to whole
@@ -473,32 +496,7 @@ def segment_litres(stream: ReadingStream) -> float:
     return sum(float(stream.litres[b] - stream.litres[a]) for a, b in zip(starts, ends))
 
 
-def drop_long_gaps(intervals: Intervals) -> Intervals:
-    """Discard intervals longer than DEFAULT_MAX_GAP.
-
-    The volume accumulated across an outage cannot be placed within it, so it
-    is dropped (with a warning) and the covered slots stay Missing instead of
-    absorbing a bogus spike.
-    """
-    long = intervals.end_s - intervals.start_s > DEFAULT_MAX_GAP.total_seconds()
-    if not long.any():
-        return intervals
-    log.warning(
-        "discarded %d interval(s) longer than %s covering %.3f litres; "
-        "the affected slots stay missing",
-        int(np.count_nonzero(long)),
-        DEFAULT_MAX_GAP,
-        float(intervals.litres[long].sum()),
-    )
-    keep = ~long
-    return Intervals(intervals.start_s[keep], intervals.end_s[keep], intervals.litres[keep])
-
-
 # --- writing -------------------------------------------------------------------
-
-# Readings formatted per write: block by block, a long stream's text is
-# never held in memory whole.
-WRITE_BLOCK_ROWS = 1 << 12
 
 
 def _blocks(stream: ReadingStream) -> Iterator[Iterator[tuple[str, float]]]:
@@ -508,8 +506,8 @@ def _blocks(stream: ReadingStream) -> Iterator[Iterator[tuple[str, float]]]:
     datetime.isoformat does in UTC, and write litres by repr, which
     round-trips exactly, so parsing a written file reproduces the stream.
     """
-    for a in range(0, len(stream), WRITE_BLOCK_ROWS):
-        block = slice(a, a + WRITE_BLOCK_ROWS)
+    for a in range(0, len(stream), BLOCK_ROWS):
+        block = slice(a, a + BLOCK_ROWS)
         stamps = np.datetime_as_string(stream.epoch_s[block].astype("datetime64[s]"))
         yield zip(stamps.tolist(), stream.litres[block].tolist())
 

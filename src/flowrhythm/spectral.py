@@ -133,15 +133,15 @@ class FrequencyGrid:
         an integer multiple of the window fundamental 1/T; on complete even
         data the two estimators then agree exactly at every grid point.
 
-        window_hours must be a multiple of 12 hours so that 1/24 and 1/12
+        window_hours must be a multiple of 24 hours so that 1/24 and 1/12
         cycles/hour land exactly on the grid.
         """
         if window_hours <= 0:
             raise InvalidConfig("window_hours must be > 0")
-        if abs(window_hours / 12.0 - round(window_hours / 12.0)) > 1e-9:
+        if abs(window_hours / 24.0 - round(window_hours / 24.0)) > 1e-9:
             raise InvalidConfig(
                 f"window_hours = {window_hours} h is not a multiple of "
-                "12 h, so 1/24 and 1/12 cycles/hour would miss the grid"
+                "24 h, so 1/24 cycles/hour would miss the grid"
             )
         k_min = int(np.ceil(window_hours / LONGEST_PERIOD_HOURS - 1e-9))
         k_max = int(np.floor(window_hours / SHORTEST_PERIOD_HOURS + 1e-9))

@@ -2,9 +2,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from flowrhythm.cli import main
+from flowrhythm.cli import _sha256_file, main
 
 # sha256 of readings.csv from the packaged demo scenario; pinned because the
 # generator is seeded and must stay byte-for-byte reproducible.
@@ -168,6 +169,13 @@ def test_manifest_config_digest_stable(tmp_path, flat_dir):
     assert digests[0] == digests[1]
 
 
+@pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 5 * (1 << 19) + 7])
+def test_manifest_input_digest_is_the_whole_files_sha256(tmp_path, size):
+    path = tmp_path / "input.bin"
+    path.write_bytes(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes())
+    assert _sha256_file(path) == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_track_bad_stride_exits_two(tmp_path, flat_dir):
     rc = main(["track", str(flat_dir / "readings.csv"),
                "--stride-days", "0", "--out", str(tmp_path / "x")])
@@ -322,6 +330,11 @@ def test_manifest_config_records_every_flag_but_the_paths(tmp_path):
     for command, (flags, config) in runs.items():
         out = tmp_path / command
         assert main([command, readings, "--timezone", "Europe/Dublin", *flags, "--out", str(out)]) == 0
-        recorded = json.loads((out / "manifest.json").read_text())["config"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        # Each flag is recorded once, inside config.
+        assert set(manifest) == {
+            "tool", "tool_version", "command", "timestamp", "config", "config_digest", "inputs",
+        } | ({"vacation_ranges"} if command == "track" else set()), command
+        recorded = manifest["config"]
         assert recorded == config, command
         assert all(type(p) is float for p in recorded.get("periods", []))

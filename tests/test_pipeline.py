@@ -1,6 +1,7 @@
-"""The litres ledger of the cleaning and binning chain on messy streams."""
+"""The cleaning and binning chain: its litres ledger on messy streams, and its memory."""
 
 import math
+import tracemalloc
 from collections import defaultdict
 from datetime import datetime, timezone
 from zoneinfo import ZoneInfo
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 
 from conftest import day_rows
 from flowrhythm.pipeline import clean_intervals, readings_to_days
-from flowrhythm.readings import DEFAULT_MAX_GAP, ReadingStream, segment_litres
+from flowrhythm.readings import (
+    DEFAULT_MAX_GAP,
+    ReadingStream,
+    read_stream,
+    segment_litres,
+    write_stream_csv,
+)
 
 ZONES = ("Europe/Dublin", "America/New_York", "Australia/Lord_Howe", "Asia/Kolkata", "UTC")
 
@@ -59,3 +66,38 @@ def test_litres_balance_through_cleaning_and_binning(case, min_valid_slots):
     for day, bins in days:
         assert set(np.flatnonzero(~np.isnan(bins)).tolist()) == closing[day]
         assert len(closing[day]) >= min_valid_slots
+
+
+def test_clean_intervals_drops_long_gaps():
+    s = ReadingStream(np.array([0, 900, 900 + 3600, 900 + 4500]), np.array([0.0, 1.0, 7.0, 8.0]), "t")
+    kept = clean_intervals(s)
+    assert kept.litres.tolist() == [1.0, 1.0]
+    assert kept.end_s.tolist() == [900, 900 + 4500]
+
+
+def test_reading_and_binning_a_long_stream_stay_in_a_bounded_working_set(tmp_path):
+    # numpy reports its buffers to tracemalloc, so the traced peak counts
+    # every array. Past the file's own bytes, parsing keeps about 16 bytes
+    # per reading and cleaning plus binning a few arrays of 8 bytes per
+    # interval; the scratch space of each block loop fits in the 1 MiB.
+    n = 70_000
+    rng = np.random.default_rng(3)
+    epochs = 1_600_000_000 + np.cumsum(rng.integers(900, 960, n))
+    epochs[n // 2 :] += 7200  # an outage
+    litres = np.cumsum(rng.uniform(0.0, 5.0, n))
+    litres[n // 3 :] -= litres[n // 3] - 1.0  # a counter reset
+    path = tmp_path / "readings.csv"
+    write_stream_csv(ReadingStream(epochs, litres), path)
+    tracemalloc.start()
+    try:
+        stream = read_stream(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        days = readings_to_days(stream, ZoneInfo("Europe/Dublin"))
+        bin_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(stream) == n and days.retained.sum() > 700
+    assert read_peak <= path.stat().st_size + 64 * n + 2**20
+    assert bin_peak <= 88 * n + 2**20

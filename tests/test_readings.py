@@ -21,7 +21,6 @@ from flowrhythm.errors import (
 from flowrhythm.readings import (
     ReadingStream,
     difference_cumulative,
-    drop_long_gaps,
     parse_stream,
     segment_litres,
     write_stream_csv,
@@ -149,14 +148,6 @@ def test_consecutive_differences_are_exact():
         assert used == float(litres[k + 1]) - float(litres[k])
 
 
-def test_drop_long_gaps():
-    s = make_stream([0, 900, 900 + 3600, 900 + 4500], [0.0, 1.0, 7.0, 8.0])
-    intervals = difference_cumulative(s)
-    kept = drop_long_gaps(intervals)
-    assert kept.litres.tolist() == [1.0, 1.0]
-    assert kept.end_s.tolist() == [900, 900 + 4500]
-
-
 def test_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(11)
     litres = np.cumsum(rng.uniform(0, 3, 50))
@@ -212,7 +203,7 @@ def test_segment_litres_sums_within_counter_segments():
 
 
 def test_writers_match_per_reading_isoformat_across_blocks(tmp_path, monkeypatch):
-    monkeypatch.setattr(readings, "WRITE_BLOCK_ROWS", 7)
+    monkeypatch.setattr(readings, "BLOCK_ROWS", 7)
     rng = np.random.default_rng(21)
     epochs = np.cumsum(rng.integers(1, 10**6, 40)) - 2 * 10**9  # from 1906 on
     s = make_stream(epochs, np.cumsum(rng.uniform(0, 1e4, 40)))
@@ -362,16 +353,25 @@ def test_fast_jsonl_edges_match_row_parser(line, canonical):
     assert outcome(text, "jsonl") == outcome(text, "jsonl", fast=False)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @settings(max_examples=100, deadline=None)
-@given(canonical_rows(), st.integers(1, 3), st.booleans())
-def test_fast_jsonl_blocks_equal_row_parser(rows, block_rows, final_newline):
+@given(rows=canonical_rows(), block_rows=st.integers(1, 3), final_newline=st.booleans(), data=st.data())
+def test_fast_blocks_equal_row_parser(fmt, rows, block_rows, final_newline, data):
     # Blocks of 64 * block_rows bytes hold one or two lines, so most lines
-    # sit at a block edge; the last line may lack its newline.
-    text = jsonl_text(rows)
-    text = text if final_newline else text[:-1]
-    with patch.object(readings, "WRITE_BLOCK_ROWS", block_rows):
-        assert readings._fast_jsonl(text.encode()) is not None
-        assert outcome(text, "jsonl") == outcome(text, "jsonl", fast=False)
+    # sit at a block edge; the last line may lack its newline. A CSV may
+    # have a header, CRLF line ends, and runs of blank lines that fill whole
+    # blocks.
+    if fmt == "jsonl":
+        text = jsonl_text(rows)
+    else:
+        lines = csv_text(rows, data.draw(st.booleans(), label="header")).splitlines()
+        end = data.draw(st.sampled_from(["\n", "\r\n"]), label="line end")
+        runs = data.draw(st.lists(st.sampled_from([0, 0, 1, 200]), min_size=len(lines), max_size=len(lines)))
+        text = "".join(line + end * (1 + run) for line, run in zip(lines, runs))
+    text = text if final_newline else text.rstrip("\r\n")
+    with patch.object(readings, "BLOCK_ROWS", block_rows):
+        assert getattr(readings, f"_fast_{fmt}")(text.encode()) is not None
+        assert outcome(text, fmt) == outcome(text, fmt, fast=False)
 
 
 @pytest.mark.parametrize("number, canonical", [

@@ -76,6 +76,13 @@ def test_grid_rejects_span_not_multiple_of_twelve():
         FrequencyGrid.for_window(250.0)
 
 
+@pytest.mark.parametrize("hours", [12.0, 36.0, 60.0])
+def test_grid_rejects_span_that_is_not_whole_days(hours):
+    # 1/12 cycles/hour would land on these grids, but 1/24 would not.
+    with pytest.raises(InvalidConfig, match="multiple of 24 h"):
+        FrequencyGrid.for_window(hours)
+
+
 def test_index_of_period_off_grid():
     with pytest.raises(PeriodNotOnGrid):
         GRID10.index_of_period(13.0)
