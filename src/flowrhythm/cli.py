@@ -25,9 +25,18 @@ from .errors import ConfigError, DataError, FlowRhythmError, InvalidConfig
 from .exclusions import load_calendar
 from .pipeline import readings_to_days
 from .readings import read_stream, segment_litres, write_stream_csv, write_stream_jsonl
-from .spectral import write_periodogram_csv, write_periodogram_sidecar
+from .spectral import (
+    ESTIMATORS,
+    NORMALIZATIONS,
+    TARGET_PERIODS_HOURS,
+    write_periodogram_csv,
+    write_periodogram_sidecar,
+)
 from .synth import demo_scenario, generate, load_scenario, scenario_to_json
 from .tracking import (
+    DEFAULT_MIN_VALID_DAYS,
+    DEFAULT_STRIDE_DAYS,
+    DEFAULT_WINDOW_DAYS,
     WindowConfig,
     compute_window_periodograms,
     write_intensity_csv,
@@ -267,15 +276,22 @@ def _add_calendar(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_window_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window-days", type=int, default=10, help="window length in days")
-    parser.add_argument("--stride-days", type=int, default=1, help="window step in days")
     parser.add_argument(
-        "--min-valid-days", type=int, default=8,
+        "--window-days", type=int, default=DEFAULT_WINDOW_DAYS, help="window length in days"
+    )
+    parser.add_argument(
+        "--stride-days", type=int, default=DEFAULT_STRIDE_DAYS, help="window step in days"
+    )
+    parser.add_argument(
+        "--min-valid-days", type=int, default=DEFAULT_MIN_VALID_DAYS,
         help="valid days needed to emit a window (default %(default)s)",
     )
-    parser.add_argument("--periods", default="12,24", help="target periods in hours (default 12,24)")
-    parser.add_argument("--estimator", choices=("classic", "ls"), default="ls")
-    parser.add_argument("--normalization", choices=("raw", "variance"), default="raw")
+    parser.add_argument(
+        "--periods", default=",".join(f"{p:g}" for p in TARGET_PERIODS_HOURS),
+        help="target periods in hours (default %(default)s)",
+    )
+    parser.add_argument("--estimator", choices=sorted(ESTIMATORS), default="ls")
+    parser.add_argument("--normalization", choices=NORMALIZATIONS, default="raw")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -383,10 +383,18 @@ def parse_stream(source, fmt: str = "csv", source_id: str = "") -> ReadingStream
             # str.splitlines; the "x" stands in for the bad byte's line.
             line_no = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
             raise MalformedRow(line_no, f"not UTF-8 text: {exc.reason}") from None
-        rows = list(parse_rows(text))
-        if not rows:
+        # Typed buffers, not a tuple of Python objects per row. The import
+        # stays on this path: loading array adds about 70 KB to any process.
+        from array import array
+        lines, epoch, litres = array("q"), array("q"), array("d")
+        for line_no, t, value in parse_rows(text):
+            lines.append(line_no)
+            epoch.append(t)
+            litres.append(value)
+        if not epoch:
             raise EmptyInput("no readings found")
-        lines, epoch, litres = (np.array(col) for col in zip(*rows))
+        lines, epoch = np.frombuffer(lines, np.int64), np.frombuffer(epoch, np.int64)
+        litres = np.frombuffer(litres, np.float64)
         bad = np.flatnonzero(np.diff(epoch) <= 0)
         if len(bad):
             raise NonMonotonicTimestamp(int(lines[bad[0] + 1]))

@@ -58,12 +58,12 @@ __all__ = [
 # 15-minute sampling supports nothing above 2 cycles/hour.
 NYQUIST_CPH = 2.0
 # The two behavioural periodicities tracked by default.
-TARGET_PERIODS_HOURS = (24.0, 12.0)
+TARGET_PERIODS_HOURS = (12.0, 24.0)
 # The shortest and longest period on every window grid.
 SHORTEST_PERIOD_HOURS = 4.0
 LONGEST_PERIOD_HOURS = 120.0
 
-_NORMALIZATIONS = ("raw", "variance")
+NORMALIZATIONS = ("raw", "variance")
 
 
 @dataclass(frozen=True)
@@ -193,9 +193,9 @@ class Periodogram:
 
 
 def _check_normalization(normalization: str) -> None:
-    if normalization not in _NORMALIZATIONS:
+    if normalization not in NORMALIZATIONS:
         raise InvalidConfig(
-            f"normalization must be one of {_NORMALIZATIONS}, got {normalization!r}"
+            f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}"
         )
 
 

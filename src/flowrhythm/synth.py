@@ -132,6 +132,8 @@ class ScenarioConfig:
         lo, hi = self.jitter
         if not (isinstance(lo, int) and isinstance(hi, int) and 0 <= lo <= hi):
             raise InvalidConfig(f"jitter must be integer seconds with 0 <= lo <= hi, got {self.jitter}")
+        if hi - lo >= 2**32:
+            raise InvalidConfig(f"jitter must have hi - lo < 2**32 seconds, got {self.jitter}")
         object.__setattr__(self, "jitter", (lo, hi))
         if not (math.isfinite(self.dropout_rate) and 0 <= self.dropout_rate < 1):
             raise InvalidConfig(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
@@ -256,9 +258,17 @@ def generate(cfg: ScenarioConfig) -> ReadingStream:
     ``initial_litres``; subsequent readings follow at 15 minutes plus
     per-step jitter, up to and including local midnight after ``cfg.end``.
     Dropout suppresses the reading but never the volume, which accrues
-    into the next surviving reading. Jitter, noise, and dropout draws are
-    consumed unconditionally in a fixed per-step order, so equal seeds
-    give bit-identical streams.
+    into the next surviving reading. Equal seeds give bit-identical streams.
+
+    Each step draws, in this order and unconditionally, from one PCG64
+    generator seeded with ``cfg.seed``, exactly the values of
+    ``rng.integers(lo, hi + 1)``, ``rng.standard_normal()`` and
+    ``rng.random()``:
+
+    - the jitter, by Lemire's bounded-integer rule on 32-bit halves of raw
+      outputs, low half first (no draw when ``lo == hi``);
+    - the usage noise, by ``rng.standard_normal()`` itself;
+    - the dropout uniform, from one raw output ``r`` as ``(r >> 11) * 2**-53``.
 
     Parameters
     ----------
@@ -274,24 +284,7 @@ def generate(cfg: ScenarioConfig) -> ReadingStream:
     t_start = int(datetime.combine(cfg.start, time(0), tz).timestamp())
     t_end = int(datetime.combine(cfg.end + timedelta(days=1), time(0), tz).timestamp())
     lo, hi = cfg.jitter
-
-    rng = np.random.default_rng(cfg.seed)
-    # Every step advances at least 900 + lo seconds, which bounds the count.
-    most = (t_end - t_start) // (900 + lo)
-    times = np.empty(most, dtype=np.int64)
-    noises = np.empty(most)
-    draws = np.empty(most)
-    n, t = 0, t_start
-    while True:
-        step = int(rng.integers(lo, hi + 1))
-        noise = float(rng.standard_normal())
-        drop = float(rng.random())
-        t += 900 + step
-        if t > t_end:
-            break
-        times[n], noises[n], draws[n] = t, noise, drop
-        n += 1
-    t, noises, draws = times[:n], noises[:n], draws[:n]
+    t, noises, draws = _draw_steps(cfg.seed, lo, hi, t_start, t_end)
 
     if cfg.daily_pattern is not None:
         tone = cfg.daily_pattern
@@ -317,6 +310,55 @@ def generate(cfg: ScenarioConfig) -> ReadingStream:
     epochs = np.concatenate([[t_start], t])[kept]
     litres = counter[kept]
     return ReadingStream(epochs, litres, source_id=f"synthetic:{cfg.seed}")
+
+
+def _draw_steps(
+    seed: int, lo: int, hi: int, t_start: int, t_end: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw 15-minute steps from ``t_start`` while they end by ``t_end``.
+
+    Returns each step's end time (900 s plus its jitter after the previous
+    one), its noise and its dropout uniform, drawn as :func:`generate`
+    describes. The first step past ``t_end`` is drawn too, and discarded.
+    """
+    rng = np.random.default_rng(seed)
+    raw, normal = rng.bit_generator.random_raw, rng.standard_normal
+    # These draws reproduce numpy's own routines bit for bit from raw PCG64
+    # output, at a fraction of the cost of a scalar rng.integers call:
+    # buffered_bounded_lemire_uint32 over PCG64's next_uint32 (the low half of
+    # a raw output first, the high half kept for the next call) for the
+    # jitter, which numpy uses while hi - lo < 2**32 (ScenarioConfig's bound),
+    # and next_double for the dropout uniform. The golden demo digest, the
+    # per-step oracle test and the draw-level test pin them.
+    span = hi - lo + 1
+    threshold = (2**32 - span) % span
+    high = -1  # the kept high half, or -1 when none is kept
+    # Every step advances at least 900 + lo seconds, which bounds the count.
+    most = (t_end - t_start) // (900 + lo)
+    times = np.empty(most, dtype=np.int64)
+    noises = np.empty(most)
+    raws = np.empty(most, dtype=np.uint64)
+    n, t = 0, t_start
+    while True:
+        step = lo
+        if span > 1:
+            while True:
+                if high < 0:
+                    r = raw()
+                    m, high = (r & 0xFFFFFFFF) * span, r >> 32
+                else:
+                    m, high = high * span, -1
+                if m & 0xFFFFFFFF >= threshold:
+                    break
+            step += m >> 32
+        noise = normal()
+        drop = raw()
+        t += 900 + step
+        if t > t_end:
+            break
+        times[n], noises[n], raws[n] = t, noise, drop
+        n += 1
+    return times[:n], noises[:n], (raws[:n] >> 11) * 2.0**-53
 
 
 def _day_number(d: date) -> int:

@@ -195,6 +195,15 @@ def test_missing_scenario_exits_two(tmp_path, capsys):
     assert "absent.json" in capsys.readouterr().err
 
 
+def test_simulate_jitter_span_of_2_to_the_32_or_more_exits_two(tmp_path, capsys):
+    # 2**63 is past numpy's int64 bound too: it must fail as a config error.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**FLAT_SCENARIO, "jitter": [0, 2**63]}))
+    rc = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "jitter" in capsys.readouterr().err
+
+
 def test_missing_readings_exits_two(tmp_path):
     rc = main(["ingest", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "x")])
     assert rc == 2

@@ -15,6 +15,7 @@ from flowrhythm.pipeline import clean_intervals, readings_to_days
 from flowrhythm.readings import (
     DEFAULT_MAX_GAP,
     ReadingStream,
+    _fast_csv,
     read_stream,
     segment_litres,
     write_stream_csv,
@@ -101,3 +102,27 @@ def test_reading_and_binning_a_long_stream_stay_in_a_bounded_working_set(tmp_pat
     assert len(stream) == n and days.retained.sum() > 700
     assert read_peak <= path.stat().st_size + 64 * n + 2**20
     assert bin_peak <= 88 * n + 2**20
+
+
+def test_row_parser_keeps_typed_buffers_not_a_tuple_per_reading(tmp_path):
+    # Sub-second stamps make the fast path decline the file, so the row
+    # parser reads it. It holds the file, its decoded text (the same size for
+    # ASCII) and the text's lines, about 100 bytes each, while it collects
+    # 24 bytes per reading; a tuple of Python objects per reading would cost
+    # about 150 bytes more.
+    n = 20_000
+    rng = np.random.default_rng(5)
+    epochs = 1_600_000_000 + np.cumsum(rng.integers(900, 960, n))
+    path = tmp_path / "readings.csv"
+    write_stream_csv(ReadingStream(epochs, np.cumsum(rng.uniform(0.0, 5.0, n))), path)
+    path.write_text(path.read_text().replace("+00:00,", ".0+00:00,"))
+    size = path.stat().st_size
+    assert _fast_csv(path.read_bytes()) is None
+    tracemalloc.start()
+    try:
+        stream = read_stream(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.epoch_s.tolist() == epochs.tolist()
+    assert peak <= 2 * size + 160 * n + 2**20

@@ -12,6 +12,7 @@ from flowrhythm.pipeline import readings_to_days
 from flowrhythm.synth import (
     PureTone,
     ScenarioConfig,
+    _draw_steps,
     default_templates,
     demo_scenario,
     generate,
@@ -170,6 +171,8 @@ def test_scenario_rejects_unknown_keys():
         {"timezone": "Mars/Olympus"},
         {"jitter": (5, 2)},
         {"jitter": (-1, 3)},
+        {"jitter": (0, 2**32)},
+        {"jitter": (0, 9223372036854775807)},
         {"dropout_rate": 1.0},
         {"noise_sd": -0.1},
         {"seed": -1},
@@ -244,9 +247,34 @@ def per_step_generate(cfg):
                    noise_sd=3.0, initial_litres=12.5, jitter=(0, 400)),
     ScenarioConfig(date(2020, 11, 1), date(2020, 11, 3), "America/New_York", seed=2,
                    noise_sd=0.5, jitter=(0, 0), daily_pattern=PureTone(24.0, 4.0)),
-], ids=["dublin-vacation-dropout", "lord-howe-noisy", "tone"])
+    ScenarioConfig(date(2021, 3, 10), date(2021, 3, 17), "America/New_York", seed=2026,
+                   noise_sd=0.8, jitter=(1, 30), dropout_rate=0.02),
+], ids=["dublin-vacation-dropout", "lord-howe-noisy", "tone", "new-york-dst-dropout"])
 def test_generate_matches_per_step_oracle_bit_for_bit(cfg):
     epochs, litres = per_step_generate(cfg)
     stream = generate(cfg)
     assert stream.epoch_s.tolist() == epochs
     assert [v.hex() for v in stream.litres.tolist()] == [v.hex() for v in litres]
+
+
+@pytest.mark.parametrize("span", [1, 2, 30, 401, 2**31 + 1, 2**32])
+def test_draws_equal_numpys_integers_normal_random_triple(span):
+    # At span 2**31 + 1 about half of all jitter draws are rejected and
+    # redrawn, so kept and fresh 32-bit halves alternate irregularly.
+    # lo >= span - 1 keeps the preallocated step count, which assumes the
+    # shortest step throughout, within twice the count drawn.
+    for seed, lo in [(0, span - 1), (7, span), (20170909, 3 * span)]:
+        hi = lo + span - 1
+        t_end = 10_000 * (900 + hi)  # at least 10,000 steps
+        times, noises, uniforms = _draw_steps(seed, lo, hi, 0, t_end)
+        rng = np.random.default_rng(seed)
+        expected = [
+            (int(rng.integers(lo, hi + 1)), rng.standard_normal(), rng.random())
+            for _ in range(len(times) + 1)
+        ]
+        steps = np.diff(times, prepend=0) - 900
+        assert len(times) >= 10_000
+        assert int(times[-1]) + 900 + expected[-1][0] > t_end
+        assert steps.tolist() == [e[0] for e in expected[:-1]]
+        assert noises.tolist() == [e[1] for e in expected[:-1]]
+        assert uniforms.tolist() == [e[2] for e in expected[:-1]]

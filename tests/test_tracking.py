@@ -382,10 +382,10 @@ def test_point_order_is_window_major(tmp_path, day_run_factory):
     heads = [(r[0], r[1]) for r in track(tmp_path, days)[:4]]
     second = (START + timedelta(days=1)).isoformat()
     assert heads == [
-        (START.isoformat(), "24.0"),
         (START.isoformat(), "12.0"),
-        (second, "24.0"),
+        (START.isoformat(), "24.0"),
         (second, "12.0"),
+        (second, "24.0"),
     ]
 
 
@@ -442,7 +442,7 @@ def test_window_config_defaults():
     assert cfg.window_days == 10
     assert cfg.stride_days == 1
     assert cfg.min_valid_days == 8
-    assert cfg.target_periods == (24.0, 12.0)
+    assert cfg.target_periods == (12.0, 24.0)
     assert cfg.window_hours == 240.0
 
 
