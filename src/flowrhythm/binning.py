@@ -29,7 +29,7 @@ import logging
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, tzinfo
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -45,7 +45,9 @@ __all__ = [
     "BinnedDay",
     "DayMatrix",
     "DayProfile",
+    "bin_blocks",
     "bin_intervals",
+    "local_clock",
     "local_seconds",
     "profile",
     "write_profile_csv",
@@ -120,29 +122,37 @@ class DayMatrix:
         return cls(first, values, retained)
 
 
-def local_seconds(epoch_s: np.ndarray, tz: tzinfo) -> np.ndarray:
-    """Local wall-clock seconds since 1970-01-01 00:00 for UTC epoch seconds.
+def local_clock(tz: tzinfo) -> Callable[[np.ndarray], np.ndarray]:
+    """A function from UTC epoch seconds to local wall-clock seconds since
+    1970-01-01 00:00 in tz, for streams converted block by block.
 
-    The instants are converted in blocks of BLOCK_ROWS. The UTC offset is
-    looked up once per distinct UTC day edge: at the start of each day
-    holding an instant and at the start of the next day. Only a day whose
-    two edges differ holds a transition; its instants are resolved the same
-    way per UTC hour, and only an hour whose two edges differ is resolved
-    instant by instant. A lookup is made once per call, however many blocks
-    share its instant. So the result equals `datetime.fromtimestamp(t, tz)`
-    read as a wall clock, provided an offset changes at most once per UTC
-    day.
+    The UTC offset is looked up once per distinct UTC day edge: at the start
+    of each day holding an instant and at the start of the next day. Only a
+    day whose two edges differ holds a transition; its instants are resolved
+    the same way per UTC hour, and only an hour whose two edges differ is
+    resolved instant by instant. Lookups are memoised across calls, so each
+    is made once however many blocks share its instant. So the result equals
+    `datetime.fromtimestamp(t, tz)` read as a wall clock, provided an offset
+    changes at most once per UTC day.
     """
-    epoch_s = np.asarray(epoch_s, dtype=np.int64)
-    local = np.empty_like(epoch_s)
 
     @functools.cache
     def offset_at(t: int) -> int:
         return int(datetime.fromtimestamp(t, tz).utcoffset().total_seconds())
 
+    def local(epoch_s: np.ndarray) -> np.ndarray:
+        return epoch_s + _offsets(epoch_s, offset_at, (86400, 3600))
+
+    return local
+
+
+def local_seconds(epoch_s: np.ndarray, tz: tzinfo) -> np.ndarray:
+    """Local wall-clock seconds for UTC epoch seconds, converted by one
+    local_clock in blocks of BLOCK_ROWS."""
+    epoch_s = np.asarray(epoch_s, dtype=np.int64)
+    local, to_local = np.empty_like(epoch_s), local_clock(tz)
     for a in range(0, len(epoch_s), BLOCK_ROWS):
-        block = epoch_s[a : a + BLOCK_ROWS]
-        np.add(block, _offsets(block, offset_at, (86400, 3600)), out=local[a : a + BLOCK_ROWS])
+        local[a : a + BLOCK_ROWS] = to_local(epoch_s[a : a + BLOCK_ROWS])
     return local
 
 
@@ -176,69 +186,74 @@ def _lookup(t: np.ndarray, offset_at) -> np.ndarray:
     return np.array([offset_at(s) for s in t.tolist()], dtype=np.int64)
 
 
-def _day_slots(end_s: np.ndarray, tz: tzinfo) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct local days (days since 1970-01-01, ascending) the instants
-    end_s fall on, and each instant's slot: row * SLOTS_PER_DAY + slot of the
-    day, where row indexes those days.
-
-    The slots are worked out in place in one array; a run of days no instant
-    falls on takes no rows.
-    """
-    slot = local_seconds(end_s, tz)
-    first = int(slot.min()) // 86400
-    slot -= first * 86400
-    slot //= SLOT_MINUTES * 60
-    day = slot // SLOTS_PER_DAY
-    observed = np.zeros(int(day.max()) + 1, dtype=bool)
-    observed[day] = True
-    day -= (np.cumsum(observed) - 1)[day]
-    day *= SLOTS_PER_DAY
-    slot -= day
-    return first + np.flatnonzero(observed), slot
-
-
 def bin_intervals(
     intervals: Intervals,
     tz: tzinfo = UTC,
     min_valid_slots: int = DEFAULT_MIN_VALID_SLOTS,
 ) -> DayMatrix:
-    """Bin intervals into the local day and slot of their closing instant.
+    """Bin intervals into the local day and slot of their closing instant,
+    as bin_blocks does, in blocks of BLOCK_ROWS intervals."""
+    end_s, litres = intervals.end_s, intervals.litres
+    if not len(end_s):
+        return DayMatrix.from_days([])
+    blocks = (
+        (end_s[a : a + BLOCK_ROWS], litres[a : a + BLOCK_ROWS]) for a in range(0, len(end_s), BLOCK_ROWS)
+    )
+    return bin_blocks(blocks, int(end_s.min()), int(end_s.max()), tz, min_valid_slots)
 
-    Litres closing in the same slot add up in interval order; slots no
-    interval closes in are Missing (NaN). Days with fewer than
+
+def bin_blocks(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+    first_s: int,
+    last_s: int,
+    tz: tzinfo = UTC,
+    min_valid_slots: int = DEFAULT_MIN_VALID_SLOTS,
+) -> DayMatrix:
+    """Bin blocks of (closing instant, litres) arrays into the local day and
+    slot of each instant; every instant lies in [first_s, last_s].
+
+    Litres closing in the same slot add up in block and interval order;
+    slots no interval closes in are Missing (NaN). Days with fewer than
     min_valid_slots observed slots (outages, stream edges) are dropped with
     a warning; they would distort profiles and windows more than their few
     observations are worth. Dropped days and days no interval closes on are
     all-NaN rows that are not retained; with no retained day the matrix has
     no rows.
+
+    The sums go into one array of every slot from the local day before
+    first_s's UTC day to the day after last_s's, which holds every local day
+    a UTC offset of less than a day can reach; the result is a slice of it.
     """
-    if not len(intervals):
-        return DayMatrix.from_days([])
-    days, slot = _day_slots(intervals.end_s, tz)
-    size = len(days) * SLOTS_PER_DAY
-    # bincount adds the weights in input order, as a per-slot running sum would.
-    bins = np.bincount(slot, weights=intervals.litres, minlength=size).reshape(-1, SLOTS_PER_DAY)
-    missing = np.bincount(slot, minlength=size).reshape(-1, SLOTS_PER_DAY) == 0
-    del slot
-    bins[missing] = np.nan
-    keep = SLOTS_PER_DAY - np.count_nonzero(missing, axis=1) >= min_valid_slots
-    if not keep.all():
-        dropped = [d.isoformat() for d in days[~keep].astype("datetime64[D]").tolist()]
+    first = first_s // 86400 - 1
+    size = (last_s // 86400 + 2 - first) * SLOTS_PER_DAY
+    sums, seen = np.zeros(size), np.zeros(size, dtype=bool)
+    to_local = local_clock(tz)
+    for end_s, litres in blocks:
+        slot = to_local(end_s)
+        slot -= first * 86400
+        slot //= SLOT_MINUTES * 60
+        # add.at adds in index order, one value at a time, as a per-slot
+        # running sum across the blocks does.
+        np.add.at(sums, slot, litres)
+        seen[slot] = True
+    sums, seen = sums.reshape(-1, SLOTS_PER_DAY), seen.reshape(-1, SLOTS_PER_DAY)
+    sums[~seen] = np.nan
+    observed = np.count_nonzero(seen, axis=1)
+    keep = observed >= max(min_valid_slots, 1)
+    dropped = np.flatnonzero((observed > 0) & ~keep)
+    if len(dropped):
         log.warning(
             "dropped %d day(s) with fewer than %d observed slots: %s",
             len(dropped),
             min_valid_slots,
-            ", ".join(dropped),
+            ", ".join((_EPOCH + timedelta(days=int(first + d))).isoformat() for d in dropped),
         )
-    kept = days[keep]
-    if not len(kept):
+    rows = np.flatnonzero(keep)
+    if not len(rows):
         return DayMatrix.from_days([])
-    rows = kept - kept[0]
-    values = np.full((rows[-1] + 1, SLOTS_PER_DAY), np.nan)
-    values[rows] = bins[keep]
-    retained = np.zeros(len(values), dtype=bool)
-    retained[rows] = True
-    return DayMatrix(_EPOCH + timedelta(days=int(kept[0])), values, retained)
+    values, retained = sums[rows[0] : rows[-1] + 1], keep[rows[0] : rows[-1] + 1]
+    values[~retained] = np.nan
+    return DayMatrix(_EPOCH + timedelta(days=int(first + rows[0])), values, retained)
 
 
 @dataclass(frozen=True)

@@ -5,52 +5,68 @@ decrease is not usage, so no interval straddles a meter reset; and the
 volume accumulated across an outage cannot be placed within it, so an
 interval longer than DEFAULT_MAX_GAP is dropped rather than masquerade as a
 burst, and the slots it covers stay Missing.
+
+A stream is cleaned and binned in blocks of BLOCK_ROWS readings. Neighbouring
+blocks share the reading at their edge, which closes the last interval of
+one and opens the first of the next.
 """
 
 from __future__ import annotations
 
 import logging
 from datetime import tzinfo
+from typing import Iterator
 
 import numpy as np
 
-from .binning import DEFAULT_MIN_VALID_SLOTS, UTC, DayMatrix, bin_intervals
-from .readings import DEFAULT_MAX_GAP, Intervals, ReadingStream
+from .binning import DEFAULT_MIN_VALID_SLOTS, UTC, DayMatrix, bin_blocks
+from .readings import BLOCK_ROWS, DEFAULT_MAX_GAP, Intervals, ReadingStream
 
 log = logging.getLogger(__name__)
 
 
-def clean_intervals(stream: ReadingStream) -> Intervals:
-    """Difference a raw stream into usage intervals within counter segments,
-    dropping outage spans.
+def _clean_blocks(stream: ReadingStream) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(start_s, end_s, litres) of the kept intervals, block by block.
 
-    Without a drop the intervals are views of the stream plus the
-    differences; otherwise each array is copied once, through one keep mask.
+    Once the last block has been taken, the counter decreases and the
+    outage intervals of the whole stream are logged, one warning each.
     """
-    diffs = np.diff(stream.litres)
-    keep = diffs >= 0
-    if not keep.all():
+    resets, outages = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for a in range(0, len(stream) - 1, BLOCK_ROWS):
+        epoch = stream.epoch_s[a : a + BLOCK_ROWS + 1]
+        diffs = np.diff(stream.litres[a : a + BLOCK_ROWS + 1])
+        keep = diffs >= 0
+        resets.append(np.flatnonzero(~keep) + a + 1)
+        long = np.diff(epoch) > DEFAULT_MAX_GAP.total_seconds()
+        long &= keep
+        outages.append(diffs[long])
+        keep &= ~long
+        yield epoch[:-1][keep], epoch[1:][keep], diffs[keep]
+    resets, outages = np.concatenate(resets), np.concatenate(outages)
+    if len(resets):
         log.warning(
             "cumulative counter decreases at reading index(es) %s (source %r); "
             "no interval spans a decrease",
-            (np.flatnonzero(~keep) + 1).tolist(),
+            resets.tolist(),
             stream.source_id,
         )
-    long = np.diff(stream.epoch_s) > DEFAULT_MAX_GAP.total_seconds()
-    long &= keep
-    if long.any():
+    if len(outages):
         log.warning(
             "discarded %d interval(s) longer than %s covering %.3f litres; "
             "the affected slots stay missing",
-            int(np.count_nonzero(long)),
+            len(outages),
             DEFAULT_MAX_GAP,
-            float(diffs[long].sum()),
+            float(outages.sum()),
         )
-        keep &= ~long
-    start, end = stream.epoch_s[:-1], stream.epoch_s[1:]
-    if keep.all():
-        return Intervals(start, end, diffs)
-    return Intervals(start[keep], end[keep], diffs[keep])
+
+
+def clean_intervals(stream: ReadingStream) -> Intervals:
+    """Difference a raw stream into usage intervals within counter segments,
+    dropping outage spans."""
+    blocks = list(zip(*_clean_blocks(stream)))
+    if not blocks:
+        return Intervals(np.empty(0), np.empty(0), np.empty(0))
+    return Intervals(*(np.concatenate(arrays) for arrays in blocks))
 
 
 def readings_to_days(
@@ -59,4 +75,7 @@ def readings_to_days(
     min_valid_slots: int = DEFAULT_MIN_VALID_SLOTS,
 ) -> DayMatrix:
     """Full cleaning and binning chain for one household stream."""
-    return bin_intervals(clean_intervals(stream), tz, min_valid_slots)
+    if len(stream) < 2:
+        return DayMatrix.from_days([])
+    blocks = ((end_s, litres) for _, end_s, litres in _clean_blocks(stream))
+    return bin_blocks(blocks, int(stream.epoch_s[1]), int(stream.epoch_s[-1]), tz, min_valid_slots)

@@ -52,9 +52,10 @@ NOMINAL_PERIOD = timedelta(minutes=15)
 # Gaps longer than three nominal periods are treated as outages: the volume
 # accumulated across the gap is discarded rather than attributed to one bin.
 DEFAULT_MAX_GAP = timedelta(minutes=45)
-# Readings handled per step of every block loop: parsing, timestamp
-# decoding, zone offset lookup and writing. A long stream's text and scratch
-# arrays are never held in memory whole.
+# Readings handled per step of every block loop: reading and parsing a
+# file, generating, cleaning, binning, zone offset lookup and writing. A
+# long stream's scratch arrays are never held in memory whole, nor is its
+# text, unless the row parser reads it.
 BLOCK_ROWS = 1 << 12
 
 
@@ -135,6 +136,11 @@ _CSV_HEADER = b"timestamp,cumulative_litres"
 # a length no canonical timestamp (20 or 25 bytes) has, so it cannot pass.
 _STAMP = "S26"
 _CSV_ROW = np.dtype([("ts", _STAMP), ("litres", np.float64)])
+# A canonical CSV is ASCII without these bytes, which loadtxt and the row
+# parser read differently: NUL would end a fixed-width stamp early,
+# str.splitlines ends a line at \x0b, \x0c and \x1c-\x1e (and at the
+# non-ASCII \x85, \u2028 and \u2029), and float() does not strip \x1f.
+_CSV_DECLINED = (b"\x00", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
@@ -188,59 +194,67 @@ def _decode_timestamps(b: np.ndarray) -> np.ndarray | None:
     return seconds - offset
 
 
-def _fast_blocks(data: bytes, start: int, parse_block) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of data[start:] parsed block by block, or None
-    unless parse_block takes every block and the rows are clean and
+def _chunks(fh) -> Iterator[bytes]:
+    """The rest of a binary file in blocks of whole lines.
+
+    Each block is the next 64 * BLOCK_ROWS bytes run on to the end of the
+    line they stop in: about BLOCK_ROWS of the writers' 40-80 byte lines.
+    Only the last block may lack a final newline.
+    """
+    while block := fh.read(64 * BLOCK_ROWS):
+        block += fh.readline()
+        yield block
+
+
+def _fast_blocks(fh, parse_block) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch_s, litres) of the rest of a binary file parsed block by block,
+    or None unless parse_block takes every block and the rows are clean and
     time-ordered.
 
-    Each block runs on from the last to the first line end at least
-    64 * BLOCK_ROWS bytes further, so it holds whole lines: about BLOCK_ROWS
-    of the writers' 40-80 byte lines. Its rows go straight into two arrays
-    allocated once, with room for one row per line.
+    A first pass counts the lines, so the rows go straight into two arrays
+    allocated once, with room for one row per line; the file is never held
+    whole.
     """
-    lines = data.count(b"\n", start) + 1
+    start = fh.tell()
+    lines = sum(block.count(b"\n") for block in _chunks(fh)) + 1
+    fh.seek(start)
     epoch, litres = np.empty(lines, dtype=np.int64), np.empty(lines, dtype=np.float64)
     n = 0
-    while start < len(data):
-        stop = data.find(b"\n", start + 64 * BLOCK_ROWS)
-        stop = len(data) if stop < 0 else stop + 1
-        rows = parse_block(data, start, stop)
+    for block in _chunks(fh):
+        rows = parse_block(block)
         if rows is None:
             return None
         m = len(rows[0])
         epoch[n : n + m], litres[n : n + m] = rows
         n += m
-        start = stop
     epoch, litres = epoch[:n], litres[:n]
     if not n or not np.all(np.isfinite(litres) & (litres >= 0)) or np.any(np.diff(epoch) <= 0):
         return None
     return epoch, litres
 
 
-def _fast_csv(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of a canonical CSV, or None to leave it to the row parser.
+def _fast_csv(fh) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch_s, litres) of a canonical CSV file, or None to leave it to the row parser.
 
     Canonical is an optional `timestamp,cumulative_litres` header, then rows
     of a canonical timestamp and a finite, non-negative number; empty lines
     are skipped, as the row parser skips them.
     """
-    # A NUL byte would end a fixed-width stamp early.
-    if b"\x00" in data:
-        return None
-    end = data.find(b"\n")
-    end = len(data) if end < 0 else end
-    header = data[:end].rstrip(b"\r") == _CSV_HEADER
-    return _fast_blocks(data, end + 1 if header else 0, _csv_block)
+    first = fh.readline()
+    if first.removesuffix(b"\n").rstrip(b"\r") != _CSV_HEADER:
+        fh.seek(0)
+    return _fast_blocks(fh, _csv_block)
 
 
-def _csv_block(data: bytes, start: int, stop: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of the canonical CSV rows in data[start:stop], else None.
+def _csv_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch_s, litres) of a block of canonical CSV rows, else None.
 
     loadtxt skips lines of nothing but line ends and rejects a line with one
     column; a block without a comma holds no row, so it never reaches
     loadtxt, which would warn that the block holds no data.
     """
-    block = data[start:stop]
+    if not block.isascii() or any(byte in block for byte in _CSV_DECLINED):
+        return None
     if b"," not in block:
         return None if block.strip(b"\r\n") else (np.empty(0, dtype=np.int64), np.empty(0))
     try:
@@ -266,25 +280,25 @@ _NUMBER_BYTES = np.zeros(256, dtype=bool)
 _NUMBER_BYTES[list(b"0123456789+-.eE")] = True
 
 
-def _fast_jsonl(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of JSONL in the writer's layout, or None to leave it to the row parser.
+def _fast_jsonl(fh) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch_s, litres) of a JSONL file in the writer's layout, or None to leave it to the row parser.
 
     Every line must read `{"ts": "<stamp>", "litres_total": <number>}` with
     a canonical stamp and nothing else. The lines are checked as arrays, in
     blocks of about BLOCK_ROWS lines, with no Python loop over them.
     """
-    return _fast_blocks(data, 0, _jsonl_block)
+    return _fast_blocks(fh, _jsonl_block)
 
 
-def _jsonl_block(data: bytes, start: int, stop: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of data[start:stop], whole lines in the writer's JSONL layout, else None.
+def _jsonl_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch_s, litres) of a block of whole lines in the writer's JSONL layout, else None.
 
     The literals are compared at their fixed offsets, the stamps decoded by
     _decode_timestamps, and the numbers parsed by one json.loads of a JSON
     array, so JSON's own number grammar decides. Only int and float values
     that a float holds are taken.
     """
-    buf = np.frombuffer(data, np.uint8, stop - start, start)
+    buf = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     if not len(ends) or ends[-1] != len(buf) - 1:
         ends = np.append(ends, len(buf))  # a last line without a newline
@@ -372,10 +386,34 @@ def parse_stream(source, fmt: str = "csv", source_id: str = "") -> ReadingStream
     """
     if fmt not in _PARSERS:
         raise ValueError(f"unknown stream format {fmt!r}")
-    fast, parse_rows = _PARSERS[fmt]
     raw = source if isinstance(source, (bytes, str)) else source.read()
-    parsed = fast(raw if isinstance(raw, bytes) else raw.encode("utf-8", "surrogatepass"))
+    data = raw if isinstance(raw, bytes) else raw.encode("utf-8", "surrogatepass")
+    return _parse(io.BytesIO(data), fmt, source_id, raw)
+
+
+def read_stream(path: str | Path) -> ReadingStream:
+    """Read a stream file; `.jsonl` and `.ndjson` files are JSONL, others CSV.
+
+    The fast path reads the file block by block; only the row parser reads
+    it whole.
+    """
+    p = Path(path)
+    fmt = "jsonl" if p.suffix.lower() in {".jsonl", ".ndjson"} else "csv"
+    with open(p, "rb") as fh:
+        return _parse(fh, fmt, str(p))
+
+
+def _parse(fh, fmt: str, source_id: str, raw: bytes | str | None = None) -> ReadingStream:
+    """The readings in a seekable binary file, as parse_stream describes.
+
+    The row parser reads `raw`, the whole input, or else the whole file.
+    """
+    fast, parse_rows = _PARSERS[fmt]
+    parsed = fast(fh)
     if parsed is None:
+        if raw is None:
+            fh.seek(0)
+            raw = fh.read()
         try:
             text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
         except UnicodeDecodeError as exc:
@@ -465,13 +503,6 @@ def _parse_jsonl_rows(text: str) -> Iterator[tuple[int, int, float]]:
 
 # Format -> (array fast path, row parser).
 _PARSERS = {"csv": (_fast_csv, _parse_csv_rows), "jsonl": (_fast_jsonl, _parse_jsonl_rows)}
-
-
-def read_stream(path: str | Path) -> ReadingStream:
-    """Read a stream file; `.jsonl` and `.ndjson` files are JSONL, others CSV."""
-    p = Path(path)
-    fmt = "jsonl" if p.suffix.lower() in {".jsonl", ".ndjson"} else "csv"
-    return parse_stream(p.read_bytes(), fmt, source_id=str(p))
 
 
 # --- cleaning ------------------------------------------------------------------

@@ -15,13 +15,14 @@ from datetime import date, datetime, time, timedelta
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
-from .binning import SLOTS_PER_DAY, local_seconds
+from .binning import SLOTS_PER_DAY, local_clock
 from .errors import InvalidConfig
-from .readings import ReadingStream
+from .readings import BLOCK_ROWS, ReadingStream
 
 _SCENARIO_KEYS = {
     "start",
@@ -284,42 +285,50 @@ def generate(cfg: ScenarioConfig) -> ReadingStream:
     t_start = int(datetime.combine(cfg.start, time(0), tz).timestamp())
     t_end = int(datetime.combine(cfg.end + timedelta(days=1), time(0), tz).timestamp())
     lo, hi = cfg.jitter
-    t, noises, draws = _draw_steps(cfg.seed, lo, hi, t_start, t_end)
-
-    if cfg.daily_pattern is not None:
-        tone = cfg.daily_pattern
-        phase = 2.0 * math.pi * ((t - t_start) / 3600.0) / tone.period_hours
-        # math.cos per step: np.cos need not round the same in the last bit.
-        base = tone.amplitude * (1.0 + np.array([math.cos(p) for p in phase.tolist()]))
-    else:
-        local_day, second = np.divmod(local_seconds(t, tz), 86400)
-        templates = np.array(
-            (cfg.weekday_template,) * 5 + (cfg.saturday_template, cfg.sunday_template)
-        )
-        # 1970-01-01 was a Thursday, weekday 3.
-        base = templates[(local_day + 3) % 7, second // 900]
-        vacation = np.zeros(len(t), dtype=bool)
-        for first, last in cfg.vacations:
-            vacation |= (local_day >= _day_number(first)) & (local_day <= _day_number(last))
-        base[vacation] = cfg.vacation_level
-    usage = base + cfg.noise_sd * noises
-    usage = np.where(usage > 0.0, usage, 0.0)  # as max(0.0, usage): -0.0 becomes 0.0
-    # cumsum adds in sequence, exactly as a running counter += usage does.
-    counter = np.cumsum(np.concatenate([[float(cfg.initial_litres)], usage]))
-    kept = np.concatenate([[True], draws >= cfg.dropout_rate])
-    epochs = np.concatenate([[t_start], t])[kept]
-    litres = counter[kept]
-    return ReadingStream(epochs, litres, source_id=f"synthetic:{cfg.seed}")
+    # Every step advances at least 900 + lo seconds, which bounds the count.
+    most = 1 + (t_end - t_start) // (900 + lo)
+    epochs, litres = np.empty(most, dtype=np.int64), np.empty(most)
+    total = float(cfg.initial_litres)
+    epochs[0], litres[0], n = t_start, total, 1
+    to_local = local_clock(tz)
+    templates = np.array((cfg.weekday_template,) * 5 + (cfg.saturday_template, cfg.sunday_template))
+    vacations = [(_day_number(first), _day_number(last)) for first, last in cfg.vacations]
+    for t, noises, draws in _draw_steps(cfg.seed, lo, hi, t_start, t_end):
+        if cfg.daily_pattern is not None:
+            tone = cfg.daily_pattern
+            phase = 2.0 * math.pi * ((t - t_start) / 3600.0) / tone.period_hours
+            # math.cos per step: np.cos need not round the same in the last bit.
+            base = tone.amplitude * (1.0 + np.array([math.cos(p) for p in phase.tolist()]))
+        else:
+            local_day, second = np.divmod(to_local(t), 86400)
+            # 1970-01-01 was a Thursday, weekday 3.
+            base = templates[(local_day + 3) % 7, second // 900]
+            vacation = np.zeros(len(t), dtype=bool)
+            for first, last in vacations:
+                vacation |= (local_day >= first) & (local_day <= last)
+            base[vacation] = cfg.vacation_level
+        usage = base + cfg.noise_sd * noises
+        usage = np.where(usage > 0.0, usage, 0.0)  # as max(0.0, usage): -0.0 becomes 0.0
+        # cumsum adds in sequence, exactly as a running counter += usage does.
+        usage[0] += total
+        counter = np.cumsum(usage, out=usage)
+        total = counter[-1]
+        kept = draws >= cfg.dropout_rate
+        m = int(np.count_nonzero(kept))
+        epochs[n : n + m], litres[n : n + m] = t[kept], counter[kept]
+        n += m
+    return ReadingStream(epochs[:n], litres[:n], source_id=f"synthetic:{cfg.seed}")
 
 
 def _draw_steps(
     seed: int, lo: int, hi: int, t_start: int, t_end: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Draw 15-minute steps from ``t_start`` while they end by ``t_end``.
 
-    Returns each step's end time (900 s plus its jitter after the previous
+    Yields each step's end time (900 s plus its jitter after the previous
     one), its noise and its dropout uniform, drawn as :func:`generate`
-    describes. The first step past ``t_end`` is drawn too, and discarded.
+    describes, in blocks of ``BLOCK_ROWS`` steps. The first step past
+    ``t_end`` is drawn too, and discarded.
     """
     rng = np.random.default_rng(seed)
     raw, normal = rng.bit_generator.random_raw, rng.standard_normal
@@ -333,32 +342,31 @@ def _draw_steps(
     span = hi - lo + 1
     threshold = (2**32 - span) % span
     high = -1  # the kept high half, or -1 when none is kept
-    # Every step advances at least 900 + lo seconds, which bounds the count.
-    most = (t_end - t_start) // (900 + lo)
-    times = np.empty(most, dtype=np.int64)
-    noises = np.empty(most)
-    raws = np.empty(most, dtype=np.uint64)
-    n, t = 0, t_start
+    t = t_start
     while True:
-        step = lo
-        if span > 1:
-            while True:
-                if high < 0:
-                    r = raw()
-                    m, high = (r & 0xFFFFFFFF) * span, r >> 32
-                else:
-                    m, high = high * span, -1
-                if m & 0xFFFFFFFF >= threshold:
-                    break
-            step += m >> 32
-        noise = normal()
-        drop = raw()
-        t += 900 + step
-        if t > t_end:
-            break
-        times[n], noises[n], raws[n] = t, noise, drop
-        n += 1
-    return times[:n], noises[:n], (raws[:n] >> 11) * 2.0**-53
+        times, noises = np.empty(BLOCK_ROWS, dtype=np.int64), np.empty(BLOCK_ROWS)
+        raws = np.empty(BLOCK_ROWS, dtype=np.uint64)
+        for n in range(BLOCK_ROWS):
+            step = lo
+            if span > 1:
+                while True:
+                    if high < 0:
+                        r = raw()
+                        m, high = (r & 0xFFFFFFFF) * span, r >> 32
+                    else:
+                        m, high = high * span, -1
+                    if m & 0xFFFFFFFF >= threshold:
+                        break
+                step += m >> 32
+            noise = normal()
+            drop = raw()
+            t += 900 + step
+            if t > t_end:
+                if n:
+                    yield times[:n], noises[:n], (raws[:n] >> 11) * 2.0**-53
+                return
+            times[n], noises[n], raws[n] = t, noise, drop
+        yield times, noises, (raws >> 11) * 2.0**-53
 
 
 def _day_number(d: date) -> int:

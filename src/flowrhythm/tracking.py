@@ -241,15 +241,17 @@ def write_intensity_csv(
 def write_overlay_csv(
     pairs: Sequence[tuple[AnalysisWindow, Periodogram | None]], path: str | Path
 ) -> None:
-    """Write every window's full periodogram as one long-format CSV."""
-    lines = ["window_start,frequency_cph,period_hours,power"]
+    """Write every window's full periodogram as one long-format CSV, a
+    window at a time, so the file's text is never held whole."""
     grid = cells = None
-    for window, pg in pairs:
-        if pg is None:
-            continue
-        if pg.grid is not grid:  # every window of a run shares one grid
-            grid = pg.grid
-            cells = [f",{f!r},{1.0 / f!r}," for f in grid.frequencies_cph.tolist()]
-        start = window.start_date.isoformat()
-        lines += [start + cell + repr(power) for cell, power in zip(cells, pg.power.tolist())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("window_start,frequency_cph,period_hours,power\n")
+        for window, pg in pairs:
+            if pg is None:
+                continue
+            if pg.grid is not grid:  # every window of a run shares one grid
+                grid = pg.grid
+                cells = [f",{f!r},{1.0 / f!r}," for f in grid.frequencies_cph.tolist()]
+            start = window.start_date.isoformat()
+            rows = zip(cells, pg.power.tolist())
+            fh.write("".join([start + cell + repr(power) + "\n" for cell, power in rows]))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from datetime import date, datetime, timedelta, timezone, tzinfo
 from functools import lru_cache
+from unittest.mock import patch
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -22,8 +23,11 @@ from flowrhythm.binning import (
     write_profile_csv,
 )
 import flowrhythm
+from flowrhythm import binning, synth
 from flowrhythm.errors import NoMatchingDays
-from flowrhythm.readings import Intervals
+from flowrhythm.pipeline import readings_to_days
+from flowrhythm.readings import Intervals, ReadingStream
+from flowrhythm.synth import ScenarioConfig
 
 UTC = timezone.utc
 DUBLIN = ZoneInfo("Europe/Dublin")
@@ -223,6 +227,27 @@ def test_bin_intervals_matches_astimezone_oracle(case, min_valid_slots):
     assert np.isnan(days.values[~days.retained]).all()
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, 7])
+def test_slot_sums_run_across_block_edges_in_interval_order(block_rows):
+    # Up to a few hundred intervals close in each slot, with litres over nine
+    # decades, so a slot summed per block and then added up would differ in
+    # its last bits. (Differences of one cumulative counter share a grid and
+    # add up exactly in any order.)
+    rng = np.random.default_rng(13)
+    ends = midnight(MON) + np.cumsum(rng.integers(1, 60, 5000))
+    intervals = Intervals(ends - 1, ends, rng.uniform(0, 1, 5000) * 10.0 ** rng.integers(-6, 3, 5000))
+    whole = bin_intervals(intervals, DUBLIN, min_valid_slots=0)
+    with patch.object(binning, "BLOCK_ROWS", block_rows):
+        blocks = bin_intervals(intervals, DUBLIN, min_valid_slots=0)
+    assert blocks.first == whole.first and blocks.retained.tolist() == whole.retained.tolist()
+    assert blocks.values.tobytes() == whole.values.tobytes()
+    running = {}  # per-slot running sums in interval order; Dublin keeps UTC in March
+    for k, litres in zip(((ends - midnight(MON)) // 900).tolist(), intervals.litres.tolist()):
+        running[k] = running.get(k, 0.0) + litres
+    assert whole.first == MON
+    assert {k: whole.values.flat[k] for k in running} == running
+
+
 def test_local_seconds_resolves_instants_inside_a_transition_hour():
     # Lord Howe Island moves its clocks by 30 minutes at 02:00 local, which
     # is inside a UTC hour: every second around it must match astimezone.
@@ -354,6 +379,25 @@ def test_binning_leaves_numpy_ma_unimported():
     if after_numpy == "True":
         pytest.skip("this numpy imports numpy.ma with numpy itself")
     assert after_binning == "False"
+
+
+def test_block_by_block_conversion_looks_up_no_more_offsets():
+    # Binning and generation convert instants a block at a time, sharing one
+    # memo: no more lookups than one local_seconds call over every instant.
+    rng = np.random.default_rng(12)
+    t = int(datetime(2020, 10, 1, tzinfo=UTC).timestamp()) + np.cumsum(900 + rng.integers(0, 30, 20_000))
+    whole, blocks = CountingZone("America/New_York"), CountingZone("America/New_York")
+    local_seconds(t[1:], whole)
+    readings_to_days(ReadingStream(t, np.arange(len(t), dtype=float)), blocks)
+    assert 0 < blocks.lookups <= whole.lookups
+
+    cfg = ScenarioConfig(date(2020, 10, 1), date(2021, 3, 31), "America/New_York", seed=5)
+    generated = CountingZone(cfg.timezone)
+    with patch.object(synth, "ZoneInfo", lambda key: generated):
+        stream = synth.generate(cfg)
+    whole = CountingZone(cfg.timezone)
+    local_seconds(stream.epoch_s[1:], whole)
+    assert 0 < generated.lookups <= whole.lookups
 
 
 def brute_force_profile(days, weekdays, std_kind="population"):

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowrhythm
 from flowrhythm.cli import _sha256_file, main
 
 # sha256 of readings.csv from the packaged demo scenario; pinned because the
@@ -40,6 +44,18 @@ def test_simulate_demo_golden_digest(tmp_path):
     assert sha(out / "readings.csv") == GOLDEN_DEMO_DIGEST
     assert (out / "calendar.txt").exists()
     assert (out / "manifest.json").exists()
+
+
+def test_main_module_runs_the_cli_only_as_a_script():
+    # pydoc and other tools import flowrhythm.__main__; that must not run the CLI.
+    env = dict(os.environ, PYTHONPATH=str(Path(flowrhythm.__file__).resolve().parents[1]))
+
+    def run(*args):
+        done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    assert run("-c", "import flowrhythm.__main__") == (0, "", "")
+    assert run("-m", "flowrhythm", "--version") == (0, f"flowrhythm {flowrhythm.__version__}\n", "")
 
 
 def test_simulate_seed_override_changes_output(tmp_path):

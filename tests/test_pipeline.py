@@ -1,16 +1,20 @@
-"""The cleaning and binning chain: its litres ledger on messy streams, and its memory."""
+"""The cleaning and binning chain: its litres ledger on messy streams, its block
+edges, and the memory that reading, binning and generating a long stream take."""
 
 import math
 import tracemalloc
 from collections import defaultdict
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
+from unittest.mock import patch
 from zoneinfo import ZoneInfo
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import day_rows
+from flowrhythm import pipeline
 from flowrhythm.pipeline import clean_intervals, readings_to_days
 from flowrhythm.readings import (
     DEFAULT_MAX_GAP,
@@ -20,7 +24,9 @@ from flowrhythm.readings import (
     segment_litres,
     write_stream_csv,
 )
+from flowrhythm.synth import ScenarioConfig, generate
 
+DUBLIN = ZoneInfo("Europe/Dublin")
 ZONES = ("Europe/Dublin", "America/New_York", "Australia/Lord_Howe", "Asia/Kolkata", "UTC")
 
 
@@ -69,6 +75,45 @@ def test_litres_balance_through_cleaning_and_binning(case, min_valid_slots):
         assert len(closing[day]) >= min_valid_slots
 
 
+def dublin_clock_changes_stream() -> ReadingStream:
+    """Four days around Dublin's 2021 spring-forward day, then four around
+    its fall-back hour, with a counter reset at reading 14 and an outage
+    closing at reading 28; 14 and 28 are block edges for 1, 2 and 7 rows.
+    Bursts of readings a minute apart put up to 14 intervals in one slot,
+    so a slot's sum runs across block edges."""
+    rng = np.random.default_rng(8)
+    spring, autumn = (int(datetime(2021, m, d, tzinfo=timezone.utc).timestamp()) for m, d in ((3, 26), (10, 29)))
+    steps = 900 + rng.integers(0, 30, 4 * 96)
+    steps[100:114] = steps[200:214] = 60
+    epochs = np.concatenate([spring + np.cumsum(steps), autumn + np.cumsum(steps)])
+    epochs[28:] += 7200
+    litres = np.cumsum(rng.uniform(0.0, 5.0, len(epochs)))
+    litres[14:] -= litres[14] - 0.5
+    return ReadingStream(epochs, litres, "clock-changes")
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7])
+def test_block_edges_leave_days_and_warnings_unchanged(caplog, block_rows):
+    stream = dublin_clock_changes_stream()
+
+    def run():
+        caplog.clear()
+        days = readings_to_days(stream, DUBLIN)
+        return days, [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+
+    whole, whole_log = run()
+    with patch.object(pipeline, "BLOCK_ROWS", block_rows):
+        blocks, blocks_log = run()
+    assert [message.split()[0] for _, _, message in whole_log] == ["cumulative", "discarded", "dropped"]
+    assert "[14]" in whole_log[0][2] and date(2021, 3, 28).isoformat() in whole_log[2][2]
+    assert blocks_log == whole_log
+    assert blocks.first == whole.first
+    assert blocks.values.tobytes() == whole.values.tobytes()
+    assert blocks.retained.tolist() == whole.retained.tolist()
+    # The fall-back day is kept; its repeated hour adds into four slots.
+    assert whole.retained[(date(2021, 10, 31) - whole.first).days]
+
+
 def test_clean_intervals_drops_long_gaps():
     s = ReadingStream(np.array([0, 900, 900 + 3600, 900 + 4500]), np.array([0.0, 1.0, 7.0, 8.0]), "t")
     kept = clean_intervals(s)
@@ -78,9 +123,10 @@ def test_clean_intervals_drops_long_gaps():
 
 def test_reading_and_binning_a_long_stream_stay_in_a_bounded_working_set(tmp_path):
     # numpy reports its buffers to tracemalloc, so the traced peak counts
-    # every array. Past the file's own bytes, parsing keeps about 16 bytes
-    # per reading and cleaning plus binning a few arrays of 8 bytes per
-    # interval; the scratch space of each block loop fits in the 1 MiB.
+    # every array. Parsing keeps the stream's 16 bytes per reading and never
+    # the whole file; cleaning plus binning keep 9 bytes per slot of the day
+    # matrix, about one slot per reading. The scratch space of each block
+    # loop fits in the 1 MiB.
     n = 70_000
     rng = np.random.default_rng(3)
     epochs = 1_600_000_000 + np.cumsum(rng.integers(900, 960, n))
@@ -100,8 +146,24 @@ def test_reading_and_binning_a_long_stream_stay_in_a_bounded_working_set(tmp_pat
     finally:
         tracemalloc.stop()
     assert len(stream) == n and days.retained.sum() > 700
-    assert read_peak <= path.stat().st_size + 64 * n + 2**20
-    assert bin_peak <= 88 * n + 2**20
+    assert read_peak <= 32 * n + 2**20
+    assert bin_peak <= 32 * n + 2**20
+
+
+def test_generating_a_multi_year_stream_stays_in_a_bounded_working_set():
+    # Generation holds the stream's 16 bytes per reading, allocated for the
+    # shortest steps throughout, and one block of draws and scratch arrays;
+    # it makes no array of the whole run besides.
+    cfg = ScenarioConfig(date(2016, 1, 1), date(2018, 12, 31), "America/New_York", seed=6,
+                         noise_sd=0.8, dropout_rate=0.01, vacations=((date(2017, 7, 1), date(2017, 7, 20)),))
+    tracemalloc.start()
+    try:
+        stream = generate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stream) > 100_000
+    assert peak <= 48 * len(stream) + 2**20
 
 
 def test_row_parser_keeps_typed_buffers_not_a_tuple_per_reading(tmp_path):
@@ -117,7 +179,8 @@ def test_row_parser_keeps_typed_buffers_not_a_tuple_per_reading(tmp_path):
     write_stream_csv(ReadingStream(epochs, np.cumsum(rng.uniform(0.0, 5.0, n))), path)
     path.write_text(path.read_text().replace("+00:00,", ".0+00:00,"))
     size = path.stat().st_size
-    assert _fast_csv(path.read_bytes()) is None
+    with open(path, "rb") as fh:
+        assert _fast_csv(fh) is None
     tracemalloc.start()
     try:
         stream = read_stream(path)

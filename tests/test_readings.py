@@ -1,7 +1,11 @@
 import contextlib
+import io
 import json
 import math
+import sys
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -22,6 +26,7 @@ from flowrhythm.readings import (
     ReadingStream,
     difference_cumulative,
     parse_stream,
+    read_stream,
     segment_litres,
     write_stream_csv,
     write_stream_jsonl,
@@ -221,13 +226,34 @@ def test_writers_match_per_reading_isoformat_across_blocks(tmp_path, monkeypatch
 # --- array fast path against the row parser ---------------------------------------
 
 
+def fast_path(text: str, fmt: str = "csv"):
+    """What the array fast path makes of text: (epoch_s, litres), or None."""
+    return getattr(readings, f"_fast_{fmt}")(io.BytesIO(text.encode()))
+
+
 def outcome(text: str, fmt: str = "csv", fast: bool = True):
     """What parse_stream makes of text: the stream's bits, or the error."""
+    return parsed(lambda: parse_stream(text, fmt), fmt, fast)
+
+
+def file_outcome(data: bytes, fmt: str, fast: bool = True):
+    """What read_stream makes of a file holding data: the stream's bits, or the error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"readings.{fmt}"
+        path.write_bytes(data)
+        return parsed(lambda: read_stream(path), fmt, fast)
+
+
+def parsed(parse, fmt: str, fast: bool):
+    """The bits of the stream parse() returns, or its error; with fast=False
+    the fast path declines every input, so the row parser reads it."""
     with contextlib.ExitStack() as stack:
         if not fast:
-            stack.enter_context(patch.object(readings, f"_fast_{fmt}", return_value=None))
+            # The parsers find their fast path in _PARSERS, not as a module attribute.
+            declined = (lambda fh: None, readings._PARSERS[fmt][1])
+            stack.enter_context(patch.dict(readings._PARSERS, {fmt: declined}))
         try:
-            s = parse_stream(text, fmt)
+            s = parse()
         except Exception as exc:  # every error type must agree, not just DataError
             return type(exc), str(exc)
     return s.epoch_s.tolist(), [v.hex() for v in s.litres.tolist()]
@@ -276,7 +302,7 @@ def jsonl_text(rows) -> str:
 @given(canonical_rows(), st.booleans())
 def test_fast_csv_equals_row_parser_on_canonical_input(rows, header):
     text = csv_text(rows, header)
-    assert readings._fast_csv(text.encode()) is not None  # the fast path took it
+    assert fast_path(text) is not None  # the fast path took it
     assert outcome(text) == outcome(text, fast=False)
 
 
@@ -284,11 +310,11 @@ def test_fast_csv_equals_row_parser_on_canonical_input(rows, header):
 @given(canonical_rows())
 def test_fast_jsonl_equals_row_parser_on_canonical_input(rows):
     text = jsonl_text(rows)
-    assert readings._fast_jsonl(text.encode()) is not None
+    assert fast_path(text, "jsonl") is not None
     assert outcome(text, "jsonl") == outcome(text, "jsonl", fast=False)
 
 
-MUTANTS = list("0123456789-:T+Z zt.,\"'\t\x00\x0b\r\n") + ["é", "١", " ", "24", "60", "nan", "-1", "1_0"]
+MUTANTS = list("0123456789-:T+Z zt.,\"'\t\x00\x0b\x0c\x1c\x1f\x85\r\n") + ["é", "١", " ", "24", "60", "nan", "-1", "1_0"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -331,8 +357,18 @@ def test_mutated_jsonl_gets_the_row_parsers_outcome(rows, data):
 ])
 def test_fast_path_edges_match_row_parser(text, canonical):
     line = f"{text},1.5\n"
-    assert (readings._fast_csv(line.encode()) is not None) == canonical
+    assert (fast_path(line) is not None) == canonical
     assert outcome(line) == outcome(line, fast=False)
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"])
+def test_csv_bytes_loadtxt_reads_differently_go_to_the_row_parser(char):
+    # str.splitlines ends a line at each of these but \x1f, which float()
+    # does not strip; loadtxt would read 2021-03-01T00:00:00Z,1.0.
+    text = f"2021-03-01T00:00:00Z,{char}1.0\n2021-03-01T00:15:00Z,2.0\n"
+    assert fast_path(text) is None
+    assert outcome(text) == outcome(text, fast=False)
+    assert outcome(text)[0] is MalformedRow
 
 
 @pytest.mark.parametrize("line, canonical", [
@@ -349,18 +385,32 @@ def test_fast_path_edges_match_row_parser(text, canonical):
 ])
 def test_fast_jsonl_edges_match_row_parser(line, canonical):
     text = line + "\n"
-    assert (readings._fast_jsonl(text.encode()) is not None) == canonical
+    assert (fast_path(text, "jsonl") is not None) == canonical
     assert outcome(text, "jsonl") == outcome(text, "jsonl", fast=False)
+
+
+# A defect in a line of the second half of a file, which sits in a later
+# chunk than the first line: (kind, what the line becomes).
+DEFECTS = {
+    "nul": lambda line: line[:3] + b"\x00" + line[3:],
+    "non-utf-8": lambda line: line[:3] + b"\xff" + line[3:],
+    "malformed": lambda line: line.replace(b"-", b"/", 1),
+}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @settings(max_examples=100, deadline=None)
-@given(rows=canonical_rows(), block_rows=st.integers(1, 3), final_newline=st.booleans(), data=st.data())
-def test_fast_blocks_equal_row_parser(fmt, rows, block_rows, final_newline, data):
-    # Blocks of 64 * block_rows bytes hold one or two lines, so most lines
-    # sit at a block edge; the last line may lack its newline. A CSV may
-    # have a header, CRLF line ends, and runs of blank lines that fill whole
-    # blocks.
+@given(
+    rows=canonical_rows(), block_rows=st.integers(1, 3), final_newline=st.booleans(),
+    defect=st.sampled_from([None, *DEFECTS]), data=st.data(),
+)
+def test_fast_blocks_equal_row_parser(fmt, rows, block_rows, final_newline, defect, data):
+    # Chunks of 64 * block_rows bytes hold one or two lines, so most lines
+    # sit at a chunk edge, and a CRLF or a run of blank lines is often split
+    # across one; the last line may lack its newline. A CSV may have a
+    # header, CRLF line ends, and runs of blank lines that fill whole chunks.
+    # Parsed from a string and read from a file, the text must give the row
+    # parser's stream, or its error at the defect's line.
     if fmt == "jsonl":
         text = jsonl_text(rows)
     else:
@@ -369,9 +419,22 @@ def test_fast_blocks_equal_row_parser(fmt, rows, block_rows, final_newline, data
         runs = data.draw(st.lists(st.sampled_from([0, 0, 1, 200]), min_size=len(lines), max_size=len(lines)))
         text = "".join(line + end * (1 + run) for line, run in zip(lines, runs))
     text = text if final_newline else text.rstrip("\r\n")
+    lines = text.encode().split(b"\n")
+    if defect is not None:
+        # A data row of the second half: the last rows - rows // 2 lines that are not blank.
+        later = [i for i, line in enumerate(lines) if line.strip()][len(rows) // 2 - len(rows) :]
+        at = data.draw(st.sampled_from(later))
+        lines[at] = DEFECTS[defect](lines[at])
+    raw = b"\n".join(lines)
     with patch.object(readings, "BLOCK_ROWS", block_rows):
-        assert getattr(readings, f"_fast_{fmt}")(text.encode()) is not None
-        assert outcome(text, fmt) == outcome(text, fmt, fast=False)
+        if defect is None:
+            assert fast_path(text, fmt) is not None
+            assert outcome(text, fmt) == outcome(text, fmt, fast=False)
+        expected = file_outcome(raw, fmt, fast=False)
+        assert file_outcome(raw, fmt) == expected
+    # Python 3.10's csv module raises its own error at a NUL.
+    if defect is not None and not (defect == "nul" and fmt == "csv" and sys.version_info < (3, 11)):
+        assert expected[0] is MalformedRow and expected[1].startswith(f"row {at + 1}: ")
 
 
 @pytest.mark.parametrize("number, canonical", [
@@ -400,7 +463,7 @@ def test_fast_jsonl_numbers_match_row_parser(number, canonical):
         '{"ts": "2021-03-01T00:00:00Z", "litres_total": 0.5}\n'
         f'{{"ts": "2021-03-01T00:15:00+00:00", "litres_total": {number}}}\n'
     )
-    assert (readings._fast_jsonl(text.encode()) is not None) == canonical
+    assert (fast_path(text, "jsonl") is not None) == canonical
     assert outcome(text, "jsonl") == outcome(text, "jsonl", fast=False)
 
 
@@ -421,7 +484,7 @@ def test_fast_jsonl_numbers_match_row_parser(number, canonical):
     '',
 ])
 def test_other_jsonl_layouts_go_to_the_row_parser(text):
-    assert readings._fast_jsonl(text.encode()) is None
+    assert fast_path(text, "jsonl") is None
     assert outcome(text, "jsonl") == outcome(text, "jsonl", fast=False)
 
 

@@ -261,12 +261,10 @@ def test_generate_matches_per_step_oracle_bit_for_bit(cfg):
 def test_draws_equal_numpys_integers_normal_random_triple(span):
     # At span 2**31 + 1 about half of all jitter draws are rejected and
     # redrawn, so kept and fresh 32-bit halves alternate irregularly.
-    # lo >= span - 1 keeps the preallocated step count, which assumes the
-    # shortest step throughout, within twice the count drawn.
     for seed, lo in [(0, span - 1), (7, span), (20170909, 3 * span)]:
         hi = lo + span - 1
         t_end = 10_000 * (900 + hi)  # at least 10,000 steps
-        times, noises, uniforms = _draw_steps(seed, lo, hi, 0, t_end)
+        times, noises, uniforms = map(np.concatenate, zip(*_draw_steps(seed, lo, hi, 0, t_end)))
         rng = np.random.default_rng(seed)
         expected = [
             (int(rng.integers(lo, hi + 1)), rng.standard_normal(), rng.random())
