@@ -57,6 +57,12 @@ DEFAULT_MAX_GAP = timedelta(minutes=45)
 # long stream's scratch arrays are never held in memory whole, nor is its
 # text, unless the row parser reads it.
 BLOCK_ROWS = 1 << 12
+# The instants a stream may hold, 0001-01-02T00:00:00Z to
+# 9999-12-30T23:59:59Z, in epoch seconds. A day inside datetime's years 1-9999
+# at each end keeps a reading's local date in those years in every zone
+# (offsets stay under a day), and gives every written stamp a four-digit year.
+FIRST_EPOCH_S, LAST_EPOCH_S = -62_135_510_400, 253_402_214_399
+_EPOCH_RANGE = "0001-01-02T00:00:00Z to 9999-12-30T23:59:59Z"
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,8 @@ class ReadingStream:
         if len(epoch) and np.any(np.diff(epoch) <= 0):
             bad = int(np.argmax(np.diff(epoch) <= 0)) + 1
             raise NonMonotonicTimestamp(bad, "timestamps must strictly increase")
+        if len(epoch) and not (FIRST_EPOCH_S <= epoch[0] and epoch[-1] <= LAST_EPOCH_S):
+            raise ValueError(f"timestamps must lie within {_EPOCH_RANGE}")
         if np.any(litres < 0) or not np.all(np.isfinite(litres)):
             raise ValueError("cumulative litres must be finite and >= 0")
         epoch.setflags(write=False)
@@ -230,6 +238,8 @@ def _fast_blocks(fh, parse_block) -> tuple[np.ndarray, np.ndarray] | None:
     epoch, litres = epoch[:n], litres[:n]
     if not n or not np.all(np.isfinite(litres) & (litres >= 0)) or np.any(np.diff(epoch) <= 0):
         return None
+    if epoch[0] < FIRST_EPOCH_S or epoch[-1] > LAST_EPOCH_S:
+        return None
     return epoch, litres
 
 
@@ -341,19 +351,19 @@ def _jsonl_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     return epoch, litres
 
 
-def _parse_timestamp(text: str) -> datetime:
-    """ISO-8601 with offset; 'Z' accepted. Sub-second digits are rounded."""
+def _parse_timestamp(text: str) -> int:
+    """Epoch seconds of ISO-8601 with offset; 'Z' accepted. Sub-second
+    digits are rounded. The instant must lie within the stream range."""
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
     dt = datetime.fromisoformat(cleaned)
     if dt.tzinfo is None:
         raise ValueError("timestamp lacks a UTC offset")
-    return dt
-
-
-def _epoch(dt: datetime) -> int:
-    return int(round(dt.timestamp()))
+    epoch = int(round(dt.timestamp()))
+    if not FIRST_EPOCH_S <= epoch <= LAST_EPOCH_S:
+        raise ValueError(f"instant outside {_EPOCH_RANGE}")
+    return epoch
 
 
 def _is_header(fields: list[str]) -> bool:
@@ -455,14 +465,17 @@ def _parse_csv_rows(text: str) -> Iterator[tuple[int, int, float]]:
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
-        fields = next(csv.reader([raw]))
+        try:
+            fields = next(csv.reader([raw]))
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise MalformedRow(line_no, f"bad CSV row: {exc}") from None
         if first_data_row and _is_header(fields):
             first_data_row = False
             continue
         if len(fields) != 2:
             raise MalformedRow(line_no, f"expected 2 columns, got {len(fields)}")
         try:
-            dt = _parse_timestamp(fields[0])
+            epoch = _parse_timestamp(fields[0])
         except ValueError as exc:
             raise MalformedRow(line_no, f"bad timestamp {fields[0]!r}: {exc}")
         try:
@@ -472,7 +485,7 @@ def _parse_csv_rows(text: str) -> Iterator[tuple[int, int, float]]:
         if not np.isfinite(value) or value < 0:
             raise MalformedRow(line_no, f"cumulative value {value!r} out of range")
         first_data_row = False
-        yield line_no, _epoch(dt), value
+        yield line_no, epoch, value
 
 
 def _parse_jsonl_rows(text: str) -> Iterator[tuple[int, int, float]]:
@@ -486,7 +499,7 @@ def _parse_jsonl_rows(text: str) -> Iterator[tuple[int, int, float]]:
         if not isinstance(obj, dict) or "ts" not in obj or "litres_total" not in obj:
             raise MalformedRow(line_no, "object must have keys 'ts' and 'litres_total'")
         try:
-            dt = _parse_timestamp(str(obj["ts"]))
+            epoch = _parse_timestamp(str(obj["ts"]))
         except ValueError as exc:
             raise MalformedRow(line_no, f"bad timestamp {obj['ts']!r}: {exc}")
         value = obj["litres_total"]
@@ -498,7 +511,7 @@ def _parse_jsonl_rows(text: str) -> Iterator[tuple[int, int, float]]:
             raise MalformedRow(line_no, "litres_total is too large for a float")
         if not np.isfinite(value) or value < 0:
             raise MalformedRow(line_no, f"litres_total {value!r} out of range")
-        yield line_no, _epoch(dt), value
+        yield line_no, epoch, value
 
 
 # Format -> (array fast path, row parser).
@@ -538,28 +551,100 @@ def segment_litres(stream: ReadingStream) -> float:
 # --- writing -------------------------------------------------------------------
 
 
-def _blocks(stream: ReadingStream) -> Iterator[Iterator[tuple[str, float]]]:
-    """(UTC timestamp, litres) pairs, one iterator per block of readings.
+# "00".."99" as two ASCII digits each, indexed by value.
+_TWO_DIGITS = np.array([divmod(k, 10) for k in range(100)], dtype=np.uint8) + ord("0")
+# A written stamp, YYYY-MM-DDTHH:MM:SS+00:00, before its digits go in.
+_STAMP_FRAME = b"0000-00-00T00:00:00+00:00"
+# Bytes held for one value's repr: the longest finite double's,
+# -1.7976931348623157e+308, fills them all.
+_VALUE_BYTES = 24
 
-    The writers append a +00:00 offset to the timestamp, as
-    datetime.isoformat does in UTC, and write litres by repr, which
-    round-trips exactly, so parsing a written file reproduces the stream.
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, run): which keys start a run of equal neighbours, and each
+    key's run number."""
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first, np.cumsum(first) - 1
+
+
+def _put_stamps(out: np.ndarray, epoch: np.ndarray) -> None:
+    """Write the digits of each sorted epoch's UTC stamp into the rows of
+    `out`, an (n, 25) view of _STAMP_FRAME copies.
+
+    The date is worked out once per day that changes, the inverse of
+    _decode_timestamps: days since 1970-01-01 to a proleptic Gregorian date,
+    counting years from March so that the leap day ends the year.
     """
-    for a in range(0, len(stream), BLOCK_ROWS):
-        block = slice(a, a + BLOCK_ROWS)
-        stamps = np.datetime_as_string(stream.epoch_s[block].astype("datetime64[s]"))
-        yield zip(stamps.tolist(), stream.litres[block].tolist())
+    days, seconds = np.divmod(epoch, 86400)
+    first, run = _runs(days)
+    era, doe = np.divmod(days[first] + 719468, 146097)
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
+    mp = (5 * doy + 2) // 153
+    month = np.where(mp < 10, mp + 3, mp - 9)
+    year = era * 400 + yoe + (month <= 2)
+    date = np.empty((len(year), 10), dtype=np.uint8)
+    date[:, 0:2], date[:, 2:4] = _TWO_DIGITS[year // 100], _TWO_DIGITS[year % 100]
+    date[:, 4] = date[:, 7] = ord("-")
+    date[:, 5:7], date[:, 8:10] = _TWO_DIGITS[month], _TWO_DIGITS[doy - (153 * mp + 2) // 5 + 1]
+    out[:, :10] = date[run]
+    hour, rest = np.divmod(seconds, 3600)
+    out[:, 11:13], out[:, 14:16] = _TWO_DIGITS[hour], _TWO_DIGITS[rest // 60]
+    out[:, 17:19] = _TWO_DIGITS[rest % 60]
+
+
+def _put_values(out: np.ndarray, litres: np.ndarray) -> None:
+    """Write each value's repr, NUL-padded, into the rows of `out`, an
+    (n, _VALUE_BYTES) view.
+
+    repr round-trips exactly. It is taken once per run of equal values,
+    compared by bit pattern so that -0.0 keeps its own text. The reprs are
+    joined into one string, each ended by a space, and spread over one
+    NUL-padded row per run.
+    """
+    first, run = _runs(litres.view(np.int64))
+    distinct = litres[first].tolist()
+    text = np.frombuffer(" ".join(map(float.__repr__, distinct)).encode() + b" ", dtype=np.uint8)
+    space = text == ord(" ")
+    lengths = np.diff(np.flatnonzero(space), prepend=-1) - 1
+    padded = np.zeros((len(distinct), _VALUE_BYTES), dtype=np.uint8)
+    padded[np.arange(_VALUE_BYTES) < lengths[:, None]] = text[~space]
+    out[:] = padded[run]
+
+
+def _write_rows(
+    stream: ReadingStream, path: str | Path, first_line: bytes, head: bytes, mid: bytes, tail: bytes
+) -> None:
+    """Write first_line, then one line per reading: head, its UTC stamp
+    with a +00:00 offset as datetime.isoformat writes it, mid, the repr of
+    its litres, and tail, which ends the line. Parsing the file reproduces
+    the stream.
+
+    Each block of BLOCK_ROWS readings is laid out as one byte matrix, a row
+    per line with the value's padding in it, and written as one string with
+    the padding masked out.
+    """
+    stamp, value = len(head), len(head) + len(_STAMP_FRAME) + len(mid)
+    rows = np.zeros((BLOCK_ROWS, value + _VALUE_BYTES + len(tail)), dtype=np.uint8)
+    rows[:, :value] = np.frombuffer(head + _STAMP_FRAME + mid, dtype=np.uint8)
+    rows[:, value + _VALUE_BYTES :] = np.frombuffer(tail, dtype=np.uint8)
+    stamps, values = rows[:, stamp : stamp + len(_STAMP_FRAME)], rows[:, value : value + _VALUE_BYTES]
+    with open(path, "wb") as fh:
+        fh.write(first_line)
+        for a in range(0, len(stream), BLOCK_ROWS):
+            n = min(BLOCK_ROWS, len(stream) - a)
+            _put_stamps(stamps[:n], stream.epoch_s[a : a + n])
+            _put_values(values[:n], stream.litres[a : a + n])
+            block = rows[:n]
+            fh.write(block[block != 0])
 
 
 def write_stream_csv(stream: ReadingStream, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("timestamp,cumulative_litres\n")
-        for rows in _blocks(stream):
-            fh.write("".join([f"{t}+00:00,{v!r}\n" for t, v in rows]))
+    _write_rows(stream, path, _CSV_HEADER + b"\n", b"", b",", b"\n")
 
 
 def write_stream_jsonl(stream: ReadingStream, path: str | Path) -> None:
     # The same bytes per line as json.dumps({"ts": ..., "litres_total": ...}).
-    with open(path, "w", encoding="utf-8") as fh:
-        for rows in _blocks(stream):
-            fh.write("".join([f'{{"ts": "{t}+00:00", "litres_total": {v!r}}}\n' for t, v in rows]))
+    _write_rows(stream, path, b"", _JSONL_HEAD.tobytes(), _JSONL_MID.tobytes(), b"}\n")

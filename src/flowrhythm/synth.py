@@ -42,6 +42,13 @@ _SCENARIO_KEYS = {
 }
 
 
+# The first start and last end a scenario may have: a run spans local
+# midnight of its start to local midnight after its end, and with a zone's
+# offset under a day these dates keep it within the instants a stream may hold
+# (0001-01-02T00:00:00Z to 9999-12-30T23:59:59Z, see readings.FIRST_EPOCH_S).
+FIRST_DATE, LAST_DATE = date(1, 1, 3), date(9999, 12, 29)
+
+
 @lru_cache(maxsize=1)
 def default_templates() -> dict:
     """Load the packaged per-day-type usage templates.
@@ -120,6 +127,8 @@ class ScenarioConfig:
             raise InvalidConfig("start and end must be dates")
         if self.end < self.start:
             raise InvalidConfig(f"end {self.end} precedes start {self.start}")
+        if self.start < FIRST_DATE or self.end > LAST_DATE:
+            raise InvalidConfig(f"start and end must lie within {FIRST_DATE} to {LAST_DATE}")
         try:
             ZoneInfo(self.timezone)
         except (ZoneInfoNotFoundError, ValueError) as exc:

@@ -363,3 +363,39 @@ def test_manifest_config_records_every_flag_but_the_paths(tmp_path):
         recorded = manifest["config"]
         assert recorded == config, command
         assert all(type(p) is float for p in recorded.get("periods", []))
+
+
+def test_ingest_csv_field_over_the_csv_modules_limit_exits_three(tmp_path, capsys):
+    # The csv module refuses a field over 131,072 bytes with its own error.
+    readings = tmp_path / "long_field.csv"
+    readings.write_text("timestamp,cumulative_litres\n2021-03-01T00:00:00Z,1.0\n" + "x" * 200_000 + ",2.0\n")
+    assert main(["--json-errors", "ingest", str(readings), "--out", str(tmp_path / "x")]) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "MalformedRow"
+    assert payload["message"].startswith("row 3:")
+
+
+@pytest.mark.parametrize("rows, line", [
+    (["0001-01-01T00:30:00+01:00,1.0", "0001-01-03T00:00:00Z,2.0"], 2),  # year 0 in UTC
+    (["9999-12-30T00:00:00Z,1.0", "9999-12-31T23:00:00-02:00,2.0"], 3),  # year 10000 in UTC
+])
+def test_ingest_instant_outside_the_stream_range_exits_three(tmp_path, capsys, rows, line):
+    readings = tmp_path / "edge.csv"
+    readings.write_text("\n".join(["timestamp,cumulative_litres", *rows]) + "\n")
+    assert main(["--json-errors", "ingest", str(readings), "--out", str(tmp_path / "x")]) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "MalformedRow"
+    assert payload["message"].startswith(f"row {line}:")
+
+
+@pytest.mark.parametrize("dates", [
+    {"start": "9999-12-01", "end": "9999-12-31"},
+    {"start": "0001-01-01", "end": "0001-01-05", "timezone": "Asia/Tokyo"},
+])
+def test_simulate_dates_outside_the_stream_range_exit_two(tmp_path, capsys, dates):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**FLAT_SCENARIO, **dates}))
+    assert main(["--json-errors", "simulate", "--scenario", str(scenario), "--out", str(tmp_path / "x")]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "InvalidConfig"
+    assert "0001-01-03 to 9999-12-29" in payload["message"]

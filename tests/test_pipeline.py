@@ -1,5 +1,6 @@
 """The cleaning and binning chain: its litres ledger on messy streams, its block
-edges, and the memory that reading, binning and generating a long stream take."""
+edges, and the memory that reading, binning, generating and writing a long
+stream take."""
 
 import math
 import tracemalloc
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import day_rows
-from flowrhythm import pipeline
+from flowrhythm import pipeline, readings
 from flowrhythm.pipeline import clean_intervals, readings_to_days
 from flowrhythm.readings import (
     DEFAULT_MAX_GAP,
@@ -23,6 +24,7 @@ from flowrhythm.readings import (
     read_stream,
     segment_litres,
     write_stream_csv,
+    write_stream_jsonl,
 )
 from flowrhythm.synth import ScenarioConfig, generate
 
@@ -121,6 +123,16 @@ def test_clean_intervals_drops_long_gaps():
     assert kept.end_s.tolist() == [900, 900 + 4500]
 
 
+def long_stream(n: int = 70_000) -> ReadingStream:
+    """Two years of jittered readings with an outage and a counter reset."""
+    rng = np.random.default_rng(3)
+    epochs = 1_600_000_000 + np.cumsum(rng.integers(900, 960, n))
+    epochs[n // 2 :] += 7200  # an outage
+    litres = np.cumsum(rng.uniform(0.0, 5.0, n))
+    litres[n // 3 :] -= litres[n // 3] - 1.0  # a counter reset
+    return ReadingStream(epochs, litres)
+
+
 def test_reading_and_binning_a_long_stream_stay_in_a_bounded_working_set(tmp_path):
     # numpy reports its buffers to tracemalloc, so the traced peak counts
     # every array. Parsing keeps the stream's 16 bytes per reading and never
@@ -128,13 +140,8 @@ def test_reading_and_binning_a_long_stream_stay_in_a_bounded_working_set(tmp_pat
     # matrix, about one slot per reading. The scratch space of each block
     # loop fits in the 1 MiB.
     n = 70_000
-    rng = np.random.default_rng(3)
-    epochs = 1_600_000_000 + np.cumsum(rng.integers(900, 960, n))
-    epochs[n // 2 :] += 7200  # an outage
-    litres = np.cumsum(rng.uniform(0.0, 5.0, n))
-    litres[n // 3 :] -= litres[n // 3] - 1.0  # a counter reset
     path = tmp_path / "readings.csv"
-    write_stream_csv(ReadingStream(epochs, litres), path)
+    write_stream_csv(long_stream(n), path)
     tracemalloc.start()
     try:
         stream = read_stream(path)
@@ -148,6 +155,23 @@ def test_reading_and_binning_a_long_stream_stay_in_a_bounded_working_set(tmp_pat
     assert len(stream) == n and days.retained.sum() > 700
     assert read_peak <= 32 * n + 2**20
     assert bin_peak <= 32 * n + 2**20
+
+
+@pytest.mark.parametrize("write", [write_stream_csv, write_stream_jsonl])
+def test_writing_a_long_stream_holds_one_block(tmp_path, write):
+    # A writer holds one block's byte matrix (51 or 77 bytes a row), its
+    # mask, the bytes written, the block's reprs as Python strings and
+    # scratch arrays: about 240 and 265 bytes per row of a block, 1.0 and
+    # 1.1 MB at the default block size. Nothing is held per reading: 16
+    # bytes per reading would add 1.1 MB.
+    stream = long_stream()
+    tracemalloc.start()
+    try:
+        write(stream, tmp_path / "readings")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20 + 64 * readings.BLOCK_ROWS
 
 
 def test_generating_a_multi_year_stream_stays_in_a_bounded_working_set():

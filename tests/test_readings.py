@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import math
-import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -10,7 +9,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowrhythm import readings
@@ -223,6 +222,97 @@ def test_writers_match_per_reading_isoformat_across_blocks(tmp_path, monkeypatch
     assert (tmp_path / "r.jsonl").read_text() == "\n".join(jsonl_lines) + "\n"
 
 
+UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+FIRST, LAST = readings.FIRST_EPOCH_S, readings.LAST_EPOCH_S
+# Instants where a date's digit arithmetic goes wrong first: the ends of the
+# range, leap days, the century years 1900, 2000 and 2100, and year ends.
+WRITER_EDGES = [FIRST, LAST] + [
+    int((datetime(y, m, d, tzinfo=timezone.utc) - UNIX_EPOCH).total_seconds())
+    for y, m, d in [(1, 3, 1), (4, 2, 29), (1900, 2, 28), (1900, 3, 1), (1969, 12, 31), (2000, 2, 29),
+                    (2000, 3, 1), (2100, 2, 28), (2100, 3, 1), (2400, 2, 29), (9999, 1, 1)]
+]
+# Values where repr changes notation (below 1e-4 and from 1e16 on), the
+# signed zeros, subnormals and the largest double.
+WRITER_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-5,
+                 9.999999999999999e-05, 1e-4, 9999999999999998.0, 1e16, 1.7976931348623157e308]
+
+
+@st.composite
+def writable_streams(draw):
+    """Streams anywhere in the range a stream may hold, with runs of equal values."""
+    steps = draw(st.lists(st.integers(1, 3 * 86400), min_size=0, max_size=60))
+    base = draw(st.one_of(st.integers(FIRST, LAST), st.sampled_from(WRITER_EDGES)))
+    start = min(max(base - draw(st.integers(0, sum(steps))), FIRST), LAST - sum(steps))
+    epochs = start + np.cumsum([0] + steps)
+    values = st.one_of(st.sampled_from(WRITER_VALUES), st.floats(0.0, allow_infinity=False))
+    runs = draw(st.lists(st.tuples(values, st.integers(1, 4)), min_size=len(epochs), max_size=len(epochs)))
+    litres = [v for v, k in runs for _ in range(k)][: len(epochs)]
+    return make_stream(epochs, litres)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 4096])
+@settings(max_examples=150, deadline=None)
+@given(stream=writable_streams())
+@example(stream=make_stream(sorted(WRITER_EDGES), [0.0, -0.0, -0.0, 0.0, *WRITER_VALUES[2:]]))
+def test_writers_write_isoformat_and_repr_of_every_reading(block_rows, stream):
+    stamps = [(UNIX_EPOCH + timedelta(seconds=int(t))).isoformat() for t in stream.epoch_s]
+    values = stream.litres.tolist()
+    csv_lines = ["timestamp,cumulative_litres"] + [f"{t},{v!r}" for t, v in zip(stamps, values)]
+    jsonl_lines = [json.dumps({"ts": t, "litres_total": v}) for t, v in zip(stamps, values)]
+    with tempfile.TemporaryDirectory() as tmp, patch.object(readings, "BLOCK_ROWS", block_rows):
+        write_stream_csv(stream, Path(tmp) / "r.csv")
+        write_stream_jsonl(stream, Path(tmp) / "r.jsonl")
+        assert (Path(tmp) / "r.csv").read_bytes() == "".join(f"{line}\n" for line in csv_lines).encode()
+        assert (Path(tmp) / "r.jsonl").read_bytes() == "".join(f"{line}\n" for line in jsonl_lines).encode()
+
+
+def encoded_stamps(epochs: np.ndarray) -> np.ndarray:
+    """The writer's stamps of epochs, as _decode_timestamps takes them."""
+    frames = np.tile(np.frombuffer(readings._STAMP_FRAME, np.uint8), (len(epochs), 1))
+    readings._put_stamps(frames, epochs)
+    return np.pad(frames, ((0, 0), (0, 1)))
+
+
+def test_decoder_inverts_the_stamp_encoder():
+    # One instant a day, at a second that moves through the day, over a
+    # whole 400-year cycle of the calendar and the ends of the range.
+    days = np.concatenate([np.arange(-25_567, -25_567 + 146_097 + 1), [FIRST // 86400, LAST // 86400]])
+    epochs = days * 86400 + (days * 7919) % 86400
+    epochs[-2:] = FIRST, LAST
+    assert readings._decode_timestamps(encoded_stamps(epochs)).tolist() == epochs.tolist()
+    sample = epochs[::997]
+    assert [bytes(row[:25]).decode() for row in encoded_stamps(sample)] == [
+        (UNIX_EPOCH + timedelta(seconds=int(t))).isoformat() for t in sample
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(FIRST, LAST), min_size=1, max_size=50, unique=True).map(sorted))
+def test_decoder_inverts_the_stamp_encoder_anywhere_in_range(epochs):
+    epochs = np.array(epochs, dtype=np.int64)
+    assert readings._decode_timestamps(encoded_stamps(epochs)).tolist() == epochs.tolist()
+
+
+@pytest.mark.parametrize("epochs", [[FIRST - 1, FIRST], [LAST, LAST + 1], [-(2**62), 0]])
+def test_stream_rejects_instants_outside_its_range(epochs):
+    with pytest.raises(ValueError, match="0001-01-02T00:00:00Z to 9999-12-30T23:59:59Z"):
+        make_stream(epochs, [1.0, 2.0])
+    assert len(make_stream([FIRST, LAST], [1.0, 2.0])) == 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("stamp", [
+    "0001-01-01T00:30:00+01:00",  # year 0 in UTC
+    "0001-01-01T23:59:59.4Z",
+    "9999-12-31T23:00:00-02:00",  # year 10000 in UTC
+    "9999-12-30T23:59:59.6Z",  # rounds to 9999-12-31
+])
+def test_instants_outside_the_range_are_malformed_rows(fmt, stamp):
+    text = csv_text([(stamp, 1.0)], header=False) if fmt == "csv" else jsonl_text([(stamp, 1.0)])
+    with pytest.raises(MalformedRow, match="row 1: .* outside 0001-01-02T00:00:00Z to 9999-12-30T23:59:59Z"):
+        parse_stream(text, fmt)
+
+
 # --- array fast path against the row parser ---------------------------------------
 
 
@@ -338,8 +428,15 @@ def test_mutated_jsonl_gets_the_row_parsers_outcome(rows, data):
 
 
 @pytest.mark.parametrize("text, canonical", [
-    ("0001-01-01T00:00:00-01:00", True),
-    ("9999-12-31T23:59:59+01:00", True),
+    # The first and last instants a stream may hold, and just outside them.
+    ("0001-01-02T00:00:00Z", True),
+    ("0001-01-01T23:00:00-01:00", True),
+    ("9999-12-30T23:59:59Z", True),
+    ("9999-12-31T00:59:59+01:00", True),
+    ("0001-01-01T23:59:59Z", False),
+    ("0001-01-01T00:00:00-01:00", False),
+    ("9999-12-31T00:00:00Z", False),
+    ("9999-12-31T23:59:59+01:00", False),
     ("2020-02-29T23:59:59-23:59", True),
     ("2000-02-29T12:00:00Z", True),
     ("2400-02-29T00:00:00+05:30", True),
@@ -432,8 +529,7 @@ def test_fast_blocks_equal_row_parser(fmt, rows, block_rows, final_newline, defe
             assert outcome(text, fmt) == outcome(text, fmt, fast=False)
         expected = file_outcome(raw, fmt, fast=False)
         assert file_outcome(raw, fmt) == expected
-    # Python 3.10's csv module raises its own error at a NUL.
-    if defect is not None and not (defect == "nul" and fmt == "csv" and sys.version_info < (3, 11)):
+    if defect is not None:
         assert expected[0] is MalformedRow and expected[1].startswith(f"row {at + 1}: ")
 
 

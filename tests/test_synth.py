@@ -9,7 +9,10 @@ import pytest
 from conftest import day_rows
 from flowrhythm.errors import InvalidConfig
 from flowrhythm.pipeline import readings_to_days
+from flowrhythm.readings import read_stream, write_stream_csv
 from flowrhythm.synth import (
+    FIRST_DATE,
+    LAST_DATE,
     PureTone,
     ScenarioConfig,
     _draw_steps,
@@ -179,6 +182,8 @@ def test_scenario_rejects_unknown_keys():
         {"weekday_template": (1.0,) * 95},
         {"vacation_level": -2.0},
         {"vacations": ((date(2021, 3, 9), date(2021, 3, 7)),)},
+        {"start": date(1, 1, 2)},
+        {"end": date(9999, 12, 30)},
     ],
 )
 def test_scenario_validation(kw):
@@ -186,6 +191,20 @@ def test_scenario_validation(kw):
     base.update(kw)
     with pytest.raises(InvalidConfig):
         ScenarioConfig(**base)
+
+
+@pytest.mark.parametrize("zone", ["America/Metlakatla", "Asia/Manila", "Etc/GMT-14", "Etc/GMT+12"])
+def test_first_and_last_scenario_days_write_read_and_bin(tmp_path, zone):
+    # At year 1, local mean time puts Metlakatla 15:13 ahead of UTC and
+    # Manila 15:56 behind it; the run must still lie within the instants a
+    # stream may hold, and its local days within years 1-9999.
+    for day in (FIRST_DATE, LAST_DATE):
+        stream = generate(flat_config(start=day, end=day, timezone=zone))
+        write_stream_csv(stream, tmp_path / "readings.csv")
+        back = read_stream(tmp_path / "readings.csv")
+        assert back.epoch_s.tolist() == stream.epoch_s.tolist()
+        days = readings_to_days(back, ZoneInfo(zone))
+        assert days.first == day and days.retained[0]
 
 
 def test_pure_tone_validation():
