@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from functools import lru_cache
@@ -81,14 +82,32 @@ class PureTone:
     amplitude: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.period_hours) and self.period_hours > 0):
+        period = _number("tone period", self.period_hours)
+        if not (math.isfinite(period) and period > 0):
             raise InvalidConfig(f"tone period must be positive, got {self.period_hours}")
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+        amplitude = _number("tone amplitude", self.amplitude)
+        if not (math.isfinite(amplitude) and amplitude >= 0):
             raise InvalidConfig(f"tone amplitude must be >= 0, got {self.amplitude}")
+        object.__setattr__(self, "period_hours", period)
+        object.__setattr__(self, "amplitude", amplitude)
+
+
+def _number(name: str, value) -> float:
+    """``value`` as a float; InvalidConfig unless it is a real number, which a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidConfig(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_template(name: str, values) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
+    try:
+        out = tuple(_number(name, v) for v in values)
+    except TypeError as exc:
+        raise InvalidConfig(f"{name} must be a list of {SLOTS_PER_DAY} numbers, got {values!r}") from exc
     if len(out) != SLOTS_PER_DAY:
         raise InvalidConfig(f"{name} must have {SLOTS_PER_DAY} values, got {len(out)}")
     if not all(math.isfinite(v) and v >= 0 for v in out):
@@ -129,23 +148,28 @@ class ScenarioConfig:
             raise InvalidConfig(f"end {self.end} precedes start {self.start}")
         if self.start < FIRST_DATE or self.end > LAST_DATE:
             raise InvalidConfig(f"start and end must lie within {FIRST_DATE} to {LAST_DATE}")
+        if not isinstance(self.timezone, str):
+            raise InvalidConfig(f"timezone must be a zone name, got {self.timezone!r}")
         try:
             ZoneInfo(self.timezone)
         except (ZoneInfoNotFoundError, ValueError) as exc:
             raise InvalidConfig(f"unknown timezone {self.timezone!r}") from exc
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise InvalidConfig(f"seed must be an integer in [0, 2**64), got {self.seed}")
-        if not (math.isfinite(self.initial_litres) and self.initial_litres >= 0):
+        initial_litres = _number("initial_litres", self.initial_litres)
+        if not (math.isfinite(initial_litres) and initial_litres >= 0):
             raise InvalidConfig(f"initial_litres must be >= 0, got {self.initial_litres}")
-        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
+        noise_sd = _number("noise_sd", self.noise_sd)
+        if not (math.isfinite(noise_sd) and noise_sd >= 0):
             raise InvalidConfig(f"noise_sd must be >= 0, got {self.noise_sd}")
         lo, hi = self.jitter
-        if not (isinstance(lo, int) and isinstance(hi, int) and 0 <= lo <= hi):
+        if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi):
             raise InvalidConfig(f"jitter must be integer seconds with 0 <= lo <= hi, got {self.jitter}")
         if hi - lo >= 2**32:
             raise InvalidConfig(f"jitter must have hi - lo < 2**32 seconds, got {self.jitter}")
         object.__setattr__(self, "jitter", (lo, hi))
-        if not (math.isfinite(self.dropout_rate) and 0 <= self.dropout_rate < 1):
+        dropout_rate = _number("dropout_rate", self.dropout_rate)
+        if not (math.isfinite(dropout_rate) and 0 <= dropout_rate < 1):
             raise InvalidConfig(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         defaults = default_templates()
         for name in ("weekday_template", "saturday_template", "sunday_template"):
@@ -156,9 +180,10 @@ class ScenarioConfig:
         level = self.vacation_level
         if level is None:
             level = defaults["vacation_level"]
+        level = _number("vacation_level", level)
         if not (math.isfinite(level) and level >= 0):
             raise InvalidConfig(f"vacation_level must be >= 0, got {level}")
-        object.__setattr__(self, "vacation_level", float(level))
+        object.__setattr__(self, "vacation_level", level)
         ranges = []
         for pair in self.vacations:
             first, last = pair
@@ -168,6 +193,8 @@ class ScenarioConfig:
                 raise InvalidConfig(f"vacation range {first}..{last} is reversed")
             ranges.append((first, last))
         object.__setattr__(self, "vacations", tuple(ranges))
+        if not (self.daily_pattern is None or isinstance(self.daily_pattern, PureTone)):
+            raise InvalidConfig(f"daily_pattern must be a PureTone, got {self.daily_pattern!r}")
 
     @property
     def span_days(self) -> int:
@@ -196,7 +223,7 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
             kwargs[key] = obj[key]
     for key in ("weekday_template", "saturday_template", "sunday_template"):
         if key in obj:
-            kwargs[key] = tuple(obj[key])
+            kwargs[key] = obj[key]
     if "jitter" in obj:
         raw = obj["jitter"]
         if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
@@ -213,7 +240,7 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
         tone = obj["daily_pattern"]
         if not isinstance(tone, dict) or set(tone) != {"period_hours", "amplitude"}:
             raise InvalidConfig("daily_pattern needs exactly period_hours and amplitude")
-        kwargs["daily_pattern"] = PureTone(float(tone["period_hours"]), float(tone["amplitude"]))
+        kwargs["daily_pattern"] = PureTone(tone["period_hours"], tone["amplitude"])
     return ScenarioConfig(**kwargs)
 
 
@@ -273,11 +300,16 @@ def generate(cfg: ScenarioConfig) -> ReadingStream:
     Each step draws, in this order and unconditionally, from one PCG64
     generator seeded with ``cfg.seed``, exactly the values of
     ``rng.integers(lo, hi + 1)``, ``rng.standard_normal()`` and
-    ``rng.random()``:
+    ``rng.random()``. The draws are worked out block by block from raw
+    outputs read ahead with ``bit_generator.random_raw``:
 
     - the jitter, by Lemire's bounded-integer rule on 32-bit halves of raw
       outputs, low half first (no draw when ``lo == hi``);
-    - the usage noise, by ``rng.standard_normal()`` itself;
+    - the usage noise, on numpy's ziggurat fast path (about 98.5% of
+      draws), from one raw output ``r`` as ``rabs * wi[idx]``, negated when
+      ``r``'s sign bit is set, where ``rabs < ki[idx]`` and ``idx``, the sign
+      and ``rabs`` are bits 0-7, 8 and 9-60 of ``r``; otherwise numpy's own
+      ``rng.standard_normal()``, called with the generator moved to that raw;
     - the dropout uniform, from one raw output ``r`` as ``(r >> 11) * 2**-53``.
 
     Parameters
@@ -336,46 +368,198 @@ def _draw_steps(
 
     Yields each step's end time (900 s plus its jitter after the previous
     one), its noise and its dropout uniform, drawn as :func:`generate`
-    describes, in blocks of ``BLOCK_ROWS`` steps. The first step past
-    ``t_end`` is drawn too, and discarded.
+    describes, in blocks of ``BLOCK_ROWS`` steps. The jitter of the first
+    step past ``t_end`` is drawn too, and the step discarded.
     """
-    rng = np.random.default_rng(seed)
-    raw, normal = rng.bit_generator.random_raw, rng.standard_normal
-    # These draws reproduce numpy's own routines bit for bit from raw PCG64
-    # output, at a fraction of the cost of a scalar rng.integers call:
-    # buffered_bounded_lemire_uint32 over PCG64's next_uint32 (the low half of
-    # a raw output first, the high half kept for the next call) for the
-    # jitter, which numpy uses while hi - lo < 2**32 (ScenarioConfig's bound),
-    # and next_double for the dropout uniform. The golden demo digest, the
-    # per-step oracle test and the draw-level test pin them.
     span = hi - lo + 1
-    threshold = (2**32 - span) % span
-    high = -1  # the kept high half, or -1 when none is kept
-    t = t_start
-    while True:
+    if 900 + lo > t_end - t_start:
+        return  # even the shortest first step ends past t_end
+    # Fast path: runs of whole units that _Lookahead finds free of events (see
+    # there) are copied out of its buffer in one go. Fallback: any other step
+    # is drawn one raw at a time by numpy's rules, in numpy's order. That is a
+    # step holding a rejected jitter half or a slow-path normal, one that
+    # starts on a kept high half, and one that crosses the end of a block or
+    # of the buffer. A slow-path normal is numpy's own standard_normal() with
+    # the generator moved to its raw. Either way each raw is read once, so the
+    # cost does not grow with the rate of rejections. The jitter follows numpy's
+    # buffered_bounded_lemire_uint32 over PCG64's next_uint32 (the low half of
+    # a raw output first, the high half kept for the next call), which numpy
+    # uses while hi - lo < 2**32 (ScenarioConfig's bound). The golden demo
+    # digest, the per-step oracle test and the draw-level tests pin all this.
+    ahead = _Lookahead(seed, lo, span)
+    threshold = ahead.threshold
+    at, high, t = 0, -1, t_start  # the next raw's position, the kept high half or -1
+    done = False
+    while not done:
         times, noises = np.empty(BLOCK_ROWS, dtype=np.int64), np.empty(BLOCK_ROWS)
-        raws = np.empty(BLOCK_ROWS, dtype=np.uint64)
-        for n in range(BLOCK_ROWS):
+        uniforms = np.empty(BLOCK_ROWS)
+        n = 0
+        while n < BLOCK_ROWS:
+            room = (BLOCK_ROWS - n) // ahead.steps if high < 0 else 0
+            if room and (units := ahead.copy(at, room, t, n, times, noises, uniforms)):
+                m = n + units * ahead.steps
+                at += units * ahead.per
+                if times[m - 1] > t_end:
+                    n += int(np.searchsorted(times[n:m], t_end, side="right"))
+                    done = True
+                    break
+                t, n = int(times[m - 1]), m
+                continue
             step = lo
             if span > 1:
                 while True:
                     if high < 0:
-                        r = raw()
+                        r = ahead.raw(at)
+                        at += 1
                         m, high = (r & 0xFFFFFFFF) * span, r >> 32
                     else:
                         m, high = high * span, -1
                     if m & 0xFFFFFFFF >= threshold:
                         break
                 step += m >> 32
-            noise = normal()
-            drop = raw()
             t += 900 + step
             if t > t_end:
-                if n:
-                    yield times[:n], noises[:n], (raws[:n] >> 11) * 2.0**-53
-                return
-            times[n], noises[n], raws[n] = t, noise, drop
-        yield times, noises, (raws >> 11) * 2.0**-53
+                done = True
+                break
+            noises[n], used = ahead.normal(at)
+            times[n], uniforms[n] = t, (ahead.raw(at + used) >> 11) * 2.0**-53
+            at += used + 1
+            n += 1
+        if n:
+            yield times[:n], noises[:n], uniforms[:n]
+
+
+# PCG64 steps its 128-bit state s to s * _PCG64_MULTIPLIER + inc per raw output.
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _Lookahead:
+    """Raw PCG64 output read ahead in buffers, and numpy's draws from it.
+
+    Positions count raw outputs from the seeded state. A buffer holds the
+    raws from position ``base`` on and, at each of them, numpy's fast-path
+    normal from that raw and whether numpy's normal takes its slow path
+    there instead.
+
+    Without events, steps read the raws in units. With a jitter draw, a
+    unit of 5 raws makes 2 steps: the first takes its jitter from the low
+    half of raw 0 and keeps the high half for the second; their normals are
+    raws 1 and 3, their dropout uniforms raws 2 and 4. Without a jitter
+    draw, a unit of 2 raws makes 1 step: its normal, then its uniform. An
+    event is a jitter half that Lemire's rule rejects or a slow-path normal.
+    """
+
+    def __init__(self, seed: int, lo: int, span: int) -> None:
+        self.rng = np.random.default_rng(seed)
+        self.inc = self.rng.bit_generator.state["state"]["inc"]
+        self.lo, self.span = lo, span
+        self.threshold = (2**32 - span) % span
+        self.per, self.steps = (5, 2) if span > 1 else (2, 1)
+        # One block of steps and a unit more.
+        self.size = self.per * BLOCK_ROWS // self.steps + self.per
+        self.head = 0  # the generator's next position
+        self.base = -self.size  # nothing is buffered yet
+
+    def _index(self, at: int) -> int:
+        """The buffer index of position ``at``, read ahead from there if it lies past the end."""
+        i = at - self.base
+        if i >= self.size:
+            self._read(at)
+            i = 0
+        return i
+
+    def _read(self, at: int) -> None:
+        bitgen = self.rng.bit_generator
+        bitgen.advance(at - self.head)  # a negative delta wraps, so steps back
+        raws = bitgen.random_raw(self.size)
+        self.raws, self.base, self.head = raws, at, at + self.size
+        # numpy's random_standard_normal reads one raw r as idx = r & 0xFF,
+        # sign = (r >> 8) & 1 and rabs = (r >> 9) & (2**52 - 1), and returns
+        # rabs * wi[idx], negated for the sign, when rabs < ki[idx].
+        ki, wi = _ziggurat_tables()
+        low = (raws & 0x1FF).astype(np.intp)
+        rabs = (raws >> 9) & (2**52 - 1)
+        self.slow, self.normals = rabs >= ki[low], rabs * wi[low]
+        event = np.ones(self.size, dtype=bool)  # a unit from here holds an event or does not fit
+        fit = self.size - self.per + 1
+        if self.span > 1:
+            event[:fit] = self.slow[1 : fit + 1] | self.slow[3 : fit + 3]
+            lengths = []
+            for half in (raws & 0xFFFFFFFF, raws >> 32):
+                m = half * np.uint64(self.span)
+                event[:fit] |= (m[:fit] & 0xFFFFFFFF) < self.threshold
+                lengths.append((m >> 32).astype(np.int64) + (900 + self.lo))
+            # Per step of a unit: its lengths and the offsets of its normal and uniform.
+            self.layout = ((lengths[0], 1, 2), (lengths[1], 3, 4))
+        else:
+            event[:fit] = self.slow[:fit]
+            self.layout = ((np.full(self.size, 900 + self.lo, dtype=np.int64), 0, 1),)
+        # clear[i]: the first position from i on, in steps of a unit, where a
+        # run of event-free units starting at i must stop.
+        clear = np.where(event, np.arange(self.size), self.size)
+        for k in range(self.per):
+            clear[k :: self.per] = np.minimum.accumulate(clear[k :: self.per][::-1])[::-1]
+        self.clear = clear
+
+    def copy(self, at: int, most: int, t: int, n: int, times: np.ndarray, noises: np.ndarray,
+             uniforms: np.ndarray) -> int:
+        """Write the steps of up to ``most`` event-free units from ``at`` into rows ``n`` on.
+
+        ``times`` gets each step's end, the first step starting at time ``t``.
+        Returns the number of units written.
+        """
+        i = self._index(at)
+        units = min((int(self.clear[i]) - i) // self.per, most)
+        if not units:
+            return 0
+        stop, end = i + units * self.per, n + units * self.steps
+        for k, (lengths, normal, uniform) in enumerate(self.layout):
+            times[n + k : end : self.steps] = lengths[i : stop : self.per]
+            noises[n + k : end : self.steps] = self.normals[i + normal : stop : self.per]
+            uniforms[n + k : end : self.steps] = self.raws[i + uniform : stop : self.per] >> 11
+        times[n] += t
+        times[n:end].cumsum(out=times[n:end])
+        uniforms[n:end] *= 2.0**-53
+        return units
+
+    def raw(self, at: int) -> int:
+        """The raw output at position ``at``."""
+        i = self._index(at)  # before self.raws is read: it may read ahead
+        return int(self.raws[i])
+
+    def normal(self, at: int) -> tuple[float, int]:
+        """numpy's ``standard_normal()`` from position ``at``, and the raws it reads."""
+        i = self._index(at)
+        if not self.slow[i]:
+            return self.normals[i], 1
+        bitgen = self.rng.bit_generator
+        bitgen.advance(at - self.head)
+        state = bitgen.state["state"]["state"]
+        noise = self.rng.standard_normal()
+        end = bitgen.state["state"]["state"]
+        used = 0
+        while state != end:
+            state = (state * _PCG64_MULTIPLIER + self.inc) % 2**128
+            used += 1
+        self.head = at + used
+        return noise, used
+
+
+@lru_cache(maxsize=1)
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat tables ``ki`` and ``wi`` for its standard normal.
+
+    ``data/ziggurat_tables.json`` holds numpy's ``ki_double`` (uint64) and
+    ``wi_double`` (float64) from
+    numpy/random/src/distributions/ziggurat_constants.h, and
+    ``tests/test_synth.py`` checks them against the installed numpy. Both
+    come back twice over, ``wi`` negated the second time, so the low 9 bits
+    of a raw output (``idx`` and the sign bit) index them directly.
+    """
+    text = resources.files("flowrhythm.data").joinpath("ziggurat_tables.json").read_text()
+    raw = json.loads(text)
+    ki, wi = np.array(raw["ki"], dtype=np.uint64), np.array(raw["wi"], dtype=np.float64)
+    return np.concatenate([ki, ki]), np.concatenate([wi, -wi])
 
 
 def _day_number(d: date) -> int:

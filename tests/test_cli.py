@@ -220,6 +220,24 @@ def test_simulate_jitter_span_of_2_to_the_32_or_more_exits_two(tmp_path, capsys)
     assert "jitter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", [
+    {"timezone": 5},
+    {"noise_sd": "x"},
+    {"initial_litres": None},
+    {"weekday_template": ["a"]},
+    {"weekday_template": 5},
+    {"daily_pattern": {"period_hours": "x", "amplitude": 1}},
+    {"seed": True},
+    {"jitter": [True, 5]},
+])
+def test_simulate_wrongly_typed_scenario_values_exit_two(tmp_path, capsys, field):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**FLAT_SCENARIO, **field}))
+    assert main(["--json-errors", "simulate", "--scenario", str(scenario), "--out", str(tmp_path / "x")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_readings_exits_two(tmp_path):
     rc = main(["ingest", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "x")])
     assert rc == 2

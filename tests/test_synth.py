@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import day_rows
+from flowrhythm import synth
 from flowrhythm.errors import InvalidConfig
 from flowrhythm.pipeline import readings_to_days
 from flowrhythm.readings import read_stream, write_stream_csv
@@ -57,6 +58,16 @@ def test_jitter_spacing_bounds():
     spacing = np.diff(stream.epoch_s)
     assert np.all(spacing >= 901)
     assert np.all(spacing <= 930)
+
+
+@pytest.mark.parametrize("jitter, readings", [
+    ((2**70, 2**70 + 5), 1), ((85501, 85501), 1), ((85500, 85500), 2),
+])
+def test_steps_as_long_as_the_run(jitter, readings):
+    # One UTC day is 86,400 s: a first step of 900 + 85,500 s ends on the
+    # last instant, and a longer one past it, however long.
+    stream = generate(flat_config(jitter=jitter))
+    assert np.diff(stream.epoch_s).tolist() == [86400] * (readings - 1)
 
 
 def test_counter_monotone_and_seed_reproducible():
@@ -184,13 +195,27 @@ def test_scenario_rejects_unknown_keys():
         {"vacations": ((date(2021, 3, 9), date(2021, 3, 7)),)},
         {"start": date(1, 1, 2)},
         {"end": date(9999, 12, 30)},
+        {"timezone": 5},
+        {"noise_sd": "x"},
+        {"initial_litres": None},
+        {"dropout_rate": "x"},
+        {"vacation_level": "x"},
+        {"weekday_template": ("a",) * 96},
+        {"weekday_template": 5},
+        {"daily_pattern": {"period_hours": "x", "amplitude": 1}},
+        {"seed": True},
+        {"jitter": (True, 30)},
+        {"jitter": (1, True)},
     ],
 )
 def test_scenario_validation(kw):
+    # Each case fails as a config, built directly and read from its JSON.
     base = dict(start=date(2021, 3, 1), end=date(2021, 3, 10))
     base.update(kw)
     with pytest.raises(InvalidConfig):
         ScenarioConfig(**base)
+    with pytest.raises(InvalidConfig):
+        scenario_from_json(json.loads(json.dumps(base, default=date.isoformat)))
 
 
 @pytest.mark.parametrize("zone", ["America/Metlakatla", "Asia/Manila", "Etc/GMT-14", "Etc/GMT+12"])
@@ -295,3 +320,72 @@ def test_draws_equal_numpys_integers_normal_random_triple(span):
         assert steps.tolist() == [e[0] for e in expected[:-1]]
         assert noises.tolist() == [e[1] for e in expected[:-1]]
         assert uniforms.tolist() == [e[2] for e in expected[:-1]]
+
+
+def numpy_steps(seed, lo, hi, count):
+    """``count`` steps of numpy's own draws, and whether each normal took its slow path."""
+    rng = np.random.default_rng(seed)
+    bitgen, probe = rng.bit_generator, np.random.PCG64()
+    steps, slow = [], []
+    for _ in range(count):
+        jitter = int(rng.integers(lo, hi + 1))
+        probe.state = bitgen.state
+        probe.advance(1)  # where a normal that reads one raw leaves the state
+        noise = rng.standard_normal()
+        slow.append(bitgen.state["state"] != probe.state["state"])
+        steps.append((jitter, noise, rng.random()))
+    return steps, slow
+
+
+@pytest.mark.parametrize("seed, lo, hi", [
+    (94, 1, 30), (30, 1, 30), (2, 7, 7), (6, 7, 7), (82, 2**31, 2**32), (46, 2**31, 2**32),
+])
+def test_draws_equal_numpys_across_block_edges(monkeypatch, seed, lo, hi):
+    expected, slow = numpy_steps(seed, lo, hi, 4400)
+    # Each seed puts a slow-path normal on step 4095, the last of a block at
+    # 4,096 and 2 rows and the first of one at 7, or on step 4096, the first
+    # of a block at 4,096 and 2 rows. t_end makes the next slow-path step the
+    # one past t_end, drawn and discarded.
+    assert slow[4095] or slow[4096]
+    past = next(j for j in range(4097, len(slow)) if slow[j])
+    ends = np.cumsum([900 + step for step, _, _ in expected])
+    for rows in (1, 2, 7, 4096):
+        monkeypatch.setattr(synth, "BLOCK_ROWS", rows)
+        blocks = list(_draw_steps(seed, lo, hi, 0, int(ends[past]) - 1))
+        assert [len(times) for times, _, _ in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        times, noises, uniforms = map(np.concatenate, zip(*blocks))
+        assert times.tolist() == ends[:past].tolist()
+        assert noises.tolist() == [noise for _, noise, _ in expected[:past]]
+        assert uniforms.tolist() == [uniform for _, _, uniform in expected[:past]]
+
+
+def test_ziggurat_tables_equal_numpys():
+    # From state 0, PCG64 steps to state inc and outputs its high 64 bits
+    # xor its low 64 bits, rotated right by its top 6 bits. So inc = r (odd,
+    # below 2**64) or inc = 2**64 | (r ^ 1) makes r the next raw output.
+    bitgen = np.random.PCG64()
+    rng = np.random.Generator(bitgen)
+
+    def set_next_raw(r):
+        inc = r if r & 1 else 2**64 | (r ^ 1)
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        return inc
+
+    def normal_from(r):
+        """numpy's standard_normal() from next raw r, and whether it read r alone."""
+        set_next_raw(r)
+        assert int(bitgen.random_raw()) == r
+        inc = set_next_raw(r)
+        return rng.standard_normal(), bitgen.state["state"]["state"] == inc
+
+    ki, wi = synth._ziggurat_tables()
+    assert ki.shape == wi.shape == (512,)
+    for low in range(512):  # idx = low & 0xFF, the sign bit low >> 8
+        k = int(ki[low])
+        assert k < 2**52
+        if k > 0:
+            noise, alone = normal_from(low | 1 << 9)
+            assert alone and noise.hex() == float(wi[low]).hex()
+            assert normal_from(low | (k - 1) << 9)[1]
+        assert not normal_from(low | k << 9)[1]
