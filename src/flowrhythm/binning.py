@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta, tzinfo
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
-from .errors import DataError, NoMatchingDays
+from .errors import DataError, InvalidConfig, NoMatchingDays
 from .readings import BLOCK_ROWS, Intervals
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "local_seconds",
     "profile",
     "write_profile_csv",
+    "zone_named",
 ]
 
 log = logging.getLogger(__name__)
@@ -120,6 +121,16 @@ class DayMatrix:
             retained[row] = True
             values[row] = d.bins
         return cls(first, values, retained)
+
+
+def zone_named(name) -> ZoneInfo:
+    """The IANA time zone called ``name``; InvalidConfig if there is none."""
+    if not isinstance(name, str):
+        raise InvalidConfig(f"timezone must be a zone name, got {name!r}")
+    try:
+        return ZoneInfo(name)
+    except (ZoneInfoNotFoundError, ValueError) as exc:
+        raise InvalidConfig(f"unknown timezone {name!r}") from exc
 
 
 def local_clock(tz: tzinfo) -> Callable[[np.ndarray], np.ndarray]:
@@ -194,12 +205,11 @@ def bin_intervals(
     """Bin intervals into the local day and slot of their closing instant,
     as bin_blocks does, in blocks of BLOCK_ROWS intervals."""
     end_s, litres = intervals.end_s, intervals.litres
-    if not len(end_s):
-        return DayMatrix.from_days([])
     blocks = (
         (end_s[a : a + BLOCK_ROWS], litres[a : a + BLOCK_ROWS]) for a in range(0, len(end_s), BLOCK_ROWS)
     )
-    return bin_blocks(blocks, int(end_s.min()), int(end_s.max()), tz, min_valid_slots)
+    first_s, last_s = (int(end_s.min()), int(end_s.max())) if len(end_s) else (0, 0)
+    return bin_blocks(blocks, first_s, last_s, tz, min_valid_slots)
 
 
 def bin_blocks(
@@ -223,7 +233,10 @@ def bin_blocks(
     The sums go into one array of every slot from the local day before
     first_s's UTC day to the day after last_s's, which holds every local day
     a UTC offset of less than a day can reach; the result is a slice of it.
+    min_valid_slots must lie in [0, 96]; 0 keeps every observed day.
     """
+    if not 0 <= min_valid_slots <= SLOTS_PER_DAY:
+        raise InvalidConfig(f"min_valid_slots must be in [0, {SLOTS_PER_DAY}], got {min_valid_slots}")
     first = first_s // 86400 - 1
     size = (last_s // 86400 + 2 - first) * SLOTS_PER_DAY
     sums, seen = np.zeros(size), np.zeros(size, dtype=bool)

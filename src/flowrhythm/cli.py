@@ -17,10 +17,9 @@ from dataclasses import replace
 from datetime import date, datetime, timezone
 from importlib import resources
 from pathlib import Path
-from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from . import __version__
-from .binning import DEFAULT_MIN_VALID_SLOTS, GROUPS, profile, write_profile_csv
+from .binning import DEFAULT_MIN_VALID_SLOTS, GROUPS, profile, write_profile_csv, zone_named
 from .errors import ConfigError, DataError, FlowRhythmError, InvalidConfig
 from .exclusions import load_calendar
 from .pipeline import readings_to_days
@@ -106,13 +105,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _timezone_of(args) -> ZoneInfo:
-    try:
-        return ZoneInfo(args.timezone)
-    except (ZoneInfoNotFoundError, ValueError) as exc:
-        raise InvalidConfig(f"unknown timezone {args.timezone!r}") from exc
-
-
 def _input_file(text: str, what: str) -> Path:
     path = Path(text)
     if not path.is_file():
@@ -123,7 +115,7 @@ def _input_file(text: str, what: str) -> Path:
 
 def _load_inputs(args):
     """The readings, their binned days, and the exclusion calendar (None without --calendar)."""
-    tz = _timezone_of(args)
+    tz = zone_named(args.timezone)
     stream = read_stream(_input_file(args.readings, "readings"))
     days = readings_to_days(stream, tz=tz, min_valid_slots=args.min_valid_slots)
     calendar = getattr(args, "calendar", None)

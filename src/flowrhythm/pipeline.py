@@ -75,7 +75,7 @@ def readings_to_days(
     min_valid_slots: int = DEFAULT_MIN_VALID_SLOTS,
 ) -> DayMatrix:
     """Full cleaning and binning chain for one household stream."""
-    if len(stream) < 2:
-        return DayMatrix.from_days([])
     blocks = ((end_s, litres) for _, end_s, litres in _clean_blocks(stream))
-    return bin_blocks(blocks, int(stream.epoch_s[1]), int(stream.epoch_s[-1]), tz, min_valid_slots)
+    ends = stream.epoch_s[1:]  # the instants intervals close at
+    first_s, last_s = (int(ends[0]), int(ends[-1])) if len(ends) else (0, 0)
+    return bin_blocks(blocks, first_s, last_s, tz, min_valid_slots)

@@ -11,37 +11,19 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import date, datetime, time, timedelta
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterator
-from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
+from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .binning import SLOTS_PER_DAY, local_clock
+from .binning import SLOTS_PER_DAY, local_clock, zone_named
 from .errors import InvalidConfig
 from .readings import BLOCK_ROWS, ReadingStream
-
-_SCENARIO_KEYS = {
-    "start",
-    "end",
-    "timezone",
-    "seed",
-    "initial_litres",
-    "weekday_template",
-    "saturday_template",
-    "sunday_template",
-    "noise_sd",
-    "jitter",
-    "dropout_rate",
-    "vacations",
-    "vacation_level",
-    "daily_pattern",
-}
-
 
 # The first start and last end a scenario may have: a run spans local
 # midnight of its start to local midnight after its end, and with a zone's
@@ -96,7 +78,10 @@ def _number(name: str, value) -> float:
     """``value`` as a float; InvalidConfig unless it is a real number, which a bool is not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidConfig(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer past the largest float
+        raise InvalidConfig(f"{name} must be finite, got {value}") from exc
 
 
 def _is_int(value) -> bool:
@@ -124,6 +109,7 @@ class ScenarioConfig:
     tone override, the flat ``vacation_level`` on vacation dates, or the
     day-type template slot containing the reading. Templates default to the
     packaged fixtures. Same config and seed give bit-identical output.
+    Its fields are the JSON keys, and it checks every value, from Python or JSON.
     """
 
     start: date
@@ -142,18 +128,13 @@ class ScenarioConfig:
     daily_pattern: PureTone | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.start, date) and isinstance(self.end, date)):
+        if not (_is_date(self.start) and _is_date(self.end)):
             raise InvalidConfig("start and end must be dates")
         if self.end < self.start:
             raise InvalidConfig(f"end {self.end} precedes start {self.start}")
         if self.start < FIRST_DATE or self.end > LAST_DATE:
             raise InvalidConfig(f"start and end must lie within {FIRST_DATE} to {LAST_DATE}")
-        if not isinstance(self.timezone, str):
-            raise InvalidConfig(f"timezone must be a zone name, got {self.timezone!r}")
-        try:
-            ZoneInfo(self.timezone)
-        except (ZoneInfoNotFoundError, ValueError) as exc:
-            raise InvalidConfig(f"unknown timezone {self.timezone!r}") from exc
+        zone_named(self.timezone)
         if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise InvalidConfig(f"seed must be an integer in [0, 2**64), got {self.seed}")
         initial_litres = _number("initial_litres", self.initial_litres)
@@ -162,6 +143,8 @@ class ScenarioConfig:
         noise_sd = _number("noise_sd", self.noise_sd)
         if not (math.isfinite(noise_sd) and noise_sd >= 0):
             raise InvalidConfig(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if not _is_pair(self.jitter):
+            raise InvalidConfig(f"jitter must be a [lo, hi] pair, got {self.jitter!r}")
         lo, hi = self.jitter
         if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi):
             raise InvalidConfig(f"jitter must be integer seconds with 0 <= lo <= hi, got {self.jitter}")
@@ -184,101 +167,85 @@ class ScenarioConfig:
         if not (math.isfinite(level) and level >= 0):
             raise InvalidConfig(f"vacation_level must be >= 0, got {level}")
         object.__setattr__(self, "vacation_level", level)
-        ranges = []
+        if not isinstance(self.vacations, (list, tuple)):
+            raise InvalidConfig(f"vacations must be a list of date pairs, got {self.vacations!r}")
         for pair in self.vacations:
-            first, last = pair
-            if not (isinstance(first, date) and isinstance(last, date)):
-                raise InvalidConfig("vacation ranges must be date pairs")
-            if last < first:
-                raise InvalidConfig(f"vacation range {first}..{last} is reversed")
-            ranges.append((first, last))
-        object.__setattr__(self, "vacations", tuple(ranges))
+            if not (_is_pair(pair) and all(isinstance(d, date) for d in pair)):
+                raise InvalidConfig(f"vacation ranges must be date pairs, got {pair!r}")
+            if pair[1] < pair[0]:
+                raise InvalidConfig(f"vacation range {pair[0]}..{pair[1]} is reversed")
+        object.__setattr__(self, "vacations", tuple(map(tuple, self.vacations)))
         if not (self.daily_pattern is None or isinstance(self.daily_pattern, PureTone)):
             raise InvalidConfig(f"daily_pattern must be a PureTone, got {self.daily_pattern!r}")
 
-    @property
-    def span_days(self) -> int:
-        return (self.end - self.start).days + 1
+
+def _is_date(value) -> bool:
+    return isinstance(value, date) and not isinstance(value, datetime)  # a datetime compares with no date
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2
 
 
 def scenario_from_json(obj: dict) -> ScenarioConfig:
-    """Build a :class:`ScenarioConfig` from its JSON representation."""
+    """Build a :class:`ScenarioConfig` from its JSON representation, converting
+    only what JSON cannot hold: ISO dates and the ``daily_pattern`` object."""
     if not isinstance(obj, dict):
         raise InvalidConfig("scenario must be a JSON object")
-    unknown = set(obj) - _SCENARIO_KEYS
+    unknown = set(obj) - {f.name for f in fields(ScenarioConfig)}
     if unknown:
         raise InvalidConfig(f"unknown scenario keys: {sorted(unknown)}")
-    for key in ("start", "end"):
-        if key not in obj:
-            raise InvalidConfig(f"scenario is missing {key!r}")
-    try:
-        kwargs: dict = {
-            "start": date.fromisoformat(obj["start"]),
-            "end": date.fromisoformat(obj["end"]),
-        }
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"bad scenario date: {exc}") from exc
-    for key in ("timezone", "seed", "initial_litres", "noise_sd", "dropout_rate", "vacation_level"):
-        if key in obj:
-            kwargs[key] = obj[key]
-    for key in ("weekday_template", "saturday_template", "sunday_template"):
-        if key in obj:
-            kwargs[key] = obj[key]
-    if "jitter" in obj:
-        raw = obj["jitter"]
-        if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-            raise InvalidConfig(f"jitter must be a [lo, hi] pair, got {raw!r}")
-        kwargs["jitter"] = (raw[0], raw[1])
-    if "vacations" in obj:
-        try:
-            kwargs["vacations"] = tuple(
-                (date.fromisoformat(a), date.fromisoformat(b)) for a, b in obj["vacations"]
-            )
-        except (TypeError, ValueError) as exc:
-            raise InvalidConfig(f"bad vacation range: {exc}") from exc
-    if "daily_pattern" in obj and obj["daily_pattern"] is not None:
-        tone = obj["daily_pattern"]
-        if not isinstance(tone, dict) or set(tone) != {"period_hours", "amplitude"}:
+    for f in fields(ScenarioConfig):
+        if f.default is MISSING and f.name not in obj:
+            raise InvalidConfig(f"scenario is missing {f.name!r}")
+    kwargs = dict(obj, start=_iso_date(obj["start"]), end=_iso_date(obj["end"]))
+    if isinstance(obj.get("vacations"), list):
+        kwargs["vacations"] = [
+            [_iso_date(d) for d in pair] if isinstance(pair, list) else pair for pair in obj["vacations"]
+        ]
+    tone = obj.get("daily_pattern")
+    if isinstance(tone, dict):
+        if set(tone) != {f.name for f in fields(PureTone)}:
             raise InvalidConfig("daily_pattern needs exactly period_hours and amplitude")
-        kwargs["daily_pattern"] = PureTone(tone["period_hours"], tone["amplitude"])
+        kwargs["daily_pattern"] = PureTone(**tone)
     return ScenarioConfig(**kwargs)
 
 
+def _iso_date(value):
+    """The date an ISO string names; any other value as it is, for ScenarioConfig to check."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return date.fromisoformat(value)
+    except ValueError as exc:
+        raise InvalidConfig(f"bad scenario date: {exc}") from exc
+
+
 def scenario_to_json(cfg: ScenarioConfig) -> dict:
-    """Serialize a config to the JSON layout :func:`scenario_from_json` reads."""
-    out: dict = {
-        "start": cfg.start.isoformat(),
-        "end": cfg.end.isoformat(),
-        "timezone": cfg.timezone,
-        "seed": cfg.seed,
-        "initial_litres": cfg.initial_litres,
-        "weekday_template": list(cfg.weekday_template),
-        "saturday_template": list(cfg.saturday_template),
-        "sunday_template": list(cfg.sunday_template),
-        "noise_sd": cfg.noise_sd,
-        "jitter": list(cfg.jitter),
-        "dropout_rate": cfg.dropout_rate,
-        "vacations": [[a.isoformat(), b.isoformat()] for a, b in cfg.vacations],
-        "vacation_level": cfg.vacation_level,
-    }
-    if cfg.daily_pattern is not None:
-        out["daily_pattern"] = {
-            "period_hours": cfg.daily_pattern.period_hours,
-            "amplitude": cfg.daily_pattern.amplitude,
-        }
-    return out
+    """Serialize a config to the JSON layout :func:`scenario_from_json` reads;
+    every field is a key, but a ``daily_pattern`` of None."""
+    return {k: _to_json(v) for k, v in asdict(cfg).items() if not (k == "daily_pattern" and v is None)}
+
+
+def _to_json(value):
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value.isoformat() if isinstance(value, date) else value
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Read a scenario JSON file."""
+    """Read a scenario JSON file, UTF-8 encoded."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InvalidConfig(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"scenario file {path}: not UTF-8 text: {exc.reason}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"scenario file {path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past Python's digit limit.
+        raise InvalidConfig(f"scenario file {path} is not valid JSON: {exc}") from None
     return scenario_from_json(obj)
 
 
@@ -288,6 +255,7 @@ def demo_scenario() -> ScenarioConfig:
     return scenario_from_json(json.loads(text))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported once, at the end
 def generate(cfg: ScenarioConfig) -> ReadingStream:
     """Generate the cumulative reading stream for one scenario.
 
@@ -358,6 +326,9 @@ def generate(cfg: ScenarioConfig) -> ReadingStream:
         m = int(np.count_nonzero(kept))
         epochs[n : n + m], litres[n : n + m] = t[kept], counter[kept]
         n += m
+    # The counter never decreases, so a finite last total means every one is.
+    if not math.isfinite(total):
+        raise InvalidConfig("the scenario's usage overflows the counter: litres reach infinity")
     return ReadingStream(epochs[:n], litres[:n], source_id=f"synthetic:{cfg.seed}")
 
 

@@ -24,7 +24,7 @@ from flowrhythm.binning import (
 )
 import flowrhythm
 from flowrhythm import binning, synth
-from flowrhythm.errors import NoMatchingDays
+from flowrhythm.errors import InvalidConfig, NoMatchingDays
 from flowrhythm.pipeline import readings_to_days
 from flowrhythm.readings import Intervals, ReadingStream
 from flowrhythm.synth import ScenarioConfig
@@ -98,6 +98,16 @@ def test_bin_day_92_intervals_4_missing():
     assert dates(bin_intervals(closing_at(ends), UTC, min_valid_slots=92)) == [MON]
     none = bin_intervals(closing_at(ends), UTC, min_valid_slots=93)
     assert none.values.shape == (0, SLOTS_PER_DAY) and none.retained.shape == (0,)
+
+
+@pytest.mark.parametrize("slots", [-1, 97])
+@pytest.mark.parametrize("ends", [[], [300]], ids=["empty", "one-interval"])
+def test_min_valid_slots_outside_0_to_96_is_a_config_error(slots, ends):
+    # Checked in bin_blocks, which empty input and readings_to_days go through too.
+    with pytest.raises(InvalidConfig, match="min_valid_slots"):
+        bin_intervals(closing_at(ends), UTC, min_valid_slots=slots)
+    with pytest.raises(InvalidConfig, match="min_valid_slots"):
+        readings_to_days(ReadingStream(np.array([0, *ends]), np.arange(len(ends) + 1.0)), UTC, slots)
 
 
 def test_bin_day_empty_all_missing():

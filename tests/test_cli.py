@@ -14,6 +14,9 @@ from flowrhythm.cli import _sha256_file, main
 # sha256 of readings.csv from the packaged demo scenario; pinned because the
 # generator is seeded and must stay byte-for-byte reproducible.
 GOLDEN_DEMO_DIGEST = "c59eb6fda23d442bf399c7dc493dcc645e173c59a32aa3b4ee66e16f9eb0d037"
+# config_digest of the packaged demo's simulate manifest: the scenario as
+# scenario_to_json writes it, which must not drift with the code that writes it.
+GOLDEN_DEMO_CONFIG_DIGEST = "sha256:2d7b8151c9475f9dc72acc4183b7cf4566dd542ccfbba3acfcfb77565b2fedbe"
 
 FLAT_SCENARIO = {
     "start": "2021-03-01",
@@ -43,7 +46,27 @@ def test_simulate_demo_golden_digest(tmp_path):
     assert main(["simulate", "--out", str(out)]) == 0
     assert sha(out / "readings.csv") == GOLDEN_DEMO_DIGEST
     assert (out / "calendar.txt").exists()
-    assert (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_digest"] == GOLDEN_DEMO_CONFIG_DIGEST
+
+
+@pytest.mark.parametrize("scenario, fmt", [
+    (None, "csv"),
+    ({**FLAT_SCENARIO, "noise_sd": 0.5, "daily_pattern": {"period_hours": 24.0, "amplitude": 4.0}}, "jsonl"),
+], ids=["demo", "tone"])
+def test_manifest_scenario_simulates_the_same_readings(tmp_path, scenario, fmt):
+    # The scenario a manifest records is a scenario file that makes the same readings.
+    argv = ["simulate", "--format", fmt]
+    if scenario is not None:
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        argv += ["--scenario", str(tmp_path / "scenario.json")]
+    assert main([*argv, "--out", str(tmp_path / "sim")]) == 0
+    recorded = json.loads((tmp_path / "sim" / "manifest.json").read_text())["config"]["scenario"]
+    (tmp_path / "recorded.json").write_text(json.dumps(recorded))
+    assert main(["simulate", "--scenario", str(tmp_path / "recorded.json"), "--format", fmt,
+                 "--out", str(tmp_path / "again")]) == 0
+    name = f"readings.{fmt}"
+    assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "sim" / name).read_bytes()
 
 
 def test_main_module_runs_the_cli_only_as_a_script():
@@ -238,6 +261,35 @@ def test_simulate_wrongly_typed_scenario_values_exit_two(tmp_path, capsys, field
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("content", [
+    b'{"start": "2021-03-01", "end": "2021-03-30", "timezone": "Europe/Dubl\xedn"}',
+    b"[" * 100_000,
+    b"1" * 5_000,
+], ids=["not-utf8", "deeply-nested", "5000-digits"])
+def test_unreadable_scenario_file_exits_two_naming_it(tmp_path, capsys, content):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(content)
+    assert main(["--json-errors", "simulate", "--scenario", str(scenario), "--out", str(tmp_path / "x")]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "InvalidConfig"
+    # Pythons without an integer digit limit read 5,000 digits as a number, not an object.
+    if content[0] != ord("1") or hasattr(sys, "get_int_max_str_digits"):
+        assert str(scenario) in payload["message"]
+
+
+@pytest.mark.parametrize("field", [
+    {"noise_sd": 1e308},
+    {"daily_pattern": {"period_hours": 24.0, "amplitude": 1e308}},
+])
+def test_simulate_counter_overflow_exits_two(tmp_path, capsys, field):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**FLAT_SCENARIO, "noise_sd": 1.0, **field}))
+    assert main(["--json-errors", "simulate", "--scenario", str(scenario), "--out", str(tmp_path / "x")]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "InvalidConfig"
+    assert "overflows" in payload["message"]
+
+
 def test_missing_readings_exits_two(tmp_path):
     rc = main(["ingest", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "x")])
     assert rc == 2
@@ -300,9 +352,12 @@ def test_ingest_summary_stamps_are_the_written_readings_ends(tmp_path):
     assert summary["last"] == rows[-1].split(",")[0] == "2021-03-01T00:30:00+00:00"
 
 
-def test_zero_retained_days(tmp_path, flat_dir, capsys):
-    # No day has 97 of 96 slots: ingest reports zero days, the analyses fail on data.
-    base = [str(flat_dir / "readings.csv"), "--min-valid-slots", "97"]
+def test_zero_retained_days(tmp_path, capsys):
+    # Hourly readings observe 24 of a day's 96 slots, under the default 92:
+    # ingest reports zero days, the analyses fail on data.
+    hourly = tmp_path / "hourly.csv"
+    hourly.write_text("".join(f"2021-03-{1 + h // 24:02d}T{h % 24:02d}:00:00Z,{h}\n" for h in range(72)))
+    base = [str(hourly)]
     out = tmp_path / "ingest"
     assert main(["ingest", *base, "--out", str(out)]) == 0
     assert json.loads((out / "summary.json").read_text())["n_binned_days"] == 0
@@ -310,6 +365,17 @@ def test_zero_retained_days(tmp_path, flat_dir, capsys):
     for command, error in (("profile", "NoMatchingDays"), ("track", "EmptyInput")):
         assert main(["--json-errors", command, *base, "--out", str(tmp_path / command)]) == 3
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == error
+
+
+@pytest.mark.parametrize("command", ["ingest", "track"])
+@pytest.mark.parametrize("slots", ["-1", "97"])
+def test_min_valid_slots_outside_0_to_96_exits_two(tmp_path, flat_dir, capsys, command, slots):
+    argv = [command, str(flat_dir / "readings.csv"), "--min-valid-slots", slots, "--out", str(tmp_path / "x")]
+    assert main(["--json-errors", *argv]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "InvalidConfig"
+    assert "min_valid_slots" in payload["message"]
+    assert not (tmp_path / "x" / "manifest.json").exists()
 
 
 def test_track_repeated_period_exits_two(tmp_path, flat_dir):

@@ -1,6 +1,6 @@
 import dataclasses
 import json
-from datetime import date
+from datetime import date, datetime
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -168,6 +168,24 @@ def test_scenario_json_round_trip():
     assert again == cfg
 
 
+@pytest.mark.parametrize("tone", [None, PureTone(24.0, 1.0)])
+def test_scenario_to_json_keys_are_the_field_names(tone):
+    names = [f.name for f in dataclasses.fields(ScenarioConfig)]
+    keys = list(scenario_to_json(flat_config(daily_pattern=tone)))
+    assert keys == (names if tone else [n for n in names if n != "daily_pattern"])
+
+
+@pytest.mark.parametrize("kw", [
+    {"noise_sd": 1e308},
+    {"daily_pattern": PureTone(24.0, 1e308)},
+    {"weekday_template": (1e308,) * 96, "initial_litres": 1e308},
+])
+def test_generate_rejects_a_counter_that_overflows(kw):
+    # Usage that reaches infinity is a configuration error, not a stream error.
+    with pytest.raises(InvalidConfig, match="overflows"):
+        generate(flat_config(**{"noise_sd": 1.0, **kw}))
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(InvalidConfig, match="nope.json"):
         load_scenario(tmp_path / "nope.json")
@@ -206,6 +224,11 @@ def test_scenario_rejects_unknown_keys():
         {"seed": True},
         {"jitter": (True, 30)},
         {"jitter": (1, True)},
+        {"jitter": 5},
+        {"jitter": (1,)},
+        {"vacations": 5},
+        {"vacations": ((date(2021, 3, 1),),)},
+        {"noise_sd": 10**400},
     ],
 )
 def test_scenario_validation(kw):
@@ -216,6 +239,13 @@ def test_scenario_validation(kw):
         ScenarioConfig(**base)
     with pytest.raises(InvalidConfig):
         scenario_from_json(json.loads(json.dumps(base, default=date.isoformat)))
+
+
+@pytest.mark.parametrize("kw", [{"start": datetime(2021, 3, 1)}, {"end": datetime(2021, 3, 10)}])
+def test_a_datetime_is_not_a_scenario_date(kw):
+    # JSON holds no datetime, so this is a Python-built config only.
+    with pytest.raises(InvalidConfig, match="must be dates"):
+        ScenarioConfig(**{"start": date(2021, 3, 1), "end": date(2021, 3, 10), **kw})
 
 
 @pytest.mark.parametrize("zone", ["America/Metlakatla", "Asia/Manila", "Etc/GMT-14", "Etc/GMT+12"])
