@@ -47,6 +47,7 @@ __all__ = [
     "DayProfile",
     "bin_blocks",
     "bin_intervals",
+    "check_min_valid_slots",
     "local_clock",
     "local_seconds",
     "profile",
@@ -131,6 +132,12 @@ def zone_named(name) -> ZoneInfo:
         return ZoneInfo(name)
     except (ZoneInfoNotFoundError, ValueError) as exc:
         raise InvalidConfig(f"unknown timezone {name!r}") from exc
+
+
+def check_min_valid_slots(min_valid_slots: int) -> None:
+    """InvalidConfig unless min_valid_slots lies in [0, 96]."""
+    if not 0 <= min_valid_slots <= SLOTS_PER_DAY:
+        raise InvalidConfig(f"min_valid_slots must be in [0, {SLOTS_PER_DAY}], got {min_valid_slots}")
 
 
 def local_clock(tz: tzinfo) -> Callable[[np.ndarray], np.ndarray]:
@@ -235,8 +242,7 @@ def bin_blocks(
     a UTC offset of less than a day can reach; the result is a slice of it.
     min_valid_slots must lie in [0, 96]; 0 keeps every observed day.
     """
-    if not 0 <= min_valid_slots <= SLOTS_PER_DAY:
-        raise InvalidConfig(f"min_valid_slots must be in [0, {SLOTS_PER_DAY}], got {min_valid_slots}")
+    check_min_valid_slots(min_valid_slots)
     first = first_s // 86400 - 1
     size = (last_s // 86400 + 2 - first) * SLOTS_PER_DAY
     sums, seen = np.zeros(size), np.zeros(size, dtype=bool)

@@ -19,7 +19,14 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .binning import DEFAULT_MIN_VALID_SLOTS, GROUPS, profile, write_profile_csv, zone_named
+from .binning import (
+    DEFAULT_MIN_VALID_SLOTS,
+    GROUPS,
+    check_min_valid_slots,
+    profile,
+    write_profile_csv,
+    zone_named,
+)
 from .errors import ConfigError, DataError, FlowRhythmError, InvalidConfig
 from .exclusions import load_calendar
 from .pipeline import readings_to_days
@@ -31,7 +38,6 @@ from .spectral import (
     write_periodogram_csv,
     write_periodogram_sidecar,
 )
-from .synth import demo_scenario, generate, load_scenario, scenario_to_json
 from .tracking import (
     DEFAULT_MIN_VALID_DAYS,
     DEFAULT_STRIDE_DAYS,
@@ -116,6 +122,7 @@ def _input_file(text: str, what: str) -> Path:
 def _load_inputs(args):
     """The readings, their binned days, and the exclusion calendar (None without --calendar)."""
     tz = zone_named(args.timezone)
+    check_min_valid_slots(args.min_valid_slots)  # before a long file is read
     stream = read_stream(_input_file(args.readings, "readings"))
     days = readings_to_days(stream, tz=tz, min_valid_slots=args.min_valid_slots)
     calendar = getattr(args, "calendar", None)
@@ -146,6 +153,9 @@ def _window_pairs(args):
 
 
 def cmd_simulate(args) -> int:
+    # Imported here, its only user, so the other commands do not load it.
+    from .synth import demo_scenario, generate, load_scenario, scenario_to_json
+
     if args.scenario is None:
         cfg = demo_scenario()
         scenario_path = None

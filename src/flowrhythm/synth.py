@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from bisect import bisect_left
 from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import date, datetime, time, timedelta
 from functools import lru_cache
@@ -170,7 +171,7 @@ class ScenarioConfig:
         if not isinstance(self.vacations, (list, tuple)):
             raise InvalidConfig(f"vacations must be a list of date pairs, got {self.vacations!r}")
         for pair in self.vacations:
-            if not (_is_pair(pair) and all(isinstance(d, date) for d in pair)):
+            if not (_is_pair(pair) and all(_is_date(d) for d in pair)):
                 raise InvalidConfig(f"vacation ranges must be date pairs, got {pair!r}")
             if pair[1] < pair[0]:
                 raise InvalidConfig(f"vacation range {pair[0]}..{pair[1]} is reversed")
@@ -269,15 +270,19 @@ def generate(cfg: ScenarioConfig) -> ReadingStream:
     generator seeded with ``cfg.seed``, exactly the values of
     ``rng.integers(lo, hi + 1)``, ``rng.standard_normal()`` and
     ``rng.random()``. The draws are worked out block by block from raw
-    outputs read ahead with ``bit_generator.random_raw``:
+    outputs read ahead with ``bit_generator.random_raw``, each block's in
+    one gather (see ``_Lookahead``):
 
     - the jitter, by Lemire's bounded-integer rule on 32-bit halves of raw
       outputs, low half first (no draw when ``lo == hi``);
     - the usage noise, on numpy's ziggurat fast path (about 98.5% of
       draws), from one raw output ``r`` as ``rabs * wi[idx]``, negated when
       ``r``'s sign bit is set, where ``rabs < ki[idx]`` and ``idx``, the sign
-      and ``rabs`` are bits 0-7, 8 and 9-60 of ``r``; otherwise numpy's own
-      ``rng.standard_normal()``, called with the generator moved to that raw;
+      and ``rabs`` are bits 0-7, 8 and 9-60 of ``r``; otherwise by numpy's
+      slow path, whose test on the next raw keeps that value or starts the
+      draw over two raws on; the tail (``idx`` 0) and a test too close to
+      call are numpy's own ``rng.standard_normal()``, called with the
+      generator moved to that raw. The next draw starts past the raws read;
     - the dropout uniform, from one raw output ``r`` as ``(r >> 11) * 2**-53``.
 
     Parameters
@@ -339,65 +344,24 @@ def _draw_steps(
 
     Yields each step's end time (900 s plus its jitter after the previous
     one), its noise and its dropout uniform, drawn as :func:`generate`
-    describes, in blocks of ``BLOCK_ROWS`` steps. The jitter of the first
-    step past ``t_end`` is drawn too, and the step discarded.
+    describes, in blocks of ``BLOCK_ROWS`` steps from :class:`_Lookahead`.
+    The last block's steps past ``t_end`` are drawn too, and discarded.
     """
-    span = hi - lo + 1
     if 900 + lo > t_end - t_start:
         return  # even the shortest first step ends past t_end
-    # Fast path: runs of whole units that _Lookahead finds free of events (see
-    # there) are copied out of its buffer in one go. Fallback: any other step
-    # is drawn one raw at a time by numpy's rules, in numpy's order. That is a
-    # step holding a rejected jitter half or a slow-path normal, one that
-    # starts on a kept high half, and one that crosses the end of a block or
-    # of the buffer. A slow-path normal is numpy's own standard_normal() with
-    # the generator moved to its raw. Either way each raw is read once, so the
-    # cost does not grow with the rate of rejections. The jitter follows numpy's
-    # buffered_bounded_lemire_uint32 over PCG64's next_uint32 (the low half of
-    # a raw output first, the high half kept for the next call), which numpy
-    # uses while hi - lo < 2**32 (ScenarioConfig's bound). The golden demo
-    # digest, the per-step oracle test and the draw-level tests pin all this.
-    ahead = _Lookahead(seed, lo, span)
-    threshold = ahead.threshold
-    at, high, t = 0, -1, t_start  # the next raw's position, the kept high half or -1
-    done = False
-    while not done:
-        times, noises = np.empty(BLOCK_ROWS, dtype=np.int64), np.empty(BLOCK_ROWS)
-        uniforms = np.empty(BLOCK_ROWS)
-        n = 0
-        while n < BLOCK_ROWS:
-            room = (BLOCK_ROWS - n) // ahead.steps if high < 0 else 0
-            if room and (units := ahead.copy(at, room, t, n, times, noises, uniforms)):
-                m = n + units * ahead.steps
-                at += units * ahead.per
-                if times[m - 1] > t_end:
-                    n += int(np.searchsorted(times[n:m], t_end, side="right"))
-                    done = True
-                    break
-                t, n = int(times[m - 1]), m
-                continue
-            step = lo
-            if span > 1:
-                while True:
-                    if high < 0:
-                        r = ahead.raw(at)
-                        at += 1
-                        m, high = (r & 0xFFFFFFFF) * span, r >> 32
-                    else:
-                        m, high = high * span, -1
-                    if m & 0xFFFFFFFF >= threshold:
-                        break
-                step += m >> 32
-            t += 900 + step
-            if t > t_end:
-                done = True
-                break
-            noises[n], used = ahead.normal(at)
-            times[n], uniforms[n] = t, (ahead.raw(at + used) >> 11) * 2.0**-53
-            at += used + 1
-            n += 1
-        if n:
-            yield times[:n], noises[:n], uniforms[:n]
+    ahead = _Lookahead(seed, lo, hi - lo + 1)
+    t = t_start
+    while True:
+        lengths, noises, uniforms = ahead.block()
+        times = lengths.cumsum()
+        times += t
+        if times[-1] > t_end:
+            n = int(np.searchsorted(times, t_end, side="right"))
+            if n:
+                yield times[:n], noises[:n], uniforms[:n]
+            return
+        t = int(times[-1])
+        yield times, noises, uniforms
 
 
 # PCG64 steps its 128-bit state s to s * _PCG64_MULTIPLIER + inc per raw output.
@@ -405,12 +369,14 @@ _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class _Lookahead:
-    """Raw PCG64 output read ahead in buffers, and numpy's draws from it.
+    """numpy's steps, block by block, from raw PCG64 output read ahead.
 
-    Positions count raw outputs from the seeded state. A buffer holds the
-    raws from position ``base`` on and, at each of them, numpy's fast-path
-    normal from that raw and whether numpy's normal takes its slow path
-    there instead.
+    Positions count raw outputs from the seeded state. Each block reads a
+    buffer of raws from its first step's first raw on, and notes at each
+    raw how a normal starting there ends (``reads``) and whether Lemire's
+    rule rejects either 32-bit half. It then walks the buffer, noting only
+    where each step's jitter half, normal and uniform lie, and takes all the
+    block's steps from the buffer in one gather.
 
     Without events, steps read the raws in units. With a jitter draw, a
     unit of 5 raws makes 2 steps: the first takes its jitter from the low
@@ -418,6 +384,21 @@ class _Lookahead:
     raws 1 and 3, their dropout uniforms raws 2 and 4. Without a jitter
     draw, a unit of 2 raws makes 1 step: its normal, then its uniform. An
     event is a jitter half that Lemire's rule rejects or a slow-path normal.
+
+    The walk takes each run of event-free units in one lookup of ``stops``.
+    It places any other step alone, by numpy's rules and in numpy's order:
+    a rejected half passes the jitter draw on to the next half, and a
+    slow-path normal reads as many raws as ``reads`` says, or as numpy's own
+    ``standard_normal()`` reads where ``reads`` leaves it to numpy. The walk
+    then goes on from the raw after them, with the same lookup. A block that
+    reaches past its buffer is walked again over twice the raws, and later
+    blocks keep that room. Each raw is looked at once in a walk, so the cost
+    does not grow with the rate of rejections. The jitter follows numpy's
+    buffered_bounded_lemire_uint32 over PCG64's next_uint32 (the low half of
+    a raw output first, the high half kept for the next call), which numpy
+    uses while hi - lo < 2**32 (ScenarioConfig's bound). The golden demo and
+    decade digests, the per-step oracle test and the draw-level tests pin
+    all this.
     """
 
     def __init__(self, seed: int, lo: int, span: int) -> None:
@@ -426,83 +407,132 @@ class _Lookahead:
         self.lo, self.span = lo, span
         self.threshold = (2**32 - span) % span
         self.per, self.steps = (5, 2) if span > 1 else (2, 1)
-        # One block of steps and a unit more.
-        self.size = self.per * BLOCK_ROWS // self.steps + self.per
+        # A block's units, one more, and room for the raws events add.
+        units = BLOCK_ROWS // self.steps + 1
+        self.room = self.per * (units + units // 32)
         self.head = 0  # the generator's next position
-        self.base = -self.size  # nothing is buffered yet
+        self.at, self.high = 0, -1  # the next raw's position; the kept high half's raw or -1
+        self.rejected = None  # whether Lemire's rule rejects each 32-bit half, with a jitter draw
 
-    def _index(self, at: int) -> int:
-        """The buffer index of position ``at``, read ahead from there if it lies past the end."""
-        i = at - self.base
-        if i >= self.size:
-            self._read(at)
-            i = 0
-        return i
+    def block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``BLOCK_ROWS`` steps: their lengths (900 s plus the jitter), noises and uniforms."""
+        while not (walked := self._walk()):
+            self.room *= 2  # the block reached past its buffer: walk it again over twice the raws
+        return self._gather(*walked)
 
-    def _read(self, at: int) -> None:
+    def _walk(self) -> tuple[list, list, list] | None:
+        """Read a buffer of raws for the next block and walk it; None if the block needs more.
+
+        Returns the block's runs, single steps and slow-path noises, as ``_gather`` takes them,
+        each flattened into one list.
+        """
+        base = self.at if self.high < 0 else self.high
+        self._load(base, self._raws(base, self.room))
+        size, per, steps, jitter, rows = self.room, self.per, self.steps, self.span > 1, BLOCK_ROWS
+        # Indexing memoryviews gives Python ints, several times faster than numpy scalars.
+        reads = memoryview(self.reads)
+        rejected = memoryview(self.rejected) if jitter else None
+        stops_by_residue = self.stops
+        at, high = self.at - base, self.high - base if self.high >= 0 else -1  # buffer indices
+        runs, singles, slow_noises = [], [], []
+        n = 0
+        while n < rows:
+            if high < 0:
+                if at >= size:
+                    return None
+                stops = stops_by_residue[at % per]
+                units = min((stops[bisect_left(stops, at)] - at) // per, (rows - n) // steps)
+                if units:
+                    runs += at, units, n
+                    at += units * per
+                    n += units * steps
+                    continue
+            half = -1  # 2 * the jitter's raw, plus 1 for its high half
+            if jitter:
+                while True:
+                    if high < 0:
+                        if at >= size:
+                            return None
+                        half, high, at = 2 * at, at, at + 1
+                    else:
+                        half, high = 2 * high + 1, -1
+                    if not rejected[half]:
+                        break
+            normal = at  # the raw of the normal's try that settles it
+            while True:
+                if normal + 1 >= size:
+                    return None
+                count = reads[normal]
+                if count >= 0:
+                    break
+                normal += 2  # the try is rejected: numpy's draw starts over
+            if not count:
+                noise, count = self._slow_normal(base + normal)
+                slow_noises.append((n, noise))
+            uniform = normal + count
+            if uniform >= size:
+                return None
+            singles += n, half, normal, uniform
+            at = uniform + 1
+            n += 1
+        self.at, self.high = base + at, base + high if high >= 0 else -1
+        return runs, singles, slow_noises
+
+    def _raws(self, at: int, count: int) -> np.ndarray:
+        """The ``count`` raw outputs from position ``at``."""
         bitgen = self.rng.bit_generator
         bitgen.advance(at - self.head)  # a negative delta wraps, so steps back
-        raws = bitgen.random_raw(self.size)
-        self.raws, self.base, self.head = raws, at, at + self.size
+        self.head = at + count
+        return bitgen.random_raw(count)
+
+    def _load(self, base: int, raws: np.ndarray) -> None:
+        """Hold ``raws``, which start at position ``base``, and note where their events lie."""
+        self.base, self.raws = base, raws
         # numpy's random_standard_normal reads one raw r as idx = r & 0xFF,
         # sign = (r >> 8) & 1 and rabs = (r >> 9) & (2**52 - 1), and returns
         # rabs * wi[idx], negated for the sign, when rabs < ki[idx].
         ki, wi = _ziggurat_tables()
         low = (raws & 0x1FF).astype(np.intp)
         rabs = (raws >> 9) & (2**52 - 1)
-        self.slow, self.normals = rabs >= ki[low], rabs * wi[low]
-        event = np.ones(self.size, dtype=bool)  # a unit from here holds an event or does not fit
-        fit = self.size - self.per + 1
+        slow = rabs >= ki[low]
+        # Otherwise numpy's slow path: for idx > 0 it reads u from the next
+        # raw as the uniform does, and returns the same value when
+        # (fi[idx - 1] - fi[idx]) * u + fi[idx] < exp(-x * x / 2), else starts
+        # over; for idx 0 it draws from the tail. reads[i] says how a try from
+        # raw i ends: 1 or 2 raws read, -2 when it starts over, and 0 where
+        # numpy's own call must settle it: the tail, or a test within 1e-9,
+        # where rounding or a fused multiply-add could turn it.
+        reads = (~slow).view(np.int8)
+        tries = np.flatnonzero(slow[:-1])
+        tries = tries[(low[tries] & 0xFF) > 0]
+        idx = low[tries] & 0xFF
+        x = rabs[tries] * wi[idx]
+        u = (raws[tries + 1] >> 11) * 2.0**-53
+        fi = _ziggurat_fi()
+        test = (fi[idx - 1] - fi[idx]) * u + fi[idx] - np.exp(-0.5 * x * x)
+        reads[tries] = np.where(test < -1e-9, 2, np.where(test > 1e-9, -2, 0))
+        self.reads = reads
+        size = len(raws)
+        event = np.ones(size, dtype=bool)  # a unit from here holds an event or does not fit
+        fit = size - self.per + 1
         if self.span > 1:
-            event[:fit] = self.slow[1 : fit + 1] | self.slow[3 : fit + 3]
-            lengths = []
-            for half in (raws & 0xFFFFFFFF, raws >> 32):
-                m = half * np.uint64(self.span)
-                event[:fit] |= (m[:fit] & 0xFFFFFFFF) < self.threshold
-                lengths.append((m >> 32).astype(np.int64) + (900 + self.lo))
-            # Per step of a unit: its lengths and the offsets of its normal and uniform.
-            self.layout = ((lengths[0], 1, 2), (lengths[1], 3, 4))
+            # Each raw's low half, then its high half.
+            halves = np.empty(2 * size, dtype=np.uint64)
+            halves[0::2], halves[1::2] = raws & 0xFFFFFFFF, raws >> 32
+            m = halves * np.uint64(self.span)
+            self.rejected = m & 0xFFFFFFFF < self.threshold
+            self.half_lengths = (m >> 32).astype(np.int64) + (900 + self.lo)
+            either = self.rejected[0::2] | self.rejected[1::2]
+            event[:fit] = either[:fit] | slow[1 : fit + 1] | slow[3 : fit + 3]
         else:
-            event[:fit] = self.slow[:fit]
-            self.layout = ((np.full(self.size, 900 + self.lo, dtype=np.int64), 0, 1),)
-        # clear[i]: the first position from i on, in steps of a unit, where a
-        # run of event-free units starting at i must stop.
-        clear = np.where(event, np.arange(self.size), self.size)
-        for k in range(self.per):
-            clear[k :: self.per] = np.minimum.accumulate(clear[k :: self.per][::-1])[::-1]
-        self.clear = clear
+            event[:fit] = slow[:fit]
+        # stops[k]: in order, the positions k mod per where a run of units
+        # must stop, and then the buffer's end.
+        stops = np.flatnonzero(event)
+        self.stops = [stops[stops % self.per == k].tolist() + [size] for k in range(self.per)]
 
-    def copy(self, at: int, most: int, t: int, n: int, times: np.ndarray, noises: np.ndarray,
-             uniforms: np.ndarray) -> int:
-        """Write the steps of up to ``most`` event-free units from ``at`` into rows ``n`` on.
-
-        ``times`` gets each step's end, the first step starting at time ``t``.
-        Returns the number of units written.
-        """
-        i = self._index(at)
-        units = min((int(self.clear[i]) - i) // self.per, most)
-        if not units:
-            return 0
-        stop, end = i + units * self.per, n + units * self.steps
-        for k, (lengths, normal, uniform) in enumerate(self.layout):
-            times[n + k : end : self.steps] = lengths[i : stop : self.per]
-            noises[n + k : end : self.steps] = self.normals[i + normal : stop : self.per]
-            uniforms[n + k : end : self.steps] = self.raws[i + uniform : stop : self.per] >> 11
-        times[n] += t
-        times[n:end].cumsum(out=times[n:end])
-        uniforms[n:end] *= 2.0**-53
-        return units
-
-    def raw(self, at: int) -> int:
-        """The raw output at position ``at``."""
-        i = self._index(at)  # before self.raws is read: it may read ahead
-        return int(self.raws[i])
-
-    def normal(self, at: int) -> tuple[float, int]:
+    def _slow_normal(self, at: int) -> tuple[float, int]:
         """numpy's ``standard_normal()`` from position ``at``, and the raws it reads."""
-        i = self._index(at)
-        if not self.slow[i]:
-            return self.normals[i], 1
         bitgen = self.rng.bit_generator
         bitgen.advance(at - self.head)
         state = bitgen.state["state"]["state"]
@@ -514,6 +544,55 @@ class _Lookahead:
             used += 1
         self.head = at + used
         return noise, used
+
+    def _gather(self, runs: list, singles: list, slow_noises: list) -> tuple[np.ndarray, ...]:
+        """The block's step lengths, noises and uniforms, taken from the buffer at once.
+
+        ``runs`` holds ``index, units, row`` in turn: event-free units from
+        buffer index ``index`` on, whose steps fill the rows from ``row`` on.
+        ``singles`` holds ``row, half, normal, uniform`` in turn: a step's jitter
+        half as ``_walk`` numbers them and the buffer indices of the raw its
+        noise comes from and of its uniform. ``slow_noises`` holds
+        ``(row, noise)`` pairs for noises numpy's own call drew.
+        """
+        row, half, normal, uniform = np.array(singles, dtype=np.intp).reshape(-1, 4).T
+        if runs:
+            starts, units, first_rows = np.array(runs, dtype=np.intp).reshape(-1, 3).T
+            counts = units * self.steps
+            ends = np.cumsum(counts)
+            place = np.arange(ends[-1]) - np.repeat(ends - counts, counts)  # each step's place in its run
+            unit, k = place >> (self.steps - 1), place & (self.steps - 1)  # steps is 1 or 2
+            first = np.repeat(starts, counts) + unit * self.per  # the buffer index of its unit
+            normals = first + 1 + 2 * k if self.span > 1 else first
+            row = np.concatenate([row, np.repeat(first_rows, counts) + place])
+            half = np.concatenate([half, 2 * first + k])
+            normal = np.concatenate([normal, normals])
+            uniform = np.concatenate([uniform, normals + 1])
+        lengths = np.empty(BLOCK_ROWS, dtype=np.int64)
+        noises, uniforms = np.empty(BLOCK_ROWS), np.empty(BLOCK_ROWS)
+        lengths[row] = self.half_lengths[half] if self.span > 1 else 900 + self.lo
+        _, wi = _ziggurat_tables()
+        raws = self.raws[normal]
+        noises[row] = ((raws >> 9) & (2**52 - 1)) * wi[(raws & 0x1FF).astype(np.intp)]
+        for r, noise in slow_noises:
+            noises[r] = noise
+        uniforms[row] = (self.raws[uniform] >> 11) * 2.0**-53
+        return lengths, noises, uniforms
+
+
+@lru_cache(maxsize=1)
+def _ziggurat_fi() -> np.ndarray:
+    """numpy's ziggurat table ``fi_double``, to within about 1e-15.
+
+    ``fi[i]`` is the normal density ``exp(-x * x / 2)`` at the outer edge
+    ``x = wi[i] * 2**52`` of layer ``i``, and ``fi[0]`` is 1, the density at
+    the top. ``tests/test_synth.py`` checks the slow-path tests made with it
+    against the installed numpy.
+    """
+    _, wi = _ziggurat_tables()
+    fi = np.exp(-0.5 * (wi[:256] * 2.0**52) ** 2)
+    fi[0] = 1.0
+    return fi
 
 
 @lru_cache(maxsize=1)

@@ -18,6 +18,26 @@ GOLDEN_DEMO_DIGEST = "c59eb6fda23d442bf399c7dc493dcc645e173c59a32aa3b4ee66e16f9e
 # scenario_to_json writes it, which must not drift with the code that writes it.
 GOLDEN_DEMO_CONFIG_DIGEST = "sha256:2d7b8151c9475f9dc72acc4183b7cf4566dd542ccfbba3acfcfb77565b2fedbe"
 
+# sha256 of readings.csv that simulate writes from DECADE_SCENARIO, the
+# benchmark's decade household for seed 1: 344,424 readings, whose draws
+# hold about 5,000 slow-path normals.
+GOLDEN_DECADE_DIGEST = "bcc81899da04d2f1d2f8c37933551d000291a9f40b079ec839dae0d22ad614b5"
+DECADE_SCENARIO = {
+    "start": "2010-01-01",
+    "end": "2019-12-31",
+    "timezone": "America/New_York",
+    "seed": 1,
+    "noise_sd": 0.8,
+    "jitter": [1, 30],
+    "dropout_rate": 0.0007,
+    "vacations": [
+        ["2010-06-18", "2010-06-25"], ["2011-07-03", "2011-07-10"], ["2012-08-03", "2012-08-16"],
+        ["2013-07-31", "2013-08-12"], ["2014-06-27", "2014-07-04"], ["2015-08-02", "2015-08-08"],
+        ["2016-07-20", "2016-08-01"], ["2017-08-17", "2017-08-23"], ["2018-07-28", "2018-08-07"],
+        ["2019-06-30", "2019-07-07"],
+    ],
+}
+
 FLAT_SCENARIO = {
     "start": "2021-03-01",
     "end": "2021-03-30",
@@ -50,6 +70,12 @@ def test_simulate_demo_golden_digest(tmp_path):
     assert manifest["config_digest"] == GOLDEN_DEMO_CONFIG_DIGEST
 
 
+def test_simulate_decade_golden_digest(tmp_path):
+    (tmp_path / "scenario.json").write_text(json.dumps(DECADE_SCENARIO))
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "sim")]) == 0
+    assert sha(tmp_path / "sim" / "readings.csv") == GOLDEN_DECADE_DIGEST
+
+
 @pytest.mark.parametrize("scenario, fmt", [
     (None, "csv"),
     ({**FLAT_SCENARIO, "noise_sd": 0.5, "daily_pattern": {"period_hours": 24.0, "amplitude": 4.0}}, "jsonl"),
@@ -79,6 +105,19 @@ def test_main_module_runs_the_cli_only_as_a_script():
 
     assert run("-c", "import flowrhythm.__main__") == (0, "", "")
     assert run("-m", "flowrhythm", "--version") == (0, f"flowrhythm {flowrhythm.__version__}\n", "")
+
+
+def test_only_simulate_loads_the_generator(tmp_path, flat_dir):
+    # The other commands never import flowrhythm.synth, so they do not compile it either.
+    env = dict(os.environ, PYTHONPATH=str(Path(flowrhythm.__file__).resolve().parents[1]))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(FLAT_SCENARIO))
+    for argv in (["ingest", str(flat_dir / "readings.csv")], ["simulate", "--scenario", str(scenario)]):
+        argv += ["--out", str(tmp_path / argv[0])]
+        code = ("import sys; from flowrhythm.cli import main; "
+                f"print(main({argv!r}), 'flowrhythm.synth' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.stdout.splitlines()[-1] == f"0 {argv[0] == 'simulate'}"
 
 
 def test_simulate_seed_override_changes_output(tmp_path):
@@ -376,6 +415,16 @@ def test_min_valid_slots_outside_0_to_96_exits_two(tmp_path, flat_dir, capsys, c
     assert payload["error"] == "InvalidConfig"
     assert "min_valid_slots" in payload["message"]
     assert not (tmp_path / "x" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "profile", "periodogram", "track"])
+def test_min_valid_slots_is_checked_before_the_readings_are_read(tmp_path, capsys, command):
+    # The file is malformed (exit 3), but the flag's error comes first.
+    readings = tmp_path / "bad.csv"
+    readings.write_text("2021-03-01T00:00:00Z,not a number\n")
+    argv = [command, str(readings), "--min-valid-slots", "97", "--out", str(tmp_path / "x")]
+    assert main(["--json-errors", *argv]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
 
 
 def test_track_repeated_period_exits_two(tmp_path, flat_dir):

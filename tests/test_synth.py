@@ -248,6 +248,18 @@ def test_a_datetime_is_not_a_scenario_date(kw):
         ScenarioConfig(**{"start": date(2021, 3, 1), "end": date(2021, 3, 10), **kw})
 
 
+@pytest.mark.parametrize("pair", [
+    (datetime(2021, 3, 6), date(2021, 3, 8)), (date(2021, 3, 6), datetime(2021, 3, 8)),
+])
+def test_a_datetime_is_not_a_vacation_date(pair):
+    # scenario_to_json would write it as 2021-03-06T00:00:00, which no scenario file may hold.
+    with pytest.raises(InvalidConfig, match="date pairs"):
+        ScenarioConfig(date(2021, 3, 1), date(2021, 3, 10), vacations=(pair,))
+    with pytest.raises(InvalidConfig, match="bad scenario date"):
+        scenario_from_json({"start": "2021-03-01", "end": "2021-03-10",
+                            "vacations": [[d.isoformat() for d in pair]]})
+
+
 @pytest.mark.parametrize("zone", ["America/Metlakatla", "Asia/Manila", "Etc/GMT-14", "Etc/GMT+12"])
 def test_first_and_last_scenario_days_write_read_and_bin(tmp_path, zone):
     # At year 1, local mean time puts Metlakatla 15:13 ahead of UTC and
@@ -389,6 +401,71 @@ def test_draws_equal_numpys_across_block_edges(monkeypatch, seed, lo, hi):
         assert uniforms.tolist() == [uniform for _, _, uniform in expected[:past]]
 
 
+def numpy_draws(seed, lo, hi, count):
+    """``count`` steps of numpy's own draws; for each step, the position of the
+    first raw its normal read and how many it read, and whether its jitter
+    came from the 32-bit half kept before it."""
+    rng = np.random.default_rng(seed)
+    bitgen, probe = rng.bit_generator, np.random.PCG64()
+    probe.state = bitgen.state
+    at = 0  # raws read so far
+
+    def read():
+        """The raws read since the last call."""
+        nonlocal at
+        start = at
+        while probe.state["state"] != bitgen.state["state"]:
+            probe.advance(1)
+            at += 1
+        return at - start
+
+    steps, normals, kept = [], [], []
+    for _ in range(count):
+        kept.append(bitgen.state["has_uint32"] == 1)
+        jitter = int(rng.integers(lo, hi + 1))
+        read()
+        first = at
+        noise = rng.standard_normal()
+        normals.append((first, read()))
+        steps.append((jitter, noise, rng.random()))
+        read()
+    return steps, normals, kept
+
+
+@pytest.mark.parametrize("seed, lo, hi", [(37, 1, 30), (35, 7, 7), (159, 2**31, 2**32)])
+def test_draws_equal_numpys_around_slow_path_normals(monkeypatch, seed, lo, hi):
+    expected, normals, kept = numpy_draws(seed, lo, hi, 300)
+    reads = [count for _, count in normals]
+    # Each seed's first 300 steps hold a slow-path normal whose first try is
+    # rejected, so it reads 3 raws or more; with a jitter draw, also a unit
+    # with two slow-path normals: a step on a fresh raw's low half and the
+    # step on the high half it kept.
+    assert max(reads) >= 3
+    if hi > lo:
+        assert any(not kept[i] and kept[i + 1] and min(reads[i : i + 2]) > 1 for i in range(299))
+    ends = np.cumsum([900 + step for step, _, _ in expected])
+    buffer_ends = []  # where the buffer ended each time a block reached past it
+    walk = synth._Lookahead._walk
+
+    def spy(self):
+        walked = walk(self)
+        if walked is None:
+            buffer_ends.append(self.base + len(self.raws))
+        return walked
+
+    monkeypatch.setattr(synth._Lookahead, "_walk", spy)
+    for rows in (1, 2, 7, 4096):
+        monkeypatch.setattr(synth, "BLOCK_ROWS", rows)
+        blocks = list(_draw_steps(seed, lo, hi, 0, int(ends[-1])))
+        assert [len(times) for times, _, _ in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        times, noises, uniforms = map(np.concatenate, zip(*blocks))
+        assert times.tolist() == ends.tolist()
+        assert noises.tolist() == [noise for _, noise, _ in expected]
+        assert uniforms.tolist() == [uniform for _, _, uniform in expected]
+    # Some slow-path normal's raws ran past the end of a buffer.
+    assert any(start < end < start + count for start, count in normals for end in buffer_ends)
+
+
 def test_ziggurat_tables_equal_numpys():
     # From state 0, PCG64 steps to state inc and outputs its high 64 bits
     # xor its low 64 bits, rotated right by its top 6 bits. So inc = r (odd,
@@ -419,3 +496,56 @@ def test_ziggurat_tables_equal_numpys():
             assert alone and noise.hex() == float(wi[low]).hex()
             assert normal_from(low | (k - 1) << 9)[1]
         assert not normal_from(low | k << 9)[1]
+
+
+def test_slow_path_tests_equal_numpys():
+    # numpy's slow-path normal in layer idx > 0 reads a raw r, then u from the
+    # next raw, and returns r's value while (fi[idx - 1] - fi[idx]) * u + fi[idx]
+    # < exp(-x * x / 2), else starts over. Its fi_double is not in the package:
+    # the test is made with fi worked out from wi. For each layer, force r and
+    # a 53-bit k (u = k * 2**-53), find numpy's least rejected k by bisection,
+    # and check that the buffer's verdict agrees on every side of it.
+    bitgen = np.random.PCG64()
+    rng = np.random.Generator(bitgen)
+    mask, multiplier = 2**64 - 1, 0x2360ED051FC65DA44385DF649FCCF645
+
+    def with_output(r, high):
+        """A PCG64 state with high 64 bits ``high`` whose output is r."""
+        rot = high >> 58
+        return high << 64 | high ^ ((r << rot | r >> (64 - rot)) & mask)
+
+    def numpy_keeps(r, k):
+        """Whether numpy's standard_normal() returns raw r's value when u is k * 2**-53."""
+        first = with_output(r, 7)
+        second = with_output(k << 11, 2**63 + 2)
+        if not (second - first * multiplier) & 1:  # inc must be odd
+            second = with_output(k << 11, 2**63 + 3)
+        inc = (second - first * multiplier) % 2**128
+        state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                 "state": {"state": (first - inc) * pow(multiplier, -1, 2**128) % 2**128, "inc": inc}}
+        bitgen.state = state
+        assert bitgen.random_raw(2).tolist() == [r, k << 11]
+        bitgen.state = state
+        rng.standard_normal()
+        return bitgen.state["state"]["state"] == second
+
+    ahead = synth._Lookahead(0, 1, 30)
+
+    def verdict(r, k):
+        ahead._load(0, np.array([r, k << 11], dtype=np.uint64))
+        return int(ahead.reads[0])
+
+    ki, _ = synth._ziggurat_tables()
+    assert verdict(int(ki[0]) << 9, 2**52) == 0  # layer 0 goes on to the tail: numpy's own call
+    for idx in range(1, 256):
+        r = idx | (int(ki[idx]) + 2**52) // 2 << 9  # halfway through the slow part of the layer
+        first, last = 0, 2**53  # numpy keeps r's value for every k below some bound in [first, last]
+        while first < last:
+            mid = (first + last) // 2
+            first, last = (mid + 1, last) if numpy_keeps(r, mid) else (first, mid)
+        for k in (0, first - 2**40, first - 1, first, first + 2**40, 2**53 - 1):
+            if 0 <= k < 2**53:
+                assert verdict(r, k) in (0, 2 if k < first else -2)
+                if abs(k - first) >= 2**40:  # more than 1e-9 from the turn
+                    assert verdict(r, k) == (2 if k < first else -2)
+
