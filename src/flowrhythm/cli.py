@@ -31,21 +31,16 @@ from .errors import ConfigError, DataError, FlowRhythmError, InvalidConfig
 from .exclusions import load_calendar
 from .pipeline import readings_to_days
 from .readings import read_stream, segment_litres, write_stream_csv, write_stream_jsonl
-from .spectral import (
-    ESTIMATORS,
-    NORMALIZATIONS,
-    TARGET_PERIODS_HOURS,
-    write_periodogram_csv,
-    write_periodogram_sidecar,
-)
+from .spectral import ESTIMATORS, NORMALIZATIONS, TARGET_PERIODS_HOURS
 from .tracking import (
     DEFAULT_MIN_VALID_DAYS,
     DEFAULT_STRIDE_DAYS,
     DEFAULT_WINDOW_DAYS,
     WindowConfig,
-    compute_window_periodograms,
+    compute_track,
     write_intensity_csv,
     write_overlay_csv,
+    write_periodogram_csv,
 )
 
 
@@ -131,8 +126,8 @@ def _load_inputs(args):
     return stream, days, calendar
 
 
-def _window_pairs(args):
-    """Window config, calendar and per-window periodograms of a periodogram or track run."""
+def _track(args):
+    """The exclusion calendar and the track of a periodogram or track run."""
     try:
         periods = tuple(float(part) for part in args.periods.split(",") if part.strip())
     except ValueError as exc:
@@ -145,11 +140,9 @@ def _window_pairs(args):
         min_valid_days=args.min_valid_days,
         target_periods=periods,
     )
+    cfg.grid()  # before a long file is read
     _, days, calendar = _load_inputs(args)
-    pairs = compute_window_periodograms(
-        days, calendar, cfg, estimator=args.estimator, normalization=args.normalization,
-    )
-    return cfg, calendar, pairs
+    return calendar, compute_track(days, calendar, cfg, args.estimator, args.normalization)
 
 
 def cmd_simulate(args) -> int:
@@ -226,40 +219,52 @@ def cmd_profile(args) -> int:
 
 
 def cmd_periodogram(args) -> int:
-    cfg, _, pairs = _window_pairs(args)
-    pairs = [(w, pg) for w, pg in pairs if pg is not None]
-    if args.start is not None:
+    wanted = None
+    if args.start is not None:  # before a long file is read
         try:
             wanted = date.fromisoformat(args.start)
         except ValueError as exc:
             raise InvalidConfig(f"bad --start date {args.start!r}: {exc}") from exc
-        pairs = [(w, pg) for w, pg in pairs if w.start_date == wanted]
-        if not pairs:
+    _, track = _track(args)
+    rows = track.emitted
+    if wanted is not None:
+        rows = rows[track.starts[rows] == (wanted - track.first).days]
+        if not len(rows):
             raise DataError(f"no emitted window starts at {wanted}")
-    elif not pairs:
+    elif not len(rows):
         raise DataError("no window has enough valid days for the estimator")
-    window, pg = pairs[0]
+    row = int(rows[0])
+    start = track.start_date(row)
     out = _out_dir(args)
-    write_periodogram_csv(pg, out / "periodogram.csv")
-    write_periodogram_sidecar(pg, out / "periodogram.meta.json")
-    config = _config(args, periods=list(cfg.target_periods), start=window.start_date.isoformat())
+    write_periodogram_csv(track, row, out / "periodogram.csv")
+    sidecar = {
+        "estimator": track.estimator,
+        "normalization": track.normalization,
+        "n_samples": int(track.n_samples[row]),
+        "window_start": start.isoformat(),
+        "window_hours": track.cfg.window_hours,
+        "n_frequencies": len(track.grid),
+        "min_frequency_cph": float(track.grid.frequencies_cph[0]),
+        "max_frequency_cph": float(track.grid.frequencies_cph[-1]),
+    }
+    (out / "periodogram.meta.json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    config = _config(args, periods=list(track.cfg.target_periods), start=start.isoformat())
     _write_manifest(out, "periodogram", config, _inputs(args))
-    print(f"wrote periodogram.csv for window starting {window.start_date}")
+    print(f"wrote periodogram.csv for window starting {start}")
     return 0
 
 
 def cmd_track(args) -> int:
-    cfg, calendar, pairs = _window_pairs(args)
+    calendar, track = _track(args)
     out = _out_dir(args)
-    write_intensity_csv(pairs, cfg.target_periods, out / "intensity.csv")
-    write_overlay_csv(pairs, out / "overlay.csv")
+    write_intensity_csv(track, out / "intensity.csv")
+    write_overlay_csv(track, out / "overlay.csv")
     vacations = calendar.vacation_ranges() if calendar is not None else []
     _write_manifest(
-        out, "track", _config(args, periods=list(cfg.target_periods)), _inputs(args),
+        out, "track", _config(args, periods=list(track.cfg.target_periods)), _inputs(args),
         vacation_ranges=[[a.isoformat(), b.isoformat()] for a, b in vacations],
     )
-    n_emitted = sum(1 for _, pg in pairs if pg is not None)
-    print(f"wrote intensity.csv ({n_emitted} emitted window(s)) and overlay.csv")
+    print(f"wrote intensity.csv ({len(track.emitted)} emitted window(s)) and overlay.csv")
     return 0
 
 

@@ -30,9 +30,7 @@ The tracking layer runs the same cores on blocks of windows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -51,8 +49,6 @@ __all__ = [
     "Periodogram",
     "classic_periodogram",
     "lomb_scargle",
-    "write_periodogram_csv",
-    "write_periodogram_sidecar",
 ]
 
 # 15-minute sampling supports nothing above 2 cycles/hour.
@@ -179,8 +175,6 @@ class Periodogram:
     estimator: str
     normalization: str = "raw"
     n_samples: int = 0
-    window_start: str | None = None
-    window_hours: float | None = None
 
     def __post_init__(self):
         power = np.asarray(self.power, dtype=np.float64)
@@ -371,26 +365,3 @@ def lomb_scargle(
         Fewer than three samples (two parameters plus an offset).
     """
     return _estimate("ls", samples, grid, normalization)
-
-
-def write_periodogram_csv(periodogram: Periodogram, path: str | Path) -> None:
-    """One `frequency_cph,period_hours,power` row per grid frequency."""
-    freqs = periodogram.grid.frequencies_cph.tolist()
-    lines = ["frequency_cph,period_hours,power"]
-    lines += [f"{f!r},{1.0 / f!r},{p!r}" for f, p in zip(freqs, periodogram.power.tolist())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_periodogram_sidecar(periodogram: Periodogram, path: str | Path) -> None:
-    """JSON sidecar recording how the matching CSV was produced."""
-    sidecar = {
-        "estimator": periodogram.estimator,
-        "normalization": periodogram.normalization,
-        "n_samples": periodogram.n_samples,
-        "window_start": periodogram.window_start,
-        "window_hours": periodogram.window_hours,
-        "n_frequencies": len(periodogram.grid),
-        "min_frequency_cph": float(periodogram.grid.frequencies_cph[0]),
-        "max_frequency_cph": float(periodogram.grid.frequencies_cph[-1]),
-    }
-    Path(path).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")

@@ -2,20 +2,21 @@
 
 Slides a fixed-length window over the rows of the binned days' DayMatrix,
 computes one periodogram per window, and reads off the intensity at the
-target periods (24 h and 12 h by default).
+target periods (24 h and 12 h by default). A run's windows are held as one
+Track: a row of arrays per window position and one power matrix.
 Windows advance in calendar time, so excluded or missing days thin a window
 out (as NaN rows) rather than stretching it; windows with too few valid days
-become explicit skip markers, never silent zeros.
+become explicit skip rows, with NaN power and never silent zeros.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +34,8 @@ from .spectral import (
 )
 
 log = logging.getLogger(__name__)
+
+Days = DayMatrix | Sequence[BinnedDay]
 
 DEFAULT_WINDOW_DAYS = 10
 DEFAULT_STRIDE_DAYS = 1
@@ -89,169 +92,188 @@ class WindowConfig:
         return grid
 
 
-@dataclass(frozen=True)
-class AnalysisWindow:
-    """One window position and its valid-day count; skip markers carry the reason."""
+# Skip-reason codes of a track row: estimated, or skipped for too few valid
+# days, too few samples for the estimator, or (classic only) a hole inside.
+ESTIMATED, FEW_VALID_DAYS, FEW_SAMPLES, UNEVEN = range(4)
 
-    start_date: date
-    window_days: int
-    valid_day_count: int
-    skipped: bool = False
-    reason: str | None = None
+
+@dataclass(frozen=True)
+class Track:
+    """One run's windows as arrays, one row per window position in start order.
+
+    Row i is the window from DayMatrix row `starts[i]`, the date `first +
+    starts[i]`, with `valid_days` valid days and `n_samples` present samples.
+    `skip` holds ESTIMATED or the code it was skipped for, and `power` is
+    (windows x len(grid)), NaN on every skip row and never zero.
+    """
+
+    first: date
+    starts: np.ndarray
+    valid_days: np.ndarray
+    n_samples: np.ndarray
+    skip: np.ndarray
+    power: np.ndarray
+    grid: FrequencyGrid
+    estimator: str  # the periodogram label, e.g. "lomb_scargle"
+    normalization: str
+    cfg: WindowConfig
+
+    def start_date(self, row: int) -> date:
+        return self.first + timedelta(days=int(self.starts[row]))
 
     @property
-    def end_date(self) -> date:
-        return self.start_date + timedelta(days=self.window_days - 1)
+    def emitted(self) -> np.ndarray:
+        """Rows of the estimated windows, in start order."""
+        return np.flatnonzero(self.skip == ESTIMATED)
 
 
-def _valid_days(
-    days: DayMatrix | Sequence[BinnedDay], calendar: ExclusionCalendar | None
-) -> tuple[DayMatrix, np.ndarray]:
-    """The binned days as a DayMatrix, and which of its rows are valid.
-
-    A day is valid when it was retained by binning and the calendar (if any)
-    classifies it normal.
-    """
+def _layout(
+    days: Days, calendar: ExclusionCalendar | None, cfg: WindowConfig
+) -> tuple[DayMatrix, np.ndarray, np.ndarray]:
+    """The binned days as a DayMatrix, which of its rows are valid (retained
+    by binning and normal by the calendar, if any), and the first row of
+    every window position that fits in the matrix."""
     days = DayMatrix.from_days(days)
-    if not len(days.retained):
+    n = len(days.retained)
+    if not n:
         raise EmptyInput("no binned days to window")
-    if calendar is None:
-        return days, days.retained
-    return days, days.retained & calendar.normal_mask(days.first, len(days.retained))
+    valid = days.retained if calendar is None else days.retained & calendar.normal_mask(days.first, n)
+    return days, valid, np.arange(0, n - cfg.window_days + 1, cfg.stride_days)
 
 
-def _windows(first: date, valid: np.ndarray, cfg: WindowConfig) -> list[AnalysisWindow]:
-    counts = np.concatenate([[0], np.cumsum(valid)])
-    out = []
-    for row in range(0, len(valid) - cfg.window_days + 1, cfg.stride_days):
-        n = int(counts[row + cfg.window_days] - counts[row])
-        window = AnalysisWindow(first + timedelta(days=row), cfg.window_days, n)
-        if n < cfg.min_valid_days:
-            window = replace(window, skipped=True, reason=f"{n} valid day(s) < {cfg.min_valid_days}")
-        out.append(window)
-    return out
+def _hole_inside(present: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
+    """Whether each window's present slots form more than one run, so that
+    the classic estimator cannot take them as evenly spaced."""
+    seen = present.reshape(-1)
+    rises = np.concatenate([[0], np.cumsum(seen[1:] & ~seen[:-1])])
+    return seen[offsets] + rises[offsets + width - 1] - rises[offsets] > 1
 
 
-def make_windows(
-    days: DayMatrix | Sequence[BinnedDay],
-    calendar: ExclusionCalendar | None,
-    cfg: WindowConfig,
-) -> list[AnalysisWindow]:
-    """Slide the window over calendar time and count valid days per position.
+def compute_track(
+    days: Days, calendar: ExclusionCalendar | None, cfg: WindowConfig,
+    estimator: str = "ls", normalization: str = "raw",
+) -> Track:
+    """Slide the window over calendar time and estimate every window that can be.
 
-    A day is valid when it was retained by binning and the calendar (if any)
-    classifies it normal. Window starts run from the first retained day to the
-    last position still fully inside the span of retained days, advancing by the
-    stride; positions with fewer than min_valid_days valid days become skip
-    markers that keep their count.
-    """
-    days, valid = _valid_days(days, calendar)
-    return _windows(days.first, valid, cfg)
-
-
-def _rejection(present: np.ndarray, estimator: str) -> str | None:
-    """Why the estimator cannot take a window's samples, or None if it can."""
-    n = int(np.count_nonzero(present))
-    reason = too_few_samples(estimator, n)
-    if reason is None and estimator == "classic":
-        slots = np.flatnonzero(present)
-        if slots[-1] - slots[0] + 1 != n:
-            return UNEVEN_SPACING
-    return reason
-
-
-def compute_window_periodograms(
-    days: DayMatrix | Sequence[BinnedDay],
-    calendar: ExclusionCalendar | None,
-    cfg: WindowConfig,
-    estimator: str = "ls",
-    normalization: str = "raw",
-) -> list[tuple[AnalysisWindow, Periodogram | None]]:
-    """One periodogram per window position; None where the window is skipped.
+    Window starts run by the stride from the first retained day to the last
+    position inside the span of retained days. A window with fewer than
+    min_valid_days valid days is skipped, and so, with a logged warning, is
+    one whose samples defeat the estimator: too few, or a hole inside one
+    for the classic estimator.
 
     Every window is a row slice of the DayMatrix on the same clock: slot
     midpoints 24 j + 0.25 (k + 0.5) hours after window-start midnight for
     day j, slot k, with missing slots and invalid days as NaN. So one trig
-    table serves the whole run, and the estimator runs on blocks of
-    BLOCK_ROWS stacked windows. A window whose samples defeat the estimator (too few samples,
-    or for the classic estimator a hole inside the window) is demoted to a
-    skip marker carrying the estimator's complaint, so downstream output
-    never holds a silent hole.
+    table, built only when some window is estimated, serves the whole run,
+    and the estimator runs on blocks of BLOCK_ROWS stacked windows.
     """
     if estimator not in ESTIMATORS:
         raise InvalidConfig(f"estimator must be one of {tuple(ESTIMATORS)}, got {estimator!r}")
-    label, core, _ = ESTIMATORS[estimator]
+    label, core, minimum = ESTIMATORS[estimator]
     grid = cfg.grid()
-    days, valid = _valid_days(days, calendar)
+    days, valid, starts = _layout(days, calendar, cfg)
     # Days the calendar excludes are blanked in a copy; without a calendar
     # the windows slice the matrix itself.
     values = days.values if calendar is None else np.where(valid[:, None], days.values, np.nan)
-    flat = values.reshape(-1)
+    present = ~np.isnan(values)
+    # Valid days and present samples of every window, off one running sum over day rows.
+    sums = np.cumsum(np.column_stack([valid, present.sum(axis=1)]), axis=0)
+    sums = np.concatenate([[[0, 0]], sums])
+    valid_days, n_samples = (sums[starts + cfg.window_days] - sums[starts]).T
+
     width = cfg.window_days * SLOTS_PER_DAY
-    pairs: list[tuple[AnalysisWindow, Periodogram | None]] = []
-    todo: list[tuple[int, int]] = []  # (index into pairs, offset into flat)
-    for window in _windows(days.first, valid, cfg):
-        if not window.skipped:
-            offset = (window.start_date - days.first).days * SLOTS_PER_DAY
-            reason = _rejection(~np.isnan(flat[offset : offset + width]), estimator)
-            if reason is None:
-                todo.append((len(pairs), offset))
-            else:
-                log.warning("window %s skipped: %s", window.start_date, reason)
-                window = replace(window, skipped=True, reason=reason)
-        pairs.append((window, None))
+    offsets = starts * SLOTS_PER_DAY
+    skip = np.full(len(starts), ESTIMATED, dtype=np.int8)
+    skip[valid_days < cfg.min_valid_days] = FEW_VALID_DAYS
+    skip[(skip == ESTIMATED) & (n_samples < minimum)] = FEW_SAMPLES
+    if estimator == "classic":
+        skip[(skip == ESTIMATED) & _hole_inside(present, offsets, width)] = UNEVEN
+    for row in np.flatnonzero(skip > FEW_VALID_DAYS):
+        reason = UNEVEN_SPACING if skip[row] == UNEVEN else too_few_samples(estimator, n_samples[row])
+        log.warning("window %s skipped: %s", days.first + timedelta(days=int(starts[row])), reason)
 
-    table = trig_table((np.arange(width) + 0.5) * (SLOT_MINUTES / 60.0), grid)
-    for b in range(0, len(todo), BLOCK_ROWS):
-        block = todo[b : b + BLOCK_ROWS]
-        values = np.stack([flat[o : o + width] for _, o in block])
-        counts = np.count_nonzero(~np.isnan(values), axis=1)
-        for (i, _), power, n in zip(block, core(values, table, normalization), counts):
-            window = pairs[i][0]
-            pg = Periodogram(
-                grid, power, label, normalization, int(n),
-                window_start=window.start_date.isoformat(),
-                window_hours=cfg.window_hours,
-            )
-            pairs[i] = (window, pg)
-    return pairs
+    power = np.full((len(starts), len(grid)), np.nan)
+    todo = np.flatnonzero(skip == ESTIMATED)
+    if len(todo):
+        flat = values.reshape(-1)
+        table = trig_table((np.arange(width) + 0.5) * (SLOT_MINUTES / 60.0), grid)
+        for b in range(0, len(todo), BLOCK_ROWS):
+            rows = todo[b : b + BLOCK_ROWS]
+            block = np.stack([flat[o : o + width] for o in offsets[rows].tolist()])
+            power[rows] = core(block, table, normalization)
+    return Track(
+        days.first, starts, valid_days, n_samples, skip, power, grid, label, normalization, cfg
+    )
 
 
-def write_intensity_csv(
-    pairs: Sequence[tuple[AnalysisWindow, Periodogram | None]],
-    periods: Sequence[float],
-    path: str | Path,
-) -> None:
+class Window(NamedTuple):
+    """A window position, as the list views below give it."""
+
+    start_date: date
+
+
+def make_windows(days: Days, calendar: ExclusionCalendar | None, cfg: WindowConfig) -> list[Window]:
+    """The window of every compute_track row, skipped or not, without estimating."""
+    days, _, starts = _layout(days, calendar, cfg)
+    return [Window(days.first + timedelta(days=s)) for s in starts.tolist()]
+
+
+def compute_window_periodograms(
+    days: Days, calendar: ExclusionCalendar | None, cfg: WindowConfig,
+    estimator: str = "ls", normalization: str = "raw",
+) -> list[tuple[Window, Periodogram | None]]:
+    """compute_track's rows as (window, periodogram) pairs, None for a skip row."""
+    t = compute_track(days, calendar, cfg, estimator, normalization)
+    return [
+        (Window(t.start_date(i)), None if t.skip[i] != ESTIMATED else Periodogram(
+            t.grid, t.power[i], t.estimator, t.normalization, int(t.n_samples[i])))
+        for i in range(len(t.starts))
+    ]
+
+
+def write_intensity_csv(track: Track, path: str | Path) -> None:
     """Write the power at each target period off every window as a long-format CSV.
 
-    `pairs` come from compute_window_periodograms, whose WindowConfig
-    target_periods are `periods`. Rows run window-major, then in period
-    order; a skipped window (periodogram None) keeps its row per period,
-    with the power empty and its valid-day count.
+    Rows run window-major, then in the order of the track's target periods;
+    a skipped window keeps its row per period, with the power empty and its
+    valid-day count.
     """
+    periods = track.cfg.target_periods
+    picked = track.power[:, [track.grid.index_of_period(p) for p in periods]].tolist()
+    skipped = (track.skip != ESTIMATED).tolist()
     lines = ["window_start,period_hours,power,valid_days,skipped"]
-    for window, pg in pairs:
-        tail = f",{window.valid_day_count},{str(pg is None).lower()}"
-        for period in periods:
-            power = "" if pg is None else repr(float(pg.power[pg.grid.index_of_period(period)]))
-            lines.append(f"{window.start_date.isoformat()},{period!r},{power}{tail}")
+    for row, n in enumerate(track.valid_days.tolist()):
+        start = track.start_date(row).isoformat()
+        tail = f",{n},{str(skipped[row]).lower()}"
+        for period, power in zip(periods, picked[row]):
+            lines.append(f"{start},{period!r},{'' if skipped[row] else repr(power)}{tail}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_overlay_csv(
-    pairs: Sequence[tuple[AnalysisWindow, Periodogram | None]], path: str | Path
-) -> None:
-    """Write every window's full periodogram as one long-format CSV, a
-    window at a time, so the file's text is never held whole."""
-    grid = cells = None
+def _power_lines(cells: list[str], power: np.ndarray, prefix: str = "") -> str:
+    """One window's `frequency_cph,period_hours,power` lines, each after `prefix`.
+
+    overlay.csv and periodogram.csv both write through here, so a window's
+    periodogram.csv rows are its overlay rows without the start.
+    """
+    return "".join([prefix + cell + repr(p) + "\n" for cell, p in zip(cells, power.tolist())])
+
+
+def _frequency_cells(grid: FrequencyGrid) -> list[str]:
+    return [f"{f!r},{1.0 / f!r}," for f in grid.frequencies_cph.tolist()]
+
+
+def write_overlay_csv(track: Track, path: str | Path) -> None:
+    """Write every estimated window's full periodogram as one long-format CSV,
+    a window at a time, so the file's text is never held whole."""
+    cells = _frequency_cells(track.grid)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("window_start,frequency_cph,period_hours,power\n")
-        for window, pg in pairs:
-            if pg is None:
-                continue
-            if pg.grid is not grid:  # every window of a run shares one grid
-                grid = pg.grid
-                cells = [f",{f!r},{1.0 / f!r}," for f in grid.frequencies_cph.tolist()]
-            start = window.start_date.isoformat()
-            rows = zip(cells, pg.power.tolist())
-            fh.write("".join([start + cell + repr(power) + "\n" for cell, power in rows]))
+        for row in track.emitted.tolist():
+            fh.write(_power_lines(cells, track.power[row], track.start_date(row).isoformat() + ","))
+
+
+def write_periodogram_csv(track: Track, row: int, path: str | Path) -> None:
+    """One `frequency_cph,period_hours,power` row per grid frequency of a window."""
+    lines = _power_lines(_frequency_cells(track.grid), track.power[row])
+    Path(path).write_text("frequency_cph,period_hours,power\n" + lines, encoding="utf-8")

@@ -183,11 +183,17 @@ def test_periodogram_window_artifacts(tmp_path, flat_dir):
     lines = (out / "periodogram.csv").read_text().splitlines()
     assert lines[0] == "frequency_cph,period_hours,power"
     assert len(lines) == 60  # header + 59 grid points
-    meta = json.loads((out / "periodogram.meta.json").read_text())
-    assert meta["window_start"] == "2021-03-01"
-    assert meta["estimator"] == "lomb_scargle"
     # day one lacks slot 0: nothing closes at the anchor midnight itself
-    assert meta["n_samples"] == 959
+    assert json.loads((out / "periodogram.meta.json").read_text()) == {
+        "estimator": "lomb_scargle",
+        "normalization": "raw",
+        "n_samples": 959,
+        "window_start": "2021-03-01",
+        "window_hours": 240.0,
+        "n_frequencies": 59,
+        "min_frequency_cph": 1 / 120,
+        "max_frequency_cph": 0.25,
+    }
 
 
 def test_periodogram_start_selection(tmp_path, flat_dir):
@@ -221,6 +227,25 @@ def test_track_point_count(tmp_path, flat_dir):
     # 30 days -> 21 windows, two target periods each
     assert len(lines) == 1 + 21 * 2
     assert (out / "overlay.csv").exists()
+
+
+def test_windows_longer_than_the_readings_leave_header_only_files(tmp_path, flat_dir, capsys):
+    base = [str(flat_dir / "readings.csv"), "--window-days", "60", "--min-valid-days", "1"]
+    assert main(["track", *base, "--out", str(tmp_path / "trk")]) == 0
+    assert (tmp_path / "trk" / "intensity.csv").read_text() == "window_start,period_hours,power,valid_days,skipped\n"
+    assert (tmp_path / "trk" / "overlay.csv").read_text() == "window_start,frequency_cph,period_hours,power\n"
+    assert main(["periodogram", *base, "--out", str(tmp_path / "pg")]) == 3
+    assert "no window has enough valid days" in capsys.readouterr().err
+
+
+def test_periodogram_rows_are_its_windows_overlay_rows(tmp_path, flat_dir):
+    base = [str(flat_dir / "readings.csv"), "--stride-days", "2"]
+    assert main(["track", *base, "--out", str(tmp_path / "trk")]) == 0
+    assert main(["periodogram", *base, "--start", "2021-03-05", "--out", str(tmp_path / "pg")]) == 0
+    overlay = (tmp_path / "trk" / "overlay.csv").read_text().splitlines()[1:]
+    rows = [line.split(",", 1)[1] for line in overlay if line.startswith("2021-03-05,")]
+    assert len(rows) == 59
+    assert (tmp_path / "pg" / "periodogram.csv").read_text().splitlines()[1:] == rows
 
 
 def test_track_rerun_byte_identical(tmp_path, flat_dir):
@@ -417,12 +442,17 @@ def test_min_valid_slots_outside_0_to_96_exits_two(tmp_path, flat_dir, capsys, c
     assert not (tmp_path / "x" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("command", ["ingest", "profile", "periodogram", "track"])
-def test_min_valid_slots_is_checked_before_the_readings_are_read(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, flags", ids=lambda v: v if isinstance(v, str) else "=".join(v), argvalues=[
+    *((command, ["--min-valid-slots", "97"]) for command in ("ingest", "profile", "periodogram", "track")),
+    ("periodogram", ["--start", "2018-13-01"]),
+    ("periodogram", ["--periods", "13"]),
+    ("track", ["--periods", "13"]),
+])
+def test_config_is_checked_before_the_readings_are_read(tmp_path, capsys, command, flags):
     # The file is malformed (exit 3), but the flag's error comes first.
     readings = tmp_path / "bad.csv"
     readings.write_text("2021-03-01T00:00:00Z,not a number\n")
-    argv = [command, str(readings), "--min-valid-slots", "97", "--out", str(tmp_path / "x")]
+    argv = [command, str(readings), *flags, "--out", str(tmp_path / "x")]
     assert main(["--json-errors", *argv]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
 

@@ -16,7 +16,6 @@ from flowrhythm.spectral import (
     Samples,
     classic_periodogram,
     lomb_scargle,
-    write_periodogram_csv,
 )
 
 GRID10 = FrequencyGrid.for_window(240.0)
@@ -214,17 +213,3 @@ def test_samples_validation():
         Samples([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])  # not strictly increasing
     with pytest.raises(ValueError):
         Samples([0.0, 1.0], [1.0, np.nan])
-
-
-def test_periodogram_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(41)
-    pg = classic_periodogram(Samples(T10, rng.normal(0, 1, 960)), GRID10)
-    path = tmp_path / "pg.csv"
-    write_periodogram_csv(pg, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "frequency_cph,period_hours,power"
-    assert len(lines) == 1 + len(GRID10)
-    f0, p0, w0 = lines[1].split(",")
-    assert float(f0) == GRID10.frequencies_cph[0]
-    assert float(p0) == 1.0 / GRID10.frequencies_cph[0]
-    assert float(w0) == pg.power[0]

@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -11,13 +12,19 @@ from flowrhythm.errors import DataError, EmptyInput, InvalidConfig
 from flowrhythm.exclusions import DayClass, ExclusionCalendar
 from flowrhythm.pipeline import readings_to_days
 from flowrhythm.readings import ReadingStream
-from flowrhythm.spectral import Samples, classic_periodogram, lomb_scargle
+from flowrhythm.spectral import UNEVEN_SPACING, Samples, classic_periodogram, lomb_scargle
 from flowrhythm.tracking import (
+    ESTIMATED,
+    FEW_SAMPLES,
+    FEW_VALID_DAYS,
+    UNEVEN,
     WindowConfig,
+    compute_track,
     compute_window_periodograms,
     make_windows,
     write_intensity_csv,
     write_overlay_csv,
+    write_periodogram_csv,
 )
 
 START = date(2021, 3, 1)
@@ -41,7 +48,7 @@ def track(tmp_path, days, calendar=None, cfg=None):
     """The rows of intensity.csv, each split into its five fields."""
     cfg = cfg or WindowConfig()
     path = tmp_path / "intensity.csv"
-    write_intensity_csv(compute_window_periodograms(days, calendar, cfg), cfg.target_periods, path)
+    write_intensity_csv(compute_track(days, calendar, cfg), path)
     return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
 
@@ -69,10 +76,10 @@ def reference_samples(days, calendar, start, window_days):
     return Samples(times, values)
 
 
-def assert_matches_reference(pg, ref):
-    assert pg.n_samples == ref.n_samples
-    assert pg.normalization == ref.normalization
-    assert np.max(np.abs(pg.power - ref.power)) <= 1e-12 * np.max(ref.power)
+def assert_matches_reference(track, row, ref):
+    assert track.n_samples[row] == ref.n_samples
+    assert track.normalization == ref.normalization
+    assert np.max(np.abs(track.power[row] - ref.power)) <= 1e-12 * np.max(ref.power)
 
 
 @pytest.fixture
@@ -86,13 +93,13 @@ def vacation_fixture(day_run_factory):
 
 
 def test_ten_days_single_window(day_run_factory):
-    days = day_run_factory(START, 10)
-    windows = make_windows(days, None, WindowConfig())
-    assert len(windows) == 1
-    assert windows[0].start_date == START
-    assert windows[0].end_date == START + timedelta(days=9)
-    assert windows[0].valid_day_count == 10
-    assert not windows[0].skipped
+    track = compute_track(day_run_factory(START, 10), None, WindowConfig())
+    assert track.first == START and track.starts.tolist() == [0]
+    assert track.valid_days.tolist() == [10]
+    assert track.n_samples.tolist() == [960]
+    assert track.skip.tolist() == [ESTIMATED]
+    assert track.estimator == "lomb_scargle" and track.normalization == "raw"
+    assert track.power.shape == (1, len(WindowConfig().grid()))
 
 
 EXCLUDED = [c for c in DayClass if c is not DayClass.NORMAL]
@@ -119,90 +126,79 @@ def test_window_count_over_spans_calendars_and_strides(data):
     calendar = data.draw(st.sampled_from([None, ExclusionCalendar.from_ranges(
         (START + timedelta(days=k), START + timedelta(days=k), c) for k, c in excluded.items()
     )]))
-    windows = make_windows(days, calendar, cfg)
-    assert len(windows) == max(0, (span - cfg.window_days) // cfg.stride_days + 1)
-    assert [w.start_date for w in windows] == [
-        START + timedelta(days=i * cfg.stride_days) for i in range(len(windows))
-    ]
+    track = compute_track(days, calendar, cfg)
+    n = max(0, (span - cfg.window_days) // cfg.stride_days + 1)
+    assert track.first == START
+    assert track.starts.tolist() == [i * cfg.stride_days for i in range(n)]
+    assert len(make_windows(days, calendar, cfg)) == n
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=10, max_value=300))
 def test_window_count_is_span_minus_nine(n):
-    days = [
-        # inline construction: hypothesis shrinks badly through fixtures
-        d
-        for d in (
-            __import__("flowrhythm.binning", fromlist=["BinnedDay"]).BinnedDay(
-                START + timedelta(days=k), np.ones(SLOTS_PER_DAY)
-            )
-            for k in range(n)
-        )
-    ]
-    windows = make_windows(days, None, WindowConfig())
-    assert len(windows) == n - 9
+    # inline construction: hypothesis shrinks badly through fixtures
+    days = [BinnedDay(START + timedelta(days=k), np.ones(SLOTS_PER_DAY)) for k in range(n)]
+    assert len(compute_track(days, None, WindowConfig()).starts) == n - 9
 
 
 def test_two_hundred_twenty_six_days(day_run_factory):
     days = day_run_factory(START, 226)
-    assert len(make_windows(days, None, WindowConfig())) == 217
+    assert len(compute_track(days, None, WindowConfig()).starts) == 217
 
 
-def test_vacation_span_skips_low_occupancy_windows(vacation_fixture):
-    days, calendar = vacation_fixture
-    windows = make_windows(days, calendar, WindowConfig())
-    assert len(windows) == 11
-    emitted = [w for w in windows if not w.skipped]
-    skipped = [w for w in windows if w.skipped]
-    assert len(emitted) == 3
-    assert len(skipped) == 8
-    assert [w.start_date for w in emitted] == [
-        START,
-        START + timedelta(days=1),
-        START + timedelta(days=2),
-    ]
-    assert [w.valid_day_count for w in emitted] == [10, 9, 8]
-    for w in skipped:
-        assert w.reason is not None and "valid day" in w.reason
-
-
-def test_skip_rows_report_valid_day_count(tmp_path, vacation_fixture):
+def test_vacation_span_skips_low_occupancy_windows(tmp_path, vacation_fixture):
     days, calendar = vacation_fixture
     cfg = WindowConfig()
-    pairs = compute_window_periodograms(days, calendar, cfg)
-    assert [w.valid_day_count for w, pg in pairs if pg is None] == [7, 6, 5, 4, 3, 2, 1, 1]
+    track = compute_track(days, calendar, cfg)
+    assert track.starts.tolist() == list(range(11))
+    assert track.emitted.tolist() == [0, 1, 2]
+    assert track.valid_days.tolist() == [10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 1]
+    assert track.skip.tolist() == [ESTIMATED] * 3 + [FEW_VALID_DAYS] * 8
     path = tmp_path / "intensity.csv"
-    write_intensity_csv(pairs, cfg.target_periods, path)
+    write_intensity_csv(track, path)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     skipped = [int(r[3]) for r in rows if r[4] == "true"]
     assert skipped == [n for n in (7, 6, 5, 4, 3, 2, 1, 1) for _ in cfg.target_periods]
 
 
+def test_skip_rows_hold_nan_power_and_stay_out_of_the_overlay(tmp_path, day_run_factory, day_factory):
+    # Valid-day skips from a vacation, and classic skips from a hole inside.
+    days = day_run_factory(START, 5) + day_run_factory(START + timedelta(days=6), 20, cosine_bins())
+    calendar = ExclusionCalendar.from_ranges(
+        [(START + timedelta(days=14), START + timedelta(days=19), DayClass.VACATION)]
+    )
+    track = compute_track(days, calendar, WindowConfig(), estimator="classic")
+    assert set(track.skip.tolist()) == {ESTIMATED, FEW_VALID_DAYS, UNEVEN}
+    skipped = track.skip != ESTIMATED
+    assert np.isnan(track.power[skipped]).all()
+    assert np.isfinite(track.power[~skipped]).all()
+    write_overlay_csv(track, tmp_path / "overlay.csv")
+    starts = {line.split(",")[0] for line in (tmp_path / "overlay.csv").read_text().splitlines()[1:]}
+    assert starts == {track.start_date(row).isoformat() for row in track.emitted}
+
+
 def test_stride_spaces_window_starts(day_run_factory):
     days = day_run_factory(START, 40)
-    cfg = WindowConfig(stride_days=3)
-    starts = [w.start_date for w in make_windows(days, None, cfg)]
-    assert starts[0] == START
-    assert all(
-        (b - a).days == 3 for a, b in zip(starts, starts[1:])
-    )
-    assert starts[-1] + timedelta(days=9) <= days[-1].day
+    track = compute_track(days, None, WindowConfig(stride_days=3))
+    assert track.starts[0] == 0
+    assert (np.diff(track.starts) == 3).all()
+    assert track.start_date(-1) + timedelta(days=9) <= days[-1].day
 
 
 def test_duplicate_days_rejected(day_factory):
     days = [day_factory(START), day_factory(START)]
     with pytest.raises(DataError, match="duplicate"):
-        make_windows(days, None, WindowConfig())
+        compute_track(days, None, WindowConfig())
 
 
 def test_empty_input():
     with pytest.raises(EmptyInput):
-        make_windows([], None, WindowConfig())
+        compute_track([], None, WindowConfig())
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_emitted_windows_count_the_present_slots_of_their_valid_rows(data):
+def test_windows_count_the_valid_days_and_present_slots_of_their_rows(data):
     window = data.draw(st.integers(2, 4), label="window_days")
     cfg = WindowConfig(window_days=window, min_valid_days=data.draw(st.integers(1, window)))
     span = data.draw(st.integers(1, 10), label="span")
@@ -214,12 +210,15 @@ def test_emitted_windows_count_the_present_slots_of_their_valid_rows(data):
     excluded = data.draw(st.sets(st.integers(0, span - 1)), label="excluded")
     calendar = ExclusionCalendar({START + timedelta(days=k): DayClass.WEATHER_EVENT for k in excluded})
     valid = retained & ~np.isin(np.arange(span), list(excluded))
-    pairs = compute_window_periodograms(DayMatrix(START, values, retained), calendar, cfg)
-    for w, pg in pairs:
-        rows = slice((w.start_date - START).days, (w.start_date - START).days + window)
-        assert w.valid_day_count == int(valid[rows].sum())
-        if pg is not None:
-            assert pg.n_samples == int(np.count_nonzero(~np.isnan(values[rows][valid[rows]])))
+    track = compute_track(DayMatrix(START, values, retained), calendar, cfg)
+    for row, start in enumerate(track.starts.tolist()):
+        rows = slice(start, start + window)
+        assert track.valid_days[row] == int(valid[rows].sum())
+        assert track.n_samples[row] == int(np.count_nonzero(~np.isnan(values[rows][valid[rows]])))
+        expected = ESTIMATED if track.valid_days[row] >= cfg.min_valid_days else FEW_VALID_DAYS
+        if expected == ESTIMATED and track.n_samples[row] < 3:
+            expected = FEW_SAMPLES
+        assert track.skip[row] == expected
 
 
 def test_windows_start_at_the_first_retained_day(tmp_path):
@@ -234,45 +233,45 @@ def test_windows_start_at_the_first_retained_day(tmp_path):
     listed = DayMatrix.from_days([BinnedDay(d, bins) for d, bins in day_rows(days)])
     cfg = WindowConfig()
     for name, matrix in (("matrix", days), ("listed", listed)):
-        pairs = compute_window_periodograms(matrix, None, cfg)
-        assert pairs[0][0].start_date == START + timedelta(days=1)
-        write_intensity_csv(pairs, cfg.target_periods, tmp_path / f"{name}.csv")
+        track = compute_track(matrix, None, cfg)
+        assert track.start_date(0) == START + timedelta(days=1)
+        write_intensity_csv(track, tmp_path / f"{name}.csv")
     assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
 
 
 def test_window_clock_is_slot_midpoints(day_factory):
     days = noisy_tone_days(day_factory, 2)
     cfg = WindowConfig(window_days=2, min_valid_days=2)
-    (window, pg), = compute_window_periodograms(days, None, cfg)
+    track = compute_track(days, None, cfg)
     times = SLOT_HOURS * (np.arange(192) + 0.5)
     values = np.concatenate([d.bins for d in days])
-    assert_matches_reference(pg, lomb_scargle(Samples(times, values), cfg.grid()))
+    assert_matches_reference(track, 0, lomb_scargle(Samples(times, values), cfg.grid()))
 
 
 def test_missing_slot_leaves_the_window(day_factory):
     bins = cosine_bins(offset=4.0)
     bins[5] = np.nan
     cfg = WindowConfig(window_days=2, min_valid_days=1)
-    assert make_windows([day_factory(START, bins)], None, cfg) == []  # 1-day span cannot host a 2-day window
+    alone = compute_track([day_factory(START, bins)], None, cfg)
+    assert len(alone.starts) == 0 and alone.power.shape == (0, len(cfg.grid()))  # 1-day span cannot host a 2-day window
 
     days = [day_factory(START, bins), day_factory(START + timedelta(days=1), cosine_bins(amplitude=2.0))]
-    (window, pg), = compute_window_periodograms(days, None, cfg)
-    assert pg.n_samples == 191
+    track = compute_track(days, None, cfg)
+    assert track.n_samples.tolist() == [191]
     times = np.delete(SLOT_HOURS * (np.arange(192) + 0.5), 5)
     values = np.delete(np.concatenate([d.bins for d in days]), 5)
-    assert_matches_reference(pg, lomb_scargle(Samples(times, values), cfg.grid()))
+    assert_matches_reference(track, 0, lomb_scargle(Samples(times, values), cfg.grid()))
 
 
 @pytest.mark.parametrize("normalization", ["raw", "variance"])
 def test_batched_ls_matches_single_series_on_demo(demo_days, study_calendar, normalization):
     cfg = WindowConfig()
     grid = cfg.grid()
-    pairs = compute_window_periodograms(demo_days, study_calendar, cfg, normalization=normalization)
-    emitted = [(w, pg) for w, pg in pairs if pg is not None]
-    assert len(emitted) > 100
-    for window, pg in emitted:
-        samples = reference_samples(demo_days, study_calendar, window.start_date, cfg.window_days)
-        assert_matches_reference(pg, lomb_scargle(samples, grid, normalization=normalization))
+    track = compute_track(demo_days, study_calendar, cfg, normalization=normalization)
+    assert len(track.emitted) > 100
+    for row in track.emitted:
+        samples = reference_samples(demo_days, study_calendar, track.start_date(row), cfg.window_days)
+        assert_matches_reference(track, row, lomb_scargle(samples, grid, normalization=normalization))
 
 
 @pytest.mark.parametrize("normalization", ["raw", "variance"])
@@ -280,31 +279,42 @@ def test_batched_classic_matches_single_series_on_complete_tone(day_factory, nor
     days = noisy_tone_days(day_factory, 45)  # 36 windows: more than one block
     cfg = WindowConfig()
     grid = cfg.grid()
-    pairs = compute_window_periodograms(days, None, cfg, estimator="classic", normalization=normalization)
-    assert len(pairs) == 36 and all(pg is not None for _, pg in pairs)
-    for window, pg in pairs:
-        samples = reference_samples(days, None, window.start_date, cfg.window_days)
-        assert_matches_reference(pg, classic_periodogram(samples, grid, normalization=normalization))
-        assert int(np.argmax(pg.power)) == grid.index_of_period(24.0)
+    track = compute_track(days, None, cfg, estimator="classic", normalization=normalization)
+    assert track.estimator == "classic"
+    assert len(track.emitted) == len(track.starts) == 36
+    for row in track.emitted:
+        samples = reference_samples(days, None, track.start_date(row), cfg.window_days)
+        assert_matches_reference(track, row, classic_periodogram(samples, grid, normalization=normalization))
+        assert int(np.argmax(track.power[row])) == grid.index_of_period(24.0)
 
 
-def test_classic_accepts_edge_gap_and_rejects_inner_hole(day_factory):
+def test_classic_accepts_edge_gap_and_rejects_inner_hole(day_factory, caplog):
     days = noisy_tone_days(day_factory, 20)
     hole = START + timedelta(days=10)
     calendar = ExclusionCalendar({hole: DayClass.HARDWARE_FAULT})
     cfg = WindowConfig()
-    pairs = dict(
-        (w.start_date, (w, pg))
-        for w, pg in compute_window_periodograms(days, calendar, cfg, estimator="classic")
-    )
-    for start in (START + timedelta(days=1), hole):  # the hole is the last, then the first day
-        window, pg = pairs[start]
-        assert not window.skipped and window.valid_day_count == 9
-        samples = reference_samples(days, calendar, start, cfg.window_days)
-        assert_matches_reference(pg, classic_periodogram(samples, cfg.grid()))
-    window, pg = pairs[START + timedelta(days=5)]
-    assert pg is None and window.skipped and window.valid_day_count == 9
-    assert "spacing" in window.reason
+    track = compute_track(days, calendar, cfg, estimator="classic")
+    for row in (1, 10):  # the hole is the last, then the first day
+        assert track.skip[row] == ESTIMATED and track.valid_days[row] == 9
+        samples = reference_samples(days, calendar, track.start_date(row), cfg.window_days)
+        assert_matches_reference(track, row, classic_periodogram(samples, cfg.grid()))
+    assert track.skip.tolist() == [ESTIMATED] * 2 + [UNEVEN] * 8 + [ESTIMATED]
+    assert track.valid_days.tolist() == [10] + [9] * 10
+    # One warning per demoted window, in window order.
+    assert [r.getMessage() for r in caplog.records] == [
+        f"window {START + timedelta(days=k)} skipped: {UNEVEN_SPACING}" for k in range(2, 10)
+    ]
+
+
+def test_too_few_samples_warns_with_the_count(day_factory, caplog):
+    bins = np.full(SLOTS_PER_DAY, np.nan)
+    bins[:2] = 1.0
+    cfg = WindowConfig(window_days=2, min_valid_days=1)
+    days = [day_factory(START, bins), day_factory(START + timedelta(days=1), np.full(SLOTS_PER_DAY, np.nan))]
+    track = compute_track(days, None, cfg)
+    assert track.skip.tolist() == [FEW_SAMPLES] and track.n_samples.tolist() == [2]
+    assert np.isnan(track.power).all()
+    assert [r.getMessage() for r in caplog.records] == [f"window {START} skipped: need at least 3 samples, got 2"]
 
 
 def test_pure_cosine_constant_intensity(tmp_path, day_run_factory):
@@ -331,24 +341,35 @@ def test_classic_estimator_demoted_on_gaps(day_run_factory, day_factory):
         day_factory(START + timedelta(days=k)) for k in range(6, 11)
     ]
     cfg = WindowConfig(min_valid_days=8)
-    via_classic = compute_window_periodograms(days, None, cfg, estimator="classic")
-    assert len(via_classic) == 2
-    for window, pg in via_classic:
-        assert pg is None
-        assert window.skipped
-        assert window.reason
-    via_ls = compute_window_periodograms(days, None, cfg, estimator="ls")
-    assert all(pg is not None for _, pg in via_ls)
+    via_classic = compute_track(days, None, cfg, estimator="classic")
+    assert via_classic.skip.tolist() == [UNEVEN, UNEVEN]
+    assert np.isnan(via_classic.power).all()
+    via_ls = compute_track(days, None, cfg, estimator="ls")
+    assert via_ls.skip.tolist() == [ESTIMATED, ESTIMATED]
 
 
 def test_unknown_estimator():
     with pytest.raises(InvalidConfig):
-        compute_window_periodograms([], None, WindowConfig(), estimator="welch")
+        compute_track([], None, WindowConfig(), estimator="welch")
 
 
 def test_off_grid_target_period():
     with pytest.raises(InvalidConfig):
         WindowConfig(target_periods=(13.0,)).grid()
+
+
+def test_no_window_to_estimate_builds_no_trig_table():
+    # A 60-day window over 20 days has no position; one trig table of
+    # 5,760 samples x 349 frequencies would take 16 MB.
+    days = DayMatrix(START, np.ones((20, SLOTS_PER_DAY)), np.ones(20, dtype=bool))
+    tracemalloc.start()
+    try:
+        track = compute_track(days, None, WindowConfig(window_days=60))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(track.starts) == 0
+    assert peak < 4 * 2**20
 
 
 def test_noise_ladder_erodes_periodic_fraction(day_factory):
@@ -361,13 +382,10 @@ def test_noise_ladder_erodes_periodic_fraction(day_factory):
             day_factory(START + timedelta(days=k), cosine_bins(offset=8.0) + noise_sd * z[k])
             for k in range(12)
         ]
-        pairs = compute_window_periodograms(days, None, WindowConfig())
-        grid = WindowConfig().grid()
-        i24 = grid.index_of_period(24.0)
-        per_window = [
-            float(pg.power[i24] / np.sum(pg.power)) for _, pg in pairs if pg is not None
-        ]
-        fractions.append(float(np.mean(per_window)))
+        track = compute_track(days, None, WindowConfig())
+        i24 = track.grid.index_of_period(24.0)
+        power = track.power[track.emitted]
+        fractions.append(float(np.mean(power[:, i24] / power.sum(axis=1))))
     assert all(b <= a for a, b in zip(fractions, fractions[1:]))
     assert fractions[-1] < fractions[0]
 
@@ -407,15 +425,44 @@ def test_intensity_csv(tmp_path, vacation_fixture, day_run_factory):
 def test_overlay_csv(tmp_path, vacation_fixture):
     days, calendar = vacation_fixture
     cfg = WindowConfig()
-    pairs = compute_window_periodograms(days, calendar, cfg)
     path = tmp_path / "overlay.csv"
-    write_overlay_csv(pairs, path)
+    write_overlay_csv(compute_track(days, calendar, cfg), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "window_start,frequency_cph,period_hours,power"
     assert len(lines) == 1 + 3 * len(cfg.grid())
     first = lines[1].split(",")
     assert first[0] == START.isoformat()
     assert float(first[1]) == cfg.grid().frequencies_cph[0]
+
+
+def test_periodogram_csv(tmp_path, vacation_fixture):
+    days, calendar = vacation_fixture
+    grid = WindowConfig().grid()
+    track = compute_track(days, calendar, WindowConfig())
+    write_periodogram_csv(track, 2, tmp_path / "pg.csv")
+    lines = (tmp_path / "pg.csv").read_text().splitlines()
+    assert lines[0] == "frequency_cph,period_hours,power"
+    assert len(lines) == 1 + len(grid)
+    f0, p0, w0 = lines[1].split(",")
+    assert float(f0) == grid.frequencies_cph[0]
+    assert float(p0) == 1.0 / grid.frequencies_cph[0]
+    assert float(w0) == track.power[2, 0]
+
+
+def test_list_views_are_the_track_rows(vacation_fixture):
+    days, calendar = vacation_fixture
+    cfg = WindowConfig()
+    track = compute_track(days, calendar, cfg)
+    pairs = compute_window_periodograms(days, calendar, cfg)
+    assert [w.start_date for w in make_windows(days, calendar, cfg)] == [w.start_date for w, _ in pairs]
+    assert [w.start_date for w, _ in pairs] == [track.start_date(row) for row in range(11)]
+    assert [pg is None for _, pg in pairs] == (track.skip != ESTIMATED).tolist()
+    for row in track.emitted:
+        pg = pairs[row][1]
+        assert np.array_equal(pg.grid.frequencies_cph, track.grid.frequencies_cph)
+        assert pg.estimator == "lomb_scargle"
+        assert pg.n_samples == track.n_samples[row]
+        assert np.array_equal(pg.power, track.power[row])
 
 
 @pytest.mark.parametrize(
@@ -446,29 +493,29 @@ def test_window_config_defaults():
     assert cfg.window_hours == 240.0
 
 
-def per_row_overlay(pairs) -> str:
+def per_row_overlay(track) -> str:
     """overlay.csv formatted row by row, frequency and period included."""
     lines = ["window_start,frequency_cph,period_hours,power"]
-    for window, pg in pairs:
-        if pg is None:
+    for row in range(len(track.starts)):
+        if track.skip[row] != ESTIMATED:
             continue
-        for f, power in zip(pg.grid.frequencies_cph, pg.power):
+        for f, power in zip(track.grid.frequencies_cph, track.power[row]):
             lines.append(
-                f"{window.start_date.isoformat()},{repr(float(f))},"
+                f"{track.start_date(row).isoformat()},{repr(float(f))},"
                 f"{repr(1.0 / float(f))},{repr(float(power))}"
             )
     return "\n".join(lines) + "\n"
 
 
 def test_overlay_rows_equal_the_per_row_formula_on_demo(tmp_path, demo_days, study_calendar):
-    pairs = compute_window_periodograms(demo_days, study_calendar, WindowConfig())
-    assert sum(pg is not None for _, pg in pairs) > 100
-    write_overlay_csv(pairs, tmp_path / "overlay.csv")
-    assert (tmp_path / "overlay.csv").read_text() == per_row_overlay(pairs)
+    track = compute_track(demo_days, study_calendar, WindowConfig())
+    assert len(track.emitted) > 100
+    write_overlay_csv(track, tmp_path / "overlay.csv")
+    assert (tmp_path / "overlay.csv").read_text() == per_row_overlay(track)
 
 
 def test_overlay_rows_equal_the_per_row_formula_on_a_complete_tone(tmp_path, day_factory):
-    pairs = compute_window_periodograms(noisy_tone_days(day_factory, 45), None, WindowConfig(), "classic")
-    assert len(pairs) == 36 and all(pg is not None for _, pg in pairs)
-    write_overlay_csv(pairs, tmp_path / "overlay.csv")
-    assert (tmp_path / "overlay.csv").read_text() == per_row_overlay(pairs)
+    track = compute_track(noisy_tone_days(day_factory, 45), None, WindowConfig(), "classic")
+    assert len(track.emitted) == len(track.starts) == 36
+    write_overlay_csv(track, tmp_path / "overlay.csv")
+    assert (tmp_path / "overlay.csv").read_text() == per_row_overlay(track)
