@@ -51,11 +51,8 @@ _LABELS: Mapping[str, DayClass] = {
 
 
 def _iter_span(start: date, end: date) -> Iterator[date]:
-    d = start
-    one = timedelta(days=1)
-    while d <= end:
-        yield d
-        d += one
+    # By ordinal, so a span ending on date.max never steps past it.
+    return map(date.fromordinal, range(start.toordinal(), end.toordinal() + 1))
 
 
 @dataclass(frozen=True)
@@ -167,7 +164,7 @@ def parse_calendar(text: str) -> ExclusionCalendar:
 
 def load_calendar(path: str | Path) -> ExclusionCalendar:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte order mark is dropped
     except UnicodeDecodeError as exc:
         raise CalendarError(f"calendar {path}: not UTF-8 text: {exc.reason}") from None
     return parse_calendar(text)

@@ -25,6 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import floattext
 from .errors import (
     CounterDecrease,
     EmptyInput,
@@ -140,6 +141,7 @@ class ReadingStream:
 # --- parsing -------------------------------------------------------------------
 
 _CSV_HEADER = b"timestamp,cumulative_litres"
+_BOM = b"\xef\xbb\xbf"
 # Timestamps as fixed-width bytes. A field of 26 bytes or more is cut to 26,
 # a length no canonical timestamp (20 or 25 bytes) has, so it cannot pass.
 _STAMP = "S26"
@@ -250,15 +252,17 @@ def _fast_csv(fh) -> tuple[np.ndarray, np.ndarray] | None:
     of a canonical timestamp and a finite, non-negative number; empty lines
     are skipped, as the row parser skips them.
     """
+    start = fh.tell()
     first = fh.readline()
     if first.removesuffix(b"\n").rstrip(b"\r") != _CSV_HEADER:
-        fh.seek(0)
+        fh.seek(start)
     return _fast_blocks(fh, _csv_block)
 
 
 def _csv_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """(epoch_s, litres) of a block of canonical CSV rows, else None.
 
+    A block of plain rows is read by _plain_rows, any other by loadtxt.
     loadtxt skips lines of nothing but line ends and rejects a line with one
     column; a block without a comma holds no row, so it never reaches
     loadtxt, which would warn that the block holds no data.
@@ -267,6 +271,9 @@ def _csv_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     if b"," not in block:
         return None if block.strip(b"\r\n") else (np.empty(0, dtype=np.int64), np.empty(0))
+    rows = _plain_rows(block)
+    if rows is not None:
+        return rows
     try:
         rows = np.loadtxt(
             io.BytesIO(block), dtype=_CSV_ROW, delimiter=",", comments=None,
@@ -277,6 +284,47 @@ def _csv_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     # The stamp is the first field, so each row's bytes start with it.
     epoch = _decode_timestamps(rows.view(np.uint8).reshape(len(rows), -1))
     return None if epoch is None else (epoch, rows["litres"])
+
+
+def _plain_rows(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch_s, litres) of an ASCII block of plain CSV rows, or None to
+    leave the block to loadtxt.
+
+    A plain row is a 20- or 25-byte stamp, a comma and a value of 1-19
+    digits with at most one point, ended by a newline (the block's last line
+    may lack it): what the writers write for 0 and for values from 0.01 to
+    below 1e16. Stamps
+    are decoded by _decode_timestamps and values by floattext.parse_fields,
+    so a row reads as loadtxt reads it.
+    """
+    buf = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not len(ends) or ends[-1] != len(buf) - 1:
+        ends = np.append(ends, len(buf))  # a last line without a newline
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = 0, ends[:-1] + 1
+    if np.any(ends - starts < 22):
+        return None
+    # The block between FIELD_BYTES NULs each side, so each line has a
+    # stamp's 26 bytes from its start and FIELD_BYTES up to its end.
+    pad = floattext.FIELD_BYTES
+    text = np.zeros(len(buf) + 2 * pad, dtype=np.uint8)
+    text[pad:-pad] = buf
+    stamps = np.lib.stride_tricks.sliding_window_view(text, 26)[starts + pad]
+    utc = stamps[:, 19] == ord("Z")
+    width = ends - starts - np.where(utc, 21, 26)
+    if not np.all(text[ends + pad - 1 - width] == ord(",")):
+        return None
+    fields = np.lib.stride_tricks.sliding_window_view(text, pad)[ends]
+    del text
+    litres = floattext.parse_fields(fields, width)
+    if litres is None:
+        return None
+    # Each stamp with the bytes after it zeroed, as loadtxt's fixed-width field holds it.
+    stamps[:, 25] = 0
+    stamps[utc, 20:25] = 0
+    epoch = _decode_timestamps(stamps)
+    return None if epoch is None else (epoch, litres)
 
 
 # The writer's JSONL line: _JSONL_HEAD, a 20- or 25-byte stamp, _JSONL_MID,
@@ -416,13 +464,17 @@ def read_stream(path: str | Path) -> ReadingStream:
 def _parse(fh, fmt: str, source_id: str, raw: bytes | str | None = None) -> ReadingStream:
     """The readings in a seekable binary file, as parse_stream describes.
 
-    The row parser reads `raw`, the whole input, or else the whole file.
+    A leading UTF-8 byte order mark is dropped before either parser reads
+    the file. The row parser reads `raw`, the whole input, or else the
+    whole file after the mark.
     """
+    start = len(_BOM) if fh.read(len(_BOM)) == _BOM else 0
+    fh.seek(start)
     fast, parse_rows = _PARSERS[fmt]
     parsed = fast(fh)
     if parsed is None:
-        if raw is None:
-            fh.seek(0)
+        if raw is None or start:
+            fh.seek(start)
             raw = fh.read()
         try:
             text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
@@ -556,8 +608,8 @@ _TWO_DIGITS = np.array([divmod(k, 10) for k in range(100)], dtype=np.uint8) + or
 # A written stamp, YYYY-MM-DDTHH:MM:SS+00:00, before its digits go in.
 _STAMP_FRAME = b"0000-00-00T00:00:00+00:00"
 # Bytes held for one value's repr: the longest finite double's,
-# -1.7976931348623157e+308, fills them all.
-_VALUE_BYTES = 24
+# -1.7976931348623157e+308, fills them all, as does a row of format_reprs.
+_VALUE_BYTES = floattext.FIELD_BYTES
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -599,19 +651,22 @@ def _put_values(out: np.ndarray, litres: np.ndarray) -> None:
     """Write each value's repr, NUL-padded, into the rows of `out`, an
     (n, _VALUE_BYTES) view.
 
-    repr round-trips exactly. It is taken once per run of equal values,
-    compared by bit pattern so that -0.0 keeps its own text. The reprs are
-    joined into one string, each ended by a space, and spread over one
-    NUL-padded row per run.
+    repr round-trips exactly. floattext.format_reprs writes it for values
+    in [1, 1e16). The rest, such as 0, -0.0 and values below 1, are
+    formatted by repr itself, joined into one string, each ended by a
+    space, and spread over one NUL-padded row each.
     """
-    first, run = _runs(litres.view(np.int64))
-    distinct = litres[first].tolist()
-    text = np.frombuffer(" ".join(map(float.__repr__, distinct)).encode() + b" ", dtype=np.uint8)
+    inside = (litres >= 1.0) & (litres < 1e16)
+    out[:] = floattext.format_reprs(np.where(inside, litres, 1.0))
+    outside = np.flatnonzero(~inside)
+    if not len(outside):
+        return
+    text = np.frombuffer(" ".join(map(float.__repr__, litres[outside].tolist())).encode() + b" ", dtype=np.uint8)
     space = text == ord(" ")
     lengths = np.diff(np.flatnonzero(space), prepend=-1) - 1
-    padded = np.zeros((len(distinct), _VALUE_BYTES), dtype=np.uint8)
+    padded = np.zeros((len(outside), _VALUE_BYTES), dtype=np.uint8)
     padded[np.arange(_VALUE_BYTES) < lengths[:, None]] = text[~space]
-    out[:] = padded[run]
+    out[outside] = padded
 
 
 def _write_rows(

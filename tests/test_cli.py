@@ -486,6 +486,14 @@ def test_calendar_byte_not_utf8_exits_three(tmp_path, flat_dir, capsys):
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "CalendarError"
 
 
+@pytest.mark.parametrize("command", ["profile", "periodogram", "track"])
+@pytest.mark.parametrize("calendar", [b"9999-12-31,holiday\n", b"\xef\xbb\xbf2021-03-05,holiday\n"])
+def test_calendar_on_the_last_date_or_with_a_byte_order_mark_exits_zero(tmp_path, flat_dir, command, calendar):
+    (tmp_path / "cal.txt").write_bytes(calendar)
+    assert main([command, str(flat_dir / "readings.csv"), "--timezone", "UTC",
+                 "--calendar", str(tmp_path / "cal.txt"), "--out", str(tmp_path / "x")]) == 0
+
+
 def test_directory_as_input_file_exits_two(tmp_path, flat_dir, capsys):
     readings = str(flat_dir / "readings.csv")
     for args in (["ingest", str(tmp_path)], ["track", readings, "--calendar", str(tmp_path)]):

@@ -9,6 +9,7 @@ from flowrhythm.exclusions import (
     DayClass,
     ExclusionCalendar,
     count_normal_days,
+    load_calendar,
     parse_calendar,
 )
 
@@ -70,6 +71,19 @@ def test_parse_calendar_lines_and_comments():
     assert cal.classify(date(2021, 3, 4)) is DayClass.VACATION
     assert cal.classify(date(2021, 3, 8)) is DayClass.HARDWARE_FAULT
     assert cal.classify(date(2021, 3, 9)) is DayClass.WEATHER_EVENT
+
+
+def test_parse_calendar_takes_the_last_date():
+    cal = parse_calendar("9999-12-31,holiday\n9999-12-29..9999-12-30,vacation\n")
+    assert len(cal) == 3
+    assert cal.classify(date.max) is DayClass.PUBLIC_HOLIDAY
+    assert cal.vacation_ranges() == [(date(9999, 12, 29), date(9999, 12, 30))]
+
+
+def test_load_calendar_drops_a_byte_order_mark(tmp_path):
+    text = "2017-12-25,holiday\n2018-03-01..2018-03-04,weather\n"
+    (tmp_path / "cal.txt").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_calendar(tmp_path / "cal.txt").entries == parse_calendar(text).entries
 
 
 def test_parse_calendar_unknown_label_reports_line():

@@ -157,13 +157,26 @@ def test_reading_and_binning_a_long_stream_stay_in_a_bounded_working_set(tmp_pat
     assert bin_peak <= 32 * n + 2**20
 
 
+@pytest.mark.parametrize("stream", ["long", "demo"])
+def test_the_writers_csv_is_read_without_loadtxt(tmp_path, stream, demo_stream):
+    # Every block of what write_stream_csv writes is plain rows, which the
+    # reader's own value kernel takes; a block it declined would fall back
+    # to loadtxt without any output changing.
+    stream = long_stream() if stream == "long" else demo_stream
+    write_stream_csv(stream, tmp_path / "readings.csv")
+    with patch.object(readings.np, "loadtxt", side_effect=AssertionError("a block went to loadtxt")):
+        back = read_stream(tmp_path / "readings.csv")
+    assert back.epoch_s.tobytes() == stream.epoch_s.tobytes()
+    assert back.litres.tobytes() == stream.litres.tobytes()
+
+
 @pytest.mark.parametrize("write", [write_stream_csv, write_stream_jsonl])
 def test_writing_a_long_stream_holds_one_block(tmp_path, write):
     # A writer holds one block's byte matrix (51 or 77 bytes a row), its
-    # mask, the bytes written, the block's reprs as Python strings and
-    # scratch arrays: about 240 and 265 bytes per row of a block, 1.0 and
-    # 1.1 MB at the default block size. Nothing is held per reading: 16
-    # bytes per reading would add 1.1 MB.
+    # mask, the bytes written and the scratch arrays of the stamps and of
+    # floattext.format_reprs: about 190 and 230 bytes per row of a block,
+    # 0.78 and 0.94 MB at the default block size. Nothing is held per
+    # reading: 16 bytes per reading would add 1.1 MB.
     stream = long_stream()
     tracemalloc.start()
     try:

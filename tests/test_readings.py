@@ -594,3 +594,24 @@ def test_jsonl_row_parser_reports_unreadable_values_as_malformed_rows(line, mess
     with pytest.raises(MalformedRow, match=message) as exc:
         parse_stream(text, "jsonl")
     assert exc.value.row == 2
+
+
+@pytest.mark.parametrize("number, value", [("1e3", 1000.0), ("+1.5", 1.5), (" 1.5", 1.5)])
+def test_other_csv_numbers_still_go_to_loadtxt(number, value):
+    text = f"2021-03-01T00:00:00Z,0.5\n2021-03-01T00:15:00Z,{number}\n"
+    with patch.object(readings.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        assert fast_path(text) is not None
+    assert loadtxt.call_count == 1
+    assert outcome(text) == outcome(text, fast=False) == ([1614556800, 1614557700], [0.5.hex(), value.hex()])
+
+
+@pytest.mark.parametrize("fmt, header", [("csv", True), ("csv", False), ("jsonl", False)])
+def test_a_leading_byte_order_mark_is_dropped(fmt, header):
+    rows = [("2021-03-01T00:00:00Z", 1.0), ("2021-03-01T00:15:00+00:00", 2.5)]
+    data = (csv_text(rows, header) if fmt == "csv" else jsonl_text(rows)).encode()
+    # The fast path takes the file: the row parser is not called.
+    fast_only = (readings._PARSERS[fmt][0], lambda text: pytest.fail("the row parser read the file"))
+    with patch.dict(readings._PARSERS, {fmt: fast_only}):
+        assert file_outcome(b"\xef\xbb\xbf" + data, fmt) == file_outcome(data, fmt)
+    assert file_outcome(b"\xef\xbb\xbf" + data, fmt, fast=False) == file_outcome(data, fmt)
+    assert outcome("\ufeff" + data.decode(), fmt) == file_outcome(data, fmt)
