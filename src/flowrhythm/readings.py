@@ -151,57 +151,66 @@ _CSV_ROW = np.dtype([("ts", _STAMP), ("litres", np.float64)])
 # str.splitlines ends a line at \x0b, \x0c and \x1c-\x1e (and at the
 # non-ASCII \x85, \u2028 and \u2029), and float() does not strip \x1f.
 _CSV_DECLINED = (b"\x00", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_STAMP_FRAME = b"0000-00-00T00:00:00+00:00"  # a written stamp, before its digits go in
+# The stamp kernels' operands are all uint64: numpy 1.24's value-based
+# casting turns a mix of int64 and uint64 into float64.
+_U = np.uint64
+_B8, _B24, _B32, _B48, _B56, _BYTE = _U(8), _U(24), _U(32), _U(48), _U(56), _U(0xFF)
+_TEN, _SIXTY, _HOUR_S, _DAY_S = _U(10), _U(60), _U(3600), _U(86400)
+_CLOCK_WORD = _U(int.from_bytes(b"00:00:00", "little"))  # the frame of a clock's digits
+# The decoder reads a stamp as four words, YYYY-MM-, DDTHH:MM, :SS+hh:m and
+# m. XOR with the frame leaves a digit's value in each digit lane, 0 in each
+# literal lane, and a sign of 0 for "+" and 6 for "-". Then a digit above 9
+# reaches 0x80 when 0x76 is added, as does a literal lane that is not 0 when
+# 0x7F is; a lane that carries out is at least 0x80 itself. A pair of
+# digits, at most 99, reaches 0x80 with 128 - bound added just when it
+# reaches the bound: 13 for the month, 24 for the hour, 60 for minute and
+# second, each at the byte of its tens digit.
+_ROW, _BOUND = np.frombuffer(_STAMP_FRAME.ljust(32, b"\0"), dtype=np.uint8), np.zeros(32, dtype=np.uint8)
+_BOUND[[5, 11, 14, 17]] = 13, 24, 60, 60
+_FRAME, _ADD, _HIGH, _OVER, _OVER_HIGH = np.array([
+    _ROW, np.where(_ROW == ord("0"), 0x76, 0x7F) * (np.arange(32) != 19), 0x80 * (np.arange(32) != 19),
+    (128 - _BOUND) * (_BOUND > 0), 0x80 * (_BOUND > 0),
+], dtype=np.uint8).view("<u8").astype(_U)[:, :, None]
+_SIGN, _MINUS = _U(0xFF << 24), _U((ord("+") ^ ord("-")) << 24)
+# A Z stamp's third word, ":SSZ" and NULs, and what turns it into +00:00.
+_Z_MASK, _Z_WORD = _U(0xFFFF_FFFF_FF00_00FF), _U(ord(":") | ord("Z") << 24)
+_Z_TO_FRAME = np.array([[(ord("Z") ^ ord("+")) << 24 | int.from_bytes(b"00:0", "little") << 32], [ord("0")]], _U)
 
 
 def _decode_timestamps(b: np.ndarray) -> np.ndarray | None:
     """Epoch seconds of canonical timestamps, or None if any is not canonical.
 
     `b` holds one `_STAMP` per row as bytes, in its first 26 columns.
-    Canonical is whole-second `YYYY-MM-DDTHH:MM:SS` followed by `Z` or
-    `+HH:MM` / `-HH:MM`. Each field is decoded with digit arithmetic over
-    the byte columns and range-checked as datetime.fromisoformat checks it,
-    so an accepted stamp decodes to what the row parser makes of it.
+    Canonical is whole-second `YYYY-MM-DDTHH:MM:SS`, then `Z` or `+hh:mm` /
+    `-hh:mm`, then NULs, in the ranges datetime.fromisoformat accepts: such
+    a stamp decodes to what the row parser makes of it. Digits are read in
+    pairs from words, a date once per run of rows with equal date bytes.
     """
-    n = len(b)
-
-    def number(first: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-        value = np.zeros(n, dtype=np.int32)
-        valid = np.ones(n, dtype=bool)
-        for c in range(first, first + width):
-            digit = b[:, c] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
-            valid &= digit <= 9
-            value = value * 10 + digit
-        return value, valid
-
-    (year, y_ok), (month, mo_ok), (day, d_ok) = number(0, 4), number(5, 2), number(8, 2)
-    (hour, h_ok), (minute, mi_ok), (second, s_ok) = number(11, 2), number(14, 2), number(17, 2)
-    (off_h, oh_ok), (off_m, om_ok) = number(20, 2), number(23, 2)
-    ok = y_ok & mo_ok & d_ok & h_ok & mi_ok & s_ok
-    for col, char in ((4, "-"), (7, "-"), (10, "T"), (13, ":"), (16, ":")):
-        ok &= b[:, col] == ord(char)
-    utc = (b[:, 19] == ord("Z")) & ~b[:, 20:26].any(axis=1)
-    negative = b[:, 19] == ord("-")
-    signed = (
-        (negative | (b[:, 19] == ord("+"))) & (b[:, 22] == ord(":")) & (b[:, 25] == 0)
-        & oh_ok & om_ok & (off_h <= 23) & (off_m <= 59)
-    )
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
-    ok &= (
-        (utc | signed) & (year >= 1) & (month >= 1) & (month <= 12)
-        & (day >= 1) & (day <= month_days) & (hour <= 23) & (minute <= 59) & (second <= 59)
-    )
-    if not ok.all():
+    words = np.empty((4, len(b)), dtype=_U)
+    words[:3], words[3] = b[:, :24].view("<u8").T, b[:, 24:26].view("<u2")[:, 0]
+    utc = ((words[2] & _Z_MASK) == _Z_WORD) & (words[3] == _U(0))
+    np.bitwise_xor(words[2:], _Z_TO_FRAME, out=words[2:], where=utc)
+    words ^= _FRAME
+    sign = words[2] & _SIGN  # left in its lane: the pairs there are never read, and stay below 256
+    pairs = words[:3] * _TEN + (words[:3] >> _B8)
+    flags = (words + _ADD | words) & _HIGH
+    flags[:3] |= (pairs + _OVER[:3]) & _OVER_HIGH[:3]
+    if flags.any() or not np.all((sign == _MINUS) | (sign == _U(0))):
         return None
-    # Days since 1970-01-01 of a proleptic Gregorian date, counting years
-    # from March so that the leap day ends the year.
-    era, yoe = np.divmod(year - (month <= 2), 400)
-    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
-    seconds = days.astype(np.int64) * 86400 + (hour * 3600 + minute * 60 + second)
-    offset = np.where(utc, 0, np.where(negative, -60, 60) * (60 * off_h + off_m))
-    return seconds - offset
+    date, clock, tail = pairs
+    starts, counts = _runs(date & _U(0x0000_FF00_00FF_00FF) | (clock & _BYTE) << _B8)  # YY, DD, YY, MM pairs
+    try:  # numpy reads each run's date, and rejects a month or day out of range
+        days = b[starts, :10].view("S10")[:, 0].astype("M8[D]").view(np.int64)
+    except ValueError:
+        return None
+    # An offset is under a day, as datetime requires; its minutes may pass 59.
+    offset = ((tail >> _B32 & _BYTE) * _SIXTY + (tail >> _B56) + words[3]) * _SIXTY
+    if np.any(days < -719_162) or np.any(offset >= _DAY_S):  # a day before 0001-01-01
+        return None
+    clock = (clock >> _B24 & _BYTE) * _HOUR_S + (clock >> _B48 & _BYTE) * _SIXTY + (tail >> _B8 & _BYTE)
+    clock += np.where(sign == _MINUS, offset, _U(0) - offset)
+    return np.repeat(days * 86400, counts) + clock.view(np.int64)
 
 
 def _chunks(fh) -> Iterator[bytes]:
@@ -286,6 +295,11 @@ def _csv_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     return None if epoch is None else (epoch, rows["litres"])
 
 
+def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """The `width` bytes of buf from each offset in `at`, a row each, gathered as one item a row."""
+    return np.ndarray((len(buf) - width + 1,), f"V{width}", buf, 0, (1,))[at].view(np.uint8).reshape(-1, width)
+
+
 def _plain_rows(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """(epoch_s, litres) of an ASCII block of plain CSV rows, or None to
     leave the block to loadtxt.
@@ -293,29 +307,27 @@ def _plain_rows(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     A plain row is a 20- or 25-byte stamp, a comma and a value of 1-19
     digits with at most one point, ended by a newline (the block's last line
     may lack it): what the writers write for 0 and for values from 0.01 to
-    below 1e16. Stamps
-    are decoded by _decode_timestamps and values by floattext.parse_fields,
-    so a row reads as loadtxt reads it.
+    below 1e16. Stamps are decoded by _decode_timestamps and values by
+    floattext.parse_fields, so a row reads as loadtxt reads it.
     """
     buf = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     if not len(ends) or ends[-1] != len(buf) - 1:
         ends = np.append(ends, len(buf))  # a last line without a newline
-    starts = np.empty_like(ends)
-    starts[0], starts[1:] = 0, ends[:-1] + 1
+    starts = np.append(0, ends[:-1] + 1)
     if np.any(ends - starts < 22):
         return None
     # The block between FIELD_BYTES NULs each side, so each line has a
-    # stamp's 26 bytes from its start and FIELD_BYTES up to its end.
+    # stamp's 32-byte window from its start and FIELD_BYTES up to its end.
     pad = floattext.FIELD_BYTES
     text = np.zeros(len(buf) + 2 * pad, dtype=np.uint8)
     text[pad:-pad] = buf
-    stamps = np.lib.stride_tricks.sliding_window_view(text, 26)[starts + pad]
+    stamps = _windows(text, starts + pad, 32)  # 26 bytes a stamp, in rows of whole words
     utc = stamps[:, 19] == ord("Z")
     width = ends - starts - np.where(utc, 21, 26)
     if not np.all(text[ends + pad - 1 - width] == ord(",")):
         return None
-    fields = np.lib.stride_tricks.sliding_window_view(text, pad)[ends]
+    fields = _windows(text, ends, pad)
     del text
     litres = floattext.parse_fields(fields, width)
     if litres is None:
@@ -361,20 +373,17 @@ def _jsonl_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     if not len(ends) or ends[-1] != len(buf) - 1:
         ends = np.append(ends, len(buf))  # a last line without a newline
     starts = np.append(0, ends[:-1] + 1)
-    if np.any(ends - starts < _JSONL_MIN_LINE):
+    if np.any(ends - starts < _JSONL_MIN_LINE):  # each line holds its head and stamp window
         return None
-    utc = buf[starts + len(_JSONL_HEAD) + 19] == ord("Z")
+    stamps = _windows(buf, starts + len(_JSONL_HEAD), 32)  # 26 bytes a stamp, in rows of whole words
+    utc = stamps[:, 19] == ord("Z")
     mid = starts + len(_JSONL_HEAD) + np.where(utc, 20, 25)
     first, close = mid + len(_JSONL_MID), ends - 1
-    if not (
-        np.all(first < close)
-        and np.all(buf[close] == ord("}"))
-        and np.all(buf[starts[:, None] + np.arange(len(_JSONL_HEAD))] == _JSONL_HEAD)
-        and np.all(buf[mid[:, None] + np.arange(len(_JSONL_MID))] == _JSONL_MID)
-    ):
+    if not (np.all(first < close) and np.all(buf[close] == ord("}"))
+            and np.all(_windows(buf, starts, len(_JSONL_HEAD)) == _JSONL_HEAD)
+            and np.all(_windows(buf, mid, len(_JSONL_MID)) == _JSONL_MID)):
         return None
-    stamps = np.zeros((len(starts), 26), dtype=np.uint8)
-    stamps[:, :25] = buf[starts[:, None] + len(_JSONL_HEAD) + np.arange(25)]
+    stamps[:, 25] = 0
     stamps[utc, 20:] = 0
     epoch = _decode_timestamps(stamps)
     if epoch is None:
@@ -603,48 +612,39 @@ def segment_litres(stream: ReadingStream) -> float:
 # --- writing -------------------------------------------------------------------
 
 
-# "00".."99" as two ASCII digits each, indexed by value.
-_TWO_DIGITS = np.array([divmod(k, 10) for k in range(100)], dtype=np.uint8) + ord("0")
-# A written stamp, YYYY-MM-DDTHH:MM:SS+00:00, before its digits go in.
-_STAMP_FRAME = b"0000-00-00T00:00:00+00:00"
 # Bytes held for one value's repr: the longest finite double's,
 # -1.7976931348623157e+308, fills them all, as does a row of format_reprs.
 _VALUE_BYTES = floattext.FIELD_BYTES
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, run): which keys start a run of equal neighbours, and each
-    key's run number."""
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return first, np.cumsum(first) - 1
+    """(starts, counts): where each run of equal neighbours in keys starts, and its length."""
+    # Edges at the first key, if any, at each key unlike the one before, and at the end.
+    edges = np.flatnonzero(np.concatenate((keys[:1] == keys[:1], keys[1:] != keys[:-1], [True])))
+    return edges[:-1], np.diff(edges)
 
 
 def _put_stamps(out: np.ndarray, epoch: np.ndarray) -> None:
     """Write the digits of each sorted epoch's UTC stamp into the rows of
     `out`, an (n, 25) view of _STAMP_FRAME copies.
 
-    The date is worked out once per day that changes, the inverse of
-    _decode_timestamps: days since 1970-01-01 to a proleptic Gregorian date,
-    counting years from March so that the leap day ends the year.
+    Each row gets its day's date, worked out once per day, and HH:MM:SS as
+    one word, the numbers split into tens and units in lanes 0, 3 and 6.
     """
-    days, seconds = np.divmod(epoch, 86400)
-    first, run = _runs(days)
-    era, doe = np.divmod(days[first] + 719468, 146097)
-    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
-    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
-    mp = (5 * doy + 2) // 153
-    month = np.where(mp < 10, mp + 3, mp - 9)
-    year = era * 400 + yoe + (month <= 2)
-    date = np.empty((len(year), 10), dtype=np.uint8)
-    date[:, 0:2], date[:, 2:4] = _TWO_DIGITS[year // 100], _TWO_DIGITS[year % 100]
-    date[:, 4] = date[:, 7] = ord("-")
-    date[:, 5:7], date[:, 8:10] = _TWO_DIGITS[month], _TWO_DIGITS[doy - (153 * mp + 2) // 5 + 1]
-    out[:, :10] = date[run]
-    hour, rest = np.divmod(seconds, 3600)
-    out[:, 11:13], out[:, 14:16] = _TWO_DIGITS[hour], _TWO_DIGITS[rest // 60]
-    out[:, 17:19] = _TWO_DIGITS[rest % 60]
+    days = epoch // 86400
+    seconds = (epoch - days * 86400).view(_U)
+    hour = seconds // _HOUR_S
+    seconds -= hour * _HOUR_S
+    minute = seconds // _SIXTY
+    seconds -= minute * _SIXTY
+    starts, counts = _runs(days)
+    # YYYY-MM- and DD, as the first two words of each day's ISO text.
+    date = np.datetime_as_string(days[starts].view("M8[D]")).astype("S16").view("<u8").reshape(-1, 2)
+    out[:, 0:8].view("<u8")[:, 0] = np.repeat(date[:, 0], counts)
+    out[:, 8:10].view("<u2")[:, 0] = np.repeat(date[:, 1], counts)
+    clock = hour | minute << _B24 | seconds << _B48
+    tens = clock * _U(103) >> _U(10) & _U(0x000F_0000_0F00_000F)
+    out[:, 11:19].view("<u8")[:, 0] = (clock - tens * _TEN) << _B8 | tens | _CLOCK_WORD
 
 
 def _put_values(out: np.ndarray, litres: np.ndarray) -> None:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -291,6 +292,59 @@ def test_decoder_inverts_the_stamp_encoder():
 def test_decoder_inverts_the_stamp_encoder_anywhere_in_range(epochs):
     epochs = np.array(epochs, dtype=np.int64)
     assert readings._decode_timestamps(encoded_stamps(epochs)).tolist() == epochs.tolist()
+
+
+def test_encoder_writes_isoformat_of_every_second_of_a_day_and_across_midnights():
+    # One block: a whole leap day, then runs across the 1999/2000,
+    # 2099/2100 and 9999-12-30 midnights and up to the last instant.
+    def at(y, m, d):
+        return int((datetime(y, m, d, tzinfo=timezone.utc) - UNIX_EPOCH).total_seconds())
+    epochs = np.concatenate([
+        at(2000, 1, 1) + np.arange(-300, 300), at(2000, 2, 29) + np.arange(86400),
+        at(2100, 1, 1) + np.arange(-300, 300), at(9999, 12, 30) + np.arange(-300, 300), np.arange(LAST - 99, LAST + 1),
+    ])
+    expected = np.array([(UNIX_EPOCH + timedelta(seconds=int(t))).isoformat() for t in epochs], dtype="S25")
+    stamps = encoded_stamps(epochs)
+    assert np.array_equal(np.ascontiguousarray(stamps[:, :25]).view("S25")[:, 0], expected)
+    assert readings._decode_timestamps(stamps).tolist() == epochs.tolist()
+
+
+CANONICAL_STAMP = re.compile(rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(Z|[+-]\d\d:\d\d)")
+
+
+def stamp_instant(stamp: bytes) -> int | None:
+    """The instant datetime reads from a NUL-padded stamp in the canonical
+    layout, or None: the decoder's oracle. Where the row parser takes the
+    stamp, it reads the same instant."""
+    text = stamp.rstrip(b"\0")
+    if not CANONICAL_STAMP.fullmatch(text):
+        return None
+    try:
+        instant = (datetime.fromisoformat(text.decode().replace("Z", "+00:00")) - UNIX_EPOCH) // timedelta(seconds=1)
+    except ValueError:
+        return None
+    if FIRST <= instant <= LAST:
+        assert readings._parse_timestamp(text.decode()) == instant
+    return instant
+
+
+@pytest.mark.parametrize("base", [
+    "2000-02-29T23:59:59Z", "2000-02-29T23:59:59+23:59", "1900-02-28T23:59:59-23:59",
+    "0001-01-02T00:00:00Z", "0001-01-01T23:00:00-01:00", "9999-12-30T23:59:59Z", "9999-12-31T00:59:59+01:00",
+])
+def test_decoder_takes_exactly_the_stamps_datetime_reads_after_any_byte_changes(base):
+    # Each of the 26 bytes set to each of the 256 values, in the middle of
+    # a block that shares the base's date, so the date is checked per run.
+    row = np.frombuffer(base.encode().ljust(26, b"\0"), dtype=np.uint8)
+    mutants = np.tile(row, (26 * 256, 1))
+    mutants[np.arange(26 * 256), np.repeat(np.arange(26), 256)] = np.tile(np.arange(256), 26)
+    instant = stamp_instant(row.tobytes())
+    for mutant in mutants:
+        expected = stamp_instant(mutant.tobytes())
+        decoded = readings._decode_timestamps(np.stack([row, mutant, row]))
+        assert (None if decoded is None else decoded.tolist()) == (
+            None if expected is None else [instant, expected, instant]
+        ), mutant.tobytes()
 
 
 @pytest.mark.parametrize("epochs", [[FIRST - 1, FIRST], [LAST, LAST + 1], [-(2**62), 0]])
