@@ -3,11 +3,13 @@
 Each kernel works on a whole block of values as uint64 arrays, built from
 64 x 64 -> 128-bit products on 32-bit limbs, so no value costs a Python call:
 
-- `format_reprs` writes `float.__repr__` of values in [1, 1e16): the
+- `format_reprs` writes `float.__repr__` of values in [2^-10, 1e16): the
   shortest digits that read back as the value, the nearest such, ties to an
   even last digit. It follows Schubfach (R. Giulietti, "The Schubfach way to
   render doubles", 2020), with exact products in place of its 126-bit
-  approximations of powers of ten: in that range they are 10^0 .. 10^16.
+  approximations of powers of ten: in that range they are 10^0 .. 10^19,
+  each one 64-bit word. `put_reprs` lays out any values so, leaving those
+  outside that range to `float.__repr__`.
 - `parse_decimals` reads plain decimals of 1-19 digits with at most one
   point, rounded to nearest, ties to even, as `float()` reads them. It is
   Eisel-Lemire (D. Lemire, "Number parsing at a gigabyte per second",
@@ -28,7 +30,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["FIELD_BYTES", "format_reprs", "parse_decimals", "parse_fields"]
+__all__ = ["FIELD_BYTES", "format_reprs", "parse_decimals", "parse_fields", "put_reprs"]
 
 _U = np.uint64
 _LOW32, _S32 = _U(0xFFFF_FFFF), _U(32)
@@ -36,8 +38,16 @@ _HIDDEN = _U(1 << 52)
 _ASCII_ZEROS = _U(0x3030_3030_3030_3030)
 _PAIRS = _U(0x0000_00FF_0000_00FF)
 # Bytes of text per value, three 64-bit words: format_reprs writes at most
-# 18 ("1234567890123456.0"), and 19 digits and a point fit for parse_fields.
+# 22 ("0.000" and 17 digits), the longest repr of a finite double,
+# -1.7976931348623157e+308, fills them all, and 19 digits and a point fit
+# for parse_fields.
 FIELD_BYTES = 24
+# The least binary exponent q of a value c * 2^q, c in [2^52, 2^53), that
+# format_reprs takes: the multiplier 10^-k it scales such a value by must
+# fit one 64-bit word, 10^19 here, and would be 10^20 at q = -63, c = 2^52.
+# So its domain starts at 2^-10, the least value with q = -62.
+_LEAST_Q = -62
+_Q_ROWS = 1 - _LEAST_Q + 1  # q = _LEAST_Q .. 1
 
 
 def _mul128(a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,15 +96,21 @@ def _byte_masks() -> np.ndarray:
 
 @cache
 def _format_tables() -> dict[str, np.ndarray]:
-    """Per binary exponent q of a value in [1, 2^54), with a significand
-    of 53 bits (c * 2^q, c in [2^52, 2^53)): k = floor(log10(2^q)), or
-    floor(log10(3/4 2^q)) when c = 2^52, whose lower neighbour is nearer; the
-    multiplier 10^-k * 2^max(q, 0) and the right shift max(-q, 0). Rows
-    0-53 serve c > 2^52 and rows 54-107 c = 2^52, for q = -52 .. 1. Then a
-    point after each count of bytes 0-24, as three little-endian words."""
+    """Per binary exponent q of a value in [2^-10, 2^54), with a
+    significand of 53 bits (c * 2^q, c in [2^52, 2^53)): k =
+    floor(log10(2^q)), or floor(log10(3/4 2^q)) when c = 2^52, whose lower
+    neighbour is nearer; the multiplier 10^-k * 2^max(q, 0) and the right
+    shift max(-q, 0). The first _Q_ROWS rows serve c > 2^52 and the next
+    c = 2^52, for q = _LEAST_Q .. 1.
+
+    Then, per count p of digits before the point, from the least (a
+    16-digit scaled value at the least k) to 24, the text that goes in
+    before the digits from p on, as three little-endian words: a point
+    after p bytes, or "0." and -p zeros at the start for p <= 0.
+    """
     mul, shift, k_of = [], [], []
     for quarters in (4, 3):  # 2^q, then 3/4 2^q
-        for q in range(-52, 2):
+        for q in range(_LEAST_Q, 2):
             right = max(-q, 0)
             k = 0
             while quarters * 2 ** (q + right) * 10**-k < 4 * 2**right:  # quarters/4 2^q < 10^k
@@ -102,12 +118,15 @@ def _format_tables() -> dict[str, np.ndarray]:
             mul.append(10**-k * 2 ** max(q, 0))
             shift.append(right)
             k_of.append(k)
+    assert max(mul) < 2**64, "a multiplier must fit one 64-bit word"
     mul_lo, mul_hi = _halves(mul)
+    points = range(min(k_of) + 16, 25)
+    inserts = [int.from_bytes(b"0." + b"0" * -p, "little") if p <= 0 else ord(".") << 8 * p for p in points]
     shift, k_of = np.array(shift, dtype=_U), np.array(k_of, dtype=np.int64)
     shift.setflags(write=False)
     k_of.setflags(write=False)
     return {"mul_lo": mul_lo, "mul_hi": mul_hi, "shift": shift, "k": k_of,
-            "point": _words([ord(".") << 8 * c for c in range(25)])}
+            "insert": _words(inserts), "least_point": np.int64(points[0])}
 
 
 def _scaled(high: np.ndarray, low: np.ndarray, shift: np.ndarray, shifted_out: np.ndarray) -> np.ndarray:
@@ -134,37 +153,44 @@ def _digit_bytes(v: np.ndarray) -> np.ndarray:
 
 def format_reprs(x: np.ndarray) -> np.ndarray:
     """float.__repr__ of each value of x, a float64 array of values in
-    [1, 1e16), as ASCII, one NUL-padded row of FIELD_BYTES bytes per value.
+    [2^-10, 1e16), as ASCII, one NUL-padded row of FIELD_BYTES bytes per
+    value.
 
     Schubfach: with v = c * 2^q scaled by 10^-k, its rounding interval
     holds one or two candidates at s = floor(v 10^-k) and s + 1, and at
     most one multiple of ten, which is shorter. The interval's ends are
     v -+ 2^(q-1) (a quarter of that below when c = 2^52). Reading rounds
     half to even, so the ends belong to the interval when c is even; in
-    [1, 1e16) that never matters. For q <= 0 an end has more digits after
-    the point than any candidate, so it is none of them; for q = 1 the
-    ends are odd integers, the multiples of ten even, and s + 1, the upper
-    end, loses to s = v, the nearer.
+    [2^-10, 1e16) that never matters. For q <= 0 an end has more digits
+    after the point than any candidate, so it is none of them; for q = 1
+    the ends are odd integers, the multiples of ten even, and s + 1, the
+    upper end, loses to s = v, the nearer.
     """
     t = _format_tables()
     bits = np.ascontiguousarray(x, dtype=np.float64).view(_U)
     c = (bits & (_HIDDEN - _U(1))) | _HIDDEN
-    row = (bits >> _U(52)) - _U(1023)
-    row[c == _HIDDEN] += _U(54)
+    row = (bits >> _U(52)) - _U(1075 + _LEAST_Q)  # q - _LEAST_Q, as q = exponent field - 1075
+    row[c == _HIDDEN] += _U(_Q_ROWS)
     row = row.astype(np.intp)
     mul_lo, mul_hi, shift = t["mul_lo"][row], t["mul_hi"][row], t["shift"][row]
     shifted_out = (_U(1) << shift) - _U(1)
-    # 4 v 10^-k and the interval's ends, in quarters, each rounded to odd.
+    # 4 v 10^-k and the interval's ends, in quarters, each rounded to odd:
+    # the product of 4 c, -+ 2 (+ 2 and - 1 when c = 2^52), by the
+    # multiplier. That passes 2^63, so it is added or taken away once or
+    # twice, each time with its carry.
     high, low = _mul128(c << _U(2), mul_lo, mul_hi)
     vb = _scaled(high, low, shift, shifted_out)
     step = mul_lo | (mul_hi << _S32)
-    step <<= _U(1)
-    upper = low + step
-    vbr = _scaled(high + (upper < low), upper, shift, shifted_out)
-    step[row >= 54] >>= _U(1)
-    np.subtract(low, step, out=upper)
-    vbl = _scaled(high - (upper > low), upper, shift, shifted_out)
-    del high, low, upper, step, mul_lo, mul_hi, shift, shifted_out, c, bits
+    once = low + step
+    twice = once + step
+    vbr = _scaled(high + (once < low) + (twice < once), twice, shift, shifted_out)
+    np.subtract(low, step, out=once)
+    high -= once > low
+    step[row >= _Q_ROWS] = 0
+    np.subtract(once, step, out=twice)
+    high -= twice > once
+    vbl = _scaled(high, twice, shift, shifted_out)
+    del high, low, once, twice, step, mul_lo, mul_hi, shift, shifted_out, c, bits
     # The multiple of ten, if just one of the two around s is inside; else
     # s or s + 1: the one inside, or the nearer, ties to even.
     s = vb >> _U(2)
@@ -180,7 +206,7 @@ def format_reprs(x: np.ndarray) -> np.ndarray:
     f = np.where(short, s10, s)
     del vb, vbl, vbr, s, s10, u_in, w_in, mid, take_s, short
     # f has 16 or 17 digits; as 17 digits, the value has `point` of them
-    # before its point.
+    # before its point, or "0." and -point zeros when point <= 0.
     sixteen = f < _U(10**16)
     f[sixteen] *= _U(10)
     point = t["k"][row] + 17 - sixteen
@@ -196,10 +222,16 @@ def format_reprs(x: np.ndarray) -> np.ndarray:
     zero_bytes = (64 - np.frexp(lanes.astype(np.float64))[1]) >> 3
     n = len(lead)
     digits = 17 - np.where(lanes[n:] == _U(0), 8 + zero_bytes[:n], zero_bytes[n:])
-    length = np.maximum(digits, point + 1) + 1
-    del zero_bytes, digits
-    # The 17 ASCII digits as three words, then the bytes from `point` on
-    # moved up one for the point, and all from `length` on cleared.
+    # The text put in goes before digit `at`: a point, or "0." and zeros.
+    grow = np.maximum(2 - point, 1)
+    length = np.maximum(digits, point + 1) + grow
+    grow = grow.astype(_U) << _U(3)
+    insert = point - t["least_point"]
+    at = np.maximum(point, 0, out=point)
+    del zero_bytes, digits, row, sixteen
+    # The 17 ASCII digits as three words, then the bytes from `at` on
+    # moved up `grow` bits for the text put in, and all from `length` on
+    # cleared.
     lanes += _ASCII_ZEROS
     text = [(lead + _U(ord("0"))) | (lanes[:n] << _U(8)), (lanes[:n] >> _U(56)) | (lanes[n:] << _U(8)),
             lanes[n:] >> _U(56)]
@@ -208,17 +240,35 @@ def format_reprs(x: np.ndarray) -> np.ndarray:
     out = np.empty((n, 3), dtype="<u8")
     carry = None
     for j, word in enumerate(text):
-        before = low_bytes[j][point]
+        before = low_bytes[j][at]
         after = word & ~before
         word &= before
-        word |= t["point"][j][point]
-        word |= after << _U(8)
+        word |= t["insert"][j][insert]
+        word |= after << grow
         if carry is not None:
-            word |= carry >> _U(56)
+            word |= carry >> (_U(64) - grow)
         word &= low_bytes[j][length]
         out[:, j] = word
         carry = after
     return out.view(np.uint8)
+
+
+def put_reprs(out: np.ndarray, x: np.ndarray) -> None:
+    """Write float.__repr__ of each value of x, NUL-padded, into the rows
+    of `out`, an (n, FIELD_BYTES) uint8 view.
+
+    format_reprs writes those in [2^-10, 1e16). The rest, such as 0, -0.0,
+    NaN and values below 2^-10 or from 1e16 on, are formatted by repr
+    itself into one NUL-padded FIELD_BYTES-byte string each.
+    """
+    inside = (x >= 2.0**-10) & (x < 1e16)
+    outside = np.flatnonzero(~inside)
+    if not len(outside):
+        out[:] = format_reprs(x)
+        return
+    out[inside] = format_reprs(x[inside])
+    text = np.array(list(map(float.__repr__, x[outside].tolist())), dtype=f"S{FIELD_BYTES}")
+    out[outside] = text.view(np.uint8).reshape(-1, FIELD_BYTES)
 
 
 # --- parsing -----------------------------------------------------------------------

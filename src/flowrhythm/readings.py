@@ -345,9 +345,10 @@ _JSONL_HEAD = np.frombuffer(b'{"ts": "', dtype=np.uint8)
 _JSONL_MID = np.frombuffer(b'", "litres_total": ', dtype=np.uint8)
 _JSONL_MIN_LINE = len(_JSONL_HEAD) + 20 + len(_JSONL_MID) + 2
 # Bytes a JSON number is made of; which strings of them are numbers is left
-# to json.loads.
-_NUMBER_BYTES = np.zeros(256, dtype=bool)
+# to json.loads, unless floattext reads them all.
+_NUMBER_BYTES, _DIGITS = np.zeros((2, 256), dtype=bool)
 _NUMBER_BYTES[list(b"0123456789+-.eE")] = True
+_DIGITS[list(b"0123456789")] = True
 
 
 def _fast_jsonl(fh) -> tuple[np.ndarray, np.ndarray] | None:
@@ -363,9 +364,13 @@ def _fast_jsonl(fh) -> tuple[np.ndarray, np.ndarray] | None:
 def _jsonl_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """(epoch_s, litres) of a block of whole lines in the writer's JSONL layout, else None.
 
-    The literals are compared at their fixed offsets, the stamps decoded by
-    _decode_timestamps, and the numbers parsed by one json.loads of a JSON
-    array, so JSON's own number grammar decides. Only int and float values
+    The literals are compared at their fixed offsets and the stamps decoded
+    by _decode_timestamps. A block of plain numbers, each as JSON writes it
+    (from a digit to a digit, a leading 0 followed by the point or by
+    nothing) and as floattext.parse_fields reads it (1-19 digits with at
+    most one point), is read by parse_fields, bit for bit as float() reads
+    it. Any other block's numbers are parsed by one json.loads of a JSON
+    array, so JSON's own number grammar decides; only int and float values
     that a float holds are taken.
     """
     buf = np.frombuffer(block, np.uint8)
@@ -388,6 +393,13 @@ def _jsonl_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     epoch = _decode_timestamps(stamps)
     if epoch is None:
         return None
+    lead, pad = buf[first], floattext.FIELD_BYTES
+    if np.all(_DIGITS[lead] & _DIGITS[buf[close - 1]]) and not np.any((lead == ord("0")) & _DIGITS[buf[first + 1]]):
+        # Each number is right-aligned in the pad bytes before its "}",
+        # which every line has: they hold its head and stamp.
+        litres = floattext.parse_fields(_windows(buf, close - pad, pad), close - first)
+        if litres is not None:
+            return epoch, litres
     # Each number runs from `first` up to its line's "}"; with every "}"
     # turned into a comma, the numbers read as one JSON array.
     edge = np.zeros(len(buf) + 1, dtype=np.int8)
@@ -612,11 +624,6 @@ def segment_litres(stream: ReadingStream) -> float:
 # --- writing -------------------------------------------------------------------
 
 
-# Bytes held for one value's repr: the longest finite double's,
-# -1.7976931348623157e+308, fills them all, as does a row of format_reprs.
-_VALUE_BYTES = floattext.FIELD_BYTES
-
-
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(starts, counts): where each run of equal neighbours in keys starts, and its length."""
     # Edges at the first key, if any, at each key unlike the one before, and at the end.
@@ -647,28 +654,6 @@ def _put_stamps(out: np.ndarray, epoch: np.ndarray) -> None:
     out[:, 11:19].view("<u8")[:, 0] = (clock - tens * _TEN) << _B8 | tens | _CLOCK_WORD
 
 
-def _put_values(out: np.ndarray, litres: np.ndarray) -> None:
-    """Write each value's repr, NUL-padded, into the rows of `out`, an
-    (n, _VALUE_BYTES) view.
-
-    repr round-trips exactly. floattext.format_reprs writes it for values
-    in [1, 1e16). The rest, such as 0, -0.0 and values below 1, are
-    formatted by repr itself, joined into one string, each ended by a
-    space, and spread over one NUL-padded row each.
-    """
-    inside = (litres >= 1.0) & (litres < 1e16)
-    out[:] = floattext.format_reprs(np.where(inside, litres, 1.0))
-    outside = np.flatnonzero(~inside)
-    if not len(outside):
-        return
-    text = np.frombuffer(" ".join(map(float.__repr__, litres[outside].tolist())).encode() + b" ", dtype=np.uint8)
-    space = text == ord(" ")
-    lengths = np.diff(np.flatnonzero(space), prepend=-1) - 1
-    padded = np.zeros((len(outside), _VALUE_BYTES), dtype=np.uint8)
-    padded[np.arange(_VALUE_BYTES) < lengths[:, None]] = text[~space]
-    out[outside] = padded
-
-
 def _write_rows(
     stream: ReadingStream, path: str | Path, first_line: bytes, head: bytes, mid: bytes, tail: bytes
 ) -> None:
@@ -681,17 +666,17 @@ def _write_rows(
     per line with the value's padding in it, and written as one string with
     the padding masked out.
     """
-    stamp, value = len(head), len(head) + len(_STAMP_FRAME) + len(mid)
-    rows = np.zeros((BLOCK_ROWS, value + _VALUE_BYTES + len(tail)), dtype=np.uint8)
+    stamp, value, pad = len(head), len(head) + len(_STAMP_FRAME) + len(mid), floattext.FIELD_BYTES
+    rows = np.zeros((BLOCK_ROWS, value + pad + len(tail)), dtype=np.uint8)
     rows[:, :value] = np.frombuffer(head + _STAMP_FRAME + mid, dtype=np.uint8)
-    rows[:, value + _VALUE_BYTES :] = np.frombuffer(tail, dtype=np.uint8)
-    stamps, values = rows[:, stamp : stamp + len(_STAMP_FRAME)], rows[:, value : value + _VALUE_BYTES]
+    rows[:, value + pad :] = np.frombuffer(tail, dtype=np.uint8)
+    stamps, values = rows[:, stamp : stamp + len(_STAMP_FRAME)], rows[:, value : value + pad]
     with open(path, "wb") as fh:
         fh.write(first_line)
         for a in range(0, len(stream), BLOCK_ROWS):
             n = min(BLOCK_ROWS, len(stream) - a)
             _put_stamps(stamps[:n], stream.epoch_s[a : a + n])
-            _put_values(values[:n], stream.litres[a : a + n])
+            floattext.put_reprs(values[:n], stream.litres[a : a + n])
             block = rows[:n]
             fh.write(block[block != 0])
 

@@ -20,6 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import floattext
 from .binning import SLOT_MINUTES, SLOTS_PER_DAY, BinnedDay, DayMatrix
 from .errors import EmptyInput, InvalidConfig, PeriodNotOnGrid
 from .exclusions import ExclusionCalendar
@@ -40,8 +41,9 @@ Days = DayMatrix | Sequence[BinnedDay]
 DEFAULT_WINDOW_DAYS = 10
 DEFAULT_STRIDE_DAYS = 1
 DEFAULT_MIN_VALID_DAYS = 8
-# Windows estimated per stacked block: large enough to amortise one matrix
-# product over many windows, small enough to keep the block's memory flat.
+# Windows estimated, and written, per stacked block: large enough to
+# amortise one matrix product over many windows, small enough to keep the
+# block's memory flat.
 BLOCK_ROWS = 32
 
 
@@ -250,30 +252,48 @@ def write_intensity_csv(track: Track, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _power_lines(cells: list[str], power: np.ndarray, prefix: str = "") -> str:
-    """One window's `frequency_cph,period_hours,power` lines, each after `prefix`.
+def _write_powers(fh, track: Track, rows: np.ndarray, dated: bool) -> None:
+    """Write the `frequency_cph,period_hours,power` lines of the windows at
+    `rows`, in grid order, each after its window's start and a comma if
+    `dated`.
 
     overlay.csv and periodogram.csv both write through here, so a window's
-    periodogram.csv rows are its overlay rows without the start.
+    periodogram.csv rows are its overlay rows without the start. Each block
+    of BLOCK_ROWS windows is laid out as one byte matrix, a row per line:
+    the start, the frequency cells (their text made once), the power's
+    NUL-padded repr and a newline, written with the padding masked out.
     """
-    return "".join([prefix + cell + repr(p) + "\n" for cell, p in zip(cells, power.tolist())])
-
-
-def _frequency_cells(grid: FrequencyGrid) -> list[str]:
-    return [f"{f!r},{1.0 / f!r}," for f in grid.frequencies_cph.tolist()]
+    cells = [f"{f!r},{1.0 / f!r},".encode() for f in track.grid.frequencies_cph.tolist()]
+    start = 11 if dated else 0  # "YYYY-MM-DD,"
+    power = start + max(map(len, cells))
+    lines = np.zeros((min(BLOCK_ROWS, len(rows)), len(cells), power + floattext.FIELD_BYTES + 1), dtype=np.uint8)
+    for g, cell in enumerate(cells):
+        lines[:, g, start : start + len(cell)] = np.frombuffer(cell, dtype=np.uint8)
+    lines[:, :, -1] = ord("\n")
+    if dated:
+        lines[:, :, 10] = ord(",")
+    first = np.datetime64(track.first, "D")
+    for b in range(0, len(rows), BLOCK_ROWS):
+        block = rows[b : b + BLOCK_ROWS]
+        out = lines[: len(block)]
+        if dated:
+            dates = np.datetime_as_string(first + track.starts[block]).astype("S10")
+            out[:, :, :10] = dates.view(np.uint8).reshape(-1, 1, 10)
+        out = out.reshape(-1, out.shape[-1])
+        floattext.put_reprs(out[:, power : power + floattext.FIELD_BYTES], track.power[block].reshape(-1))
+        fh.write(out[out != 0])
 
 
 def write_overlay_csv(track: Track, path: str | Path) -> None:
     """Write every estimated window's full periodogram as one long-format CSV,
-    a window at a time, so the file's text is never held whole."""
-    cells = _frequency_cells(track.grid)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("window_start,frequency_cph,period_hours,power\n")
-        for row in track.emitted.tolist():
-            fh.write(_power_lines(cells, track.power[row], track.start_date(row).isoformat() + ","))
+    a block of windows at a time, so the file's text is never held whole."""
+    with open(path, "wb") as fh:
+        fh.write(b"window_start,frequency_cph,period_hours,power\n")
+        _write_powers(fh, track, track.emitted, dated=True)
 
 
 def write_periodogram_csv(track: Track, row: int, path: str | Path) -> None:
     """One `frequency_cph,period_hours,power` row per grid frequency of a window."""
-    lines = _power_lines(_frequency_cells(track.grid), track.power[row])
-    Path(path).write_text("frequency_cph,period_hours,power\n" + lines, encoding="utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"frequency_cph,period_hours,power\n")
+        _write_powers(fh, track, np.array([row]), dated=False)

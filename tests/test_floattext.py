@@ -1,6 +1,7 @@
 """The float64 <-> text kernels against float.__repr__ and float(), on their
 own and inside the stream writers and reader at several block sizes."""
 
+import contextlib
 import math
 import tempfile
 from datetime import datetime, timezone
@@ -16,16 +17,25 @@ from hypothesis import strategies as st
 from flowrhythm import floattext, readings
 from flowrhythm.readings import ReadingStream, parse_stream, read_stream, write_stream_csv, write_stream_jsonl
 
-ONE_BITS, E16_BITS = (int(np.array(v).view(np.uint64)) for v in (1.0, 1e16))
+LEAST, LEAST_BITS, ONE_BITS, E16_BITS = 2.0**-10, *(int(np.array(v).view(np.uint64)) for v in (2.0**-10, 1.0, 1e16))
 # Where the format kernel's arithmetic changes: every power of two and of
-# ten in [1, 1e16) and their neighbours, the end of the integers a double
-# holds exactly, and the largest double below 1e16.
+# ten in [2^-10, 1e16) and their neighbours, 2^-10 itself, the end of the
+# integers a double holds exactly, and the largest double below 1e16.
 FORMAT_EDGES = sorted({
-    v for p in [2.0**j for j in range(54)] + [10.0**j for j in range(17)]
-    for v in (p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)) if 1.0 <= v < 1e16
+    v for p in [2.0**j for j in range(-10, 54)] + [10.0**j for j in range(-3, 17)]
+    for v in (p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)) if LEAST <= v < 1e16
 } | {2.0**53 - 1, 2.0**53 + 2, math.nextafter(1e16, 0.0)})
-in_domain = st.one_of(st.integers(ONE_BITS, E16_BITS - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
-                      st.sampled_from(FORMAT_EDGES))
+# Values put_reprs leaves to float.__repr__: just below 2^-10, the first
+# value whose multiplier would not fit one word, and the other ends.
+FALLBACK = [math.nextafter(LEAST, 0.0), LEAST / 2, 1e-4, 1e-5, 5e-324, 0.0, -0.0, -1.0, 1e16, 2.0**64,
+            1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+def from_bits(b: int) -> float:
+    return float(np.uint64(b).view(np.float64))
+
+
+in_domain = st.one_of(st.integers(LEAST_BITS, E16_BITS - 1).map(from_bits), st.sampled_from(FORMAT_EDGES))
 
 
 def reprs(values) -> list[str]:
@@ -36,13 +46,22 @@ def reprs(values) -> list[str]:
 
 
 def test_format_kernel_equals_repr_on_its_edges():
+    assert LEAST in FORMAT_EDGES and math.nextafter(LEAST, math.inf) in FORMAT_EDGES
     assert reprs(FORMAT_EDGES) == [repr(v) for v in FORMAT_EDGES]
 
 
-def test_format_kernel_equals_repr_on_random_bit_patterns():
-    bits = np.random.default_rng(17).integers(ONE_BITS, E16_BITS, 50_000, dtype=np.uint64)
+@pytest.mark.parametrize("low, high", [(LEAST_BITS, ONE_BITS), (ONE_BITS, E16_BITS)], ids=["below-1", "from-1"])
+def test_format_kernel_equals_repr_on_random_bit_patterns(low, high):
+    bits = np.random.default_rng(17).integers(low, high, 50_000, dtype=np.uint64)
     values = bits.view(np.float64).tolist()
     assert reprs(values) == [repr(v) for v in values]
+
+
+def test_put_reprs_leaves_values_outside_the_kernels_domain_to_repr():
+    values = np.array(FALLBACK + FORMAT_EDGES[:5] + FALLBACK[::-1])
+    out = np.full((len(values), floattext.FIELD_BYTES), 0xFF, dtype=np.uint8)
+    floattext.put_reprs(out, values)
+    assert [bytes(row).rstrip(b"\0").decode("ascii") for row in out] == [repr(v) for v in values.tolist()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -134,21 +153,39 @@ def no_loadtxt():
     return patch.object(readings.np, "loadtxt", side_effect=AssertionError("a block went to loadtxt"))
 
 
+def no_json_loads():
+    """A patch under which reading a JSONL block through json.loads fails."""
+    return patch.object(readings.json, "loads", side_effect=AssertionError("a block went to json.loads"))
+
+
+def kernel_reads(texts) -> bool:
+    """Whether parse_fields takes every text: 19 digits at most."""
+    return all(len(t.replace(".", "")) <= 19 for t in texts)
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, 4096])
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(in_domain, min_size=1, max_size=50))
 @example(values=FORMAT_EDGES)
+@example(values=[v for v in FORMAT_EDGES if kernel_reads([repr(v)])])
+@example(values=[LEAST, 0.5, 0.1, 0.001, 0.25, 0.75])
 def test_writers_write_repr_of_in_domain_values_and_read_them_back(block_rows, values):
+    # Below 0.01 a repr may have more than 19 digits (0.0009765625000000001
+    # has 20), which the reader leaves to loadtxt and json.loads.
+    texts = [repr(v) for v in values]
     stream = ReadingStream(1_600_000_000 + 900 * np.arange(len(values)), np.array(values))
-    with tempfile.TemporaryDirectory() as tmp, patch.object(readings, "BLOCK_ROWS", block_rows), no_loadtxt():
+    with tempfile.TemporaryDirectory() as tmp, patch.object(readings, "BLOCK_ROWS", block_rows):
         csv_path, jsonl_path = Path(tmp) / "r.csv", Path(tmp) / "r.jsonl"
         write_stream_csv(stream, csv_path)
         write_stream_jsonl(stream, jsonl_path)
         rows = csv_path.read_text().splitlines()[1:]
-        assert [row.split(",")[1] for row in rows] == [repr(v) for v in values]
-        assert [line.rsplit(" ", 1)[1][:-1] for line in jsonl_path.read_text().splitlines()] == [repr(v) for v in values]
-        back = read_stream(csv_path)
-    assert bits_of(back.litres) == bits_of(values)
+        assert [row.split(",")[1] for row in rows] == texts
+        assert [line.rsplit(" ", 1)[1][:-1] for line in jsonl_path.read_text().splitlines()] == texts
+        with no_loadtxt() if kernel_reads(texts) else contextlib.nullcontext():
+            back = read_stream(csv_path)
+        with no_json_loads() if kernel_reads(texts) else contextlib.nullcontext():
+            back_jsonl = read_stream(jsonl_path)
+    assert bits_of(back.litres) == bits_of(back_jsonl.litres) == bits_of(values)
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 4096])

@@ -617,6 +617,53 @@ def test_fast_jsonl_numbers_match_row_parser(number, canonical):
     assert outcome(text, "jsonl") == outcome(text, "jsonl", fast=False)
 
 
+@st.composite
+def json_decimals(draw, whole_digits: int = 12, fraction_digits: int = 12):
+    """Plain decimals as JSON writes them: 0 or digits without a leading
+    zero, then maybe a point and one or more digits."""
+    whole = draw(st.text("0123456789", min_size=1, max_size=whole_digits)).lstrip("0") or "0"
+    fraction = draw(st.text("0123456789", max_size=fraction_digits))
+    return f"{whole}.{fraction}" if fraction else whole
+
+
+# Numbers JSON rejects but a reader of digits and one point could take,
+# numbers JSON takes in other forms, and numbers too long for floattext.
+JSON_NEAR_MISSES = ["0", "00", "01.5", "00.5", ".5", "5.", "0.", "-0.0", "1e3", "1E+3", "9" * 19, "9" * 20,
+                    "1234567890.12345678901234"]
+
+
+def writer_jsonl(numbers) -> bytes:
+    """The writer's lines, each with its number's text as given."""
+    return "".join(
+        f'{{"ts": "{stamp(1_600_000_000 + 900 * i, None if i % 2 else 60)}", "litres_total": {n}}}\n'
+        for i, n in enumerate(numbers)
+    ).encode()
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 4096])
+@settings(max_examples=150, deadline=None)
+@given(numbers=st.lists(st.one_of(json_decimals(), st.sampled_from(JSON_NEAR_MISSES)), min_size=1, max_size=12))
+@example(numbers=["0.5", "01.5", "2.5"])
+@example(numbers=["0.5", "5.", "2.5"])
+@example(numbers=["0.5", ".5", "2.5"])
+@example(numbers=["0", "00", "7"])
+def test_jsonl_numbers_read_as_the_row_parser_reads_them(block_rows, numbers):
+    # A block of plain decimals is read by floattext, any other by
+    # json.loads; either way a file gives the row parser's stream bit for
+    # bit, or its error at the same line.
+    data = writer_jsonl(numbers)
+    with patch.object(readings, "BLOCK_ROWS", block_rows):
+        assert file_outcome(data, "jsonl") == file_outcome(data, "jsonl", fast=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(numbers=st.lists(json_decimals(10, 9), min_size=1, max_size=40))
+def test_plain_jsonl_numbers_are_read_without_json_loads(numbers):
+    with patch.object(readings.json, "loads", side_effect=AssertionError("a value went to json.loads")):
+        stream = parse_stream(writer_jsonl(numbers), "jsonl")
+    assert [v.hex() for v in stream.litres.tolist()] == [float(n).hex() for n in numbers]
+
+
 @pytest.mark.parametrize("text", [
     '{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5}\r\n',
     '{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5}\n\n{"ts": "2021-03-01T00:15:00Z", "litres_total": 2.5}\n',

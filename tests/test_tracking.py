@@ -1,5 +1,6 @@
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import day_rows
+from flowrhythm import tracking
 from flowrhythm.binning import SLOTS_PER_DAY, BinnedDay, DayMatrix
 from flowrhythm.errors import DataError, EmptyInput, InvalidConfig
 from flowrhythm.exclusions import DayClass, ExclusionCalendar
 from flowrhythm.pipeline import readings_to_days
 from flowrhythm.readings import ReadingStream
 from flowrhythm.spectral import UNEVEN_SPACING, Samples, classic_periodogram, lomb_scargle
+from flowrhythm.synth import generate, scenario_from_json
 from flowrhythm.tracking import (
     ESTIMATED,
     FEW_SAMPLES,
@@ -447,6 +450,48 @@ def test_periodogram_csv(tmp_path, vacation_fixture):
     assert float(f0) == grid.frequencies_cph[0]
     assert float(p0) == 1.0 / grid.frequencies_cph[0]
     assert float(w0) == track.power[2, 0]
+
+
+def power_lines(cells: list[str], power: np.ndarray, prefix: str = "") -> str:
+    """The writers' text as one f-string and repr per cell: the oracle for
+    their byte matrices."""
+    return "".join([prefix + cell + repr(p) + "\n" for cell, p in zip(cells, power.tolist())])
+
+
+@pytest.fixture(scope="module")
+def tone_days():
+    """The tone-complete benchmark household: a year of a 24 h tone in UTC."""
+    scenario = scenario_from_json({
+        "start": "2020-01-01", "end": "2020-12-31", "timezone": "UTC", "seed": 1, "noise_sd": 0.5,
+        "jitter": [0, 0], "dropout_rate": 0.0, "daily_pattern": {"period_hours": 24.0, "amplitude": 4.0},
+    })
+    return readings_to_days(generate(scenario), tz=ZoneInfo("UTC"))
+
+
+@pytest.mark.parametrize("household, estimator, normalization", [
+    ("demo", "ls", "raw"), ("tone", "classic", "raw"), ("tone", "classic", "variance"), ("tone", "ls", "variance"),
+])
+@pytest.mark.parametrize("block_rows", [1, 7, 32])
+def test_overlay_and_periodogram_writers_equal_their_text_oracle(
+    tmp_path, monkeypatch, demo_days, study_calendar, tone_days, household, estimator, normalization, block_rows
+):
+    days, calendar = (demo_days, study_calendar) if household == "demo" else (tone_days, None)
+    track = compute_track(days, calendar, WindowConfig(), estimator, normalization)
+    emitted = track.emitted
+    powers = track.power[emitted]
+    below_one = np.mean((powers >= 2.0**-10) & (powers < 1.0))  # formatted by the kernel's new range
+    assert below_one > (0.9 if (household, normalization) == ("tone", "raw") else 0.0)
+    if normalization == "variance":
+        assert np.all((powers >= 0.0) & (powers <= 1.0))
+    cells = [f"{f!r},{1.0 / f!r}," for f in track.grid.frequencies_cph.tolist()]
+    monkeypatch.setattr(tracking, "BLOCK_ROWS", block_rows)
+    write_overlay_csv(track, tmp_path / "overlay.csv")
+    expected = "".join(power_lines(cells, track.power[row], track.start_date(row).isoformat() + ",") for row in emitted)
+    assert (tmp_path / "overlay.csv").read_bytes() == ("window_start,frequency_cph,period_hours,power\n" + expected).encode()
+    for row in (emitted[0], emitted[len(emitted) // 2], emitted[-1]):
+        write_periodogram_csv(track, row, tmp_path / "pg.csv")
+        expected = "frequency_cph,period_hours,power\n" + power_lines(cells, track.power[row])
+        assert (tmp_path / "pg.csv").read_bytes() == expected.encode()
 
 
 def test_list_views_are_the_track_rows(vacation_fixture):
