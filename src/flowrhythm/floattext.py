@@ -10,13 +10,14 @@ Each kernel works on a whole block of values as uint64 arrays, built from
   approximations of powers of ten: in that range they are 10^0 .. 10^19,
   each one 64-bit word. `put_reprs` lays out any values so, leaving those
   outside that range to `float.__repr__`.
-- `parse_decimals` reads plain decimals of 1-19 digits with at most one
-  point, rounded to nearest, ties to even, as `float()` reads them. It is
-  Eisel-Lemire (D. Lemire, "Number parsing at a gigabyte per second",
-  Software: Practice and Experience 51(8), 2021) with the 128-bit product,
-  which needs no fallback (N. Mushtak and D. Lemire, "Fast number parsing
-  without fallback", Software: Practice and Experience, 2023), over 5^-19
-  .. 5^0.
+- `parse_decimals` reads plain decimals below 10^19 with at most 19
+  digits after the point, rounded to nearest, ties to even, as `float()`
+  reads them, and `parse_fields` reads such decimals from text, leading
+  zeros included. It is Eisel-Lemire (D. Lemire, "Number parsing at a
+  gigabyte per second", Software: Practice and Experience 51(8), 2021)
+  with the 128-bit product, which needs no fallback (N. Mushtak and D.
+  Lemire, "Fast number parsing without fallback", Software: Practice and
+  Experience, 2023), over 5^-19 .. 5^0.
 
 Each reads a small table of powers, built from Python ints on first use.
 Every operand is uint64, shift counts included: numpy 1.24's value-based
@@ -39,8 +40,8 @@ _ASCII_ZEROS = _U(0x3030_3030_3030_3030)
 _PAIRS = _U(0x0000_00FF_0000_00FF)
 # Bytes of text per value, three 64-bit words: format_reprs writes at most
 # 22 ("0.000" and 17 digits), the longest repr of a finite double,
-# -1.7976931348623157e+308, fills them all, and 19 digits and a point fit
-# for parse_fields.
+# -1.7976931348623157e+308, fills them all, and parse_fields reads fields
+# of up to as many.
 FIELD_BYTES = 24
 # The least binary exponent q of a value c * 2^q, c in [2^52, 2^53), that
 # format_reprs takes: the multiplier 10^-k it scales such a value by must
@@ -333,7 +334,8 @@ def parse_decimals(w: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def parse_fields(window: np.ndarray, width: np.ndarray) -> np.ndarray | None:
     """The values of decimal fields as float() reads them, or None unless
-    each is 1-19 ASCII digits with at most one point.
+    each is ASCII digits with at most one point, of at most 19 after it, and
+    a value below 10^19.
 
     Each field is the last `width` bytes of its row of `window`, an
     (n, FIELD_BYTES) uint8 matrix. Its three little-endian words are read
@@ -348,7 +350,7 @@ def parse_fields(window: np.ndarray, width: np.ndarray) -> np.ndarray | None:
     point[row] = dots - row * FIELD_BYTES
     fraction = np.where(point < 0, 0, FIELD_BYTES - 1 - point)
     digits = width - (point >= 0)
-    if np.any(digits < 1) or np.any(digits > 19) or np.any(fraction >= width):
+    if np.any(digits < 1) or np.any(width > FIELD_BYTES) or np.any(fraction > 19) or np.any(fraction >= width):
         return None
     low_bytes = _byte_masks()
     words = np.ascontiguousarray(window).view("<u8").T.astype(_U, order="C")
@@ -380,6 +382,8 @@ def parse_fields(window: np.ndarray, width: np.ndarray) -> np.ndarray | None:
     words *= _U(100 + (1_000_000 << 32))
     words += pairs
     words >>= _S32
+    if np.any(words[0] >= _U(1000)):  # 10^19 or more; checked before the product can wrap
+        return None
     words[0] *= _U(10**16)
     words[1] *= _U(10**8)
     w = words.sum(axis=0, dtype=_U)

@@ -140,17 +140,22 @@ class ReadingStream:
 
 # --- parsing -------------------------------------------------------------------
 
-_CSV_HEADER = b"timestamp,cumulative_litres"
 _BOM = b"\xef\xbb\xbf"
-# Timestamps as fixed-width bytes. A field of 26 bytes or more is cut to 26,
-# a length no canonical timestamp (20 or 25 bytes) has, so it cannot pass.
-_STAMP = "S26"
-_CSV_ROW = np.dtype([("ts", _STAMP), ("litres", np.float64)])
-# A canonical CSV is ASCII without these bytes, which loadtxt and the row
-# parser read differently: NUL would end a fixed-width stamp early,
-# str.splitlines ends a line at \x0b, \x0c and \x1c-\x1e (and at the
-# non-ASCII \x85, \u2028 and \u2029), and float() does not strip \x1f.
-_CSV_DECLINED = (b"\x00", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# Format -> (first line, head, mid, tail): the writers write the first
+# line, then per reading head, its stamp, mid, its litres and tail, which
+# ends with the newline. The fast path reads that layout back.
+_LAYOUTS = {
+    "csv": (b"timestamp,cumulative_litres\n", b"", b",", b"\n"),
+    # The same bytes per line as json.dumps({"ts": ..., "litres_total": ...}).
+    "jsonl": (b"", b'{"ts": "', b'", "litres_total": ', b"}\n"),
+}
+# _row_values declines a block holding a non-ASCII byte, a lone CR or one
+# of these, where a value could read otherwise than in the row parser's
+# line: str.splitlines ends a line at \x0b, \x0c, \x1c-\x1e and CR (and at
+# the non-ASCII \x85, \u2028 and \u2029), and float() strips \x0b, \x0c
+# and CR round a value (and \x85, \xa0 and \u2028), as JSON strips CR. No
+# line in a layout holds NUL or \x1f either.
+_DECLINED = (b"\x00", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _STAMP_FRAME = b"0000-00-00T00:00:00+00:00"  # a written stamp, before its digits go in
 # The stamp kernels' operands are all uint64: numpy 1.24's value-based
 # casting turns a mix of int64 and uint64 into float64.
@@ -181,11 +186,12 @@ _Z_TO_FRAME = np.array([[(ord("Z") ^ ord("+")) << 24 | int.from_bytes(b"00:0", "
 def _decode_timestamps(b: np.ndarray) -> np.ndarray | None:
     """Epoch seconds of canonical timestamps, or None if any is not canonical.
 
-    `b` holds one `_STAMP` per row as bytes, in its first 26 columns.
-    Canonical is whole-second `YYYY-MM-DDTHH:MM:SS`, then `Z` or `+hh:mm` /
-    `-hh:mm`, then NULs, in the ranges datetime.fromisoformat accepts: such
-    a stamp decodes to what the row parser makes of it. Digits are read in
-    pairs from words, a date once per run of rows with equal date bytes.
+    `b` holds one stamp per row as bytes, NUL-padded to its first 26
+    columns. Canonical is whole-second `YYYY-MM-DDTHH:MM:SS`, then `Z` or
+    `+hh:mm` / `-hh:mm`, then NULs, in the ranges datetime.fromisoformat
+    accepts: such a stamp decodes to what the row parser makes of it.
+    Digits are read in pairs from words, a date once per run of rows with
+    equal date bytes.
     """
     words = np.empty((4, len(b)), dtype=_U)
     words[:3], words[3] = b[:, :24].view("<u8").T, b[:, 24:26].view("<u2")[:, 0]
@@ -254,45 +260,18 @@ def _fast_blocks(fh, parse_block) -> tuple[np.ndarray, np.ndarray] | None:
     return epoch, litres
 
 
-def _fast_csv(fh) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of a canonical CSV file, or None to leave it to the row parser.
+def _fast(fh, fmt: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch_s, litres) of a file in the format's layout, or None to leave it to the row parser.
 
-    Canonical is an optional `timestamp,cumulative_litres` header, then rows
-    of a canonical timestamp and a finite, non-negative number; empty lines
-    are skipped, as the row parser skips them.
+    The first line may be the layout's, and any line may be empty or end
+    in CR LF; every other line must be the layout's line with a canonical
+    stamp and a number the row parser takes.
     """
+    first_line = _LAYOUTS[fmt][0]
     start = fh.tell()
-    first = fh.readline()
-    if first.removesuffix(b"\n").rstrip(b"\r") != _CSV_HEADER:
+    if not first_line or fh.readline().removesuffix(b"\n").rstrip(b"\r") != first_line[:-1]:
         fh.seek(start)
-    return _fast_blocks(fh, _csv_block)
-
-
-def _csv_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of a block of canonical CSV rows, else None.
-
-    A block of plain rows is read by _plain_rows, any other by loadtxt.
-    loadtxt skips lines of nothing but line ends and rejects a line with one
-    column; a block without a comma holds no row, so it never reaches
-    loadtxt, which would warn that the block holds no data.
-    """
-    if not block.isascii() or any(byte in block for byte in _CSV_DECLINED):
-        return None
-    if b"," not in block:
-        return None if block.strip(b"\r\n") else (np.empty(0, dtype=np.int64), np.empty(0))
-    rows = _plain_rows(block)
-    if rows is not None:
-        return rows
-    try:
-        rows = np.loadtxt(
-            io.BytesIO(block), dtype=_CSV_ROW, delimiter=",", comments=None,
-            encoding="utf-8", ndmin=1,
-        )
-    except ValueError:
-        return None
-    # The stamp is the first field, so each row's bytes start with it.
-    epoch = _decode_timestamps(rows.view(np.uint8).reshape(len(rows), -1))
-    return None if epoch is None else (epoch, rows["litres"])
+    return _fast_blocks(fh, lambda block: _layout_block(block, fmt))
 
 
 def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
@@ -300,124 +279,90 @@ def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
     return np.ndarray((len(buf) - width + 1,), f"V{width}", buf, 0, (1,))[at].view(np.uint8).reshape(-1, width)
 
 
-def _plain_rows(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of an ASCII block of plain CSV rows, or None to
-    leave the block to loadtxt.
-
-    A plain row is a 20- or 25-byte stamp, a comma and a value of 1-19
-    digits with at most one point, ended by a newline (the block's last line
-    may lack it): what the writers write for 0 and for values from 0.01 to
-    below 1e16. Stamps are decoded by _decode_timestamps and values by
-    floattext.parse_fields, so a row reads as loadtxt reads it.
-    """
-    buf = np.frombuffer(block, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if not len(ends) or ends[-1] != len(buf) - 1:
-        ends = np.append(ends, len(buf))  # a last line without a newline
-    starts = np.append(0, ends[:-1] + 1)
-    if np.any(ends - starts < 22):
-        return None
-    # The block between FIELD_BYTES NULs each side, so each line has a
-    # stamp's 32-byte window from its start and FIELD_BYTES up to its end.
-    pad = floattext.FIELD_BYTES
-    text = np.zeros(len(buf) + 2 * pad, dtype=np.uint8)
-    text[pad:-pad] = buf
-    stamps = _windows(text, starts + pad, 32)  # 26 bytes a stamp, in rows of whole words
-    utc = stamps[:, 19] == ord("Z")
-    width = ends - starts - np.where(utc, 21, 26)
-    if not np.all(text[ends + pad - 1 - width] == ord(",")):
-        return None
-    fields = _windows(text, ends, pad)
-    del text
-    litres = floattext.parse_fields(fields, width)
-    if litres is None:
-        return None
-    # Each stamp with the bytes after it zeroed, as loadtxt's fixed-width field holds it.
-    stamps[:, 25] = 0
-    stamps[utc, 20:25] = 0
-    epoch = _decode_timestamps(stamps)
-    return None if epoch is None else (epoch, litres)
+def _at_each(buf: np.ndarray, at: np.ndarray, literal: bytes) -> bool:
+    """Whether `literal` is in buf at each offset in `at`."""
+    return not literal or bool(np.all(_windows(buf, at, len(literal)) == np.frombuffer(literal, np.uint8)))
 
 
-# The writer's JSONL line: _JSONL_HEAD, a 20- or 25-byte stamp, _JSONL_MID,
-# a number, then "}".
-_JSONL_HEAD = np.frombuffer(b'{"ts": "', dtype=np.uint8)
-_JSONL_MID = np.frombuffer(b'", "litres_total": ', dtype=np.uint8)
-_JSONL_MIN_LINE = len(_JSONL_HEAD) + 20 + len(_JSONL_MID) + 2
-# Bytes a JSON number is made of; which strings of them are numbers is left
-# to json.loads, unless floattext reads them all.
-_NUMBER_BYTES, _DIGITS = np.zeros((2, 256), dtype=bool)
-_NUMBER_BYTES[list(b"0123456789+-.eE")] = True
+_DIGITS = np.zeros(256, dtype=bool)
 _DIGITS[list(b"0123456789")] = True
+_PAD = 32  # NULs each side of a block, so every line has a stamp's window and a value's
 
 
-def _fast_jsonl(fh) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of a JSONL file in the writer's layout, or None to leave it to the row parser.
+def _layout_block(block: bytes, fmt: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch_s, litres) of a block of whole lines in the format's layout, else None.
 
-    Every line must read `{"ts": "<stamp>", "litres_total": <number>}` with
-    a canonical stamp and nothing else. The lines are checked as arrays, in
-    blocks of about BLOCK_ROWS lines, with no Python loop over them.
+    Empty lines are skipped, and a CR that ends a line, before its
+    newline or at the end of the input, is dropped. The literals are
+    compared at their fixed offsets and the stamps decoded by
+    _decode_timestamps. A block of plain decimals (for JSONL, each also as
+    JSON writes it: from a digit to a digit, a leading 0 followed by the
+    point or by nothing) is read by floattext.parse_fields, bit for bit as
+    float() reads it; any other block by _row_values. So every byte of a
+    line taken is checked: as a literal, a stamp, a digit or point, or by
+    _row_values.
     """
-    return _fast_blocks(fh, _jsonl_block)
-
-
-def _jsonl_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of a block of whole lines in the writer's JSONL layout, else None.
-
-    The literals are compared at their fixed offsets and the stamps decoded
-    by _decode_timestamps. A block of plain numbers, each as JSON writes it
-    (from a digit to a digit, a leading 0 followed by the point or by
-    nothing) and as floattext.parse_fields reads it (1-19 digits with at
-    most one point), is read by parse_fields, bit for bit as float() reads
-    it. Any other block's numbers are parsed by one json.loads of a JSON
-    array, so JSON's own number grammar decides; only int and float values
-    that a float holds are taken.
-    """
-    buf = np.frombuffer(block, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if not len(ends) or ends[-1] != len(buf) - 1:
-        ends = np.append(ends, len(buf))  # a last line without a newline
-    starts = np.append(0, ends[:-1] + 1)
-    if np.any(ends - starts < _JSONL_MIN_LINE):  # each line holds its head and stamp window
+    _, head, mid, tail = _LAYOUTS[fmt]
+    close = tail[:-1]  # what ends a line before its newline
+    text = np.zeros(len(block) + 2 * _PAD, dtype=np.uint8)
+    text[_PAD:-_PAD] = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    starts = np.append(_PAD, ends + 1)
+    ends = np.append(ends, len(block) + _PAD)  # the last line, empty or without a newline
+    ends -= text[ends - 1] == ord("\r")
+    lines = ends > starts
+    starts, ends = starts[lines], ends[lines]
+    if not len(starts):
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    if np.any(ends - starts < len(head) + 20 + len(mid) + 1 + len(close)):
         return None
-    stamps = _windows(buf, starts + len(_JSONL_HEAD), 32)  # 26 bytes a stamp, in rows of whole words
+    at = starts + len(head)
+    stamps = _windows(text, at, 32)  # 26 bytes a stamp, in rows of whole words
     utc = stamps[:, 19] == ord("Z")
-    mid = starts + len(_JSONL_HEAD) + np.where(utc, 20, 25)
-    first, close = mid + len(_JSONL_MID), ends - 1
-    if not (np.all(first < close) and np.all(buf[close] == ord("}"))
-            and np.all(_windows(buf, starts, len(_JSONL_HEAD)) == _JSONL_HEAD)
-            and np.all(_windows(buf, mid, len(_JSONL_MID)) == _JSONL_MID)):
+    first = at + np.where(utc, 20, 25) + len(mid)  # each number's first byte
+    last = ends - len(close)  # and the byte after its last
+    if not (np.all(first < last) and _at_each(text, starts, head) and _at_each(text, first - len(mid), mid)
+            and _at_each(text, last, close)):
         return None
+    lead = text[first]
+    plain = fmt == "csv" or (np.all(_DIGITS[lead] & _DIGITS[text[last - 1]])
+                             and not np.any((lead == ord("0")) & _DIGITS[text[first + 1]]))
+    # Each number is right-aligned in the FIELD_BYTES bytes that end it.
+    fields = _windows(text, last - floattext.FIELD_BYTES, floattext.FIELD_BYTES)
+    del text, lead, starts, ends, at  # so the kernels' scratch arrays stay within the memory bound
     stamps[:, 25] = 0
     stamps[utc, 20:] = 0
     epoch = _decode_timestamps(stamps)
     if epoch is None:
         return None
-    lead, pad = buf[first], floattext.FIELD_BYTES
-    if np.all(_DIGITS[lead] & _DIGITS[buf[close - 1]]) and not np.any((lead == ord("0")) & _DIGITS[buf[first + 1]]):
-        # Each number is right-aligned in the pad bytes before its "}",
-        # which every line has: they hold its head and stamp.
-        litres = floattext.parse_fields(_windows(buf, close - pad, pad), close - first)
-        if litres is not None:
-            return epoch, litres
-    # Each number runs from `first` up to its line's "}"; with every "}"
-    # turned into a comma, the numbers read as one JSON array.
-    edge = np.zeros(len(buf) + 1, dtype=np.int8)
-    edge[first], edge[close] = 1, -1
-    number = np.cumsum(edge[:-1], dtype=np.int8).view(bool)
-    if np.any(number & ~_NUMBER_BYTES[buf]):
+    del stamps
+    litres = floattext.parse_fields(fields, last - first) if plain else None
+    if litres is None:
+        litres = _row_values(block, first - _PAD, last - _PAD, fmt)
+    return None if litres is None else (epoch, litres)
+
+
+def _row_values(block: bytes, first: np.ndarray, last: np.ndarray, fmt: str) -> np.ndarray | None:
+    """The numbers of a block, block[first[i]:last[i]] each, as the row
+    parser reads them: float() for CSV, and for JSONL an int or float of
+    JSON that a float holds. None if one does not read, or if the block
+    holds a non-ASCII byte, a lone CR or a byte of _DECLINED."""
+    if not block.isascii() or any(byte in block for byte in _DECLINED) or block.count(b"\r") != block.count(b"\r\n"):
         return None
-    number[close] = True
-    text = buf[number]
-    text[text == ord("}")] = ord(",")
+    text = block.decode("ascii")
+    read = float if fmt == "csv" else _json_number
     try:
-        values = json.loads(b"[" + text[:-1].tobytes() + b"]")
-        litres = np.array(values, dtype=np.float64)
-    except (ValueError, OverflowError):
+        return np.array([read(text[a:b]) for a, b in zip(first.tolist(), last.tolist())], dtype=np.float64)
+    except (ValueError, OverflowError, RecursionError):  # e.g. an int too large for a float, deep nesting
         return None
-    if len(values) != len(starts) or not {type(v) for v in values} <= {int, float}:
-        return None
-    return epoch, litres
+
+
+def _json_number(text: str) -> float:
+    """A JSON int or float as a float; ValueError for any other JSON value."""
+    value = json.loads(text)
+    if type(value) not in (int, float):
+        raise ValueError(f"not a number: {text!r}")
+    return float(value)
 
 
 def _parse_timestamp(text: str) -> int:
@@ -455,10 +400,11 @@ def parse_stream(source, fmt: str = "csv", source_id: str = "") -> ReadingStream
     fmt="csv": rows of `timestamp,cumulative_litres`, optional header row.
     fmt="jsonl": one object per line with keys `ts` and `litres_total`.
 
-    Input in the canonical layout (whole-second `...Z` or `...+HH:MM`
-    timestamps, plain numbers; for JSONL, the writer's exact line layout) is
-    decoded as arrays, block by block. Anything else, including every input with a
-    defect, goes through the row parser, which raises MalformedRow /
+    Input in the writers' line layout, with whole-second `...Z` or
+    `...+HH:MM` timestamps, LF or CR LF line ends and maybe empty lines, is
+    decoded as arrays, block by block; its numbers are read as the row
+    parser reads them. Anything else, including every input with a defect,
+    goes through the row parser, which raises MalformedRow /
     NonMonotonicTimestamp / EmptyInput with 1-based physical line numbers in
     the diagnostics. Timestamps must strictly increase once rounded to whole
     seconds.
@@ -491,8 +437,7 @@ def _parse(fh, fmt: str, source_id: str, raw: bytes | str | None = None) -> Read
     """
     start = len(_BOM) if fh.read(len(_BOM)) == _BOM else 0
     fh.seek(start)
-    fast, parse_rows = _PARSERS[fmt]
-    parsed = fast(fh)
+    parsed = _fast(fh, fmt)
     if parsed is None:
         if raw is None or start:
             fh.seek(start)
@@ -508,7 +453,7 @@ def _parse(fh, fmt: str, source_id: str, raw: bytes | str | None = None) -> Read
         # stays on this path: loading array adds about 70 KB to any process.
         from array import array
         lines, epoch, litres = array("q"), array("q"), array("d")
-        for line_no, t, value in parse_rows(text):
+        for line_no, t, value in _PARSERS[fmt](text):
             lines.append(line_no)
             epoch.append(t)
             litres.append(value)
@@ -587,8 +532,8 @@ def _parse_jsonl_rows(text: str) -> Iterator[tuple[int, int, float]]:
         yield line_no, epoch, value
 
 
-# Format -> (array fast path, row parser).
-_PARSERS = {"csv": (_fast_csv, _parse_csv_rows), "jsonl": (_fast_jsonl, _parse_jsonl_rows)}
+# Format -> row parser.
+_PARSERS = {"csv": _parse_csv_rows, "jsonl": _parse_jsonl_rows}
 
 
 # --- cleaning ------------------------------------------------------------------
@@ -682,9 +627,8 @@ def _write_rows(
 
 
 def write_stream_csv(stream: ReadingStream, path: str | Path) -> None:
-    _write_rows(stream, path, _CSV_HEADER + b"\n", b"", b",", b"\n")
+    _write_rows(stream, path, *_LAYOUTS["csv"])
 
 
 def write_stream_jsonl(stream: ReadingStream, path: str | Path) -> None:
-    # The same bytes per line as json.dumps({"ts": ..., "litres_total": ...}).
-    _write_rows(stream, path, b"", _JSONL_HEAD.tobytes(), _JSONL_MID.tobytes(), b"}\n")
+    _write_rows(stream, path, *_LAYOUTS["jsonl"])

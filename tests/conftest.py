@@ -1,12 +1,15 @@
 """Shared fixtures: the demo household is generated once per session."""
 
+import contextlib
 from datetime import date, timedelta
 from importlib import resources
+from unittest.mock import patch
 from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
 
+from flowrhythm import readings
 from flowrhythm.binning import SLOTS_PER_DAY, BinnedDay, DayMatrix
 from flowrhythm.exclusions import parse_calendar
 from flowrhythm.pipeline import readings_to_days
@@ -19,6 +22,19 @@ def day_rows(days: DayMatrix) -> list[tuple[date, np.ndarray]]:
         (days.first + timedelta(days=int(i)), days.values[i])
         for i in np.flatnonzero(days.retained)
     ]
+
+
+@contextlib.contextmanager
+def kernel_only():
+    """A patch under which reading a stream fails unless floattext reads
+    every block's values: a block read value by value, or a file left to
+    the row parser, raises."""
+
+    def fail(*args):
+        raise AssertionError("a block's values were not read by the value kernel")
+
+    with patch.object(readings, "_row_values", fail), patch.dict(readings._PARSERS, dict.fromkeys(readings._PARSERS, fail)):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,6 @@
 """The float64 <-> text kernels against float.__repr__ and float(), on their
 own and inside the stream writers and reader at several block sizes."""
 
-import contextlib
 import math
 import tempfile
 from datetime import datetime, timezone
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import kernel_only
 from flowrhythm import floattext, readings
 from flowrhythm.readings import ReadingStream, parse_stream, read_stream, write_stream_csv, write_stream_jsonl
 
@@ -83,14 +83,15 @@ def bits_of(values) -> list[str]:
 
 # Decimals rounding to the nearest double and ties to even go wrong first:
 # integers past 2^53, exact halfway points (which need at most 4 digits
-# after the point), points just either side of them, and the ends of the
-# 19-digit range.
+# after the point), points just either side of them, the ends of the
+# 19-digit range, and leading zeros past it, which a field of
+# floattext.FIELD_BYTES bytes may hold.
 PARSE_EDGES = [
     "9007199254740993", "9007199254740995", "9007199254740993.0", "900719925474099.3",
     "0", "0.0", "5.", ".5", "0000000000000000001", "9999999999999999999", "18446744073709551.61",
     "4503599627370497.5", "4503599627370496.5", "1125899906842624.125", "1125899906842624.375",
     "2251799813685248.25", "2251799813685248.75", "0.1", "0.2", "0.3", "123456789012345678.9",
-    ".0000000000000000001", "1.000000000000000000",
+    ".0000000000000000001", "1.000000000000000000", "0.0009765625000000001", "000000000000000000000123",
 ]
 
 
@@ -148,30 +149,14 @@ def test_parse_kernel_equals_float(texts):
 # --- inside the writers and the reader ------------------------------------------
 
 
-def no_loadtxt():
-    """A patch under which reading a block through loadtxt fails."""
-    return patch.object(readings.np, "loadtxt", side_effect=AssertionError("a block went to loadtxt"))
-
-
-def no_json_loads():
-    """A patch under which reading a JSONL block through json.loads fails."""
-    return patch.object(readings.json, "loads", side_effect=AssertionError("a block went to json.loads"))
-
-
-def kernel_reads(texts) -> bool:
-    """Whether parse_fields takes every text: 19 digits at most."""
-    return all(len(t.replace(".", "")) <= 19 for t in texts)
-
-
 @pytest.mark.parametrize("block_rows", [1, 7, 4096])
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(in_domain, min_size=1, max_size=50))
 @example(values=FORMAT_EDGES)
-@example(values=[v for v in FORMAT_EDGES if kernel_reads([repr(v)])])
 @example(values=[LEAST, 0.5, 0.1, 0.001, 0.25, 0.75])
 def test_writers_write_repr_of_in_domain_values_and_read_them_back(block_rows, values):
-    # Below 0.01 a repr may have more than 19 digits (0.0009765625000000001
-    # has 20), which the reader leaves to loadtxt and json.loads.
+    # A repr in the domain is below 10^16 with at most 19 digits after the
+    # point (0.0009765625000000001 has 19), so floattext reads every block.
     texts = [repr(v) for v in values]
     stream = ReadingStream(1_600_000_000 + 900 * np.arange(len(values)), np.array(values))
     with tempfile.TemporaryDirectory() as tmp, patch.object(readings, "BLOCK_ROWS", block_rows):
@@ -181,9 +166,8 @@ def test_writers_write_repr_of_in_domain_values_and_read_them_back(block_rows, v
         rows = csv_path.read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == texts
         assert [line.rsplit(" ", 1)[1][:-1] for line in jsonl_path.read_text().splitlines()] == texts
-        with no_loadtxt() if kernel_reads(texts) else contextlib.nullcontext():
+        with kernel_only():
             back = read_stream(csv_path)
-        with no_json_loads() if kernel_reads(texts) else contextlib.nullcontext():
             back_jsonl = read_stream(jsonl_path)
     assert bits_of(back.litres) == bits_of(back_jsonl.litres) == bits_of(values)
 
@@ -197,6 +181,6 @@ def test_reader_reads_plain_decimals_as_float_does(block_rows, texts):
     lines = [f"{datetime.fromtimestamp(1_600_000_000 + 900 * i, timezone.utc).isoformat()},{t}"
              for i, t in enumerate(texts)]
     for text in ("\n".join(lines) + "\n", "\n".join(lines)):
-        with patch.object(readings, "BLOCK_ROWS", block_rows), no_loadtxt():
+        with patch.object(readings, "BLOCK_ROWS", block_rows), kernel_only():
             stream = parse_stream(text)
         assert bits_of(stream.litres) == bits_of(float(t) for t in texts)

@@ -14,13 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import day_rows
+from conftest import day_rows, kernel_only
 from flowrhythm import pipeline, readings
 from flowrhythm.pipeline import clean_intervals, readings_to_days
 from flowrhythm.readings import (
     DEFAULT_MAX_GAP,
     ReadingStream,
-    _fast_csv,
     read_stream,
     segment_litres,
     write_stream_csv,
@@ -158,13 +157,13 @@ def test_reading_and_binning_a_long_stream_stay_in_a_bounded_working_set(tmp_pat
 
 
 @pytest.mark.parametrize("stream", ["long", "demo"])
-def test_the_writers_csv_is_read_without_loadtxt(tmp_path, stream, demo_stream):
+def test_the_writers_csv_is_read_by_the_value_kernel(tmp_path, stream, demo_stream):
     # Every block of what write_stream_csv writes is plain rows, which the
-    # reader's own value kernel takes; a block it declined would fall back
-    # to loadtxt without any output changing.
+    # reader's own value kernel takes; a block it declined would be read
+    # value by value without any output changing.
     stream = long_stream() if stream == "long" else demo_stream
     write_stream_csv(stream, tmp_path / "readings.csv")
-    with patch.object(readings.np, "loadtxt", side_effect=AssertionError("a block went to loadtxt")):
+    with kernel_only():
         back = read_stream(tmp_path / "readings.csv")
     assert back.epoch_s.tobytes() == stream.epoch_s.tobytes()
     assert back.litres.tobytes() == stream.litres.tobytes()
@@ -217,7 +216,7 @@ def test_row_parser_keeps_typed_buffers_not_a_tuple_per_reading(tmp_path):
     path.write_text(path.read_text().replace("+00:00,", ".0+00:00,"))
     size = path.stat().st_size
     with open(path, "rb") as fh:
-        assert _fast_csv(fh) is None
+        assert readings._fast(fh, "csv") is None
     tracemalloc.start()
     try:
         stream = read_stream(path)

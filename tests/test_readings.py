@@ -372,7 +372,7 @@ def test_instants_outside_the_range_are_malformed_rows(fmt, stamp):
 
 def fast_path(text: str, fmt: str = "csv"):
     """What the array fast path makes of text: (epoch_s, litres), or None."""
-    return getattr(readings, f"_fast_{fmt}")(io.BytesIO(text.encode()))
+    return readings._fast(io.BytesIO(text.encode()), fmt)
 
 
 def outcome(text: str, fmt: str = "csv", fast: bool = True):
@@ -393,9 +393,7 @@ def parsed(parse, fmt: str, fast: bool):
     the fast path declines every input, so the row parser reads it."""
     with contextlib.ExitStack() as stack:
         if not fast:
-            # The parsers find their fast path in _PARSERS, not as a module attribute.
-            declined = (lambda fh: None, readings._PARSERS[fmt][1])
-            stack.enter_context(patch.dict(readings._PARSERS, {fmt: declined}))
+            stack.enter_context(patch.object(readings, "_fast", lambda fh, fmt: None))
         try:
             s = parse()
         except Exception as exc:  # every error type must agree, not just DataError
@@ -442,18 +440,24 @@ def jsonl_text(rows) -> str:
     return "\n".join(json.dumps({"ts": t, "litres_total": v}) for t, v in rows) + "\n"
 
 
+# Line ends the fast path takes: LF, CR LF, and LF with an empty line after each line.
+LINE_ENDS = pytest.mark.parametrize("end", ["\n", "\r\n", "\n\n"], ids=["LF", "CRLF", "empty-line"])
+
+
+@LINE_ENDS
 @settings(max_examples=200, deadline=None)
 @given(canonical_rows(), st.booleans())
-def test_fast_csv_equals_row_parser_on_canonical_input(rows, header):
-    text = csv_text(rows, header)
+def test_fast_csv_equals_row_parser_on_canonical_input(end, rows, header):
+    text = csv_text(rows, header).replace("\n", end)
     assert fast_path(text) is not None  # the fast path took it
     assert outcome(text) == outcome(text, fast=False)
 
 
+@LINE_ENDS
 @settings(max_examples=100, deadline=None)
 @given(canonical_rows())
-def test_fast_jsonl_equals_row_parser_on_canonical_input(rows):
-    text = jsonl_text(rows)
+def test_fast_jsonl_equals_row_parser_on_canonical_input(end, rows):
+    text = jsonl_text(rows).replace("\n", end)
     assert fast_path(text, "jsonl") is not None
     assert outcome(text, "jsonl") == outcome(text, "jsonl", fast=False)
 
@@ -512,10 +516,11 @@ def test_fast_path_edges_match_row_parser(text, canonical):
     assert outcome(line) == outcome(line, fast=False)
 
 
-@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"])
-def test_csv_bytes_loadtxt_reads_differently_go_to_the_row_parser(char):
-    # str.splitlines ends a line at each of these but \x1f, which float()
-    # does not strip; loadtxt would read 2021-03-01T00:00:00Z,1.0.
+@pytest.mark.parametrize("char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"])
+def test_csv_bytes_float_reads_differently_go_to_the_row_parser(char):
+    # str.splitlines ends a line at each of these but \x1f, and float()
+    # strips a lone CR, \x0b, \x0c and \x85: read value by value, the
+    # first line would give 1.0.
     text = f"2021-03-01T00:00:00Z,{char}1.0\n2021-03-01T00:15:00Z,2.0\n"
     assert fast_path(text) is None
     assert outcome(text) == outcome(text, fast=False)
@@ -533,6 +538,11 @@ def test_csv_bytes_loadtxt_reads_differently_go_to_the_row_parser(char):
     ('["2021-03-01T00:00:00Z", 1.0]', False),
     ('\ufeff{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.0}', False),
     ('{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.0}\r{"ts": "2021-03-01T00:15:00Z", "litres_total": 2.0}', False),
+    # CR LF, an empty line and spaces round a number, which JSON allows.
+    ('{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5}\r', True),
+    ('{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5}\n\n{"ts": "2021-03-01T00:15:00Z", "litres_total": 2.5}', True),
+    ('{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5 }', True),
+    ('{"ts": "2021-03-01T00:00:00Z", "litres_total": \t1.5e0 }\r', True),
 ])
 def test_fast_jsonl_edges_match_row_parser(line, canonical):
     text = line + "\n"
@@ -648,9 +658,9 @@ def writer_jsonl(numbers) -> bytes:
 @example(numbers=["0.5", ".5", "2.5"])
 @example(numbers=["0", "00", "7"])
 def test_jsonl_numbers_read_as_the_row_parser_reads_them(block_rows, numbers):
-    # A block of plain decimals is read by floattext, any other by
-    # json.loads; either way a file gives the row parser's stream bit for
-    # bit, or its error at the same line.
+    # A block of plain decimals is read by floattext, any other value by
+    # value by json.loads; either way a file gives the row parser's stream
+    # bit for bit, or its error at the same line.
     data = writer_jsonl(numbers)
     with patch.object(readings, "BLOCK_ROWS", block_rows):
         assert file_outcome(data, "jsonl") == file_outcome(data, "jsonl", fast=False)
@@ -665,10 +675,7 @@ def test_plain_jsonl_numbers_are_read_without_json_loads(numbers):
 
 
 @pytest.mark.parametrize("text", [
-    '{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5}\r\n',
-    '{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5}\n\n{"ts": "2021-03-01T00:15:00Z", "litres_total": 2.5}\n',
     '{"litres_total": 1.5, "ts": "2021-03-01T00:00:00Z"}\n',
-    '{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5 }\n',
     '{"ts":"2021-03-01T00:00:00Z","litres_total":1.5}\n',
     '{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5, "litres_total": 2.5}\n',
     '{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.5, "x": 1}\n',
@@ -698,11 +705,11 @@ def test_jsonl_row_parser_reports_unreadable_values_as_malformed_rows(line, mess
 
 
 @pytest.mark.parametrize("number, value", [("1e3", 1000.0), ("+1.5", 1.5), (" 1.5", 1.5)])
-def test_other_csv_numbers_still_go_to_loadtxt(number, value):
+def test_other_csv_numbers_are_read_value_by_value(number, value):
     text = f"2021-03-01T00:00:00Z,0.5\n2021-03-01T00:15:00Z,{number}\n"
-    with patch.object(readings.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+    with patch.object(readings, "_row_values", wraps=readings._row_values) as row_values:
         assert fast_path(text) is not None
-    assert loadtxt.call_count == 1
+    assert row_values.call_count == 1
     assert outcome(text) == outcome(text, fast=False) == ([1614556800, 1614557700], [0.5.hex(), value.hex()])
 
 
@@ -711,8 +718,7 @@ def test_a_leading_byte_order_mark_is_dropped(fmt, header):
     rows = [("2021-03-01T00:00:00Z", 1.0), ("2021-03-01T00:15:00+00:00", 2.5)]
     data = (csv_text(rows, header) if fmt == "csv" else jsonl_text(rows)).encode()
     # The fast path takes the file: the row parser is not called.
-    fast_only = (readings._PARSERS[fmt][0], lambda text: pytest.fail("the row parser read the file"))
-    with patch.dict(readings._PARSERS, {fmt: fast_only}):
+    with patch.dict(readings._PARSERS, {fmt: lambda text: pytest.fail("the row parser read the file")}):
         assert file_outcome(b"\xef\xbb\xbf" + data, fmt) == file_outcome(data, fmt)
     assert file_outcome(b"\xef\xbb\xbf" + data, fmt, fast=False) == file_outcome(data, fmt)
     assert outcome("\ufeff" + data.decode(), fmt) == file_outcome(data, fmt)
