@@ -22,15 +22,16 @@ uses exactly those). normalization="variance" divides raw power by
 (n/2) * Var(y), which for the floating-mean estimator is the dimensionless
 p in [0, 1] of the reference above.
 
-Both are one-row calls of row-wise cores (``classic_rows``,
-``lomb_scargle_rows``) that take a stack of series sharing one sampling
-clock, NaN marking missing samples, and one ``trig_table`` for that clock.
-The tracking layer runs the same cores on blocks of windows.
+Both are closed forms (``classic_power``, ``lomb_scargle_power``) of a
+series' six ``Moments``: n, sum y, sum y^2, and sum e^(i w t), sum y e^(i w t)
+and sum e^(2 i w t) at each grid frequency. The estimators here project their
+samples directly; the tracking layer builds them per day and sums a window's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,88 +194,75 @@ def _check_normalization(normalization: str) -> None:
         )
 
 
-def trig_table(times: np.ndarray, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 pi f t, each (len(grid), len(times)).
-
-    The basis both estimators project onto. Every series sampled on the
-    same clock shares it, so a tracking run builds it once for all of its
-    windows.
-    """
-    omega_t = 2.0 * np.pi * np.outer(grid.frequencies_cph, times)
-    return np.cos(omega_t), np.sin(omega_t)
+def phases(times: np.ndarray, frequencies_cph: np.ndarray) -> np.ndarray:
+    """e^(2 pi i f t), shape (len(times), len(frequencies_cph))."""
+    return np.exp(2j * np.pi * np.outer(times, frequencies_cph))
 
 
-def classic_rows(
-    values: np.ndarray, table: tuple[np.ndarray, np.ndarray], normalization: str = "raw"
-) -> np.ndarray:
-    """Schuster power of each row of values, shape (rows, len(grid)).
+class Moments(NamedTuple):
+    """The six sums both estimators are closed forms of, one row per series:
+    n, sum y and sum y^2, each (rows, 1), and sum e^(i w t), sum y e^(i w t)
+    and sum e^(2 i w t), the source of cos^2, sin^2 and cos sin, (rows, len(grid))."""
 
-    values is (rows, len(times)) on the clock of `table`; NaN marks a
-    missing sample. The caller guarantees every row is a complete evenly
-    spaced series of at least two samples: its valid samples are contiguous
-    on an evenly spaced clock.
-    """
+    n: np.ndarray
+    y: np.ndarray
+    yy: np.ndarray
+    z: np.ndarray
+    yz: np.ndarray
+    z2: np.ndarray
+
+
+def moments(values: np.ndarray, phases_at_f: np.ndarray, phases_at_2f: np.ndarray) -> Moments:
+    """The Moments of each row of values, (rows, samples) with NaN for a missing
+    sample, from the `phases` of the sample times at the grid frequencies and twice them."""
+    present = ~np.isnan(values)
+    y = np.where(present, values, 0.0)
+    sums = [a.sum(axis=1, keepdims=True) for a in (present, y, y * y)]
+    return Moments(*sums, present @ phases_at_f, y @ phases_at_f, present @ phases_at_2f)
+
+
+def classic_power(m: Moments, normalization: str = "raw") -> np.ndarray:
+    """Schuster power (1/n) |sum (y - mean) e^(i w t)|^2 of each row, (rows, len(grid)).
+    Every row must be a complete evenly spaced series of at least two samples."""
     _check_normalization(normalization)
-    cos_t, sin_t = table
-    valid = ~np.isnan(values)
-    n = valid.sum(axis=1, keepdims=True)
-    mean = np.where(valid, values, 0.0).sum(axis=1, keepdims=True) / n
-    x = np.where(valid, values - mean, 0.0)
-    a = x @ cos_t.T
-    b = x @ sin_t.T
-    power = (a * a + b * b) / n
+    mean = m.y / m.n
+    x = m.yz - mean * m.z
+    power = (x.real * x.real + x.imag * x.imag) / m.n
     if normalization == "variance":
-        variance = (x * x).sum(axis=1, keepdims=True) / n
+        variance = m.yy / m.n - mean * mean
         with np.errstate(divide="ignore", invalid="ignore"):
-            power = np.where(variance == 0.0, 0.0, power * 2.0 / (n * variance))
+            power = np.where(variance <= 0.0, 0.0, power * 2.0 / (m.n * variance))
     return np.maximum(power, 0.0)
 
 
-def lomb_scargle_rows(
-    values: np.ndarray, table: tuple[np.ndarray, np.ndarray], normalization: str = "raw"
-) -> np.ndarray:
-    """Floating-mean least-squares power of each row, shape (rows, len(grid)).
-
-    values is (rows, len(times)) on the clock of `table`; NaN marks a
-    missing sample and each row needs at least three valid ones. Every
-    valid sample of a row has equal weight. See lomb_scargle for the model.
-    """
+def lomb_scargle_power(m: Moments, normalization: str = "raw") -> np.ndarray:
+    """Floating-mean least-squares power of each row, (rows, len(grid)). Every row
+    needs at least three samples, each weighted 1/n; see lomb_scargle for the model."""
     _check_normalization(normalization)
-    cos_t, sin_t = table
-    valid = ~np.isnan(values)
-    n = valid.sum(axis=1, keepdims=True)
-    w = valid / n
-    y = np.where(valid, values, 0.0)
-    wy = w * y
-    mean_y = wy.sum(axis=1, keepdims=True)
-    yy = (w * (y * y)).sum(axis=1, keepdims=True) - mean_y * mean_y
-
-    # Weighted moments of Zechmeister & Kuerster (2009), eqs. 5-14. The
-    # squared terms are formed per call rather than kept beside the table:
-    # holding them for a whole run raises peak memory more than they cost.
-    c_mean = w @ cos_t.T
-    s_mean = w @ sin_t.T
-    yc = wy @ cos_t.T - mean_y * c_mean
-    ys = wy @ sin_t.T - mean_y * s_mean
-    cc = w @ (cos_t * cos_t).T - c_mean * c_mean
-    ss = w @ (sin_t * sin_t).T - s_mean * s_mean
-    cs = w @ (cos_t * sin_t).T - c_mean * s_mean
-
+    # Weighted moments of Zechmeister & Kuerster (2009), eqs. 5-14: x holds
+    # YC + i YS, and cos^2, sin^2 and cos sin are (1 +- cos 2wt) / 2, sin 2wt / 2.
+    mean = m.y / m.n
+    x = (m.yz - mean * m.z) / m.n
+    c, s, z2 = m.z.real / m.n, m.z.imag / m.n, m.z2 / m.n
+    cc = 0.5 * (1.0 + z2.real) - c * c
+    ss = 0.5 * (1.0 - z2.real) - s * s
+    cs = 0.5 * z2.imag - c * s
     det = cc * ss - cs * cs
-    num = ss * yc * yc + cc * ys * ys - 2.0 * cs * yc * ys
+    num = ss * x.real * x.real + cc * x.imag * x.imag - 2.0 * cs * x.real * x.imag
     # det -> 0 means the sinusoid is indistinguishable from the offset at
     # this frequency (pathological sampling); report zero power there.
     with np.errstate(divide="ignore", invalid="ignore"):
         reduction = np.maximum(np.where(det > 1e-13, num / det, 0.0), 0.0)
         if normalization == "variance":
+            yy = m.yy / m.n - mean * mean
             return np.where(yy <= 0, 0.0, np.minimum(reduction / yy, 1.0))
-    return reduction * (n / 2.0)
+    return reduction * (m.n / 2.0)
 
 
-# Estimator name -> (periodogram label, row-wise core, fewest samples it takes).
+# Estimator name -> (periodogram label, closed form, fewest samples it takes).
 ESTIMATORS = {
-    "ls": ("lomb_scargle", lomb_scargle_rows, 3),
-    "classic": ("classic", classic_rows, 2),
+    "ls": ("lomb_scargle", lomb_scargle_power, 3),
+    "classic": ("classic", classic_power, 2),
 }
 UNEVEN_SPACING = (
     "sample spacing varies; the classic periodogram requires a "
@@ -294,9 +282,11 @@ def _estimate(
     reason = too_few_samples(estimator, samples.n)
     if reason is not None:
         raise TooFewSamples(reason)
-    label, core, _ = ESTIMATORS[estimator]
-    power = core(samples.values[None, :], trig_table(samples.times, grid), normalization)
-    return Periodogram(grid, power[0], label, normalization, samples.n)
+    label, power, _ = ESTIMATORS[estimator]
+    # Centred, so that a constant series has exactly zero power.
+    x = samples.values - samples.values.mean()
+    m = moments(x[None, :], *(phases(samples.times, h * grid.frequencies_cph) for h in (1, 2)))
+    return Periodogram(grid, power(m, normalization)[0], label, normalization, samples.n)
 
 
 def classic_periodogram(

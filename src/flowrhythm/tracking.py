@@ -29,9 +29,11 @@ from .spectral import (
     TARGET_PERIODS_HOURS,
     UNEVEN_SPACING,
     FrequencyGrid,
+    Moments,
     Periodogram,
+    moments,
+    phases,
     too_few_samples,
-    trig_table,
 )
 
 log = logging.getLogger(__name__)
@@ -41,9 +43,9 @@ Days = DayMatrix | Sequence[BinnedDay]
 DEFAULT_WINDOW_DAYS = 10
 DEFAULT_STRIDE_DAYS = 1
 DEFAULT_MIN_VALID_DAYS = 8
-# Windows estimated, and written, per stacked block: large enough to
-# amortise one matrix product over many windows, small enough to keep the
-# block's memory flat.
+# Windows written per byte matrix of the overlay: large enough to amortise
+# the matrix's numpy calls over many windows, small enough to keep its
+# memory flat.
 BLOCK_ROWS = 32
 
 
@@ -143,12 +145,25 @@ def _layout(
     return days, valid, np.arange(0, n - cfg.window_days + 1, cfg.stride_days)
 
 
-def _hole_inside(present: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
+def _hole_inside(present: np.ndarray, starts: np.ndarray, window_days: int) -> np.ndarray:
     """Whether each window's present slots form more than one run, so that
     the classic estimator cannot take them as evenly spaced."""
-    seen = present.reshape(-1)
+    seen, offsets, width = present.reshape(-1), starts * SLOTS_PER_DAY, window_days * SLOTS_PER_DAY
     rises = np.concatenate([[0], np.cumsum(seen[1:] & ~seen[:-1])])
     return seen[offsets] + rises[offsets + width - 1] - rises[offsets] > 1
+
+
+def _window_moments(day: Moments, starts: np.ndarray, window_days: int, k: np.ndarray) -> Moments:
+    """The Moments of the windows whose first day rows are `starts`: day j's
+    sums turned by e^(2 pi i k j / W) at the grid frequency k / (24 W) cph,
+    twice that at 2 w, with k j reduced mod W in integers first."""
+    roots = np.exp(2j * np.pi * np.arange(window_days) / window_days)
+    sums = Moments(*(np.zeros((len(starts), a.shape[1]), a.dtype) for a in day))
+    for j in range(window_days):
+        turn = roots[k * j % window_days]
+        for total, a, by in zip(sums, day, (1, 1, 1, turn, turn, roots[2 * k * j % window_days])):
+            total += a[starts + j] * by
+    return sums
 
 
 def compute_track(
@@ -163,19 +178,18 @@ def compute_track(
     one whose samples defeat the estimator: too few, or a hole inside one
     for the classic estimator.
 
-    Every window is a row slice of the DayMatrix on the same clock: slot
+    Every window is a row slice of the DayMatrix, sampled at the slot
     midpoints 24 j + 0.25 (k + 0.5) hours after window-start midnight for
-    day j, slot k, with missing slots and invalid days as NaN. So one trig
-    table, built only when some window is estimated, serves the whole run,
-    and the estimator runs on blocks of BLOCK_ROWS stacked windows.
+    day j, slot k, with missing slots and invalid days as NaN. Each grid
+    frequency is a whole number of cycles per window, so a window's Moments
+    are its days' Moments, each turned by its day's phase; those are built
+    once, from the 96 slot times, when some window is estimated.
     """
     if estimator not in ESTIMATORS:
         raise InvalidConfig(f"estimator must be one of {tuple(ESTIMATORS)}, got {estimator!r}")
-    label, core, minimum = ESTIMATORS[estimator]
+    label, closed_form, minimum = ESTIMATORS[estimator]
     grid = cfg.grid()
     days, valid, starts = _layout(days, calendar, cfg)
-    # Days the calendar excludes are blanked in a copy; without a calendar
-    # the windows slice the matrix itself.
     values = days.values if calendar is None else np.where(valid[:, None], days.values, np.nan)
     present = ~np.isnan(values)
     # Valid days and present samples of every window, off one running sum over day rows.
@@ -183,13 +197,11 @@ def compute_track(
     sums = np.concatenate([[[0, 0]], sums])
     valid_days, n_samples = (sums[starts + cfg.window_days] - sums[starts]).T
 
-    width = cfg.window_days * SLOTS_PER_DAY
-    offsets = starts * SLOTS_PER_DAY
     skip = np.full(len(starts), ESTIMATED, dtype=np.int8)
     skip[valid_days < cfg.min_valid_days] = FEW_VALID_DAYS
     skip[(skip == ESTIMATED) & (n_samples < minimum)] = FEW_SAMPLES
     if estimator == "classic":
-        skip[(skip == ESTIMATED) & _hole_inside(present, offsets, width)] = UNEVEN
+        skip[(skip == ESTIMATED) & _hole_inside(present, starts, cfg.window_days)] = UNEVEN
     for row in np.flatnonzero(skip > FEW_VALID_DAYS):
         reason = UNEVEN_SPACING if skip[row] == UNEVEN else too_few_samples(estimator, n_samples[row])
         log.warning("window %s skipped: %s", days.first + timedelta(days=int(starts[row])), reason)
@@ -197,12 +209,10 @@ def compute_track(
     power = np.full((len(starts), len(grid)), np.nan)
     todo = np.flatnonzero(skip == ESTIMATED)
     if len(todo):
-        flat = values.reshape(-1)
-        table = trig_table((np.arange(width) + 0.5) * (SLOT_MINUTES / 60.0), grid)
-        for b in range(0, len(todo), BLOCK_ROWS):
-            rows = todo[b : b + BLOCK_ROWS]
-            block = np.stack([flat[o : o + width] for o in offsets[rows].tolist()])
-            power[rows] = core(block, table, normalization)
+        slot_hours = (np.arange(SLOTS_PER_DAY) + 0.5) * (SLOT_MINUTES / 60.0)
+        day = moments(values, *(phases(slot_hours, h * grid.frequencies_cph) for h in (1, 2)))
+        k = np.rint(grid.frequencies_cph * cfg.window_hours).astype(np.int64)
+        power[todo] = closed_form(_window_moments(day, starts[todo], cfg.window_days, k), normalization)
     return Track(
         days.first, starts, valid_days, n_samples, skip, power, grid, label, normalization, cfg
     )

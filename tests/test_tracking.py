@@ -14,7 +14,7 @@ from flowrhythm.errors import DataError, EmptyInput, InvalidConfig
 from flowrhythm.exclusions import DayClass, ExclusionCalendar
 from flowrhythm.pipeline import readings_to_days
 from flowrhythm.readings import ReadingStream
-from flowrhythm.spectral import UNEVEN_SPACING, Samples, classic_periodogram, lomb_scargle
+from flowrhythm.spectral import UNEVEN_SPACING, FrequencyGrid, Samples, classic_periodogram, lomb_scargle
 from flowrhythm.synth import generate, scenario_from_json
 from flowrhythm.tracking import (
     ESTIMATED,
@@ -79,10 +79,12 @@ def reference_samples(days, calendar, start, window_days):
     return Samples(times, values)
 
 
-def assert_matches_reference(track, row, ref):
+def assert_matches_reference(track, row, ref, columns=slice(None)):
+    """Track row `row`, at the grid `columns` the reference was estimated on,
+    equals the single-series periodogram `ref` to 1e-12 of its peak."""
     assert track.n_samples[row] == ref.n_samples
     assert track.normalization == ref.normalization
-    assert np.max(np.abs(track.power[row] - ref.power)) <= 1e-12 * np.max(ref.power)
+    assert np.max(np.abs(track.power[row, columns] - ref.power)) <= 1e-12 * np.max(ref.power)
 
 
 @pytest.fixture
@@ -291,6 +293,61 @@ def test_batched_classic_matches_single_series_on_complete_tone(day_factory, nor
         assert int(np.argmax(track.power[row])) == grid.index_of_period(24.0)
 
 
+@pytest.mark.parametrize("household, window_days, estimator, calendar", [
+    ("demo", 10, "ls", None),
+    ("demo", 30, "ls", "study"), ("demo", 30, "ls", None), ("tone", 30, "classic", None),
+    ("demo", 60, "ls", "study"), ("demo", 60, "ls", None), ("tone", 60, "classic", None),
+    ("tone", 365, "ls", "holes"), ("tone", 365, "ls", None), ("tone", 365, "classic", None),
+])
+def test_batched_matches_single_series_at_every_window_length(
+    demo_days, study_calendar, tone_days, household, window_days, estimator, calendar
+):
+    # A window's sums are built from its days' sums turned by each day's
+    # phase; the single-series estimators project its samples directly.
+    days = demo_days if household == "demo" else tone_days
+    calendar = {None: None, "study": study_calendar, "holes": ExclusionCalendar.from_ranges([
+        (date(2020, 3, 1), date(2020, 3, 14), DayClass.VACATION),
+        (date(2020, 12, 25), date(2020, 12, 25), DayClass.PUBLIC_HOLIDAY),
+    ])}[calendar]
+    cfg = WindowConfig(window_days=window_days)
+    track = compute_track(days, calendar, cfg, estimator)
+    grid = cfg.grid()
+    columns = slice(None)
+    if window_days == 365:
+        # A phase table of 35,040 samples by all 2,118 frequencies would take
+        # about 1.2 GB, so the single series is estimated on a spread of them.
+        columns = np.unique(np.concatenate([
+            np.linspace(0, len(grid) - 1, 12).round().astype(int),
+            [grid.index_of_period(24.0), grid.index_of_period(12.0)],
+        ]))
+        grid = FrequencyGrid(grid.frequencies_cph[columns])
+    emitted = track.emitted
+    assert len(emitted) > 0 and (calendar is None or track.valid_days[emitted].min() < window_days)
+    single = {"ls": lomb_scargle, "classic": classic_periodogram}[estimator]
+    for row in emitted[np.unique(np.linspace(0, len(emitted) - 1, 5).round().astype(int))]:
+        samples = reference_samples(days, calendar, track.start_date(row), window_days)
+        assert_matches_reference(track, row, single(samples, grid), columns)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_classic_equals_lomb_scargle_on_complete_windows(data):
+    # On a complete window every grid frequency is a whole number of cycles,
+    # so the floating-mean fit reduces to the Schuster form element by element.
+    window = data.draw(st.integers(2, 40), label="window_days")
+    stride = data.draw(st.integers(1, window), label="stride_days")
+    span = window + data.draw(st.integers(0, 20), label="extra_days")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    noise_sd = data.draw(st.floats(0.01, 1.0), label="noise_sd")
+    tone = cosine_bins(amplitude=4.0, offset=8.0) + rng.normal(0.0, noise_sd, (span, SLOTS_PER_DAY))
+    days = DayMatrix(START, tone, np.ones(span, dtype=bool))
+    cfg = WindowConfig(window_days=window, stride_days=stride, min_valid_days=window)
+    classic = compute_track(days, None, cfg, "classic")
+    ls = compute_track(days, None, cfg, "ls")
+    assert len(classic.emitted) == len(classic.starts) > 0
+    assert np.all(np.abs(classic.power - ls.power) <= 1e-12 * np.maximum(classic.power, ls.power))
+
+
 def test_classic_accepts_edge_gap_and_rejects_inner_hole(day_factory, caplog):
     days = noisy_tone_days(day_factory, 20)
     hole = START + timedelta(days=10)
@@ -373,6 +430,22 @@ def test_no_window_to_estimate_builds_no_trig_table():
         tracemalloc.stop()
     assert len(track.starts) == 0
     assert peak < 4 * 2**20
+
+
+def test_one_year_window_holds_its_days_sums_not_a_year_of_phases():
+    # A 365-day window's own cos and sin tables of 35,040 samples x 2,118
+    # frequencies would take 594 MB each; its days' sums take three complex
+    # tables of 365 x 2,118, 12 MB each.
+    rng = np.random.default_rng(3)
+    days = DayMatrix(START, rng.uniform(0.0, 5.0, (365, SLOTS_PER_DAY)), np.ones(365, dtype=bool))
+    tracemalloc.start()
+    try:
+        track = compute_track(days, None, WindowConfig(window_days=365))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert track.emitted.tolist() == [0]
+    assert peak < 64 * 2**20
 
 
 def test_noise_ladder_erodes_periodic_fraction(day_factory):
