@@ -7,7 +7,7 @@ handling of missing data and excluded days throughout.
 
 The command line (`flowrhythm`, or `python -m flowrhythm`) is the supported
 interface; Python callers import from the submodules, such as
-`flowrhythm.pipeline` and `flowrhythm.tracking`.
+`flowrhythm.binning` (readings to days) and `flowrhythm.tracking`.
 """
 
 __version__ = "0.1.0"

@@ -1,4 +1,12 @@
-"""Daily 15-minute binning and day-of-week usage profiles.
+"""From a reading stream to binned days, and day-of-week usage profiles.
+
+readings_to_days is the one path from a stream to days. It differences
+neighbouring readings into intervals and drops two kinds: the pair of
+readings across a counter decrease is not usage, so no interval straddles a
+meter reset; and the volume accumulated across an outage cannot be placed
+within it, so an interval longer than DEFAULT_MAX_GAP is dropped rather
+than masquerade as a burst, and the slots it covers stay Missing. Each
+kind of drop is logged in one warning per stream.
 
 A day is a grid of 96 quarter-hour slots in local civil time; slot k covers
 [15k, 15(k+1)) minutes after local midnight, so slot 28 is always 07:00
@@ -13,6 +21,10 @@ On the clock-change days themselves civil time does odd things: the four
 slots inside a spring-forward hour can never be observed (they stay
 Missing), and during a fall-back hour two intervals can close in the same
 wall-clock slot, in which case their litres add.
+
+A stream is cleaned and binned in blocks of BLOCK_ROWS readings.
+Neighbouring blocks share the reading at their edge, which closes the last
+interval of one and opens the first of the next.
 
 Binned days are laid out once, as a DayMatrix: row i of its (span x 96)
 `values` holds the local day `first + i`, and `retained[i]` says whether
@@ -29,28 +41,28 @@ import logging
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, tzinfo
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
 from .errors import DataError, InvalidConfig, NoMatchingDays
-from .readings import BLOCK_ROWS, Intervals
+from .readings import BLOCK_ROWS, ReadingStream
 
 __all__ = [
     "SLOTS_PER_DAY",
     "SLOT_MINUTES",
     "DEFAULT_MIN_VALID_SLOTS",
+    "DEFAULT_MAX_GAP",
     "GROUPS",
     "BinnedDay",
     "DayMatrix",
     "DayProfile",
     "bin_blocks",
-    "bin_intervals",
     "check_min_valid_slots",
     "local_clock",
-    "local_seconds",
     "profile",
+    "readings_to_days",
     "write_profile_csv",
     "zone_named",
 ]
@@ -61,6 +73,9 @@ SLOTS_PER_DAY = 96
 SLOT_MINUTES = 15
 # A day kept for analysis needs at least this many observed slots.
 DEFAULT_MIN_VALID_SLOTS = 92
+# Gaps longer than three nominal periods are treated as outages: the volume
+# accumulated across the gap is discarded rather than attributed to one bin.
+DEFAULT_MAX_GAP = timedelta(minutes=45)
 
 UTC = ZoneInfo("UTC")
 # Local days are counted from this date, as epoch seconds count from its midnight.
@@ -164,16 +179,6 @@ def local_clock(tz: tzinfo) -> Callable[[np.ndarray], np.ndarray]:
     return local
 
 
-def local_seconds(epoch_s: np.ndarray, tz: tzinfo) -> np.ndarray:
-    """Local wall-clock seconds for UTC epoch seconds, converted by one
-    local_clock in blocks of BLOCK_ROWS."""
-    epoch_s = np.asarray(epoch_s, dtype=np.int64)
-    local, to_local = np.empty_like(epoch_s), local_clock(tz)
-    for a in range(0, len(epoch_s), BLOCK_ROWS):
-        local[a : a + BLOCK_ROWS] = to_local(epoch_s[a : a + BLOCK_ROWS])
-    return local
-
-
 def _offsets(t: np.ndarray, offset_at, units: tuple[int, ...]) -> np.ndarray:
     """UTC offsets in seconds at the instants t.
 
@@ -204,19 +209,50 @@ def _lookup(t: np.ndarray, offset_at) -> np.ndarray:
     return np.array([offset_at(s) for s in t.tolist()], dtype=np.int64)
 
 
-def bin_intervals(
-    intervals: Intervals,
+def _clean_blocks(stream: ReadingStream) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(end_s, litres) of the kept intervals, block by block.
+
+    Once the last block has been taken, the counter decreases and the
+    outage intervals of the whole stream are logged, one warning each.
+    """
+    resets, outages = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for a in range(0, len(stream) - 1, BLOCK_ROWS):
+        epoch = stream.epoch_s[a : a + BLOCK_ROWS + 1]
+        diffs = np.diff(stream.litres[a : a + BLOCK_ROWS + 1])
+        keep = diffs >= 0
+        resets.append(np.flatnonzero(~keep) + a + 1)
+        long = np.diff(epoch) > DEFAULT_MAX_GAP.total_seconds()
+        long &= keep
+        outages.append(diffs[long])
+        keep &= ~long
+        yield epoch[1:][keep], diffs[keep]
+    resets, outages = np.concatenate(resets), np.concatenate(outages)
+    if len(resets):
+        log.warning(
+            "cumulative counter decreases at reading index(es) %s (source %r); "
+            "no interval spans a decrease",
+            resets.tolist(),
+            stream.source_id,
+        )
+    if len(outages):
+        log.warning(
+            "discarded %d interval(s) longer than %s covering %.3f litres; "
+            "the affected slots stay missing",
+            len(outages),
+            DEFAULT_MAX_GAP,
+            float(outages.sum()),
+        )
+
+
+def readings_to_days(
+    stream: ReadingStream,
     tz: tzinfo = UTC,
     min_valid_slots: int = DEFAULT_MIN_VALID_SLOTS,
 ) -> DayMatrix:
-    """Bin intervals into the local day and slot of their closing instant,
-    as bin_blocks does, in blocks of BLOCK_ROWS intervals."""
-    end_s, litres = intervals.end_s, intervals.litres
-    blocks = (
-        (end_s[a : a + BLOCK_ROWS], litres[a : a + BLOCK_ROWS]) for a in range(0, len(end_s), BLOCK_ROWS)
-    )
-    first_s, last_s = (int(end_s.min()), int(end_s.max())) if len(end_s) else (0, 0)
-    return bin_blocks(blocks, first_s, last_s, tz, min_valid_slots)
+    """Clean one household stream and bin what is left into days (see the module docstring)."""
+    ends = stream.epoch_s[1:]  # the instants intervals close at
+    first_s, last_s = (int(ends[0]), int(ends[-1])) if len(ends) else (0, 0)
+    return bin_blocks(_clean_blocks(stream), first_s, last_s, tz, min_valid_slots)
 
 
 def bin_blocks(

@@ -24,12 +24,12 @@ from .binning import (
     GROUPS,
     check_min_valid_slots,
     profile,
+    readings_to_days,
     write_profile_csv,
     zone_named,
 )
 from .errors import ConfigError, DataError, FlowRhythmError, InvalidConfig
 from .exclusions import load_calendar
-from .pipeline import readings_to_days
 from .readings import read_stream, segment_litres, write_stream_csv, write_stream_jsonl
 from .spectral import ESTIMATORS, NORMALIZATIONS, TARGET_PERIODS_HOURS
 from .tracking import (

@@ -8,8 +8,8 @@ warning because the defect lives in the data, not the parser.
 
 Differencing turns n readings into n-1 usage intervals. The cumulative
 counter never decreases on a healthy meter: difference_cumulative rejects a
-decrease, while the pipeline drops the one pair across it, so the data on
-either side survive a counter reset.
+decrease, while binning.readings_to_days drops the one pair across it, so
+the data on either side survive a counter reset.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .errors import (
 
 __all__ = [
     "NOMINAL_PERIOD",
-    "DEFAULT_MAX_GAP",
-    "Intervals",
     "ReadingStream",
     "parse_stream",
     "read_stream",
@@ -50,9 +48,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 NOMINAL_PERIOD = timedelta(minutes=15)
-# Gaps longer than three nominal periods are treated as outages: the volume
-# accumulated across the gap is discarded rather than attributed to one bin.
-DEFAULT_MAX_GAP = timedelta(minutes=45)
 # Readings handled per step of every block loop: reading and parsing a
 # file, generating, cleaning, binning, zone offset lookup and writing. A
 # long stream's scratch arrays are never held in memory whole, nor is its
@@ -64,45 +59,6 @@ BLOCK_ROWS = 1 << 12
 # (offsets stay under a day), and gives every written stamp a four-digit year.
 FIRST_EPOCH_S, LAST_EPOCH_S = -62_135_510_400, 253_402_214_399
 _EPOCH_RANGE = "0001-01-02T00:00:00Z to 9999-12-30T23:59:59Z"
-
-
-@dataclass(frozen=True)
-class Intervals:
-    """Litres consumed between consecutive readings, as parallel arrays.
-
-    Interval i runs from `start_s[i]` to `end_s[i]` (UTC epoch seconds) and
-    used `litres[i]`. `end_s` is the instant of the reading that closes the
-    interval; binning assigns the whole interval to the local day and slot
-    containing it.
-    """
-
-    start_s: np.ndarray
-    end_s: np.ndarray
-    litres: np.ndarray
-
-    def __post_init__(self):
-        start = np.asarray(self.start_s, dtype=np.int64)
-        end = np.asarray(self.end_s, dtype=np.int64)
-        litres = np.asarray(self.litres, dtype=np.float64)
-        if start.ndim != 1 or not start.shape == end.shape == litres.shape:
-            raise ValueError("start_s, end_s and litres must be 1-d arrays of equal length")
-        if not np.all(end > start):
-            raise ValueError("every interval must end after it starts")
-        if not np.all(litres >= 0.0):
-            raise ValueError("interval litres must be >= 0")
-        for name, arr in (("start_s", start), ("end_s", end), ("litres", litres)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return len(self.litres)
-
-    def __iter__(self):
-        # One numpy record per interval (fields start_s, end_s, litres) for
-        # callers that want rows; the pipeline itself only uses the arrays.
-        return iter(np.rec.fromarrays(
-            (self.start_s, self.end_s, self.litres), names="start_s,end_s,litres"
-        ))
 
 
 @dataclass(frozen=True)
@@ -263,14 +219,24 @@ def _fast_blocks(fh, parse_block) -> tuple[np.ndarray, np.ndarray] | None:
 def _fast(fh, fmt: str) -> tuple[np.ndarray, np.ndarray] | None:
     """(epoch_s, litres) of a file in the format's layout, or None to leave it to the row parser.
 
-    The first line may be the layout's, and any line may be empty or end
-    in CR LF; every other line must be the layout's line with a canonical
-    stamp and a number the row parser takes.
+    The first CSV line that is not empty may be a header the row parser
+    skips: printable ASCII (where str.splitlines finds no line end) whose
+    fields _is_header accepts. Any line may be empty or end in CR LF;
+    every other line must be the layout's line with a canonical stamp and
+    a number the row parser takes.
     """
-    first_line = _LAYOUTS[fmt][0]
     start = fh.tell()
-    if not first_line or fh.readline().removesuffix(b"\n").rstrip(b"\r") != first_line[:-1]:
-        fh.seek(start)
+    if fmt == "csv":
+        line = b""
+        while not line and (raw := fh.readline()):
+            line = raw.removesuffix(b"\n").removesuffix(b"\r")
+        printable = not line.translate(None, bytes(range(0x20, 0x7F)))
+        try:
+            header = printable and _is_header(next(csv.reader([line.decode()])))
+        except csv.Error:  # e.g. a field over the csv module's size limit
+            header = False
+        if not header:
+            fh.seek(start)
     return _fast_blocks(fh, lambda block: _layout_block(block, fmt))
 
 
@@ -539,8 +505,10 @@ _PARSERS = {"csv": _parse_csv_rows, "jsonl": _parse_jsonl_rows}
 # --- cleaning ------------------------------------------------------------------
 
 
-def difference_cumulative(stream: ReadingStream) -> Intervals:
-    """First-difference a stream into usage intervals.
+def difference_cumulative(stream: ReadingStream) -> np.recarray:
+    """First-difference a stream into usage intervals: a record array with
+    fields start_s and end_s (the instants of the two readings, UTC epoch
+    seconds) and litres (the usage between them).
 
     The difference of two neighbouring totals is exact when the later total
     is at most twice the earlier (Sterbenz), which a running meter breaks
@@ -555,7 +523,7 @@ def difference_cumulative(stream: ReadingStream) -> Intervals:
     diffs = np.diff(stream.litres)
     if np.any(diffs < 0):
         raise CounterDecrease(int(np.argmax(diffs < 0)) + 1)
-    return Intervals(stream.epoch_s[:-1], stream.epoch_s[1:], diffs)
+    return np.rec.fromarrays((stream.epoch_s[:-1], stream.epoch_s[1:], diffs), names="start_s,end_s,litres")
 
 
 def segment_litres(stream: ReadingStream) -> float:

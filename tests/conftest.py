@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from flowrhythm import readings
-from flowrhythm.binning import SLOTS_PER_DAY, BinnedDay, DayMatrix
+from flowrhythm.binning import SLOTS_PER_DAY, BinnedDay, DayMatrix, readings_to_days
 from flowrhythm.exclusions import parse_calendar
-from flowrhythm.pipeline import readings_to_days
 from flowrhythm.synth import demo_scenario, generate
 
 

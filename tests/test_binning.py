@@ -17,16 +17,16 @@ from flowrhythm.binning import (
     SLOTS_PER_DAY,
     BinnedDay,
     DayMatrix,
-    bin_intervals,
-    local_seconds,
+    bin_blocks,
+    local_clock,
     profile,
+    readings_to_days,
     write_profile_csv,
 )
 import flowrhythm
 from flowrhythm import binning, synth
 from flowrhythm.errors import InvalidConfig, NoMatchingDays
-from flowrhythm.pipeline import readings_to_days
-from flowrhythm.readings import Intervals, ReadingStream
+from flowrhythm.readings import ReadingStream
 from flowrhythm.synth import ScenarioConfig
 
 UTC = timezone.utc
@@ -38,14 +38,27 @@ def midnight(day: date, tz=UTC) -> int:
     return int(datetime(day.year, day.month, day.day, tzinfo=tz).timestamp())
 
 
+# Intervals, as binning sees them: (closing instants, litres) arrays.
+Intervals = tuple[np.ndarray, np.ndarray]
+
+
 def closing_at(ends, litres=1.0) -> Intervals:
-    """Quarter-hour intervals closing at the given UTC epoch seconds."""
+    """Intervals closing at the given UTC epoch seconds."""
     ends = np.asarray(ends, dtype=np.int64)
-    return Intervals(ends - 900, ends, np.broadcast_to(np.float64(litres), ends.shape))
+    return ends, np.broadcast_to(np.float64(litres), ends.shape)
 
 
 def joined(*parts: Intervals) -> Intervals:
-    return Intervals(*(np.concatenate([getattr(p, f) for p in parts]) for f in ("start_s", "end_s", "litres")))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def bin_closing(intervals: Intervals, tz, min_valid_slots: int) -> DayMatrix:
+    """bin_blocks over intervals in blocks of binning.BLOCK_ROWS."""
+    end_s, litres = intervals
+    rows = binning.BLOCK_ROWS
+    blocks = [(end_s[a : a + rows], litres[a : a + rows]) for a in range(0, len(end_s), rows)]
+    first_s, last_s = (int(end_s.min()), int(end_s.max())) if len(end_s) else (0, 0)
+    return bin_blocks(blocks, first_s, last_s, tz, min_valid_slots)
 
 
 def complete_day(day: date, litres=1.0) -> Intervals:
@@ -55,7 +68,7 @@ def complete_day(day: date, litres=1.0) -> Intervals:
 
 def bin_one_day(intervals: Intervals, tz=UTC) -> tuple[date, np.ndarray]:
     """The single day that intervals all closing on one local day bin into."""
-    days = bin_intervals(intervals, tz, min_valid_slots=0)
+    days = bin_closing(intervals, tz, min_valid_slots=0)
     assert len(days.retained) == 1
     (day,) = day_rows(days)
     return day
@@ -70,9 +83,9 @@ def observed(bins: np.ndarray) -> int:
 
 
 def oracle_days(intervals: Intervals, tz, min_valid_slots: int) -> dict:
-    """Per-interval astimezone binning: the reference for bin_intervals."""
+    """Per-interval astimezone binning: the reference for bin_blocks."""
     by_day: dict = {}
-    for end, litres in zip(intervals.end_s.tolist(), intervals.litres.tolist()):
+    for end, litres in zip(*(a.tolist() for a in intervals)):
         local = datetime.fromtimestamp(end, UTC).astimezone(tz)
         slot = (local.hour * 3600 + local.minute * 60 + local.second) // 900
         bins = by_day.setdefault(local.date(), np.full(SLOTS_PER_DAY, np.nan))
@@ -95,8 +108,8 @@ def test_bin_day_92_intervals_4_missing():
     _, bins = bin_one_day(closing_at(ends))
     assert observed(bins) == 92
     assert np.isnan(bins[92:]).all()
-    assert dates(bin_intervals(closing_at(ends), UTC, min_valid_slots=92)) == [MON]
-    none = bin_intervals(closing_at(ends), UTC, min_valid_slots=93)
+    assert dates(bin_closing(closing_at(ends), UTC, min_valid_slots=92)) == [MON]
+    none = bin_closing(closing_at(ends), UTC, min_valid_slots=93)
     assert none.values.shape == (0, SLOTS_PER_DAY) and none.retained.shape == (0,)
 
 
@@ -105,7 +118,7 @@ def test_bin_day_92_intervals_4_missing():
 def test_min_valid_slots_outside_0_to_96_is_a_config_error(slots, ends):
     # Checked in bin_blocks, which empty input and readings_to_days go through too.
     with pytest.raises(InvalidConfig, match="min_valid_slots"):
-        bin_intervals(closing_at(ends), UTC, min_valid_slots=slots)
+        bin_closing(closing_at(ends), UTC, min_valid_slots=slots)
     with pytest.raises(InvalidConfig, match="min_valid_slots"):
         readings_to_days(ReadingStream(np.array([0, *ends]), np.arange(len(ends) + 1.0)), UTC, slots)
 
@@ -113,9 +126,9 @@ def test_min_valid_slots_outside_0_to_96_is_a_config_error(slots, ends):
 def test_bin_day_empty_all_missing():
     # A day no interval closes on is Missing as a whole: an all-NaN row that
     # is not retained between observed days, and no row at all from empty input.
-    assert bin_intervals(closing_at([]), UTC, min_valid_slots=0).values.shape == (0, SLOTS_PER_DAY)
+    assert bin_closing(closing_at([]), UTC, min_valid_slots=0).values.shape == (0, SLOTS_PER_DAY)
     gap = joined(complete_day(MON), complete_day(MON + timedelta(days=2)))
-    days = bin_intervals(gap, UTC, min_valid_slots=0)
+    days = bin_closing(gap, UTC, min_valid_slots=0)
     assert days.first == MON
     assert days.retained.tolist() == [True, False, True]
     assert np.isnan(days.values[1]).all()
@@ -136,9 +149,9 @@ def test_bin_day_accumulates_same_slot():
     assert observed(bins) == 1
 
 
-def test_bin_intervals_keeps_interval_on_its_own_day():
+def test_bin_blocks_keeps_interval_on_its_own_day():
     stray = closing_at([midnight(MON + timedelta(days=1)) + 1800])
-    days = day_rows(bin_intervals(joined(complete_day(MON), stray), UTC, min_valid_slots=0))
+    days = day_rows(bin_closing(joined(complete_day(MON), stray), UTC, min_valid_slots=0))
     assert [d for d, _ in days] == [MON, MON + timedelta(days=1)]
     assert np.all(days[0][1] == 1.0)
     assert observed(days[1][1]) == 1 and days[1][1][2] == 1.0
@@ -175,12 +188,12 @@ def test_bin_day_dst_fall_back_accumulates():
     assert float(np.nansum(bins)) == 100.0
 
 
-def test_bin_intervals_groups_and_drops_sparse_days():
+def test_bin_blocks_groups_and_drops_sparse_days():
     sparse = closing_at(midnight(MON + timedelta(days=1)) + 900 * np.arange(20) + 300)
-    days = bin_intervals(joined(complete_day(MON), sparse), UTC, min_valid_slots=92)
+    days = bin_closing(joined(complete_day(MON), sparse), UTC, min_valid_slots=92)
     assert dates(days) == [MON]
     assert len(days.retained) == 1  # the span ends at the last retained day
-    both = bin_intervals(joined(complete_day(MON), sparse), UTC, min_valid_slots=10)
+    both = bin_closing(joined(complete_day(MON), sparse), UTC, min_valid_slots=10)
     assert dates(both) == [MON, MON + timedelta(days=1)]
 
 
@@ -215,18 +228,18 @@ def crossing_intervals(draw):
     steps = draw(st.lists(st.integers(1, 3600), min_size=n + 1, max_size=n + 1))
     bounds = anchor - draw(st.integers(0, 2 * 86400)) + np.cumsum(steps)
     litres = draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n))
-    return zone, Intervals(bounds[:-1], bounds[1:], litres)
+    return zone, (bounds[1:], np.asarray(litres))
 
 
 @settings(max_examples=150, deadline=None)
 @given(crossing_intervals(), st.integers(0, 8))
-def test_bin_intervals_matches_astimezone_oracle(case, min_valid_slots):
+def test_bin_blocks_matches_astimezone_oracle(case, min_valid_slots):
     zone, intervals = case
     tz = ZoneInfo(zone)
-    local = [datetime.fromtimestamp(t, UTC).astimezone(tz) for t in intervals.end_s.tolist()]
+    local = [datetime.fromtimestamp(t, UTC).astimezone(tz) for t in intervals[0].tolist()]
     wall = [int(dt.replace(tzinfo=UTC).timestamp()) for dt in local]
-    assert local_seconds(intervals.end_s, tz).tolist() == wall
-    days = bin_intervals(intervals, tz, min_valid_slots)
+    assert local_clock(tz)(intervals[0]).tolist() == wall
+    days = bin_closing(intervals, tz, min_valid_slots)
     expected = oracle_days(intervals, tz, min_valid_slots)
     assert dates(days) == list(expected)
     for day, bins in day_rows(days):
@@ -245,20 +258,20 @@ def test_slot_sums_run_across_block_edges_in_interval_order(block_rows):
     # add up exactly in any order.)
     rng = np.random.default_rng(13)
     ends = midnight(MON) + np.cumsum(rng.integers(1, 60, 5000))
-    intervals = Intervals(ends - 1, ends, rng.uniform(0, 1, 5000) * 10.0 ** rng.integers(-6, 3, 5000))
-    whole = bin_intervals(intervals, DUBLIN, min_valid_slots=0)
+    intervals = ends, rng.uniform(0, 1, 5000) * 10.0 ** rng.integers(-6, 3, 5000)
+    whole = bin_closing(intervals, DUBLIN, min_valid_slots=0)
     with patch.object(binning, "BLOCK_ROWS", block_rows):
-        blocks = bin_intervals(intervals, DUBLIN, min_valid_slots=0)
+        blocks = bin_closing(intervals, DUBLIN, min_valid_slots=0)
     assert blocks.first == whole.first and blocks.retained.tolist() == whole.retained.tolist()
     assert blocks.values.tobytes() == whole.values.tobytes()
     running = {}  # per-slot running sums in interval order; Dublin keeps UTC in March
-    for k, litres in zip(((ends - midnight(MON)) // 900).tolist(), intervals.litres.tolist()):
+    for k, litres in zip(((ends - midnight(MON)) // 900).tolist(), intervals[1].tolist()):
         running[k] = running.get(k, 0.0) + litres
     assert whole.first == MON
     assert {k: whole.values.flat[k] for k in running} == running
 
 
-def test_local_seconds_resolves_instants_inside_a_transition_hour():
+def test_local_clock_resolves_instants_inside_a_transition_hour():
     # Lord Howe Island moves its clocks by 30 minutes at 02:00 local, which
     # is inside a UTC hour: every second around it must match astimezone.
     tz = ZoneInfo("Australia/Lord_Howe")
@@ -268,7 +281,7 @@ def test_local_seconds_resolves_instants_inside_a_transition_hour():
         int(datetime.fromtimestamp(s, UTC).astimezone(tz).replace(tzinfo=UTC).timestamp())
         for s in t.tolist()
     ]
-    assert local_seconds(t, tz).tolist() == expected
+    assert local_clock(tz)(t).tolist() == expected
 
 
 # --- offset lookups per UTC day ----------------------------------------------------
@@ -317,17 +330,17 @@ class CountingZone(tzinfo):
 
 
 @pytest.mark.parametrize("zone", TRANSITION_ZONES)
-def test_local_seconds_matches_fromtimestamp_around_every_transition(zone):
+def test_local_clock_matches_fromtimestamp_around_every_transition(zone):
     # Every minute within 2 h of each 2000-2030 change, as one stream: the
     # clusters are months apart, so days with and without changes alternate.
     tz = ZoneInfo(zone)
     hours = {h for year in range(2000, 2031) for h in offset_changes(zone, year)}
     t = np.unique(np.concatenate([np.arange(h - 7200, h + 7200, 60) for h in hours]))
-    assert local_seconds(t, tz).tolist() == wall_seconds(t, tz)
+    assert local_clock(tz)(t).tolist() == wall_seconds(t, tz)
 
 
 @pytest.mark.parametrize("zone", TRANSITION_ZONES)
-def test_local_seconds_across_a_multi_decade_gap(zone):
+def test_local_clock_across_a_multi_decade_gap(zone):
     # The offsets at the two ends of the gap agree (both in January) although
     # dozens of changes fall between them; the readings after the gap still
     # get their own day's offset.
@@ -337,11 +350,11 @@ def test_local_seconds_across_a_multi_decade_gap(zone):
         for stamp in [(1975, 1, 15, 23, 59, 59), (1975, 7, 1, 12), (2031, 1, 16, 0),
                       (2031, 1, 16, 0, 15), (2031, 7, 1, 12)]
     ])
-    assert local_seconds(t, tz).tolist() == wall_seconds(t, tz)
+    assert local_clock(tz)(t).tolist() == wall_seconds(t, tz)
 
 
 @pytest.mark.parametrize("zone", TRANSITION_ZONES)
-def test_local_seconds_looks_offsets_up_per_day_edge(zone):
+def test_local_clock_looks_offsets_up_per_day_edge(zone):
     # A year at the nominal cadence with transmission delay, then one reading
     # 30 years later.
     oracle = ZoneInfo(zone)
@@ -350,7 +363,7 @@ def test_local_seconds_looks_offsets_up_per_day_edge(zone):
     t = first + np.cumsum(900 + rng.integers(0, 30, 35_040))
     t = np.append(t, t[-1] + 30 * 365 * 86400)
     tz = CountingZone(zone)
-    assert local_seconds(t, tz).tolist() == wall_seconds(t, oracle)
+    assert local_clock(tz)(t).tolist() == wall_seconds(t, oracle)
 
     days = set((t // 86400).tolist())
     edges = days | {d + 1 for d in days}
@@ -374,7 +387,7 @@ def test_binning_leaves_numpy_ma_unimported():
         "from zoneinfo import ZoneInfo\n"
         "import numpy as np\n"
         "print('numpy.ma' in sys.modules)\n"
-        "from flowrhythm.pipeline import readings_to_days\n"
+        "from flowrhythm.binning import readings_to_days\n"
         "from flowrhythm.readings import ReadingStream\n"
         "t = 1616803200 + 900 * np.arange(3 * 96)  # 2021-03-27..29 UTC, Dublin springs forward\n"
         "days = readings_to_days(ReadingStream(t, 1.5 * np.arange(len(t))), ZoneInfo('Europe/Dublin'))\n"
@@ -393,11 +406,11 @@ def test_binning_leaves_numpy_ma_unimported():
 
 def test_block_by_block_conversion_looks_up_no_more_offsets():
     # Binning and generation convert instants a block at a time, sharing one
-    # memo: no more lookups than one local_seconds call over every instant.
+    # memo: no more lookups than one local_clock call over every instant.
     rng = np.random.default_rng(12)
     t = int(datetime(2020, 10, 1, tzinfo=UTC).timestamp()) + np.cumsum(900 + rng.integers(0, 30, 20_000))
     whole, blocks = CountingZone("America/New_York"), CountingZone("America/New_York")
-    local_seconds(t[1:], whole)
+    local_clock(whole)(t[1:])
     readings_to_days(ReadingStream(t, np.arange(len(t), dtype=float)), blocks)
     assert 0 < blocks.lookups <= whole.lookups
 
@@ -406,7 +419,7 @@ def test_block_by_block_conversion_looks_up_no_more_offsets():
     with patch.object(synth, "ZoneInfo", lambda key: generated):
         stream = synth.generate(cfg)
     whole = CountingZone(cfg.timezone)
-    local_seconds(stream.epoch_s[1:], whole)
+    local_clock(whole)(stream.epoch_s[1:])
     assert 0 < generated.lookups <= whole.lookups
 
 

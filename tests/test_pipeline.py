@@ -15,10 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import day_rows, kernel_only
-from flowrhythm import pipeline, readings
-from flowrhythm.pipeline import clean_intervals, readings_to_days
+from flowrhythm import binning, readings
+from flowrhythm.binning import DEFAULT_MAX_GAP, readings_to_days
 from flowrhythm.readings import (
-    DEFAULT_MAX_GAP,
     ReadingStream,
     read_stream,
     segment_litres,
@@ -56,16 +55,16 @@ def test_litres_balance_through_cleaning_and_binning(case, min_valid_slots):
     stream, tz = case
     t, v = stream.epoch_s.tolist(), stream.litres.tolist()
     pairs = [(t[i + 1] - t[i], v[i + 1] - v[i], t[i + 1]) for i in range(len(t) - 1) if v[i + 1] >= v[i]]
-    in_gaps = math.fsum(used for dt, used, _ in pairs if dt > DEFAULT_MAX_GAP.total_seconds())
+    max_gap = DEFAULT_MAX_GAP.total_seconds()
+    in_gaps = math.fsum(used for dt, used, _ in pairs if dt > max_gap)
     days = day_rows(readings_to_days(stream, tz, min_valid_slots=min_valid_slots))
-    cleaned = clean_intervals(stream)
-    closing: dict = defaultdict(set)  # local day -> slots some interval closes in
+    closing: dict = defaultdict(set)  # local day -> slots some kept interval closes in
     in_sparse_days = []
-    kept = {day for day, _ in days}
-    for end, used in zip(cleaned.end_s.tolist(), cleaned.litres.tolist()):
+    retained = {day for day, _ in days}
+    for _, used, end in (pair for pair in pairs if pair[0] <= max_gap):
         local = datetime.fromtimestamp(end, timezone.utc).astimezone(tz)
         closing[local.date()].add((local.hour * 3600 + local.minute * 60 + local.second) // 900)
-        if local.date() not in kept:
+        if local.date() not in retained:
             in_sparse_days.append(used)
     binned = math.fsum(float(np.nansum(bins)) for _, bins in days)
     total = binned + in_gaps + math.fsum(in_sparse_days)
@@ -103,7 +102,7 @@ def test_block_edges_leave_days_and_warnings_unchanged(caplog, block_rows):
         return days, [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
 
     whole, whole_log = run()
-    with patch.object(pipeline, "BLOCK_ROWS", block_rows):
+    with patch.object(binning, "BLOCK_ROWS", block_rows):
         blocks, blocks_log = run()
     assert [message.split()[0] for _, _, message in whole_log] == ["cumulative", "discarded", "dropped"]
     assert "[14]" in whole_log[0][2] and date(2021, 3, 28).isoformat() in whole_log[2][2]
@@ -115,11 +114,17 @@ def test_block_edges_leave_days_and_warnings_unchanged(caplog, block_rows):
     assert whole.retained[(date(2021, 10, 31) - whole.first).days]
 
 
-def test_clean_intervals_drops_long_gaps():
+def test_readings_to_days_drops_long_gaps(caplog):
+    # The hour-long interval closing at 01:15 UTC is an outage: its 6 litres
+    # are dropped, and the slots it spans, 00:15 to 01:15, stay Missing.
     s = ReadingStream(np.array([0, 900, 900 + 3600, 900 + 4500]), np.array([0.0, 1.0, 7.0, 8.0]), "t")
-    kept = clean_intervals(s)
-    assert kept.litres.tolist() == [1.0, 1.0]
-    assert kept.end_s.tolist() == [900, 900 + 4500]
+    days = readings_to_days(s, ZoneInfo("UTC"), min_valid_slots=0)
+    assert days.first == date(1970, 1, 1) and days.retained.tolist() == [True]
+    assert np.flatnonzero(~np.isnan(days.values[0])).tolist() == [1, 6]
+    assert days.values[0, [1, 6]].tolist() == [1.0, 1.0]
+    ((name, message),) = [(r.name, r.getMessage()) for r in caplog.records]
+    assert name == "flowrhythm.binning"
+    assert message.startswith("discarded 1 interval(s) longer than 0:45:00 covering 6.000 litres")
 
 
 def long_stream(n: int = 70_000) -> ReadingStream:

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import kernel_only
 from flowrhythm import readings
-
 from flowrhythm.errors import (
     CounterDecrease,
     EmptyInput,
@@ -722,3 +722,34 @@ def test_a_leading_byte_order_mark_is_dropped(fmt, header):
         assert file_outcome(b"\xef\xbb\xbf" + data, fmt) == file_outcome(data, fmt)
     assert file_outcome(b"\xef\xbb\xbf" + data, fmt, fast=False) == file_outcome(data, fmt)
     assert outcome("\ufeff" + data.decode(), fmt) == file_outcome(data, fmt)
+
+
+@pytest.mark.parametrize("head", [
+    "time,litres\n",
+    " Timestamp , Litres \r\n",
+    "ts\n",
+    "\ntimestamp,cumulative_litres\n",
+    "\r\n\ntime,litres\n",
+])
+def test_the_fast_path_skips_any_header_the_row_parser_skips(head):
+    rows = [("2021-03-01T00:00:00Z", 1.0), ("2021-03-01T00:15:00+00:00", 2.5)]
+    text = head + csv_text(rows, header=False)
+    with kernel_only():
+        fast = outcome(text)
+    assert fast == outcome(text, fast=False) == outcome(csv_text(rows, header=False))
+
+
+def test_a_header_line_str_splitlines_would_split_goes_to_the_row_parser():
+    # str.splitlines ends the first line at \x0b, so the row parser skips
+    # only "time,litres" and keeps the reading after it.
+    text = "time,litres\x0b2018-01-01T00:00:00Z,1.0\n2018-01-01T00:15:00Z,2.0\n"
+    assert fast_path(text) is None
+    assert outcome(text) == outcome(text, fast=False)
+    assert outcome(text)[1] == [1.0.hex(), 2.0.hex()]
+
+
+def test_a_first_field_over_the_csv_size_limit_is_a_malformed_row():
+    text = "t" * 200_000 + "\n2018-01-01T00:00:00Z,1.0\n"
+    assert fast_path(text) is None
+    assert outcome(text) == outcome(text, fast=False)
+    assert outcome(text)[0] is MalformedRow

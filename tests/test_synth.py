@@ -8,8 +8,8 @@ import pytest
 
 from conftest import day_rows
 from flowrhythm import synth
+from flowrhythm.binning import readings_to_days
 from flowrhythm.errors import InvalidConfig
-from flowrhythm.pipeline import readings_to_days
 from flowrhythm.readings import read_stream, write_stream_csv
 from flowrhythm.synth import (
     FIRST_DATE,

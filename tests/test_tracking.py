@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import day_rows
 from flowrhythm import tracking
-from flowrhythm.binning import SLOTS_PER_DAY, BinnedDay, DayMatrix
+from flowrhythm.binning import SLOTS_PER_DAY, BinnedDay, DayMatrix, readings_to_days
 from flowrhythm.errors import DataError, EmptyInput, InvalidConfig
 from flowrhythm.exclusions import DayClass, ExclusionCalendar
-from flowrhythm.pipeline import readings_to_days
 from flowrhythm.readings import ReadingStream
 from flowrhythm.spectral import UNEVEN_SPACING, FrequencyGrid, Samples, classic_periodogram, lomb_scargle
 from flowrhythm.synth import generate, scenario_from_json
