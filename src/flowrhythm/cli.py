@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
@@ -29,7 +29,7 @@ from .binning import (
     zone_named,
 )
 from .errors import ConfigError, DataError, FlowRhythmError, InvalidConfig
-from .exclusions import load_calendar
+from .exclusions import load_calendar, parse_date
 from .readings import read_stream, segment_litres, write_stream_csv, write_stream_jsonl
 from .spectral import ESTIMATORS, NORMALIZATIONS, TARGET_PERIODS_HOURS
 from .tracking import (
@@ -102,7 +102,10 @@ def _inputs(args) -> list[Path]:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. the path, or a parent, is a file
+        raise InvalidConfig(f"cannot make --out directory {out}: {exc.strerror}") from None
     return out
 
 
@@ -222,7 +225,7 @@ def cmd_periodogram(args) -> int:
     wanted = None
     if args.start is not None:  # before a long file is read
         try:
-            wanted = date.fromisoformat(args.start)
+            wanted = parse_date(args.start)
         except ValueError as exc:
             raise InvalidConfig(f"bad --start date {args.start!r}: {exc}") from exc
     _, track = _track(args)

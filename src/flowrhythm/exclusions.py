@@ -30,6 +30,7 @@ __all__ = [
     "count_normal_days",
     "load_calendar",
     "parse_calendar",
+    "parse_date",
 ]
 
 
@@ -48,6 +49,15 @@ _LABELS: Mapping[str, DayClass] = {
     "weather": DayClass.WEATHER_EVENT,
     "hardware": DayClass.HARDWARE_FAULT,
 }
+
+
+def parse_date(text: str) -> date:
+    """The date of `YYYY-MM-DD` text; ValueError for other forms, such as
+    20180101 or 2018-W01-1, which date.fromisoformat reads from Python 3.11 on."""
+    day = date.fromisoformat(text)
+    if day.isoformat() != text:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return day
 
 
 def _iter_span(start: date, end: date) -> Iterator[date]:
@@ -149,8 +159,8 @@ def parse_calendar(text: str) -> ExclusionCalendar:
         span = span_part.strip()
         first, sep, last = span.partition("..")
         try:
-            start = date.fromisoformat(first.strip())
-            end = date.fromisoformat(last.strip()) if sep else start
+            start = parse_date(first.strip())
+            end = parse_date(last.strip()) if sep else start
         except ValueError as exc:
             raise CalendarError(f"line {lineno}: {exc}")
         if end < start:

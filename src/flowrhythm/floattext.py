@@ -334,8 +334,8 @@ def parse_decimals(w: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def parse_fields(window: np.ndarray, width: np.ndarray) -> np.ndarray | None:
     """The values of decimal fields as float() reads them, or None unless
-    each is ASCII digits with at most one point, of at most 19 after it, and
-    a value below 10^19.
+    each is ASCII digits with at most one point, of at most 19 after it,
+    whose digits read below 10^19 without the point.
 
     Each field is the last `width` bytes of its row of `window`, an
     (n, FIELD_BYTES) uint8 matrix. Its three little-endian words are read

@@ -105,13 +105,6 @@ _LAYOUTS = {
     # The same bytes per line as json.dumps({"ts": ..., "litres_total": ...}).
     "jsonl": (b"", b'{"ts": "', b'", "litres_total": ', b"}\n"),
 }
-# _row_values declines a block holding a non-ASCII byte, a lone CR or one
-# of these, where a value could read otherwise than in the row parser's
-# line: str.splitlines ends a line at \x0b, \x0c, \x1c-\x1e and CR (and at
-# the non-ASCII \x85, \u2028 and \u2029), and float() strips \x0b, \x0c
-# and CR round a value (and \x85, \xa0 and \u2028), as JSON strips CR. No
-# line in a layout holds NUL or \x1f either.
-_DECLINED = (b"\x00", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _STAMP_FRAME = b"0000-00-00T00:00:00+00:00"  # a written stamp, before its digits go in
 # The stamp kernels' operands are all uint64: numpy 1.24's value-based
 # casting turns a mix of int64 and uint64 into float64.
@@ -187,43 +180,16 @@ def _chunks(fh) -> Iterator[bytes]:
         yield block
 
 
-def _fast_blocks(fh, parse_block) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of the rest of a binary file parsed block by block,
-    or None unless parse_block takes every block and the rows are clean and
-    time-ordered.
-
-    A first pass counts the lines, so the rows go straight into two arrays
-    allocated once, with room for one row per line; the file is never held
-    whole.
-    """
-    start = fh.tell()
-    lines = sum(block.count(b"\n") for block in _chunks(fh)) + 1
-    fh.seek(start)
-    epoch, litres = np.empty(lines, dtype=np.int64), np.empty(lines, dtype=np.float64)
-    n = 0
-    for block in _chunks(fh):
-        rows = parse_block(block)
-        if rows is None:
-            return None
-        m = len(rows[0])
-        epoch[n : n + m], litres[n : n + m] = rows
-        n += m
-    epoch, litres = epoch[:n], litres[:n]
-    if not n or not np.all(np.isfinite(litres) & (litres >= 0)) or np.any(np.diff(epoch) <= 0):
-        return None
-    if epoch[0] < FIRST_EPOCH_S or epoch[-1] > LAST_EPOCH_S:
-        return None
-    return epoch, litres
-
-
 def _fast(fh, fmt: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of a file in the format's layout, or None to leave it to the row parser.
+    """(epoch_s, litres) of the rest of a binary file, or None to leave it
+    to the row parser: None unless every block is in the format's layout,
+    as _layout_block reads it, and the rows are clean and time-ordered.
 
     The first CSV line that is not empty may be a header the row parser
     skips: printable ASCII (where str.splitlines finds no line end) whose
-    fields _is_header accepts. Any line may be empty or end in CR LF;
-    every other line must be the layout's line with a canonical stamp and
-    a number the row parser takes.
+    fields _is_header accepts. A first pass counts the lines, so the rows
+    go straight into two arrays allocated once, with room for one row per
+    line; the file is never held whole.
     """
     start = fh.tell()
     if fmt == "csv":
@@ -237,7 +203,24 @@ def _fast(fh, fmt: str) -> tuple[np.ndarray, np.ndarray] | None:
             header = False
         if not header:
             fh.seek(start)
-    return _fast_blocks(fh, lambda block: _layout_block(block, fmt))
+    start = fh.tell()
+    lines = sum(block.count(b"\n") for block in _chunks(fh)) + 1
+    fh.seek(start)
+    epoch, litres = np.empty(lines, dtype=np.int64), np.empty(lines, dtype=np.float64)
+    n = 0
+    for block in _chunks(fh):
+        rows = _layout_block(block, fmt)
+        if rows is None:
+            return None
+        m = len(rows[0])
+        epoch[n : n + m], litres[n : n + m] = rows
+        n += m
+    epoch, litres = epoch[:n], litres[:n]
+    if not n or not np.all(np.isfinite(litres) & (litres >= 0)) or np.any(np.diff(epoch) <= 0):
+        return None
+    if epoch[0] < FIRST_EPOCH_S or epoch[-1] > LAST_EPOCH_S:
+        return None
+    return epoch, litres
 
 
 def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
@@ -260,13 +243,13 @@ def _layout_block(block: bytes, fmt: str) -> tuple[np.ndarray, np.ndarray] | Non
 
     Empty lines are skipped, and a CR that ends a line, before its
     newline or at the end of the input, is dropped. The literals are
-    compared at their fixed offsets and the stamps decoded by
-    _decode_timestamps. A block of plain decimals (for JSONL, each also as
-    JSON writes it: from a digit to a digit, a leading 0 followed by the
-    point or by nothing) is read by floattext.parse_fields, bit for bit as
-    float() reads it; any other block by _row_values. So every byte of a
-    line taken is checked: as a literal, a stamp, a digit or point, or by
-    _row_values.
+    compared at their fixed offsets, the stamps decoded by
+    _decode_timestamps, and the numbers read by floattext.parse_fields,
+    bit for bit as float() reads them. It takes plain decimals only, and
+    for JSONL each must also be as JSON writes it: from a digit to a digit,
+    a leading 0 followed by the point or by nothing. So every byte of a
+    line taken is a literal, a stamp's, a digit or the point, and the
+    block reads as the row parser reads it; any other block is declined.
     """
     _, head, mid, tail = _LAYOUTS[fmt]
     close = tail[:-1]  # what ends a line before its newline
@@ -291,8 +274,9 @@ def _layout_block(block: bytes, fmt: str) -> tuple[np.ndarray, np.ndarray] | Non
             and _at_each(text, last, close)):
         return None
     lead = text[first]
-    plain = fmt == "csv" or (np.all(_DIGITS[lead] & _DIGITS[text[last - 1]])
-                             and not np.any((lead == ord("0")) & _DIGITS[text[first + 1]]))
+    if fmt == "jsonl" and not (np.all(_DIGITS[lead] & _DIGITS[text[last - 1]])
+                               and not np.any((lead == ord("0")) & _DIGITS[text[first + 1]])):
+        return None
     # Each number is right-aligned in the FIELD_BYTES bytes that end it.
     fields = _windows(text, last - floattext.FIELD_BYTES, floattext.FIELD_BYTES)
     del text, lead, starts, ends, at  # so the kernels' scratch arrays stay within the memory bound
@@ -302,33 +286,8 @@ def _layout_block(block: bytes, fmt: str) -> tuple[np.ndarray, np.ndarray] | Non
     if epoch is None:
         return None
     del stamps
-    litres = floattext.parse_fields(fields, last - first) if plain else None
-    if litres is None:
-        litres = _row_values(block, first - _PAD, last - _PAD, fmt)
+    litres = floattext.parse_fields(fields, last - first)
     return None if litres is None else (epoch, litres)
-
-
-def _row_values(block: bytes, first: np.ndarray, last: np.ndarray, fmt: str) -> np.ndarray | None:
-    """The numbers of a block, block[first[i]:last[i]] each, as the row
-    parser reads them: float() for CSV, and for JSONL an int or float of
-    JSON that a float holds. None if one does not read, or if the block
-    holds a non-ASCII byte, a lone CR or a byte of _DECLINED."""
-    if not block.isascii() or any(byte in block for byte in _DECLINED) or block.count(b"\r") != block.count(b"\r\n"):
-        return None
-    text = block.decode("ascii")
-    read = float if fmt == "csv" else _json_number
-    try:
-        return np.array([read(text[a:b]) for a, b in zip(first.tolist(), last.tolist())], dtype=np.float64)
-    except (ValueError, OverflowError, RecursionError):  # e.g. an int too large for a float, deep nesting
-        return None
-
-
-def _json_number(text: str) -> float:
-    """A JSON int or float as a float; ValueError for any other JSON value."""
-    value = json.loads(text)
-    if type(value) not in (int, float):
-        raise ValueError(f"not a number: {text!r}")
-    return float(value)
 
 
 def _parse_timestamp(text: str) -> int:
@@ -367,10 +326,11 @@ def parse_stream(source, fmt: str = "csv", source_id: str = "") -> ReadingStream
     fmt="jsonl": one object per line with keys `ts` and `litres_total`.
 
     Input in the writers' line layout, with whole-second `...Z` or
-    `...+HH:MM` timestamps, LF or CR LF line ends and maybe empty lines, is
-    decoded as arrays, block by block; its numbers are read as the row
-    parser reads them. Anything else, including every input with a defect,
-    goes through the row parser, which raises MalformedRow /
+    `...+HH:MM` timestamps, plain decimals that floattext.parse_fields
+    reads, LF or CR LF line ends and maybe empty lines, is decoded as
+    arrays, block by block, to what the row parser would read. Anything
+    else, including every input with a defect, goes through the row parser,
+    which raises MalformedRow /
     NonMonotonicTimestamp / EmptyInput with 1-based physical line numbers in
     the diagnostics. Timestamps must strictly increase once rounded to whole
     seconds.

@@ -24,6 +24,7 @@ import numpy as np
 
 from .binning import SLOTS_PER_DAY, local_clock, zone_named
 from .errors import InvalidConfig
+from .exclusions import parse_date
 from .readings import BLOCK_ROWS, ReadingStream
 
 # The first start and last end a scenario may have: a run spans local
@@ -217,7 +218,7 @@ def _iso_date(value):
     if not isinstance(value, str):
         return value
     try:
-        return date.fromisoformat(value)
+        return parse_date(value)
     except ValueError as exc:
         raise InvalidConfig(f"bad scenario date: {exc}") from exc
 

@@ -273,6 +273,8 @@ def _write_powers(fh, track: Track, rows: np.ndarray, dated: bool) -> None:
     the start, the frequency cells (their text made once), the power's
     NUL-padded repr and a newline, written with the padding masked out.
     """
+    if not len(rows):
+        return
     cells = [f"{f!r},{1.0 / f!r},".encode() for f in track.grid.frequencies_cph.tolist()]
     start = 11 if dated else 0  # "YYYY-MM-DD,"
     power = start + max(map(len, cells))

@@ -25,14 +25,14 @@ def day_rows(days: DayMatrix) -> list[tuple[date, np.ndarray]]:
 
 @contextlib.contextmanager
 def kernel_only():
-    """A patch under which reading a stream fails unless floattext reads
-    every block's values: a block read value by value, or a file left to
-    the row parser, raises."""
+    """A patch under which reading a stream fails unless the fast path, and
+    so floattext, reads every block's values: a file left to the row parser
+    raises."""
 
     def fail(*args):
-        raise AssertionError("a block's values were not read by the value kernel")
+        raise AssertionError("the row parser read a file the fast path should take")
 
-    with patch.object(readings, "_row_values", fail), patch.dict(readings._PARSERS, dict.fromkeys(readings._PARSERS, fail)):
+    with patch.dict(readings._PARSERS, dict.fromkeys(readings._PARSERS, fail)):
         yield
 
 

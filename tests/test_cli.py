@@ -365,6 +365,38 @@ def test_bad_timezone_exits_two(tmp_path, flat_dir):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text", ["20180101", "2018-W01-1"])
+def test_dates_other_than_yyyy_mm_dd_are_rejected(tmp_path, flat_dir, capsys, text):
+    # From Python 3.11 on, date.fromisoformat reads both as 2018-01-01; a
+    # calendar, a scenario and --start must mean the same on every Python.
+    readings = str(flat_dir / "readings.csv")
+    calendar = tmp_path / "cal.txt"
+    calendar.write_text(f"{text},vacation\n")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**FLAT_SCENARIO, "start": text, "end": "2018-01-10"}))
+    capsys.readouterr()
+    assert main(["profile", readings, "--calendar", str(calendar), "--out", str(tmp_path / "p")]) == 3
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "s")]) == 2
+    assert main(["periodogram", readings, "--start", text, "--out", str(tmp_path / "g")]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("flowrhythm: error:")]
+    assert len(errors) == 3 and all(repr(text) in line for line in errors)
+
+
+@pytest.mark.parametrize("out", ["readings.csv", "readings.csv/x"])
+def test_out_naming_a_file_exits_two(flat_dir, capsys, out):
+    path = flat_dir / out
+    capsys.readouterr()
+    assert main(["ingest", str(flat_dir / "readings.csv"), "--out", str(path)]) == 2
+    assert main(["simulate", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("flowrhythm: error:")]
+    assert len(errors) == 2 and all(f"cannot make --out directory {path}: " in line for line in errors)
+    assert "Traceback" not in err
+    assert main(["--json-errors", "simulate", "--out", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "InvalidConfig" and payload["exit_code"] == 2
+
+
 def test_json_errors_payload(tmp_path, capsys):
     rc = main(["--json-errors", "ingest", str(tmp_path / "absent.csv"),
                "--out", str(tmp_path / "x")])

@@ -96,6 +96,13 @@ def test_parse_calendar_bad_date_reports_line():
         parse_calendar("2021-13-40,holiday\n")
 
 
+# From Python 3.11 on, date.fromisoformat reads 20180101 and 2018-W01-1 as 2018-01-01.
+@pytest.mark.parametrize("span", ["20180101", "2018-W01-1", "2017-12-30..2018-W01-1", "20180101..2018-01-02"])
+def test_parse_calendar_takes_only_yyyy_mm_dd_dates(span):
+    with pytest.raises(CalendarError, match="line 1: "):
+        parse_calendar(f"{span},holiday\n")
+
+
 def test_parse_calendar_missing_label():
     with pytest.raises(CalendarError):
         parse_calendar("2021-03-02\n")

@@ -164,8 +164,8 @@ def test_reading_and_binning_a_long_stream_stay_in_a_bounded_working_set(tmp_pat
 @pytest.mark.parametrize("stream", ["long", "demo"])
 def test_the_writers_csv_is_read_by_the_value_kernel(tmp_path, stream, demo_stream):
     # Every block of what write_stream_csv writes is plain rows, which the
-    # reader's own value kernel takes; a block it declined would be read
-    # value by value without any output changing.
+    # reader's own value kernel takes; a block it declined would send the
+    # file to the row parser without any output changing.
     stream = long_stream() if stream == "long" else demo_stream
     write_stream_csv(stream, tmp_path / "readings.csv")
     with kernel_only():

@@ -431,6 +431,22 @@ def test_no_window_to_estimate_builds_no_trig_table():
     assert peak < 4 * 2**20
 
 
+def test_an_overlay_with_no_emitted_window_formats_no_frequency(tmp_path):
+    # A 100,000-day window has 580,001 grid frequencies, whose cells' text
+    # would take over 100 MB to make; with no window to write, none is made.
+    days = DayMatrix(START, np.ones((20, SLOTS_PER_DAY)), np.ones(20, dtype=bool))
+    track = compute_track(days, None, WindowConfig(window_days=100_000))
+    assert len(track.grid) == 580_001 and len(track.emitted) == 0
+    tracemalloc.start()
+    try:
+        write_overlay_csv(track, tmp_path / "overlay.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "overlay.csv").read_text() == "window_start,frequency_cph,period_hours,power\n"
+    assert peak < 2**20
+
+
 def test_one_year_window_holds_its_days_sums_not_a_year_of_phases():
     # A 365-day window's own cos and sin tables of 35,040 samples x 2,118
     # frequencies would take 594 MB each; its days' sums take three complex
