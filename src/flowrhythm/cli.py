@@ -94,12 +94,6 @@ def _config(args, **resolved) -> dict:
     return {k: v for k, v in vars(args).items() if k not in not_flags} | resolved
 
 
-def _inputs(args) -> list[Path]:
-    """The readings file, then the calendar file when --calendar is given."""
-    calendar = getattr(args, "calendar", None)
-    return [Path(args.readings)] + ([Path(calendar)] if calendar else [])
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     try:
@@ -118,19 +112,32 @@ def _input_file(text: str, what: str) -> Path:
 
 
 def _load_inputs(args):
-    """The readings, their binned days, and the exclusion calendar (None without --calendar)."""
+    """(out, inputs, stream, days, calendar) of a command that reads a stream.
+
+    Every check that needs no readings comes first, so a mistake is reported
+    before a long file is read: the flags, the readings path, the calendar
+    path, the calendar's parse, then making --out. `inputs` are the files the
+    manifest digests. Days the calendar excludes are cleared from
+    `days.retained`; `calendar` is None without --calendar.
+    """
     tz = zone_named(args.timezone)
-    check_min_valid_slots(args.min_valid_slots)  # before a long file is read
-    stream = read_stream(_input_file(args.readings, "readings"))
-    days = readings_to_days(stream, tz=tz, min_valid_slots=args.min_valid_slots)
+    check_min_valid_slots(args.min_valid_slots)
+    inputs = [_input_file(args.readings, "readings")]
     calendar = getattr(args, "calendar", None)
     if calendar is not None:
-        calendar = load_calendar(_input_file(calendar, "calendar"))
-    return stream, days, calendar
+        inputs.append(_input_file(calendar, "calendar"))
+        calendar = load_calendar(inputs[1])
+    out = _out_dir(args)
+    stream = read_stream(inputs[0])
+    days = readings_to_days(stream, tz=tz, min_valid_slots=args.min_valid_slots)
+    if calendar is not None:
+        normal = calendar.normal_mask(days.first, len(days.retained))
+        days = replace(days, retained=days.retained & normal)
+    return out, inputs, stream, days, calendar
 
 
 def _track(args):
-    """The exclusion calendar and the track of a periodogram or track run."""
+    """The loaded inputs of a periodogram or track run, and its track."""
     try:
         periods = tuple(float(part) for part in args.periods.split(",") if part.strip())
     except ValueError as exc:
@@ -144,8 +151,8 @@ def _track(args):
         target_periods=periods,
     )
     cfg.grid()  # before a long file is read
-    _, days, calendar = _load_inputs(args)
-    return calendar, compute_track(days, calendar, cfg, args.estimator, args.normalization)
+    out, inputs, _, days, calendar = _load_inputs(args)
+    return out, inputs, calendar, compute_track(days, calendar, cfg, args.estimator, args.normalization)
 
 
 def cmd_simulate(args) -> int:
@@ -160,8 +167,8 @@ def cmd_simulate(args) -> int:
         cfg = load_scenario(scenario_path)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    stream = generate(cfg)
     out = _out_dir(args)
+    stream = generate(cfg)
     name = "readings.jsonl" if args.format == "jsonl" else "readings.csv"
     target = out / name
     if args.format == "jsonl":
@@ -186,8 +193,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    stream, days, _ = _load_inputs(args)
-    out = _out_dir(args)
+    out, inputs, stream, days, _ = _load_inputs(args)
     write_stream_csv(stream, out / "readings.csv")
     n_days = int(days.retained.sum())
     summary = {
@@ -199,24 +205,20 @@ def cmd_ingest(args) -> int:
         "timezone": args.timezone,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(out, "ingest", _config(args), _inputs(args))
+    _write_manifest(out, "ingest", _config(args), inputs)
     print(f"ingested {len(stream)} readings covering {n_days} day(s)")
     return 0
 
 
 def cmd_profile(args) -> int:
-    _, days, calendar = _load_inputs(args)
-    if calendar is not None:
-        normal = calendar.normal_mask(days.first, len(days.retained))
-        days = replace(days, retained=days.retained & normal)
-    out = _out_dir(args)
+    out, inputs, _, days, _ = _load_inputs(args)
     written = []
     for group in GROUPS:
         p = profile(days, group, std_kind=args.std)
         target = out / f"profile_{group}.csv"
         write_profile_csv(p, target)
         written.append(target.name)
-    _write_manifest(out, "profile", _config(args), _inputs(args))
+    _write_manifest(out, "profile", _config(args), inputs)
     print(f"wrote {', '.join(written)} from {int(days.retained.sum())} day(s)")
     return 0
 
@@ -228,7 +230,7 @@ def cmd_periodogram(args) -> int:
             wanted = parse_date(args.start)
         except ValueError as exc:
             raise InvalidConfig(f"bad --start date {args.start!r}: {exc}") from exc
-    _, track = _track(args)
+    out, inputs, _, track = _track(args)
     rows = track.emitted
     if wanted is not None:
         rows = rows[track.starts[rows] == (wanted - track.first).days]
@@ -238,7 +240,6 @@ def cmd_periodogram(args) -> int:
         raise DataError("no window has enough valid days for the estimator")
     row = int(rows[0])
     start = track.start_date(row)
-    out = _out_dir(args)
     write_periodogram_csv(track, row, out / "periodogram.csv")
     sidecar = {
         "estimator": track.estimator,
@@ -252,19 +253,18 @@ def cmd_periodogram(args) -> int:
     }
     (out / "periodogram.meta.json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
     config = _config(args, periods=list(track.cfg.target_periods), start=start.isoformat())
-    _write_manifest(out, "periodogram", config, _inputs(args))
+    _write_manifest(out, "periodogram", config, inputs)
     print(f"wrote periodogram.csv for window starting {start}")
     return 0
 
 
 def cmd_track(args) -> int:
-    calendar, track = _track(args)
-    out = _out_dir(args)
+    out, inputs, calendar, track = _track(args)
     write_intensity_csv(track, out / "intensity.csv")
     write_overlay_csv(track, out / "overlay.csv")
     vacations = calendar.vacation_ranges() if calendar is not None else []
     _write_manifest(
-        out, "track", _config(args, periods=list(track.cfg.target_periods)), _inputs(args),
+        out, "track", _config(args, periods=list(track.cfg.target_periods)), inputs,
         vacation_ranges=[[a.isoformat(), b.isoformat()] for a, b in vacations],
     )
     print(f"wrote intensity.csv ({len(track.emitted)} emitted window(s)) and overlay.csv")

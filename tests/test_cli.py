@@ -479,14 +479,26 @@ def test_min_valid_slots_outside_0_to_96_exits_two(tmp_path, flat_dir, capsys, c
     ("periodogram", ["--start", "2018-13-01"]),
     ("periodogram", ["--periods", "13"]),
     ("track", ["--periods", "13"]),
+    *((command, ["--calendar", calendar]) for command in ("profile", "periodogram", "track")
+      for calendar in ("missing.txt", "unknown-label.txt")),
+    *((command, ["--out", "bad.csv"]) for command in ("ingest", "profile", "periodogram", "track")),
+    ("simulate", ["--scenario", "overflow.json", "--out", "bad.csv"]),
 ])
-def test_config_is_checked_before_the_readings_are_read(tmp_path, capsys, command, flags):
-    # The file is malformed (exit 3), but the flag's error comes first.
-    readings = tmp_path / "bad.csv"
-    readings.write_text("2021-03-01T00:00:00Z,not a number\n")
-    argv = [command, str(readings), *flags, "--out", str(tmp_path / "x")]
-    assert main(["--json-errors", *argv]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+def test_config_is_checked_before_the_readings_are_read(tmp_path, monkeypatch, capsys, command, flags):
+    # The file is malformed (exit 3), but the flag's error comes first. A
+    # calendar the parser rejects is a data error of its own. An --out naming
+    # a file is reported before simulate generates a scenario that overflows.
+    monkeypatch.chdir(tmp_path)
+    Path("bad.csv").write_text("2021-03-01T00:00:00Z,not a number\n")
+    Path("unknown-label.txt").write_text("2018-01-01,picnic\n")
+    Path("overflow.json").write_text(json.dumps({**FLAT_SCENARIO, "noise_sd": 1e308}))
+    readings = [] if command == "simulate" else ["bad.csv"]
+    error, code = ("CalendarError", 3) if "unknown-label.txt" in flags else ("InvalidConfig", 2)
+    assert main(["--json-errors", command, *readings, "--out", "x", *flags]) == code
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == error
+    if "--out" in flags:
+        assert payload["message"].startswith("cannot make --out directory bad.csv: ")
 
 
 def test_track_repeated_period_exits_two(tmp_path, flat_dir):
