@@ -13,3 +13,18 @@ interface; Python callers import from the submodules, such as
 __version__ = "0.1.0"
 
 __all__ = ["__version__"]
+
+# The defaults and choices the command line offers. They live here, where
+# importing them loads no numpy, so `flowrhythm --help` builds its parser
+# without a stage module; each stage module imports the ones it owns.
+# A day kept for analysis needs at least this many observed slots (binning).
+DEFAULT_MIN_VALID_SLOTS = 92
+# Sliding-window geometry, in days (tracking).
+DEFAULT_WINDOW_DAYS = 10
+DEFAULT_STRIDE_DAYS = 1
+DEFAULT_MIN_VALID_DAYS = 8
+# The two behavioural periodicities tracked by default (spectral).
+TARGET_PERIODS_HOURS = (12.0, 24.0)
+NORMALIZATIONS = ("raw", "variance")
+# The names of spectral.ESTIMATORS, Lomb-Scargle's first.
+ESTIMATOR_NAMES = ("ls", "classic")

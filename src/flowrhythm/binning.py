@@ -46,6 +46,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
+from . import DEFAULT_MIN_VALID_SLOTS
 from .errors import DataError, InvalidConfig, NoMatchingDays
 from .readings import BLOCK_ROWS, ReadingStream
 
@@ -71,8 +72,6 @@ log = logging.getLogger(__name__)
 
 SLOTS_PER_DAY = 96
 SLOT_MINUTES = 15
-# A day kept for analysis needs at least this many observed slots.
-DEFAULT_MIN_VALID_SLOTS = 92
 # Gaps longer than three nominal periods are treated as outages: the volume
 # accumulated across the gap is discarded rather than attributed to one bin.
 DEFAULT_MAX_GAP = timedelta(minutes=45)

@@ -4,44 +4,35 @@ Subcommands mirror the pipeline stages: simulate, ingest, profile,
 periodogram, track. Every run writes its artifacts plus one manifest.json
 into --out, recording config and input digests so reruns are auditable.
 Exit codes: 0 success, 2 usage or config error, 3 data error.
+
+Each command imports the stage modules it runs in its own body, so a
+process loads only those: `--version` and `--help` load no numpy, `ingest`
+loads `readings` and `binning`, and only `simulate` loads `synth`.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
-from importlib import resources
 from pathlib import Path
 
-from . import __version__
-from .binning import (
-    DEFAULT_MIN_VALID_SLOTS,
-    GROUPS,
-    check_min_valid_slots,
-    profile,
-    readings_to_days,
-    write_profile_csv,
-    zone_named,
-)
-from .errors import ConfigError, DataError, FlowRhythmError, InvalidConfig
-from .exclusions import load_calendar, parse_date
-from .readings import read_stream, segment_litres, write_stream_csv, write_stream_jsonl
-from .spectral import ESTIMATORS, NORMALIZATIONS, TARGET_PERIODS_HOURS
-from .tracking import (
+from . import (
     DEFAULT_MIN_VALID_DAYS,
+    DEFAULT_MIN_VALID_SLOTS,
     DEFAULT_STRIDE_DAYS,
     DEFAULT_WINDOW_DAYS,
-    WindowConfig,
-    compute_track,
-    write_intensity_csv,
-    write_overlay_csv,
-    write_periodogram_csv,
+    ESTIMATOR_NAMES,
+    NORMALIZATIONS,
+    TARGET_PERIODS_HOURS,
+    __version__,
 )
+from .errors import ConfigError, DataError, FlowRhythmError, InvalidConfig
 
 
 def _timestamp() -> str:
@@ -120,11 +111,16 @@ def _load_inputs(args):
     manifest digests. Days the calendar excludes are cleared from
     `days.retained`; `calendar` is None without --calendar.
     """
+    from .binning import check_min_valid_slots, readings_to_days, zone_named
+    from .readings import read_stream
+
     tz = zone_named(args.timezone)
     check_min_valid_slots(args.min_valid_slots)
     inputs = [_input_file(args.readings, "readings")]
     calendar = getattr(args, "calendar", None)
     if calendar is not None:
+        from .exclusions import load_calendar
+
         inputs.append(_input_file(calendar, "calendar"))
         calendar = load_calendar(inputs[1])
     out = _out_dir(args)
@@ -138,6 +134,8 @@ def _load_inputs(args):
 
 def _track(args):
     """The loaded inputs of a periodogram or track run, and its track."""
+    from .tracking import WindowConfig, compute_track
+
     try:
         periods = tuple(float(part) for part in args.periods.split(",") if part.strip())
     except ValueError as exc:
@@ -156,7 +154,9 @@ def _track(args):
 
 
 def cmd_simulate(args) -> int:
-    # Imported here, its only user, so the other commands do not load it.
+    from importlib import resources
+
+    from .readings import write_stream_csv, write_stream_jsonl
     from .synth import demo_scenario, generate, load_scenario, scenario_to_json
 
     if args.scenario is None:
@@ -193,6 +193,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from .readings import segment_litres, write_stream_csv
+
     out, inputs, stream, days, _ = _load_inputs(args)
     write_stream_csv(stream, out / "readings.csv")
     n_days = int(days.retained.sum())
@@ -211,19 +213,22 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from .binning import GROUPS, profile, write_profile_csv
+
     out, inputs, _, days, _ = _load_inputs(args)
-    written = []
-    for group in GROUPS:
-        p = profile(days, group, std_kind=args.std)
-        target = out / f"profile_{group}.csv"
-        write_profile_csv(p, target)
-        written.append(target.name)
+    # Every profile before any file, so a group with no days writes nothing.
+    profiles = {f"profile_{group}.csv": profile(days, group, std_kind=args.std) for group in GROUPS}
+    for name, p in profiles.items():
+        write_profile_csv(p, out / name)
     _write_manifest(out, "profile", _config(args), inputs)
-    print(f"wrote {', '.join(written)} from {int(days.retained.sum())} day(s)")
+    print(f"wrote {', '.join(profiles)} from {int(days.retained.sum())} day(s)")
     return 0
 
 
 def cmd_periodogram(args) -> int:
+    from .exclusions import parse_date
+    from .tracking import write_periodogram_csv
+
     wanted = None
     if args.start is not None:  # before a long file is read
         try:
@@ -259,6 +264,8 @@ def cmd_periodogram(args) -> int:
 
 
 def cmd_track(args) -> int:
+    from .tracking import write_intensity_csv, write_overlay_csv
+
     out, inputs, calendar, track = _track(args)
     write_intensity_csv(track, out / "intensity.csv")
     write_overlay_csv(track, out / "overlay.csv")
@@ -287,10 +294,12 @@ def _add_calendar(parser: argparse.ArgumentParser) -> None:
 
 def _add_window_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--window-days", type=int, default=DEFAULT_WINDOW_DAYS, help="window length in days"
+        "--window-days", type=int, default=DEFAULT_WINDOW_DAYS,
+        help="window length in days (default %(default)s)",
     )
     parser.add_argument(
-        "--stride-days", type=int, default=DEFAULT_STRIDE_DAYS, help="window step in days"
+        "--stride-days", type=int, default=DEFAULT_STRIDE_DAYS,
+        help="window step in days (default %(default)s)",
     )
     parser.add_argument(
         "--min-valid-days", type=int, default=DEFAULT_MIN_VALID_DAYS,
@@ -300,7 +309,7 @@ def _add_window_flags(parser: argparse.ArgumentParser) -> None:
         "--periods", default=",".join(f"{p:g}" for p in TARGET_PERIODS_HOURS),
         help="target periods in hours (default %(default)s)",
     )
-    parser.add_argument("--estimator", choices=sorted(ESTIMATORS), default="ls")
+    parser.add_argument("--estimator", choices=sorted(ESTIMATOR_NAMES), default="ls")
     parser.add_argument("--normalization", choices=NORMALIZATIONS, default="raw")
 
 
@@ -365,5 +374,18 @@ def main(argv: list[str] | None = None) -> int:
         return code
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry point of `flowrhythm` and `python -m flowrhythm`.
+
+    The cyclic garbage collector is off for the process. A run is one short
+    batch pass over numpy arrays whose memory reference counting frees, so
+    the collections that the objects allocated by imports would set off find
+    nothing to free. main() itself leaves the collector as it finds it, so a
+    test or another caller that runs it in process keeps its own setting.
+    """
+    gc.disable()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

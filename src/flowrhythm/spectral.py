@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import ESTIMATOR_NAMES, NORMALIZATIONS, TARGET_PERIODS_HOURS
 from .errors import (
     InvalidConfig,
     PeriodNotOnGrid,
@@ -54,13 +55,9 @@ __all__ = [
 
 # 15-minute sampling supports nothing above 2 cycles/hour.
 NYQUIST_CPH = 2.0
-# The two behavioural periodicities tracked by default.
-TARGET_PERIODS_HOURS = (12.0, 24.0)
 # The shortest and longest period on every window grid.
 SHORTEST_PERIOD_HOURS = 4.0
 LONGEST_PERIOD_HOURS = 120.0
-
-NORMALIZATIONS = ("raw", "variance")
 
 
 @dataclass(frozen=True)
@@ -259,11 +256,12 @@ def lomb_scargle_power(m: Moments, normalization: str = "raw") -> np.ndarray:
     return reduction * (m.n / 2.0)
 
 
-# Estimator name -> (periodogram label, closed form, fewest samples it takes).
-ESTIMATORS = {
-    "ls": ("lomb_scargle", lomb_scargle_power, 3),
-    "classic": ("classic", classic_power, 2),
-}
+# Estimator name -> (periodogram label, closed form, fewest samples it takes),
+# in the order of ESTIMATOR_NAMES.
+ESTIMATORS = dict(zip(ESTIMATOR_NAMES, (
+    ("lomb_scargle", lomb_scargle_power, 3),
+    ("classic", classic_power, 2),
+)))
 UNEVEN_SPACING = (
     "sample spacing varies; the classic periodogram requires a "
     "complete evenly spaced series"

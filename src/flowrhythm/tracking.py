@@ -20,13 +20,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import floattext
+from . import (
+    DEFAULT_MIN_VALID_DAYS,
+    DEFAULT_STRIDE_DAYS,
+    DEFAULT_WINDOW_DAYS,
+    TARGET_PERIODS_HOURS,
+    floattext,
+)
 from .binning import SLOT_MINUTES, SLOTS_PER_DAY, BinnedDay, DayMatrix
 from .errors import EmptyInput, InvalidConfig, PeriodNotOnGrid
 from .exclusions import ExclusionCalendar
 from .spectral import (
     ESTIMATORS,
-    TARGET_PERIODS_HOURS,
     UNEVEN_SPACING,
     FrequencyGrid,
     Moments,
@@ -40,9 +45,6 @@ log = logging.getLogger(__name__)
 
 Days = DayMatrix | Sequence[BinnedDay]
 
-DEFAULT_WINDOW_DAYS = 10
-DEFAULT_STRIDE_DAYS = 1
-DEFAULT_MIN_VALID_DAYS = 8
 # Windows written per byte matrix of the overlay: large enough to amortise
 # the matrix's numpy calls over many windows, small enough to keep its
 # memory flat.

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 
 import flowrhythm
-from flowrhythm.cli import _sha256_file, main
+from flowrhythm import binning, spectral, tracking
+from flowrhythm.cli import _sha256_file, build_parser, main
 
 # sha256 of readings.csv from the packaged demo scenario; pinned because the
 # generator is seeded and must stay byte-for-byte reproducible.
@@ -95,8 +98,10 @@ def test_manifest_scenario_simulates_the_same_readings(tmp_path, scenario, fmt):
     assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "sim" / name).read_bytes()
 
 
-def test_main_module_runs_the_cli_only_as_a_script():
-    # pydoc and other tools import flowrhythm.__main__; that must not run the CLI.
+def test_main_module_runs_the_cli_only_as_a_script(tmp_path, flat_dir):
+    # pydoc and other tools import flowrhythm.__main__; that must not run the
+    # CLI, nor switch off the cyclic collector, which only the process entry
+    # point does.
     env = dict(os.environ, PYTHONPATH=str(Path(flowrhythm.__file__).resolve().parents[1]))
 
     def run(*args):
@@ -104,20 +109,75 @@ def test_main_module_runs_the_cli_only_as_a_script():
         return done.returncode, done.stdout, done.stderr
 
     assert run("-c", "import flowrhythm.__main__") == (0, "", "")
+    assert run("-c", "import gc, flowrhythm.__main__; print(gc.isenabled())") == (0, "True\n", "")
     assert run("-m", "flowrhythm", "--version") == (0, f"flowrhythm {flowrhythm.__version__}\n", "")
+    entry = ("import atexit, gc, sys; atexit.register(lambda: print(gc.isenabled())); "
+             "sys.argv[1:] = ['--version']; from flowrhythm.cli import run; run()")
+    assert run("-c", entry) == (0, f"flowrhythm {flowrhythm.__version__}\nFalse\n", "")
+    # In process, main() leaves the collector as it found it.
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert main(["ingest", str(flat_dir / "readings.csv"), "--out", str(tmp_path / "in")]) == 0
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
-def test_only_simulate_loads_the_generator(tmp_path, flat_dir):
-    # The other commands never import flowrhythm.synth, so they do not compile it either.
+CLI_ONLY = {"flowrhythm.cli", "flowrhythm.errors"}
+READ = CLI_ONLY | {"numpy", "flowrhythm.readings", "flowrhythm.floattext", "flowrhythm.binning"}
+ANALYSE = READ | {"flowrhythm.exclusions", "flowrhythm.spectral", "flowrhythm.tracking"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["--version"], CLI_ONLY),
+    (["--help"], CLI_ONLY),
+    (["track", "--help"], CLI_ONLY),
+    (["simulate", "--scenario", "{scenario}"],
+     READ | {"flowrhythm.exclusions", "flowrhythm.synth", "flowrhythm.data"}),
+    (["ingest", "{readings}"], READ),
+    (["profile", "{readings}", "--calendar", "{calendar}"], READ | {"flowrhythm.exclusions"}),
+    (["periodogram", "{readings}", "--calendar", "{calendar}"], ANALYSE),
+    (["track", "{readings}", "--calendar", "{calendar}"], ANALYSE),
+], ids=["version", "help", "track-help", "simulate", "ingest", "profile", "periodogram", "track"])
+def test_each_command_loads_only_its_stages(tmp_path, flat_dir, argv, loaded):
+    # A command's process imports (and compiles) only the modules it runs;
+    # --version and --help import no numpy.
     env = dict(os.environ, PYTHONPATH=str(Path(flowrhythm.__file__).resolve().parents[1]))
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(FLAT_SCENARIO))
-    for argv in (["ingest", str(flat_dir / "readings.csv")], ["simulate", "--scenario", str(scenario)]):
-        argv += ["--out", str(tmp_path / argv[0])]
-        code = ("import sys; from flowrhythm.cli import main; "
-                f"print(main({argv!r}), 'flowrhythm.synth' in sys.modules)")
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert done.stdout.splitlines()[-1] == f"0 {argv[0] == 'simulate'}"
+    (tmp_path / "scenario.json").write_text(json.dumps(FLAT_SCENARIO))
+    (tmp_path / "calendar.txt").write_text("2021-03-10,vacation\n")
+    paths = {"scenario": tmp_path / "scenario.json", "readings": flat_dir / "readings.csv",
+             "calendar": tmp_path / "calendar.txt"}
+    argv = [a.format(**paths) for a in argv]
+    if "--help" not in argv and "--version" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    code = ("import contextlib, io, sys; from flowrhythm.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            f"    main({argv!r})\n"
+            "print(*sorted(m for m in sys.modules if m == 'numpy' or m.startswith('flowrhythm.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert set(done.stdout.split()) == loaded
+    if "--help" not in argv and "--version" not in argv:
+        assert (tmp_path / "out" / "manifest.json").is_file()
+
+
+def test_parser_defaults_and_choices_are_the_librarys():
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    window = tracking.WindowConfig()
+    min_valid_slots = inspect.signature(binning.readings_to_days).parameters["min_valid_slots"].default
+    for command in ("ingest", "profile", "periodogram", "track"):
+        flags = {a.dest: a for a in commands[command]._actions}
+        assert flags["min_valid_slots"].default == min_valid_slots
+        if command in ("periodogram", "track"):
+            assert flags["window_days"].default == window.window_days
+            assert flags["stride_days"].default == window.stride_days
+            assert flags["min_valid_days"].default == window.min_valid_days
+            assert tuple(float(p) for p in flags["periods"].default.split(",")) == window.target_periods
+            assert flags["estimator"].choices == sorted(spectral.ESTIMATORS)
+            assert tuple(flags["normalization"].choices) == spectral.NORMALIZATIONS
 
 
 def test_simulate_seed_override_changes_output(tmp_path):
@@ -175,6 +235,16 @@ def test_profile_all_days_excluded(tmp_path, flat_dir):
         "--calendar", str(calendar), "--out", str(tmp_path / "p"),
     ])
     assert rc == 3
+
+
+def test_profile_group_without_days_writes_no_profile(tmp_path):
+    # A Monday-to-Friday stream has no Saturday: the run fails before it
+    # writes any group's profile, so --out holds no partial output.
+    (tmp_path / "scenario.json").write_text(json.dumps({**FLAT_SCENARIO, "end": "2021-03-05"}))
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "sim")]) == 0
+    out = tmp_path / "p"
+    assert main(["profile", str(tmp_path / "sim" / "readings.csv"), "--out", str(out)]) == 3
+    assert list(out.glob("profile_*.csv")) == []
 
 
 def test_periodogram_window_artifacts(tmp_path, flat_dir):
