@@ -25,6 +25,7 @@ DEFAULT_STRIDE_DAYS = 1
 DEFAULT_MIN_VALID_DAYS = 8
 # The two behavioural periodicities tracked by default (spectral).
 TARGET_PERIODS_HOURS = (12.0, 24.0)
+# The first normalization and the first estimator are the defaults.
 NORMALIZATIONS = ("raw", "variance")
 # The names of spectral.ESTIMATORS, Lomb-Scargle's first.
 ESTIMATOR_NAMES = ("ls", "classic")

@@ -28,17 +28,18 @@ interval of one and opens the first of the next.
 
 Binned days are laid out once, as a DayMatrix: row i of its (span x 96)
 `values` holds the local day `first + i`, and `retained[i]` says whether
-binning kept that day. The span runs from the first retained day to the
-last, so window starts and profiles never see a dropped edge day. Rows of
-days dropped as sparse, or never observed, are all NaN and not retained.
-Profiles and sliding windows read rows of this one matrix.
+the day counts: binning kept it, and `excluding` left it. The span runs
+from the first day binning kept to the last, so window starts and profiles
+never see a dropped edge day. Rows of days dropped as sparse, or never
+observed, are all NaN and not retained. Profiles and sliding windows read
+only the retained rows of this one matrix.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, tzinfo
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -136,6 +137,13 @@ class DayMatrix:
             retained[row] = True
             values[row] = d.bins
         return cls(first, values, retained)
+
+    def excluding(self, calendar) -> "DayMatrix":
+        """This matrix with the days an ExclusionCalendar excludes cleared
+        from `retained`, sharing its `values`; itself for None."""
+        if calendar is None:
+            return self
+        return replace(self, retained=self.retained & calendar.normal_mask(self.first, len(self.retained)))
 
 
 def zone_named(name) -> ZoneInfo:

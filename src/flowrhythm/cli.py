@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,7 +30,7 @@ from . import (
     TARGET_PERIODS_HOURS,
     __version__,
 )
-from .errors import ConfigError, DataError, FlowRhythmError, InvalidConfig
+from .errors import ConfigError, FlowRhythmError, InvalidConfig
 
 
 def _timestamp() -> str:
@@ -50,6 +48,8 @@ def _utc_stamp(epoch_s) -> str:
 
 
 def _sha256_file(path: Path) -> str:
+    import hashlib
+
     # In 1 MiB chunks, so a long readings file is never held whole.
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -59,6 +59,8 @@ def _sha256_file(path: Path) -> str:
 
 
 def _sha256_config(config: dict) -> str:
+    import hashlib
+
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -109,7 +111,8 @@ def _load_inputs(args):
     before a long file is read: the flags, the readings path, the calendar
     path, the calendar's parse, then making --out. `inputs` are the files the
     manifest digests. Days the calendar excludes are cleared from
-    `days.retained`; `calendar` is None without --calendar.
+    `days.retained` by DayMatrix.excluding; `calendar` is None without
+    --calendar.
     """
     from .binning import check_min_valid_slots, readings_to_days, zone_named
     from .readings import read_stream
@@ -125,16 +128,13 @@ def _load_inputs(args):
         calendar = load_calendar(inputs[1])
     out = _out_dir(args)
     stream = read_stream(inputs[0])
-    days = readings_to_days(stream, tz=tz, min_valid_slots=args.min_valid_slots)
-    if calendar is not None:
-        normal = calendar.normal_mask(days.first, len(days.retained))
-        days = replace(days, retained=days.retained & normal)
+    days = readings_to_days(stream, tz=tz, min_valid_slots=args.min_valid_slots).excluding(calendar)
     return out, inputs, stream, days, calendar
 
 
-def _track(args):
-    """The loaded inputs of a periodogram or track run, and its track."""
-    from .tracking import WindowConfig, compute_track
+def _windowed(args):
+    """The loaded inputs of a periodogram or track run, and its WindowConfig."""
+    from .tracking import WindowConfig
 
     try:
         periods = tuple(float(part) for part in args.periods.split(",") if part.strip())
@@ -150,10 +150,11 @@ def _track(args):
     )
     cfg.grid()  # before a long file is read
     out, inputs, _, days, calendar = _load_inputs(args)
-    return out, inputs, calendar, compute_track(days, calendar, cfg, args.estimator, args.normalization)
+    return out, inputs, days, calendar, cfg
 
 
 def cmd_simulate(args) -> int:
+    from dataclasses import replace
     from importlib import resources
 
     from .readings import write_stream_csv, write_stream_jsonl
@@ -227,7 +228,7 @@ def cmd_profile(args) -> int:
 
 def cmd_periodogram(args) -> int:
     from .exclusions import parse_date
-    from .tracking import write_periodogram_csv
+    from .tracking import periodogram_window, write_periodogram_csv
 
     wanted = None
     if args.start is not None:  # before a long file is read
@@ -235,15 +236,8 @@ def cmd_periodogram(args) -> int:
             wanted = parse_date(args.start)
         except ValueError as exc:
             raise InvalidConfig(f"bad --start date {args.start!r}: {exc}") from exc
-    out, inputs, _, track = _track(args)
-    rows = track.emitted
-    if wanted is not None:
-        rows = rows[track.starts[rows] == (wanted - track.first).days]
-        if not len(rows):
-            raise DataError(f"no emitted window starts at {wanted}")
-    elif not len(rows):
-        raise DataError("no window has enough valid days for the estimator")
-    row = int(rows[0])
+    out, inputs, days, _, cfg = _windowed(args)
+    track, row = periodogram_window(days, cfg, args.estimator, args.normalization, wanted)
     start = track.start_date(row)
     write_periodogram_csv(track, row, out / "periodogram.csv")
     sidecar = {
@@ -264,9 +258,10 @@ def cmd_periodogram(args) -> int:
 
 
 def cmd_track(args) -> int:
-    from .tracking import write_intensity_csv, write_overlay_csv
+    from .tracking import compute_track, write_intensity_csv, write_overlay_csv
 
-    out, inputs, calendar, track = _track(args)
+    out, inputs, days, calendar, cfg = _windowed(args)
+    track = compute_track(days, cfg, args.estimator, args.normalization)
     write_intensity_csv(track, out / "intensity.csv")
     write_overlay_csv(track, out / "overlay.csv")
     vacations = calendar.vacation_ranges() if calendar is not None else []
@@ -309,8 +304,8 @@ def _add_window_flags(parser: argparse.ArgumentParser) -> None:
         "--periods", default=",".join(f"{p:g}" for p in TARGET_PERIODS_HOURS),
         help="target periods in hours (default %(default)s)",
     )
-    parser.add_argument("--estimator", choices=sorted(ESTIMATOR_NAMES), default="ls")
-    parser.add_argument("--normalization", choices=NORMALIZATIONS, default="raw")
+    parser.add_argument("--estimator", choices=sorted(ESTIMATOR_NAMES), default=ESTIMATOR_NAMES[0])
+    parser.add_argument("--normalization", choices=NORMALIZATIONS, default=NORMALIZATIONS[0])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -171,7 +171,7 @@ class Periodogram:
     grid: FrequencyGrid
     power: np.ndarray
     estimator: str
-    normalization: str = "raw"
+    normalization: str = NORMALIZATIONS[0]
     n_samples: int = 0
 
     def __post_init__(self):
@@ -218,7 +218,7 @@ def moments(values: np.ndarray, phases_at_f: np.ndarray, phases_at_2f: np.ndarra
     return Moments(*sums, present @ phases_at_f, y @ phases_at_f, present @ phases_at_2f)
 
 
-def classic_power(m: Moments, normalization: str = "raw") -> np.ndarray:
+def classic_power(m: Moments, normalization: str = NORMALIZATIONS[0]) -> np.ndarray:
     """Schuster power (1/n) |sum (y - mean) e^(i w t)|^2 of each row, (rows, len(grid)).
     Every row must be a complete evenly spaced series of at least two samples."""
     _check_normalization(normalization)
@@ -232,7 +232,7 @@ def classic_power(m: Moments, normalization: str = "raw") -> np.ndarray:
     return np.maximum(power, 0.0)
 
 
-def lomb_scargle_power(m: Moments, normalization: str = "raw") -> np.ndarray:
+def lomb_scargle_power(m: Moments, normalization: str = NORMALIZATIONS[0]) -> np.ndarray:
     """Floating-mean least-squares power of each row, (rows, len(grid)). Every row
     needs at least three samples, each weighted 1/n; see lomb_scargle for the model."""
     _check_normalization(normalization)
@@ -288,7 +288,7 @@ def _estimate(
 
 
 def classic_periodogram(
-    samples: Samples, grid: FrequencyGrid, normalization: str = "raw"
+    samples: Samples, grid: FrequencyGrid, normalization: str = NORMALIZATIONS[0]
 ) -> Periodogram:
     """Schuster periodogram of a complete, evenly spaced series.
 
@@ -320,7 +320,7 @@ def classic_periodogram(
 
 
 def lomb_scargle(
-    samples: Samples, grid: FrequencyGrid, normalization: str = "raw"
+    samples: Samples, grid: FrequencyGrid, normalization: str = NORMALIZATIONS[0]
 ) -> Periodogram:
     """Floating-mean least-squares periodogram (generalised Lomb-Scargle).
 

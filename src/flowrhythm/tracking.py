@@ -4,9 +4,10 @@ Slides a fixed-length window over the rows of the binned days' DayMatrix,
 computes one periodogram per window, and reads off the intensity at the
 target periods (24 h and 12 h by default). A run's windows are held as one
 Track: a row of arrays per window position and one power matrix.
-Windows advance in calendar time, so excluded or missing days thin a window
-out (as NaN rows) rather than stretching it; windows with too few valid days
-become explicit skip rows, with NaN power and never silent zeros.
+Windows advance in calendar time and read only retained rows, so dropped or
+excluded days (see DayMatrix.excluding) thin a window out as NaN rows rather
+than stretch it; windows with too few valid days become explicit skip rows,
+with NaN power and never silent zeros.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,11 +25,13 @@ from . import (
     DEFAULT_MIN_VALID_DAYS,
     DEFAULT_STRIDE_DAYS,
     DEFAULT_WINDOW_DAYS,
+    ESTIMATOR_NAMES,
+    NORMALIZATIONS,
     TARGET_PERIODS_HOURS,
     floattext,
 )
 from .binning import SLOT_MINUTES, SLOTS_PER_DAY, BinnedDay, DayMatrix
-from .errors import EmptyInput, InvalidConfig, PeriodNotOnGrid
+from .errors import DataError, EmptyInput, InvalidConfig, PeriodNotOnGrid
 from .exclusions import ExclusionCalendar
 from .spectral import (
     ESTIMATORS,
@@ -133,18 +136,11 @@ class Track:
         return np.flatnonzero(self.skip == ESTIMATED)
 
 
-def _layout(
-    days: Days, calendar: ExclusionCalendar | None, cfg: WindowConfig
-) -> tuple[DayMatrix, np.ndarray, np.ndarray]:
-    """The binned days as a DayMatrix, which of its rows are valid (retained
-    by binning and normal by the calendar, if any), and the first row of
-    every window position that fits in the matrix."""
-    days = DayMatrix.from_days(days)
-    n = len(days.retained)
-    if not n:
+def _starts(days: DayMatrix, cfg: WindowConfig) -> np.ndarray:
+    """The first row of every window position that fits in the matrix."""
+    if not len(days.retained):
         raise EmptyInput("no binned days to window")
-    valid = days.retained if calendar is None else days.retained & calendar.normal_mask(days.first, n)
-    return days, valid, np.arange(0, n - cfg.window_days + 1, cfg.stride_days)
+    return np.arange(0, len(days.retained) - cfg.window_days + 1, cfg.stride_days)
 
 
 def _hole_inside(present: np.ndarray, starts: np.ndarray, window_days: int) -> np.ndarray:
@@ -168,34 +164,20 @@ def _window_moments(day: Moments, starts: np.ndarray, window_days: int, k: np.nd
     return sums
 
 
-def compute_track(
-    days: Days, calendar: ExclusionCalendar | None, cfg: WindowConfig,
-    estimator: str = "ls", normalization: str = "raw",
-) -> Track:
-    """Slide the window over calendar time and estimate every window that can be.
-
-    Window starts run by the stride from the first retained day to the last
-    position inside the span of retained days. A window with fewer than
-    min_valid_days valid days is skipped, and so, with a logged warning, is
-    one whose samples defeat the estimator: too few, or a hole inside one
-    for the classic estimator.
-
-    Every window is a row slice of the DayMatrix, sampled at the slot
-    midpoints 24 j + 0.25 (k + 0.5) hours after window-start midnight for
-    day j, slot k, with missing slots and invalid days as NaN. Each grid
-    frequency is a whole number of cycles per window, so a window's Moments
-    are its days' Moments, each turned by its day's phase; those are built
-    once, from the 96 slot times, when some window is estimated.
-    """
+def _unestimated(days: Days, cfg: WindowConfig, estimator: str, normalization: str) -> tuple[Track, Callable]:
+    """compute_track's Track with every skip code set and warned of, its power
+    all NaN, and a function that estimates the windows at given rows into it:
+    their power is the same alone as beside every other window."""
     if estimator not in ESTIMATORS:
         raise InvalidConfig(f"estimator must be one of {tuple(ESTIMATORS)}, got {estimator!r}")
     label, closed_form, minimum = ESTIMATORS[estimator]
     grid = cfg.grid()
-    days, valid, starts = _layout(days, calendar, cfg)
-    values = days.values if calendar is None else np.where(valid[:, None], days.values, np.nan)
+    days = DayMatrix.from_days(days)
+    starts = _starts(days, cfg)
+    values = np.where(days.retained[:, None], days.values, np.nan)
     present = ~np.isnan(values)
     # Valid days and present samples of every window, off one running sum over day rows.
-    sums = np.cumsum(np.column_stack([valid, present.sum(axis=1)]), axis=0)
+    sums = np.cumsum(np.column_stack([days.retained, present.sum(axis=1)]), axis=0)
     sums = np.concatenate([[[0, 0]], sums])
     valid_days, n_samples = (sums[starts + cfg.window_days] - sums[starts]).T
 
@@ -207,17 +189,57 @@ def compute_track(
     for row in np.flatnonzero(skip > FEW_VALID_DAYS):
         reason = UNEVEN_SPACING if skip[row] == UNEVEN else too_few_samples(estimator, n_samples[row])
         log.warning("window %s skipped: %s", days.first + timedelta(days=int(starts[row])), reason)
-
     power = np.full((len(starts), len(grid)), np.nan)
-    todo = np.flatnonzero(skip == ESTIMATED)
-    if len(todo):
-        slot_hours = (np.arange(SLOTS_PER_DAY) + 0.5) * (SLOT_MINUTES / 60.0)
-        day = moments(values, *(phases(slot_hours, h * grid.frequencies_cph) for h in (1, 2)))
-        k = np.rint(grid.frequencies_cph * cfg.window_hours).astype(np.int64)
-        power[todo] = closed_form(_window_moments(day, starts[todo], cfg.window_days, k), normalization)
-    return Track(
-        days.first, starts, valid_days, n_samples, skip, power, grid, label, normalization, cfg
-    )
+
+    def estimate(rows: np.ndarray) -> None:
+        if len(rows):  # day Moments of the whole matrix; every later step is per window
+            slot_hours = (np.arange(SLOTS_PER_DAY) + 0.5) * (SLOT_MINUTES / 60.0)
+            day = moments(values, *(phases(slot_hours, h * grid.frequencies_cph) for h in (1, 2)))
+            k = np.rint(grid.frequencies_cph * cfg.window_hours).astype(np.int64)
+            power[rows] = closed_form(_window_moments(day, starts[rows], cfg.window_days, k), normalization)
+
+    return Track(days.first, starts, valid_days, n_samples, skip, power, grid, label, normalization, cfg), estimate
+
+
+def compute_track(
+    days: Days, cfg: WindowConfig,
+    estimator: str = ESTIMATOR_NAMES[0], normalization: str = NORMALIZATIONS[0],
+) -> Track:
+    """Slide the window over calendar time and estimate every window that can be.
+
+    Window starts run by the stride from the first row of the matrix to the
+    last position inside it. A window's valid days are its retained rows
+    (see DayMatrix.excluding); one with fewer than min_valid_days is skipped,
+    and so, with a logged warning, is one whose samples defeat the
+    estimator: too few, or a hole inside one for the classic estimator.
+
+    Every window is a row slice of the DayMatrix, sampled at the slot
+    midpoints 24 j + 0.25 (k + 0.5) hours after window-start midnight for
+    day j, slot k, with missing slots and rows not retained as NaN. Each
+    grid frequency is a whole number of cycles per window, so a window's
+    Moments are its days' Moments, each turned by its day's phase; those
+    are built once, from the 96 slot times, when some window is estimated.
+    """
+    track, estimate = _unestimated(days, cfg, estimator, normalization)
+    estimate(track.emitted)
+    return track
+
+
+def periodogram_window(
+    days: Days, cfg: WindowConfig, estimator: str = ESTIMATOR_NAMES[0],
+    normalization: str = NORMALIZATIONS[0], start: date | None = None,
+) -> tuple[Track, int]:
+    """compute_track's Track with one window estimated, bit for bit as there,
+    and its row: the first emitted window, or the emitted one from `start`."""
+    track, estimate = _unestimated(days, cfg, estimator, normalization)
+    rows = track.emitted
+    if start is not None:
+        rows = rows[track.starts[rows] == (start - track.first).days]
+    if not len(rows):
+        raise DataError(f"no emitted window starts at {start}" if start is not None
+                        else "no window has enough valid days for the estimator")
+    estimate(rows[:1])
+    return track, int(rows[0])
 
 
 class Window(NamedTuple):
@@ -227,17 +249,18 @@ class Window(NamedTuple):
 
 
 def make_windows(days: Days, calendar: ExclusionCalendar | None, cfg: WindowConfig) -> list[Window]:
-    """The window of every compute_track row, skipped or not, without estimating."""
-    days, _, starts = _layout(days, calendar, cfg)
-    return [Window(days.first + timedelta(days=s)) for s in starts.tolist()]
+    """The window of every compute_track row, skipped or not, without
+    estimating; a calendar thins windows out but moves none."""
+    days = DayMatrix.from_days(days)
+    return [Window(days.first + timedelta(days=s)) for s in _starts(days, cfg).tolist()]
 
 
 def compute_window_periodograms(
     days: Days, calendar: ExclusionCalendar | None, cfg: WindowConfig,
-    estimator: str = "ls", normalization: str = "raw",
+    estimator: str = ESTIMATOR_NAMES[0], normalization: str = NORMALIZATIONS[0],
 ) -> list[tuple[Window, Periodogram | None]]:
     """compute_track's rows as (window, periodogram) pairs, None for a skip row."""
-    t = compute_track(days, calendar, cfg, estimator, normalization)
+    t = compute_track(DayMatrix.from_days(days).excluding(calendar), cfg, estimator, normalization)
     return [
         (Window(t.start_date(i)), None if t.skip[i] != ESTIMATED else Periodogram(
             t.grid, t.power[i], t.estimator, t.normalization, int(t.n_samples[i])))

@@ -163,11 +163,23 @@ def test_each_command_loads_only_its_stages(tmp_path, flat_dir, argv, loaded):
         assert (tmp_path / "out" / "manifest.json").is_file()
 
 
+def test_version_loads_neither_dataclasses_nor_hashlib():
+    # Without site, so that only what the command itself imports is loaded.
+    env = dict(os.environ, PYTHONPATH=str(Path(flowrhythm.__file__).resolve().parents[1]))
+    code = ("import sys; from flowrhythm.cli import main\n"
+            "try:\n    main(['--version'])\nexcept SystemExit:\n    pass\n"
+            "print(*sorted({'dataclasses', 'hashlib'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"flowrhythm {flowrhythm.__version__}\n\n"
+
+
 def test_parser_defaults_and_choices_are_the_librarys():
     parser = build_parser()
     commands = parser._subparsers._group_actions[0].choices
     window = tracking.WindowConfig()
     min_valid_slots = inspect.signature(binning.readings_to_days).parameters["min_valid_slots"].default
+    track_defaults = inspect.signature(tracking.compute_track).parameters
     for command in ("ingest", "profile", "periodogram", "track"):
         flags = {a.dest: a for a in commands[command]._actions}
         assert flags["min_valid_slots"].default == min_valid_slots
@@ -178,6 +190,8 @@ def test_parser_defaults_and_choices_are_the_librarys():
             assert tuple(float(p) for p in flags["periods"].default.split(",")) == window.target_periods
             assert flags["estimator"].choices == sorted(spectral.ESTIMATORS)
             assert tuple(flags["normalization"].choices) == spectral.NORMALIZATIONS
+            assert flags["estimator"].default == track_defaults["estimator"].default
+            assert flags["normalization"].default == track_defaults["normalization"].default
 
 
 def test_simulate_seed_override_changes_output(tmp_path):
@@ -316,6 +330,24 @@ def test_periodogram_rows_are_its_windows_overlay_rows(tmp_path, flat_dir):
     rows = [line.split(",", 1)[1] for line in overlay if line.startswith("2021-03-05,")]
     assert len(rows) == 59
     assert (tmp_path / "pg" / "periodogram.csv").read_text().splitlines()[1:] == rows
+
+
+def test_periodogram_estimates_only_its_window(tmp_path, flat_dir, monkeypatch):
+    # The closed form is handed the Moments of every window it estimates.
+    label, closed_form, minimum = spectral.ESTIMATORS["ls"]
+    estimated = []
+
+    def recorder(m, normalization):
+        estimated.append(len(m.n))
+        return closed_form(m, normalization)
+
+    monkeypatch.setitem(spectral.ESTIMATORS, "ls", (label, recorder, minimum))
+    readings = str(flat_dir / "readings.csv")
+    assert main(["periodogram", readings, "--out", str(tmp_path / "pg")]) == 0
+    assert main(["periodogram", readings, "--start", "2021-03-05", "--out", str(tmp_path / "pg5")]) == 0
+    assert estimated == [1, 1]
+    assert main(["track", readings, "--out", str(tmp_path / "trk")]) == 0
+    assert estimated == [1, 1, 21]
 
 
 def test_track_rerun_byte_identical(tmp_path, flat_dir):

@@ -24,6 +24,7 @@ from flowrhythm.tracking import (
     compute_track,
     compute_window_periodograms,
     make_windows,
+    periodogram_window,
     write_intensity_csv,
     write_overlay_csv,
     write_periodogram_csv,
@@ -46,11 +47,16 @@ def noisy_tone_days(day_factory, n, seed=7):
     ]
 
 
+def excluding(days, calendar):
+    """Listed days or a DayMatrix, as a DayMatrix without the days `calendar` excludes."""
+    return DayMatrix.from_days(days).excluding(calendar)
+
+
 def track(tmp_path, days, calendar=None, cfg=None):
     """The rows of intensity.csv, each split into its five fields."""
     cfg = cfg or WindowConfig()
     path = tmp_path / "intensity.csv"
-    write_intensity_csv(compute_track(days, calendar, cfg), path)
+    write_intensity_csv(compute_track(excluding(days, calendar), cfg), path)
     return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
 
@@ -97,7 +103,7 @@ def vacation_fixture(day_run_factory):
 
 
 def test_ten_days_single_window(day_run_factory):
-    track = compute_track(day_run_factory(START, 10), None, WindowConfig())
+    track = compute_track(day_run_factory(START, 10), WindowConfig())
     assert track.first == START and track.starts.tolist() == [0]
     assert track.valid_days.tolist() == [10]
     assert track.n_samples.tolist() == [960]
@@ -130,7 +136,7 @@ def test_window_count_over_spans_calendars_and_strides(data):
     calendar = data.draw(st.sampled_from([None, ExclusionCalendar.from_ranges(
         (START + timedelta(days=k), START + timedelta(days=k), c) for k, c in excluded.items()
     )]))
-    track = compute_track(days, calendar, cfg)
+    track = compute_track(excluding(days, calendar), cfg)
     n = max(0, (span - cfg.window_days) // cfg.stride_days + 1)
     assert track.first == START
     assert track.starts.tolist() == [i * cfg.stride_days for i in range(n)]
@@ -142,18 +148,18 @@ def test_window_count_over_spans_calendars_and_strides(data):
 def test_window_count_is_span_minus_nine(n):
     # inline construction: hypothesis shrinks badly through fixtures
     days = [BinnedDay(START + timedelta(days=k), np.ones(SLOTS_PER_DAY)) for k in range(n)]
-    assert len(compute_track(days, None, WindowConfig()).starts) == n - 9
+    assert len(compute_track(days, WindowConfig()).starts) == n - 9
 
 
 def test_two_hundred_twenty_six_days(day_run_factory):
     days = day_run_factory(START, 226)
-    assert len(compute_track(days, None, WindowConfig()).starts) == 217
+    assert len(compute_track(days, WindowConfig()).starts) == 217
 
 
 def test_vacation_span_skips_low_occupancy_windows(tmp_path, vacation_fixture):
     days, calendar = vacation_fixture
     cfg = WindowConfig()
-    track = compute_track(days, calendar, cfg)
+    track = compute_track(excluding(days, calendar), cfg)
     assert track.starts.tolist() == list(range(11))
     assert track.emitted.tolist() == [0, 1, 2]
     assert track.valid_days.tolist() == [10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 1]
@@ -171,7 +177,7 @@ def test_skip_rows_hold_nan_power_and_stay_out_of_the_overlay(tmp_path, day_run_
     calendar = ExclusionCalendar.from_ranges(
         [(START + timedelta(days=14), START + timedelta(days=19), DayClass.VACATION)]
     )
-    track = compute_track(days, calendar, WindowConfig(), estimator="classic")
+    track = compute_track(excluding(days, calendar), WindowConfig(), estimator="classic")
     assert set(track.skip.tolist()) == {ESTIMATED, FEW_VALID_DAYS, UNEVEN}
     skipped = track.skip != ESTIMATED
     assert np.isnan(track.power[skipped]).all()
@@ -183,7 +189,7 @@ def test_skip_rows_hold_nan_power_and_stay_out_of_the_overlay(tmp_path, day_run_
 
 def test_stride_spaces_window_starts(day_run_factory):
     days = day_run_factory(START, 40)
-    track = compute_track(days, None, WindowConfig(stride_days=3))
+    track = compute_track(days, WindowConfig(stride_days=3))
     assert track.starts[0] == 0
     assert (np.diff(track.starts) == 3).all()
     assert track.start_date(-1) + timedelta(days=9) <= days[-1].day
@@ -192,12 +198,12 @@ def test_stride_spaces_window_starts(day_run_factory):
 def test_duplicate_days_rejected(day_factory):
     days = [day_factory(START), day_factory(START)]
     with pytest.raises(DataError, match="duplicate"):
-        compute_track(days, None, WindowConfig())
+        compute_track(days, WindowConfig())
 
 
 def test_empty_input():
     with pytest.raises(EmptyInput):
-        compute_track([], None, WindowConfig())
+        compute_track([], WindowConfig())
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,7 +220,7 @@ def test_windows_count_the_valid_days_and_present_slots_of_their_rows(data):
     excluded = data.draw(st.sets(st.integers(0, span - 1)), label="excluded")
     calendar = ExclusionCalendar({START + timedelta(days=k): DayClass.WEATHER_EVENT for k in excluded})
     valid = retained & ~np.isin(np.arange(span), list(excluded))
-    track = compute_track(DayMatrix(START, values, retained), calendar, cfg)
+    track = compute_track(excluding(DayMatrix(START, values, retained), calendar), cfg)
     for row, start in enumerate(track.starts.tolist()):
         rows = slice(start, start + window)
         assert track.valid_days[row] == int(valid[rows].sum())
@@ -223,6 +229,23 @@ def test_windows_count_the_valid_days_and_present_slots_of_their_rows(data):
         if expected == ESTIMATED and track.n_samples[row] < 3:
             expected = FEW_SAMPLES
         assert track.skip[row] == expected
+
+
+@pytest.mark.parametrize("estimator", ["ls", "classic"])
+def test_values_of_rows_not_retained_never_reach_a_window(estimator):
+    # Row 4 is not retained but still holds values: the windows must read it
+    # as the NaN row it would be had binning dropped the day.
+    rng = np.random.default_rng(11)
+    values = rng.uniform(0.0, 5.0, (12, SLOTS_PER_DAY))
+    retained = np.arange(12) != 4
+    blanked = values.copy()
+    blanked[4] = np.nan
+    cfg = WindowConfig()
+    held, blank = (compute_track(DayMatrix(START, v, retained), cfg, estimator) for v in (values, blanked))
+    assert held.valid_days.tolist() == blank.valid_days.tolist() == [9, 9, 9]
+    assert held.n_samples.tolist() == blank.n_samples.tolist() == [864] * 3
+    assert held.skip.tolist() == blank.skip.tolist() == [ESTIMATED if estimator == "ls" else UNEVEN] * 3
+    assert np.array_equal(held.power, blank.power, equal_nan=True)
 
 
 def test_windows_start_at_the_first_retained_day(tmp_path):
@@ -237,7 +260,7 @@ def test_windows_start_at_the_first_retained_day(tmp_path):
     listed = DayMatrix.from_days([BinnedDay(d, bins) for d, bins in day_rows(days)])
     cfg = WindowConfig()
     for name, matrix in (("matrix", days), ("listed", listed)):
-        track = compute_track(matrix, None, cfg)
+        track = compute_track(matrix, cfg)
         assert track.start_date(0) == START + timedelta(days=1)
         write_intensity_csv(track, tmp_path / f"{name}.csv")
     assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
@@ -246,7 +269,7 @@ def test_windows_start_at_the_first_retained_day(tmp_path):
 def test_window_clock_is_slot_midpoints(day_factory):
     days = noisy_tone_days(day_factory, 2)
     cfg = WindowConfig(window_days=2, min_valid_days=2)
-    track = compute_track(days, None, cfg)
+    track = compute_track(days, cfg)
     times = SLOT_HOURS * (np.arange(192) + 0.5)
     values = np.concatenate([d.bins for d in days])
     assert_matches_reference(track, 0, lomb_scargle(Samples(times, values), cfg.grid()))
@@ -256,11 +279,11 @@ def test_missing_slot_leaves_the_window(day_factory):
     bins = cosine_bins(offset=4.0)
     bins[5] = np.nan
     cfg = WindowConfig(window_days=2, min_valid_days=1)
-    alone = compute_track([day_factory(START, bins)], None, cfg)
+    alone = compute_track([day_factory(START, bins)], cfg)
     assert len(alone.starts) == 0 and alone.power.shape == (0, len(cfg.grid()))  # 1-day span cannot host a 2-day window
 
     days = [day_factory(START, bins), day_factory(START + timedelta(days=1), cosine_bins(amplitude=2.0))]
-    track = compute_track(days, None, cfg)
+    track = compute_track(days, cfg)
     assert track.n_samples.tolist() == [191]
     times = np.delete(SLOT_HOURS * (np.arange(192) + 0.5), 5)
     values = np.delete(np.concatenate([d.bins for d in days]), 5)
@@ -271,7 +294,7 @@ def test_missing_slot_leaves_the_window(day_factory):
 def test_batched_ls_matches_single_series_on_demo(demo_days, study_calendar, normalization):
     cfg = WindowConfig()
     grid = cfg.grid()
-    track = compute_track(demo_days, study_calendar, cfg, normalization=normalization)
+    track = compute_track(excluding(demo_days, study_calendar), cfg, normalization=normalization)
     assert len(track.emitted) > 100
     for row in track.emitted:
         samples = reference_samples(demo_days, study_calendar, track.start_date(row), cfg.window_days)
@@ -283,7 +306,7 @@ def test_batched_classic_matches_single_series_on_complete_tone(day_factory, nor
     days = noisy_tone_days(day_factory, 45)  # 36 windows: more than one block
     cfg = WindowConfig()
     grid = cfg.grid()
-    track = compute_track(days, None, cfg, estimator="classic", normalization=normalization)
+    track = compute_track(days, cfg, estimator="classic", normalization=normalization)
     assert track.estimator == "classic"
     assert len(track.emitted) == len(track.starts) == 36
     for row in track.emitted:
@@ -309,7 +332,7 @@ def test_batched_matches_single_series_at_every_window_length(
         (date(2020, 12, 25), date(2020, 12, 25), DayClass.PUBLIC_HOLIDAY),
     ])}[calendar]
     cfg = WindowConfig(window_days=window_days)
-    track = compute_track(days, calendar, cfg, estimator)
+    track = compute_track(excluding(days, calendar), cfg, estimator)
     grid = cfg.grid()
     columns = slice(None)
     if window_days == 365:
@@ -341,8 +364,8 @@ def test_classic_equals_lomb_scargle_on_complete_windows(data):
     tone = cosine_bins(amplitude=4.0, offset=8.0) + rng.normal(0.0, noise_sd, (span, SLOTS_PER_DAY))
     days = DayMatrix(START, tone, np.ones(span, dtype=bool))
     cfg = WindowConfig(window_days=window, stride_days=stride, min_valid_days=window)
-    classic = compute_track(days, None, cfg, "classic")
-    ls = compute_track(days, None, cfg, "ls")
+    classic = compute_track(days, cfg, "classic")
+    ls = compute_track(days, cfg, "ls")
     assert len(classic.emitted) == len(classic.starts) > 0
     assert np.all(np.abs(classic.power - ls.power) <= 1e-12 * np.maximum(classic.power, ls.power))
 
@@ -352,7 +375,7 @@ def test_classic_accepts_edge_gap_and_rejects_inner_hole(day_factory, caplog):
     hole = START + timedelta(days=10)
     calendar = ExclusionCalendar({hole: DayClass.HARDWARE_FAULT})
     cfg = WindowConfig()
-    track = compute_track(days, calendar, cfg, estimator="classic")
+    track = compute_track(excluding(days, calendar), cfg, estimator="classic")
     for row in (1, 10):  # the hole is the last, then the first day
         assert track.skip[row] == ESTIMATED and track.valid_days[row] == 9
         samples = reference_samples(days, calendar, track.start_date(row), cfg.window_days)
@@ -370,7 +393,7 @@ def test_too_few_samples_warns_with_the_count(day_factory, caplog):
     bins[:2] = 1.0
     cfg = WindowConfig(window_days=2, min_valid_days=1)
     days = [day_factory(START, bins), day_factory(START + timedelta(days=1), np.full(SLOTS_PER_DAY, np.nan))]
-    track = compute_track(days, None, cfg)
+    track = compute_track(days, cfg)
     assert track.skip.tolist() == [FEW_SAMPLES] and track.n_samples.tolist() == [2]
     assert np.isnan(track.power).all()
     assert [r.getMessage() for r in caplog.records] == [f"window {START} skipped: need at least 3 samples, got 2"]
@@ -400,16 +423,16 @@ def test_classic_estimator_demoted_on_gaps(day_run_factory, day_factory):
         day_factory(START + timedelta(days=k)) for k in range(6, 11)
     ]
     cfg = WindowConfig(min_valid_days=8)
-    via_classic = compute_track(days, None, cfg, estimator="classic")
+    via_classic = compute_track(days, cfg, estimator="classic")
     assert via_classic.skip.tolist() == [UNEVEN, UNEVEN]
     assert np.isnan(via_classic.power).all()
-    via_ls = compute_track(days, None, cfg, estimator="ls")
+    via_ls = compute_track(days, cfg, estimator="ls")
     assert via_ls.skip.tolist() == [ESTIMATED, ESTIMATED]
 
 
 def test_unknown_estimator():
     with pytest.raises(InvalidConfig):
-        compute_track([], None, WindowConfig(), estimator="welch")
+        compute_track([], WindowConfig(), estimator="welch")
 
 
 def test_off_grid_target_period():
@@ -423,7 +446,7 @@ def test_no_window_to_estimate_builds_no_trig_table():
     days = DayMatrix(START, np.ones((20, SLOTS_PER_DAY)), np.ones(20, dtype=bool))
     tracemalloc.start()
     try:
-        track = compute_track(days, None, WindowConfig(window_days=60))
+        track = compute_track(days, WindowConfig(window_days=60))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -435,7 +458,7 @@ def test_an_overlay_with_no_emitted_window_formats_no_frequency(tmp_path):
     # A 100,000-day window has 580,001 grid frequencies, whose cells' text
     # would take over 100 MB to make; with no window to write, none is made.
     days = DayMatrix(START, np.ones((20, SLOTS_PER_DAY)), np.ones(20, dtype=bool))
-    track = compute_track(days, None, WindowConfig(window_days=100_000))
+    track = compute_track(days, WindowConfig(window_days=100_000))
     assert len(track.grid) == 580_001 and len(track.emitted) == 0
     tracemalloc.start()
     try:
@@ -455,7 +478,7 @@ def test_one_year_window_holds_its_days_sums_not_a_year_of_phases():
     days = DayMatrix(START, rng.uniform(0.0, 5.0, (365, SLOTS_PER_DAY)), np.ones(365, dtype=bool))
     tracemalloc.start()
     try:
-        track = compute_track(days, None, WindowConfig(window_days=365))
+        track = compute_track(days, WindowConfig(window_days=365))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -473,7 +496,7 @@ def test_noise_ladder_erodes_periodic_fraction(day_factory):
             day_factory(START + timedelta(days=k), cosine_bins(offset=8.0) + noise_sd * z[k])
             for k in range(12)
         ]
-        track = compute_track(days, None, WindowConfig())
+        track = compute_track(days, WindowConfig())
         i24 = track.grid.index_of_period(24.0)
         power = track.power[track.emitted]
         fractions.append(float(np.mean(power[:, i24] / power.sum(axis=1))))
@@ -517,7 +540,7 @@ def test_overlay_csv(tmp_path, vacation_fixture):
     days, calendar = vacation_fixture
     cfg = WindowConfig()
     path = tmp_path / "overlay.csv"
-    write_overlay_csv(compute_track(days, calendar, cfg), path)
+    write_overlay_csv(compute_track(excluding(days, calendar), cfg), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "window_start,frequency_cph,period_hours,power"
     assert len(lines) == 1 + 3 * len(cfg.grid())
@@ -529,7 +552,7 @@ def test_overlay_csv(tmp_path, vacation_fixture):
 def test_periodogram_csv(tmp_path, vacation_fixture):
     days, calendar = vacation_fixture
     grid = WindowConfig().grid()
-    track = compute_track(days, calendar, WindowConfig())
+    track = compute_track(excluding(days, calendar), WindowConfig())
     write_periodogram_csv(track, 2, tmp_path / "pg.csv")
     lines = (tmp_path / "pg.csv").read_text().splitlines()
     assert lines[0] == "frequency_cph,period_hours,power"
@@ -564,7 +587,7 @@ def test_overlay_and_periodogram_writers_equal_their_text_oracle(
     tmp_path, monkeypatch, demo_days, study_calendar, tone_days, household, estimator, normalization, block_rows
 ):
     days, calendar = (demo_days, study_calendar) if household == "demo" else (tone_days, None)
-    track = compute_track(days, calendar, WindowConfig(), estimator, normalization)
+    track = compute_track(excluding(days, calendar), WindowConfig(), estimator, normalization)
     emitted = track.emitted
     powers = track.power[emitted]
     below_one = np.mean((powers >= 2.0**-10) & (powers < 1.0))  # formatted by the kernel's new range
@@ -582,10 +605,39 @@ def test_overlay_and_periodogram_writers_equal_their_text_oracle(
         assert (tmp_path / "pg.csv").read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("household, estimator, window_days", [
+    ("demo", "ls", 10), ("demo", "ls", 60), ("tone", "classic", 10), ("tone", "classic", 60),
+])
+def test_one_window_estimate_is_its_track_row_bit_for_bit(
+    demo_days, study_calendar, tone_days, household, estimator, window_days
+):
+    days = excluding(demo_days, study_calendar) if household == "demo" else tone_days
+    cfg = WindowConfig(window_days=window_days)
+    track = compute_track(days, cfg, estimator)
+    emitted = track.emitted
+    assert len(emitted) > 100
+    first, row = periodogram_window(days, cfg, estimator)
+    assert row == emitted[0]
+    assert np.isnan(first.power[emitted[1:]]).all()
+    for row in emitted.tolist():
+        one, at = periodogram_window(days, cfg, estimator, start=track.start_date(row))
+        assert at == row
+        assert np.array_equal(one.power[row], track.power[row])
+        assert one.n_samples[row] == track.n_samples[row]
+
+
+def test_one_window_estimate_needs_an_emitted_window(vacation_fixture):
+    days = excluding(*vacation_fixture)
+    with pytest.raises(DataError, match="no emitted window starts at 2021-03-05"):
+        periodogram_window(days, WindowConfig(), start=START + timedelta(days=4))
+    with pytest.raises(DataError, match="no window has enough valid days"):
+        periodogram_window(days, WindowConfig(window_days=12, min_valid_days=12))
+
+
 def test_list_views_are_the_track_rows(vacation_fixture):
     days, calendar = vacation_fixture
     cfg = WindowConfig()
-    track = compute_track(days, calendar, cfg)
+    track = compute_track(excluding(days, calendar), cfg)
     pairs = compute_window_periodograms(days, calendar, cfg)
     assert [w.start_date for w in make_windows(days, calendar, cfg)] == [w.start_date for w, _ in pairs]
     assert [w.start_date for w, _ in pairs] == [track.start_date(row) for row in range(11)]
@@ -641,14 +693,14 @@ def per_row_overlay(track) -> str:
 
 
 def test_overlay_rows_equal_the_per_row_formula_on_demo(tmp_path, demo_days, study_calendar):
-    track = compute_track(demo_days, study_calendar, WindowConfig())
+    track = compute_track(excluding(demo_days, study_calendar), WindowConfig())
     assert len(track.emitted) > 100
     write_overlay_csv(track, tmp_path / "overlay.csv")
     assert (tmp_path / "overlay.csv").read_text() == per_row_overlay(track)
 
 
 def test_overlay_rows_equal_the_per_row_formula_on_a_complete_tone(tmp_path, day_factory):
-    track = compute_track(noisy_tone_days(day_factory, 45), None, WindowConfig(), "classic")
+    track = compute_track(noisy_tone_days(day_factory, 45), WindowConfig(), "classic")
     assert len(track.emitted) == len(track.starts) == 36
     write_overlay_csv(track, tmp_path / "overlay.csv")
     assert (tmp_path / "overlay.csv").read_text() == per_row_overlay(track)
