@@ -9,16 +9,20 @@ faults. Every date not listed is Normal. Lines look like
     # comments and blank lines are ignored
 
 Ranges are inclusive on both ends. Overlapping ranges are allowed only when
-they agree on the label; conflicting overlaps are rejected.
+they agree on the label, and then merge; a day claimed by two labels is
+rejected. A calendar holds its ranges, not its days, so a line such as
+`2018-01-01..9999-12-31,hardware` costs no more than a single day.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from datetime import date, timedelta
+from bisect import bisect_right
+from dataclasses import dataclass
+from datetime import date
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -60,67 +64,62 @@ def parse_date(text: str) -> date:
     return day
 
 
-def _iter_span(start: date, end: date) -> Iterator[date]:
-    # By ordinal, so a span ending on date.max never steps past it.
-    return map(date.fromordinal, range(start.toordinal(), end.toordinal() + 1))
-
-
 @dataclass(frozen=True)
 class ExclusionCalendar:
-    """Immutable mapping from dates to their non-Normal classification."""
+    """The non-Normal days of a calendar, held as its ranges: `spans` are sorted,
+    disjoint inclusive ranges of day ordinals, each with its class. Build one with `from_ranges`."""
 
-    entries: Mapping[date, DayClass] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for d, cls in self.entries.items():
-            if not isinstance(d, date):
-                raise CalendarError(f"calendar key {d!r} is not a date")
-            if cls is DayClass.NORMAL:
-                raise CalendarError(f"{d}: Normal days are implicit, not listed")
-        # freeze against later mutation of the mapping passed in
-        object.__setattr__(self, "entries", dict(self.entries))
+    spans: tuple[tuple[int, int, DayClass], ...] = ()
 
     @classmethod
     def from_ranges(
         cls, ranges: Iterable[tuple[date, date, DayClass]]
     ) -> "ExclusionCalendar":
-        entries: dict[date, DayClass] = {}
+        """Ranges of the same class that overlap or touch merge; a day two
+        classes claim is a CalendarError naming the earliest such day."""
+        checked = []
         for start, end, day_class in ranges:
             if end < start:
                 raise CalendarError(f"range {start}..{end} ends before it starts")
-            for d in _iter_span(start, end):
-                previous = entries.get(d)
-                if previous is not None and previous is not day_class:
+            if day_class is DayClass.NORMAL:
+                raise CalendarError(f"range {start}..{end}: Normal days are implicit, not listed")
+            checked.append((start.toordinal(), end.toordinal(), day_class))
+        spans: list[tuple[int, int, DayClass]] = []
+        # By start, a range can only meet the last span held: every earlier one ends before it.
+        for first, last, day_class in sorted(checked, key=itemgetter(0)):
+            if spans and first <= spans[-1][1] + 1:
+                held_first, held_last, held = spans[-1]
+                if held is day_class:
+                    spans[-1] = (held_first, max(held_last, last), held)
+                    continue
+                if first <= held_last:
                     raise CalendarError(
-                        f"{d}: conflicting labels "
-                        f"{previous.value!r} and {day_class.value!r}"
+                        f"{date.fromordinal(first)}: conflicting labels "
+                        f"{held.value!r} and {day_class.value!r}"
                     )
-                entries[d] = day_class
-        return cls(entries)
+            spans.append((first, last, day_class))
+        return cls(tuple(spans))
 
     def classify(self, d: date) -> DayClass:
-        return self.entries.get(d, DayClass.NORMAL)
+        day = d.toordinal()
+        i = bisect_right(self.spans, day, key=itemgetter(0)) - 1
+        return self.spans[i][2] if i >= 0 and day <= self.spans[i][1] else DayClass.NORMAL
 
     def normal_mask(self, first: date, n: int) -> np.ndarray:
-        """Which of the n days from `first` on are Normal, in one pass over the entries."""
-        rows = np.array([(d - first).days for d in self.entries], dtype=np.int64)
+        """Which of the n days from `first` on are Normal: each span clears its slice."""
+        origin = first.toordinal()
         mask = np.ones(n, dtype=bool)
-        mask[rows[(rows >= 0) & (rows < n)]] = False
+        for lo, hi, _ in self.spans:
+            mask[max(lo - origin, 0) : max(hi - origin + 1, 0)] = False
         return mask
 
     def vacation_ranges(self) -> list[tuple[date, date]]:
         """Maximal runs of consecutive vacation days, for plot annotation."""
-        days = sorted(d for d, c in self.entries.items() if c is DayClass.VACATION)
-        ranges: list[tuple[date, date]] = []
-        for d in days:
-            if ranges and d - ranges[-1][1] == timedelta(days=1):
-                ranges[-1] = (ranges[-1][0], d)
-            else:
-                ranges.append((d, d))
-        return ranges
+        vacations = [(lo, hi) for lo, hi, day_class in self.spans if day_class is DayClass.VACATION]
+        return [(date.fromordinal(lo), date.fromordinal(hi)) for lo, hi in vacations]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(hi - lo + 1 for lo, hi, _ in self.spans)
 
 
 def count_normal_days(

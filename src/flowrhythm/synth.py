@@ -24,7 +24,7 @@ import numpy as np
 
 from .binning import SLOTS_PER_DAY, local_clock, zone_named
 from .errors import InvalidConfig
-from .exclusions import parse_date
+from .exclusions import DayClass, ExclusionCalendar, parse_date
 from .readings import BLOCK_ROWS, ReadingStream
 
 # The first start and last end a scenario may have: a run spans local
@@ -307,7 +307,11 @@ def generate(cfg: ScenarioConfig) -> ReadingStream:
     epochs[0], litres[0], n = t_start, total, 1
     to_local = local_clock(tz)
     templates = np.array((cfg.weekday_template,) * 5 + (cfg.saturday_template, cfg.sunday_template))
-    vacations = [(_day_number(first), _day_number(last)) for first, last in cfg.vacations]
+    start_day = (cfg.start - date(1970, 1, 1)).days
+    # Local days run from cfg.start to the day after cfg.end, whose midnight ends the run.
+    vacation = ~ExclusionCalendar.from_ranges(
+        (first, last, DayClass.VACATION) for first, last in cfg.vacations
+    ).normal_mask(cfg.start, (cfg.end - cfg.start).days + 2)
     for t, noises, draws in _draw_steps(cfg.seed, lo, hi, t_start, t_end):
         if cfg.daily_pattern is not None:
             tone = cfg.daily_pattern
@@ -318,10 +322,7 @@ def generate(cfg: ScenarioConfig) -> ReadingStream:
             local_day, second = np.divmod(to_local(t), 86400)
             # 1970-01-01 was a Thursday, weekday 3.
             base = templates[(local_day + 3) % 7, second // 900]
-            vacation = np.zeros(len(t), dtype=bool)
-            for first, last in vacations:
-                vacation |= (local_day >= first) & (local_day <= last)
-            base[vacation] = cfg.vacation_level
+            base[vacation[local_day - start_day]] = cfg.vacation_level
         usage = base + cfg.noise_sd * noises
         usage = np.where(usage > 0.0, usage, 0.0)  # as max(0.0, usage): -0.0 becomes 0.0
         # cumsum adds in sequence, exactly as a running counter += usage does.
@@ -611,8 +612,3 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     raw = json.loads(text)
     ki, wi = np.array(raw["ki"], dtype=np.uint64), np.array(raw["wi"], dtype=np.float64)
     return np.concatenate([ki, ki]), np.concatenate([wi, -wi])
-
-
-def _day_number(d: date) -> int:
-    """Days since 1970-01-01."""
-    return int(np.datetime64(d, "D").astype(np.int64))

@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from datetime import date, timedelta
 
 import pytest
@@ -17,13 +19,13 @@ MON = date(2021, 3, 1)  # a Monday
 
 
 def test_classify_defaults_to_normal():
-    cal = ExclusionCalendar({})
+    cal = ExclusionCalendar.from_ranges([])
     assert cal.classify(MON) is DayClass.NORMAL
 
 
 def test_calendar_rejects_normal_entries():
     with pytest.raises(CalendarError):
-        ExclusionCalendar({MON: DayClass.NORMAL})
+        ExclusionCalendar.from_ranges([(MON, MON, DayClass.NORMAL)])
 
 
 def test_from_ranges_expands_inclusive():
@@ -37,7 +39,7 @@ def test_from_ranges_expands_inclusive():
 
 
 def test_from_ranges_rejects_conflicting_overlap():
-    with pytest.raises(CalendarError):
+    with pytest.raises(CalendarError, match="^2021-03-04: conflicting labels 'vacation' and 'holiday'$"):
         ExclusionCalendar.from_ranges(
             [
                 (date(2021, 3, 2), date(2021, 3, 4), DayClass.VACATION),
@@ -54,6 +56,19 @@ def test_from_ranges_allows_agreeing_overlap():
         ]
     )
     assert len(cal) == 5
+    assert cal.spans == ((date(2021, 3, 2).toordinal(), date(2021, 3, 6).toordinal(), DayClass.VACATION),)
+
+
+def test_a_conflict_names_the_earliest_day_two_labels_claim():
+    # The label of the range that starts first comes first, whatever the line order.
+    with pytest.raises(CalendarError, match="^2021-03-03: conflicting labels 'vacation' and 'holiday'$"):
+        ExclusionCalendar.from_ranges(
+            [
+                (date(2021, 3, 8), date(2021, 3, 8), DayClass.WEATHER_EVENT),
+                (date(2021, 3, 3), date(2021, 3, 9), DayClass.PUBLIC_HOLIDAY),
+                (date(2021, 3, 1), date(2021, 3, 10), DayClass.VACATION),
+            ]
+        )
 
 
 def test_parse_calendar_lines_and_comments():
@@ -83,7 +98,7 @@ def test_parse_calendar_takes_the_last_date():
 def test_load_calendar_drops_a_byte_order_mark(tmp_path):
     text = "2017-12-25,holiday\n2018-03-01..2018-03-04,weather\n"
     (tmp_path / "cal.txt").write_bytes(b"\xef\xbb\xbf" + text.encode())
-    assert load_calendar(tmp_path / "cal.txt").entries == parse_calendar(text).entries
+    assert load_calendar(tmp_path / "cal.txt") == parse_calendar(text)
 
 
 def test_parse_calendar_unknown_label_reports_line():
@@ -135,7 +150,7 @@ def test_count_normal_days_small_span():
 
 
 def test_count_normal_days_rejects_reversed_span():
-    cal = ExclusionCalendar({})
+    cal = ExclusionCalendar.from_ranges([])
     with pytest.raises(ValueError):
         count_normal_days(cal, date(2021, 3, 2), date(2021, 3, 1), 0)
 
@@ -149,29 +164,86 @@ def test_study_calendar_weekday_totals(study_calendar):
     assert sum(counts) == 226
 
 
+def test_an_open_ended_line_costs_one_range():
+    tracemalloc.start()
+    try:
+        cal = parse_calendar("2018-01-01..9999-12-31,hardware\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    first = date(2010, 1, 1)
+    n = (date(2019, 12, 31) - first).days + 1
+    assert cal.normal_mask(first, n).tolist() == [first + timedelta(days=i) < date(2018, 1, 1) for i in range(n)]
+    assert len(cal) == date.max.toordinal() - date(2018, 1, 1).toordinal() + 1
+    assert cal.classify(date.max) is DayClass.HARDWARE_FAULT
+
+
+LABELS = [c for c in DayClass if c is not DayClass.NORMAL]
+
+
 @st.composite
-def calendars_and_spans(draw):
-    """A calendar of single days and ranges within 60 days of MON, and a span
-    that may begin before, or end after, every entry."""
+def ranges_in_file_order(draw):
+    """Single days and ranges within 60 days of MON, in the order a file lists them."""
     ranges = []
     for start in draw(st.lists(st.integers(0, 60), max_size=8)):
         end = start + draw(st.integers(0, 5))
-        label = draw(st.sampled_from([c for c in DayClass if c is not DayClass.NORMAL]))
-        ranges.append((MON + timedelta(days=start), MON + timedelta(days=end), label))
-    entries = {}
-    for start, end, label in ranges:  # later ranges win, so no label conflicts
+        ranges.append((MON + timedelta(days=start), MON + timedelta(days=end), draw(st.sampled_from(LABELS))))
+    return ranges
+
+
+def per_day_oracle(ranges):
+    """Each listed day's labels, built day by day in file order."""
+    labels = {}
+    for start, end, label in ranges:
         for k in range((end - start).days + 1):
-            entries[start + timedelta(days=k)] = label
+            labels.setdefault(start + timedelta(days=k), []).append(label)
+    return labels
+
+
+@st.composite
+def calendars_and_spans(draw):
+    """A calendar from ranges in file order, less each range that would
+    conflict with one kept before it, and a span that may begin before, or
+    end after, every range."""
+    kept = []
+    for start, end, label in draw(ranges_in_file_order()):
+        if all(set(labels) == {label} for labels in per_day_oracle(kept + [(start, end, label)]).values()):
+            kept.append((start, end, label))
     first = MON + timedelta(days=draw(st.integers(-30, 90)))
-    return ExclusionCalendar(entries), first, draw(st.integers(0, 100))
+    return ExclusionCalendar.from_ranges(kept), first, draw(st.integers(0, 100))
 
 
-@settings(max_examples=200, deadline=None)
-@given(calendars_and_spans())
-def test_normal_mask_equals_per_day_classify(case):
-    cal, first, n = case
-    expected = [cal.classify(first + timedelta(days=i)) is DayClass.NORMAL for i in range(n)]
-    assert cal.normal_mask(first, n).tolist() == expected
+@settings(max_examples=300, deadline=None)
+@given(ranges_in_file_order(), st.integers(-30, 90), st.integers(0, 100))
+def test_from_ranges_equals_a_per_day_oracle(ranges, offset, n):
+    labels = per_day_oracle(ranges)
+    clashes = sorted(d for d, found in labels.items() if len(set(found)) > 1)
+    if clashes:
+        with pytest.raises(CalendarError) as caught:
+            ExclusionCalendar.from_ranges(ranges)
+        day, first_label, second_label = re.fullmatch(
+            r"(\S+): conflicting labels '(\w+)' and '(\w+)'", str(caught.value)
+        ).groups()
+        assert day == clashes[0].isoformat()
+        assert first_label != second_label
+        assert {first_label, second_label} <= {label.value for label in labels[clashes[0]]}
+        return
+    cal = ExclusionCalendar.from_ranges(ranges)
+    entries = {d: found[0] for d, found in labels.items()}
+    first = MON + timedelta(days=offset)
+    days = [first + timedelta(days=i) for i in range(n)]
+    assert [cal.classify(d) for d in days] == [entries.get(d, DayClass.NORMAL) for d in days]
+    assert cal.normal_mask(first, n).tolist() == [d not in entries for d in days]
+    assert len(cal) == len(entries)
+    vacation_days = sorted(d for d, label in entries.items() if label is DayClass.VACATION)
+    runs = []
+    for d in vacation_days:
+        if runs and d - runs[-1][1] == timedelta(days=1):
+            runs[-1] = (runs[-1][0], d)
+        else:
+            runs.append((d, d))
+    assert cal.vacation_ranges() == runs
 
 
 @settings(max_examples=200, deadline=None)

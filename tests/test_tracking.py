@@ -218,7 +218,8 @@ def test_windows_count_the_valid_days_and_present_slots_of_their_rows(data):
     values[rng.random(values.shape) < data.draw(st.floats(0.0, 1.0), label="missing")] = np.nan
     values[~retained] = np.nan
     excluded = data.draw(st.sets(st.integers(0, span - 1)), label="excluded")
-    calendar = ExclusionCalendar({START + timedelta(days=k): DayClass.WEATHER_EVENT for k in excluded})
+    excluded_days = [START + timedelta(days=k) for k in excluded]
+    calendar = ExclusionCalendar.from_ranges([(d, d, DayClass.WEATHER_EVENT) for d in excluded_days])
     valid = retained & ~np.isin(np.arange(span), list(excluded))
     track = compute_track(excluding(DayMatrix(START, values, retained), calendar), cfg)
     for row, start in enumerate(track.starts.tolist()):
@@ -373,7 +374,7 @@ def test_classic_equals_lomb_scargle_on_complete_windows(data):
 def test_classic_accepts_edge_gap_and_rejects_inner_hole(day_factory, caplog):
     days = noisy_tone_days(day_factory, 20)
     hole = START + timedelta(days=10)
-    calendar = ExclusionCalendar({hole: DayClass.HARDWARE_FAULT})
+    calendar = ExclusionCalendar.from_ranges([(hole, hole, DayClass.HARDWARE_FAULT)])
     cfg = WindowConfig()
     track = compute_track(excluding(days, calendar), cfg, estimator="classic")
     for row in (1, 10):  # the hole is the last, then the first day
