@@ -22,9 +22,10 @@ slots inside a spring-forward hour can never be observed (they stay
 Missing), and during a fall-back hour two intervals can close in the same
 wall-clock slot, in which case their litres add.
 
-A stream is cleaned and binned in blocks of BLOCK_ROWS readings.
-Neighbouring blocks share the reading at their edge, which closes the last
-interval of one and opens the first of the next.
+A stream is cleaned and binned block by block: a ReadingStream in blocks
+of BLOCK_ROWS readings, or a file's blocks as readings.read_blocks reads
+them. The reading at a block's edge is carried on, to open the first
+interval of the next.
 
 Binned days are laid out once, as a DayMatrix: row i of its (span x 96)
 `values` holds the local day `first + i`, and `retained[i]` says whether
@@ -216,16 +217,24 @@ def _lookup(t: np.ndarray, offset_at) -> np.ndarray:
     return np.array([offset_at(s) for s in t.tolist()], dtype=np.int64)
 
 
-def _clean_blocks(stream: ReadingStream) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(end_s, litres) of the kept intervals, block by block.
+def _clean_blocks(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]], source_id: str
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(end_s, litres) of the kept intervals of a stream's (epoch_s, litres)
+    blocks, a block each.
 
-    Once the last block has been taken, the counter decreases and the
-    outage intervals of the whole stream are logged, one warning each.
+    The reading at a block's edge is carried on, to open the first interval
+    of the next. Once the last block has been taken, the counter decreases
+    and the outage intervals of the whole stream are logged, one warning
+    each.
     """
     resets, outages = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for a in range(0, len(stream) - 1, BLOCK_ROWS):
-        epoch = stream.epoch_s[a : a + BLOCK_ROWS + 1]
-        diffs = np.diff(stream.litres[a : a + BLOCK_ROWS + 1])
+    edge = None  # the (instant, total) of the last reading taken
+    a = 0  # the index in the stream of the block's first reading, the carried one if any
+    for epoch, litres in blocks:
+        if edge is not None:
+            epoch, litres = np.concatenate(([edge[0]], epoch)), np.concatenate(([edge[1]], litres))
+        diffs = np.diff(litres)
         keep = diffs >= 0
         resets.append(np.flatnonzero(~keep) + a + 1)
         long = np.diff(epoch) > DEFAULT_MAX_GAP.total_seconds()
@@ -233,13 +242,15 @@ def _clean_blocks(stream: ReadingStream) -> Iterator[tuple[np.ndarray, np.ndarra
         outages.append(diffs[long])
         keep &= ~long
         yield epoch[1:][keep], diffs[keep]
+        a += len(epoch) - 1
+        edge = epoch[-1], litres[-1]
     resets, outages = np.concatenate(resets), np.concatenate(outages)
     if len(resets):
         log.warning(
             "cumulative counter decreases at reading index(es) %s (source %r); "
             "no interval spans a decrease",
             resets.tolist(),
-            stream.source_id,
+            source_id,
         )
     if len(outages):
         log.warning(
@@ -259,7 +270,8 @@ def readings_to_days(
     """Clean one household stream and bin what is left into days (see the module docstring)."""
     ends = stream.epoch_s[1:]  # the instants intervals close at
     first_s, last_s = (int(ends[0]), int(ends[-1])) if len(ends) else (0, 0)
-    return bin_blocks(_clean_blocks(stream), first_s, last_s, tz, min_valid_slots)
+    blocks = _clean_blocks(stream.blocks(BLOCK_ROWS), stream.source_id)
+    return bin_blocks(blocks, first_s, last_s, tz, min_valid_slots)
 
 
 def bin_blocks(

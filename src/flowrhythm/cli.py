@@ -8,6 +8,10 @@ Exit codes: 0 success, 2 usage or config error, 3 data error.
 Each command imports the stage modules it runs in its own body, so a
 process loads only those: `--version` and `--help` load no numpy, `ingest`
 loads `readings` and `binning`, and only `simulate` loads `synth`.
+
+A command passes its readings from their source to its outputs in one
+pass, block by block, and never holds the whole stream. The readings file
+it writes is renamed into place only when the pass succeeds.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ import gc
 import json
 import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator
 
 from . import (
     DEFAULT_MIN_VALID_DAYS,
@@ -50,11 +56,13 @@ def _utc_stamp(epoch_s) -> str:
 def _sha256_file(path: Path) -> str:
     import hashlib
 
-    # In 1 MiB chunks, so a long readings file is never held whole.
+    # Through one 64 KiB buffer, so a long readings file is never held whole.
     digest = hashlib.sha256()
+    buffer = bytearray(1 << 16)
+    view = memoryview(buffer)
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
+        while n := fh.readinto(buffer):
+            digest.update(view[:n])
     return "sha256:" + digest.hexdigest()
 
 
@@ -104,18 +112,32 @@ def _input_file(text: str, what: str) -> Path:
     return path
 
 
+@contextmanager
+def _staged(target: Path) -> Iterator[Path]:
+    """The path to write `target` at: renamed to `target` when the block
+    ends, or removed if it raises, so a failed run leaves no part-written
+    file."""
+    part = target.with_name(target.name + ".part")
+    try:
+        yield part
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    os.replace(part, target)
+
+
 def _load_inputs(args):
-    """(out, inputs, stream, days, calendar) of a command that reads a stream.
+    """(out, inputs, binned, calendar) of a command that reads a stream.
 
     Every check that needs no readings comes first, so a mistake is reported
     before a long file is read: the flags, the readings path, the calendar
     path, the calendar's parse, then making --out. `inputs` are the files the
-    manifest digests. Days the calendar excludes are cleared from
-    `days.retained` by DayMatrix.excluding; `calendar` is None without
-    --calendar.
+    manifest digests. `binned(blocks, first_s, last_s)` cleans and bins one
+    pass of readings.read_blocks over inputs[0] into days, block by block;
+    days the calendar excludes are cleared from `days.retained` by
+    DayMatrix.excluding. `calendar` is None without --calendar.
     """
-    from .binning import check_min_valid_slots, readings_to_days, zone_named
-    from .readings import read_stream
+    from .binning import _clean_blocks, bin_blocks, check_min_valid_slots, zone_named
 
     tz = zone_named(args.timezone)
     check_min_valid_slots(args.min_valid_slots)
@@ -127,13 +149,17 @@ def _load_inputs(args):
         inputs.append(_input_file(calendar, "calendar"))
         calendar = load_calendar(inputs[1])
     out = _out_dir(args)
-    stream = read_stream(inputs[0])
-    days = readings_to_days(stream, tz=tz, min_valid_slots=args.min_valid_slots).excluding(calendar)
-    return out, inputs, stream, days, calendar
+
+    def binned(blocks, first_s: int, last_s: int):
+        days = bin_blocks(_clean_blocks(blocks, str(inputs[0])), first_s, last_s, tz, args.min_valid_slots)
+        return days.excluding(calendar)
+
+    return out, inputs, binned, calendar
 
 
 def _windowed(args):
     """The loaded inputs of a periodogram or track run, and its WindowConfig."""
+    from .readings import read_blocks
     from .tracking import WindowConfig
 
     try:
@@ -149,16 +175,16 @@ def _windowed(args):
         target_periods=periods,
     )
     cfg.grid()  # before a long file is read
-    out, inputs, _, days, calendar = _load_inputs(args)
-    return out, inputs, days, calendar, cfg
+    out, inputs, binned, calendar = _load_inputs(args)
+    return out, inputs, read_blocks(inputs[0], binned), calendar, cfg
 
 
 def cmd_simulate(args) -> int:
     from dataclasses import replace
     from importlib import resources
 
-    from .readings import write_stream_csv, write_stream_jsonl
-    from .synth import demo_scenario, generate, load_scenario, scenario_to_json
+    from .readings import _write_rows
+    from .synth import demo_scenario, generate_blocks, load_scenario, scenario_to_json
 
     if args.scenario is None:
         cfg = demo_scenario()
@@ -169,13 +195,10 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     out = _out_dir(args)
-    stream = generate(cfg)
-    name = "readings.jsonl" if args.format == "jsonl" else "readings.csv"
-    target = out / name
-    if args.format == "jsonl":
-        write_stream_jsonl(stream, target)
-    else:
-        write_stream_csv(stream, target)
+    target = out / ("readings.jsonl" if args.format == "jsonl" else "readings.csv")
+    # Each block is written as it is generated.
+    with _staged(target) as part, open(part, "wb") as fh:
+        n = sum(len(epoch) for epoch, _ in _write_rows(generate_blocks(cfg), fh, args.format))
     written = [target.name]
     if scenario_path is None:
         # The packaged demo has a matching exclusion calendar; emit it so the
@@ -189,34 +212,45 @@ def cmd_simulate(args) -> int:
         "format": args.format,
     }
     _write_manifest(out, "simulate", config, [scenario_path] if scenario_path else [])
-    print(f"wrote {len(stream)} readings to {target}" + (" (+ calendar.txt)" if len(written) > 1 else ""))
+    print(f"wrote {n} readings to {target}" + (" (+ calendar.txt)" if len(written) > 1 else ""))
     return 0
 
 
 def cmd_ingest(args) -> int:
-    from .readings import segment_litres, write_stream_csv
+    from .readings import Totals, _write_rows, read_blocks
 
-    out, inputs, stream, days, _ = _load_inputs(args)
-    write_stream_csv(stream, out / "readings.csv")
+    out, inputs, binned, _ = _load_inputs(args)
+    with _staged(out / "readings.csv") as part:
+
+        def ingest(blocks, first_s: int, last_s: int):
+            # One pass: each block is counted, written and binned in turn.
+            totals = Totals()
+            with open(part, "wb") as fh:
+                days = binned(_write_rows(totals.through(blocks), fh, "csv"), first_s, last_s)
+            return days, totals
+
+        days, totals = read_blocks(inputs[0], ingest)
     n_days = int(days.retained.sum())
     summary = {
-        "n_readings": len(stream),
-        "first": _utc_stamp(stream.epoch_s[0]),
-        "last": _utc_stamp(stream.epoch_s[-1]),
-        "total_litres": segment_litres(stream),
+        "n_readings": totals.n,
+        "first": _utc_stamp(totals.first_s),
+        "last": _utc_stamp(totals.last_s),
+        "total_litres": totals.litres,
         "n_binned_days": n_days,
         "timezone": args.timezone,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     _write_manifest(out, "ingest", _config(args), inputs)
-    print(f"ingested {len(stream)} readings covering {n_days} day(s)")
+    print(f"ingested {totals.n} readings covering {n_days} day(s)")
     return 0
 
 
 def cmd_profile(args) -> int:
     from .binning import GROUPS, profile, write_profile_csv
+    from .readings import read_blocks
 
-    out, inputs, _, days, _ = _load_inputs(args)
+    out, inputs, binned, _ = _load_inputs(args)
+    days = read_blocks(inputs[0], binned)
     # Every profile before any file, so a group with no days writes nothing.
     profiles = {f"profile_{group}.csv": profile(days, group, std_kind=args.std) for group in GROUPS}
     for name, p in profiles.items():

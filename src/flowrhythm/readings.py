@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import logging
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "ReadingStream",
     "parse_stream",
     "read_stream",
+    "read_blocks",
     "difference_cumulative",
     "segment_litres",
     "write_stream_csv",
@@ -46,6 +48,7 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+T = TypeVar("T")
 
 NOMINAL_PERIOD = timedelta(minutes=15)
 # Readings handled per step of every block loop: reading and parsing a
@@ -78,9 +81,10 @@ class ReadingStream:
         litres = np.asarray(self.litres, dtype=np.float64)
         if epoch.shape != litres.shape or epoch.ndim != 1:
             raise ValueError("epoch_s and litres must be 1-d arrays of equal length")
-        if len(epoch) and np.any(np.diff(epoch) <= 0):
-            bad = int(np.argmax(np.diff(epoch) <= 0)) + 1
-            raise NonMonotonicTimestamp(bad, "timestamps must strictly increase")
+        # Neighbouring views compared: 1 byte per reading, where np.diff takes 8.
+        later = epoch[1:] > epoch[:-1]
+        if not np.all(later):
+            raise NonMonotonicTimestamp(int(np.argmin(later)) + 1, "timestamps must strictly increase")
         if len(epoch) and not (FIRST_EPOCH_S <= epoch[0] and epoch[-1] <= LAST_EPOCH_S):
             raise ValueError(f"timestamps must lie within {_EPOCH_RANGE}")
         if np.any(litres < 0) or not np.all(np.isfinite(litres)):
@@ -92,6 +96,12 @@ class ReadingStream:
 
     def __len__(self) -> int:
         return len(self.epoch_s)
+
+    def blocks(self, rows: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(epoch_s, litres) views of each run of `rows` readings, BLOCK_ROWS by default."""
+        rows = rows or BLOCK_ROWS
+        for a in range(0, len(self), rows):
+            yield self.epoch_s[a : a + rows], self.litres[a : a + rows]
 
 
 # --- parsing -------------------------------------------------------------------
@@ -180,47 +190,116 @@ def _chunks(fh) -> Iterator[bytes]:
         yield block
 
 
-def _fast(fh, fmt: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of the rest of a binary file, or None to leave it
-    to the row parser: None unless every block is in the format's layout,
-    as _layout_block reads it, and the rows are clean and time-ordered.
+class _Declined(Exception):
+    """The fast path does not take the file; the row parser reads it."""
 
-    The first CSV line that is not empty may be a header the row parser
-    skips: printable ASCII (where str.splitlines finds no line end) whose
-    fields _is_header accepts. A first pass counts the lines, so the rows
-    go straight into two arrays allocated once, with room for one row per
-    line; the file is never held whole.
+
+def _skip_header(fh) -> None:
+    """Move a CSV file past its first line that is not empty, if that line
+    is a header the row parser skips: printable ASCII (where str.splitlines
+    finds no line end) whose fields _is_header accepts."""
+    start = fh.tell()
+    line = b""
+    while not line and (raw := fh.readline()):
+        line = raw.removesuffix(b"\n").removesuffix(b"\r")
+    printable = not line.translate(None, bytes(range(0x20, 0x7F)))
+    try:
+        header = printable and _is_header(next(csv.reader([line.decode()])))
+    except csv.Error:  # e.g. a field over the csv module's size limit
+        header = False
+    if not header:
+        fh.seek(start)
+
+
+# Longer than any line the fast path takes: a layout's literals, a stamp and
+# a FIELD_BYTES number, with room to spare.
+_LONGEST_LINE = 256
+
+
+def _last_line(fh, start: int) -> bytes:
+    """The last line that is not empty of a binary file from `start` on,
+    without its line end; b"" if there is none, or if it is longer than
+    _LONGEST_LINE, which no layout takes. It is read back from the end in
+    windows of a few such lines."""
+    end = fh.seek(0, 2)
+    while True:
+        at = max(start, end - 4 * _LONGEST_LINE)
+        fh.seek(at)
+        text = fh.read(end - at).rstrip(b"\r\n")
+        line = text[text.rfind(b"\n") + 1 :]
+        if len(line) > _LONGEST_LINE:
+            return b""
+        if len(line) < len(text) or at == start:
+            return line
+        end = at + len(text)  # the window held line ends, or a line's end: read back from there
+
+
+def _fast_blocks(fh, fmt: str) -> tuple[int, int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """(first_s, last_s, blocks) of the rest of a binary file: its first and
+    last instants, and its readings as checked blocks of (epoch_s, litres)
+    arrays in the format's layout, as _layout_block reads it.
+
+    A CSV's first line that is not empty may be a header, which is skipped.
+    The last line is read first, for last_s; the blocks, each a chunk of
+    whole lines (see _chunks), as they are taken, so the file is never held
+    whole. No block is empty. Its values are finite and >= 0, and its
+    instants lie in FIRST_EPOCH_S..last_s and strictly increase, within it
+    and from the block before; the last block ends at last_s. Raises
+    _Declined, to leave the file to the row parser, as soon as a line is
+    not in the layout or a block fails a check.
+    """
+    if fmt == "csv":
+        _skip_header(fh)
+    start = fh.tell()
+    tail = _layout_block(_last_line(fh, start), fmt)
+    if tail is None or len(tail[0]) != 1 or not FIRST_EPOCH_S <= tail[0][0] <= LAST_EPOCH_S:
+        raise _Declined
+    last_s = int(tail[0][0])
+    fh.seek(start)
+    blocks = _checked_blocks(fh, fmt, last_s)
+    first = next(blocks)
+    return int(first[0][0]), last_s, itertools.chain([first], blocks)
+
+
+def _checked_blocks(fh, fmt: str, last_s: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The blocks _fast_blocks describes, from the file's position on."""
+    before = FIRST_EPOCH_S - 1  # the instant of the reading before the block
+    for chunk in _chunks(fh):
+        rows = _layout_block(chunk, fmt)
+        if rows is None:
+            raise _Declined
+        epoch, litres = rows
+        if not len(epoch):
+            continue
+        if not (before < epoch[0] and epoch[-1] <= last_s and np.all(epoch[1:] > epoch[:-1])
+                and np.all(np.isfinite(litres) & (litres >= 0))):
+            raise _Declined
+        before = epoch[-1]
+        yield epoch, litres
+    if before != last_s:
+        raise _Declined
+
+
+def _fast(fh, fmt: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """(epoch_s, litres) of the rest of a binary file, collected from
+    _fast_blocks, or None to leave the file to the row parser.
+
+    A first pass counts the lines, so the rows go straight into two arrays
+    allocated once, with room for one row per line.
     """
     start = fh.tell()
-    if fmt == "csv":
-        line = b""
-        while not line and (raw := fh.readline()):
-            line = raw.removesuffix(b"\n").removesuffix(b"\r")
-        printable = not line.translate(None, bytes(range(0x20, 0x7F)))
-        try:
-            header = printable and _is_header(next(csv.reader([line.decode()])))
-        except csv.Error:  # e.g. a field over the csv module's size limit
-            header = False
-        if not header:
-            fh.seek(start)
-    start = fh.tell()
-    lines = sum(block.count(b"\n") for block in _chunks(fh)) + 1
+    lines = sum(chunk.count(b"\n") for chunk in _chunks(fh)) + 1
     fh.seek(start)
     epoch, litres = np.empty(lines, dtype=np.int64), np.empty(lines, dtype=np.float64)
     n = 0
-    for block in _chunks(fh):
-        rows = _layout_block(block, fmt)
-        if rows is None:
-            return None
-        m = len(rows[0])
-        epoch[n : n + m], litres[n : n + m] = rows
-        n += m
-    epoch, litres = epoch[:n], litres[:n]
-    if not n or not np.all(np.isfinite(litres) & (litres >= 0)) or np.any(np.diff(epoch) <= 0):
+    try:
+        for block in _fast_blocks(fh, fmt)[2]:
+            m = len(block[0])
+            epoch[n : n + m], litres[n : n + m] = block
+            n += m
+    except _Declined:
         return None
-    if epoch[0] < FIRST_EPOCH_S or epoch[-1] > LAST_EPOCH_S:
-        return None
-    return epoch, litres
+    return epoch[:n], litres[:n]
 
 
 def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
@@ -342,6 +421,11 @@ def parse_stream(source, fmt: str = "csv", source_id: str = "") -> ReadingStream
     return _parse(io.BytesIO(data), fmt, source_id, raw)
 
 
+def _format(path: Path) -> str:
+    """`.jsonl` and `.ndjson` files are JSONL, others CSV."""
+    return "jsonl" if path.suffix.lower() in {".jsonl", ".ndjson"} else "csv"
+
+
 def read_stream(path: str | Path) -> ReadingStream:
     """Read a stream file; `.jsonl` and `.ndjson` files are JSONL, others CSV.
 
@@ -349,9 +433,41 @@ def read_stream(path: str | Path) -> ReadingStream:
     it whole.
     """
     p = Path(path)
-    fmt = "jsonl" if p.suffix.lower() in {".jsonl", ".ndjson"} else "csv"
     with open(p, "rb") as fh:
-        return _parse(fh, fmt, str(p))
+        return _parse(fh, _format(p), str(p))
+
+
+def read_blocks(path: str | Path, consume: Callable[[Iterator, int, int], T]) -> T:
+    """consume(blocks, first_s, last_s) over the readings of a stream file,
+    read as read_stream reads it, one block at a time.
+
+    `blocks` are checked blocks of (epoch_s, litres) arrays: consecutive,
+    their instants strictly increasing within and across blocks, from
+    first_s to last_s. On the fast path they come straight from the file,
+    which is never held whole. If the fast path declines a block, consume's
+    work so far is dropped, and consume is called again with the blocks of
+    the row parser's stream. Either way the sub-nominal warning is logged
+    once the blocks end.
+    """
+    p = Path(path)
+    fmt, source_id = _format(p), str(p)
+    with open(p, "rb") as fh:
+        start = _skip_bom(fh)
+        try:
+            first_s, last_s, blocks = _fast_blocks(fh, fmt)
+            return consume(_with_sub_nominal_warning(blocks, source_id), first_s, last_s)
+        except _Declined:
+            pass
+        stream = _parse_rows(fh, fmt, source_id, start)
+    blocks = _with_sub_nominal_warning(stream.blocks(), source_id)
+    return consume(blocks, int(stream.epoch_s[0]), int(stream.epoch_s[-1]))
+
+
+def _skip_bom(fh) -> int:
+    """Move a binary file past a leading UTF-8 byte order mark; where its text starts."""
+    start = len(_BOM) if fh.read(len(_BOM)) == _BOM else 0
+    fh.seek(start)
+    return start
 
 
 def _parse(fh, fmt: str, source_id: str, raw: bytes | str | None = None) -> ReadingStream:
@@ -361,47 +477,63 @@ def _parse(fh, fmt: str, source_id: str, raw: bytes | str | None = None) -> Read
     the file. The row parser reads `raw`, the whole input, or else the
     whole file after the mark.
     """
-    start = len(_BOM) if fh.read(len(_BOM)) == _BOM else 0
-    fh.seek(start)
+    start = _skip_bom(fh)
     parsed = _fast(fh, fmt)
-    if parsed is None:
-        if raw is None or start:
-            fh.seek(start)
-            raw = fh.read()
-        try:
-            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-        except UnicodeDecodeError as exc:
-            # Lines are counted as the row parsers count them, by
-            # str.splitlines; the "x" stands in for the bad byte's line.
-            line_no = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
-            raise MalformedRow(line_no, f"not UTF-8 text: {exc.reason}") from None
-        # Typed buffers, not a tuple of Python objects per row. The import
-        # stays on this path: loading array adds about 70 KB to any process.
-        from array import array
-        lines, epoch, litres = array("q"), array("q"), array("d")
-        for line_no, t, value in _PARSERS[fmt](text):
-            lines.append(line_no)
-            epoch.append(t)
-            litres.append(value)
-        if not epoch:
-            raise EmptyInput("no readings found")
-        lines, epoch = np.frombuffer(lines, np.int64), np.frombuffer(epoch, np.int64)
-        litres = np.frombuffer(litres, np.float64)
-        bad = np.flatnonzero(np.diff(epoch) <= 0)
-        if len(bad):
-            raise NonMonotonicTimestamp(int(lines[bad[0] + 1]))
-    else:
-        epoch, litres = parsed
+    stream = ReadingStream(*parsed, source_id) if parsed is not None else _parse_rows(fh, fmt, source_id, start, raw)
+    for _ in _with_sub_nominal_warning(stream.blocks(), source_id):
+        pass
+    return stream
 
-    sub_nominal = int(np.count_nonzero(np.diff(epoch) < NOMINAL_PERIOD.total_seconds()))
-    if sub_nominal:
+
+def _parse_rows(fh, fmt: str, source_id: str, start: int, raw: bytes | str | None = None) -> ReadingStream:
+    """The readings the row parser reads from `raw`, or else from a binary
+    file from `start` on; MalformedRow, NonMonotonicTimestamp or EmptyInput
+    at the first defect, with its 1-based physical line number."""
+    if raw is None or start:
+        fh.seek(start)
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    except UnicodeDecodeError as exc:
+        # Lines are counted as the row parsers count them, by
+        # str.splitlines; the "x" stands in for the bad byte's line.
+        line_no = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise MalformedRow(line_no, f"not UTF-8 text: {exc.reason}") from None
+    # Typed buffers, not a tuple of Python objects per row. The import
+    # stays on this path: loading array adds about 70 KB to any process.
+    from array import array
+    lines, epoch, litres = array("q"), array("q"), array("d")
+    for line_no, t, value in _PARSERS[fmt](text):
+        lines.append(line_no)
+        epoch.append(t)
+        litres.append(value)
+    if not epoch:
+        raise EmptyInput("no readings found")
+    lines, epoch = np.frombuffer(lines, np.int64), np.frombuffer(epoch, np.int64)
+    bad = np.flatnonzero(epoch[1:] <= epoch[:-1])
+    if len(bad):
+        raise NonMonotonicTimestamp(int(lines[bad[0] + 1]))
+    return ReadingStream(epoch, np.frombuffer(litres, np.float64), source_id)
+
+
+def _with_sub_nominal_warning(blocks: Iterable[tuple[np.ndarray, np.ndarray]], source_id: str):
+    """Pass blocks of a stream on; once they end, warn of the reading pairs
+    closer than the nominal period, if any."""
+    pairs, before = 0, None
+    nominal = NOMINAL_PERIOD.total_seconds()
+    for epoch, litres in blocks:
+        if len(epoch):
+            pairs += int(np.count_nonzero(np.diff(epoch) < nominal))
+            pairs += before is not None and int(epoch[0] - before) < nominal
+            before = epoch[-1]
+        yield epoch, litres
+    if pairs:
         log.warning(
             "%d reading pair(s) closer than the 15-minute nominal period "
             "(source %r); the sampling contract says this should not happen",
-            sub_nominal,
+            pairs,
             source_id,
         )
-    return ReadingStream(epoch, litres, source_id)
 
 
 def _parse_csv_rows(text: str) -> Iterator[tuple[int, int, float]]:
@@ -489,9 +621,47 @@ def difference_cumulative(stream: ReadingStream) -> np.recarray:
 def segment_litres(stream: ReadingStream) -> float:
     """Litres the meter counted: last - first within each segment between
     counter decreases, summed. Without a decrease it is last - first."""
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(stream.litres) < 0) + 1])
-    ends = np.append(starts[1:], len(stream)) - 1
-    return sum(float(stream.litres[b] - stream.litres[a]) for a, b in zip(starts, ends))
+    totals = Totals()
+    for block in stream.blocks():
+        totals.add(*block)
+    return totals.litres
+
+
+class Totals:
+    """Running totals of a stream read block by block: its reading count
+    `n`, its first and last instants, and its segment `litres` (see
+    segment_litres), summed segment by segment in stream order."""
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.first_s = self.last_s = 0
+        self._closed = 0.0  # the litres of the segments a decrease has ended
+        self._start = self._last = 0.0  # the open segment's first and latest totals
+
+    def add(self, epoch: np.ndarray, litres: np.ndarray) -> None:
+        if not len(epoch):
+            return
+        if not self.n:
+            self.first_s, self._start, self._last = int(epoch[0]), litres[0], litres[0]
+        # Readings after a decrease: at the block's first, from the reading before it.
+        drops = np.flatnonzero(litres[1:] < litres[:-1]) + 1
+        if litres[0] < self._last:
+            drops = np.append(0, drops)
+        for i in drops.tolist():
+            self._closed += float((litres[i - 1] if i else self._last) - self._start)
+            self._start = litres[i]
+        self.n += len(epoch)
+        self.last_s, self._last = int(epoch[-1]), litres[-1]
+
+    def through(self, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Pass blocks on, adding each to the totals."""
+        for block in blocks:
+            self.add(*block)
+            yield block
+
+    @property
+    def litres(self) -> float:
+        return self._closed + float(self._last - self._start)
 
 
 # --- writing -------------------------------------------------------------------
@@ -528,35 +698,46 @@ def _put_stamps(out: np.ndarray, epoch: np.ndarray) -> None:
 
 
 def _write_rows(
-    stream: ReadingStream, path: str | Path, first_line: bytes, head: bytes, mid: bytes, tail: bytes
-) -> None:
-    """Write first_line, then one line per reading: head, its UTC stamp
-    with a +00:00 offset as datetime.isoformat writes it, mid, the repr of
-    its litres, and tail, which ends the line. Parsing the file reproduces
-    the stream.
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]], fh, fmt: str
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Write a stream's blocks to a binary file in the format's layout,
+    passing each block on once it is written.
 
-    Each block of BLOCK_ROWS readings is laid out as one byte matrix, a row
+    The layout's first line comes first, then per reading its head, its UTC
+    stamp with a +00:00 offset as datetime.isoformat writes it, mid, the
+    repr of its litres, and its tail, which ends the line. Parsing the file
+    reproduces the stream. Each block is laid out as one byte matrix, a row
     per line with the value's padding in it, and written as one string with
-    the padding masked out.
+    the padding masked out. The matrix is reused, and grows to the longest
+    block.
     """
+    first_line, head, mid, tail = _LAYOUTS[fmt]
     stamp, value, pad = len(head), len(head) + len(_STAMP_FRAME) + len(mid), floattext.FIELD_BYTES
-    rows = np.zeros((BLOCK_ROWS, value + pad + len(tail)), dtype=np.uint8)
-    rows[:, :value] = np.frombuffer(head + _STAMP_FRAME + mid, dtype=np.uint8)
-    rows[:, value + pad :] = np.frombuffer(tail, dtype=np.uint8)
-    stamps, values = rows[:, stamp : stamp + len(_STAMP_FRAME)], rows[:, value : value + pad]
+    line = np.zeros(value + pad + len(tail), dtype=np.uint8)
+    line[:value] = np.frombuffer(head + _STAMP_FRAME + mid, dtype=np.uint8)
+    line[value + pad :] = np.frombuffer(tail, dtype=np.uint8)
+    rows = np.tile(line, (0, 1))
+    fh.write(first_line)
+    for epoch, litres in blocks:
+        n = len(epoch)
+        if n > len(rows):
+            rows = np.tile(line, (n, 1))
+        _put_stamps(rows[:n, stamp : stamp + len(_STAMP_FRAME)], epoch)
+        floattext.put_reprs(rows[:n, value : value + pad], litres)
+        block = rows[:n]
+        fh.write(block[block != 0])
+        yield epoch, litres
+
+
+def _write(stream: ReadingStream, path: str | Path, fmt: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(first_line)
-        for a in range(0, len(stream), BLOCK_ROWS):
-            n = min(BLOCK_ROWS, len(stream) - a)
-            _put_stamps(stamps[:n], stream.epoch_s[a : a + n])
-            floattext.put_reprs(values[:n], stream.litres[a : a + n])
-            block = rows[:n]
-            fh.write(block[block != 0])
+        for _ in _write_rows(stream.blocks(), fh, fmt):
+            pass
 
 
 def write_stream_csv(stream: ReadingStream, path: str | Path) -> None:
-    _write_rows(stream, path, *_LAYOUTS["csv"])
+    _write(stream, path, "csv")
 
 
 def write_stream_jsonl(stream: ReadingStream, path: str | Path) -> None:
-    _write_rows(stream, path, *_LAYOUTS["jsonl"])
+    _write(stream, path, "jsonl")

@@ -257,7 +257,6 @@ def demo_scenario() -> ScenarioConfig:
     return scenario_from_json(json.loads(text))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported once, at the end
 def generate(cfg: ScenarioConfig) -> ReadingStream:
     """Generate the cumulative reading stream for one scenario.
 
@@ -296,16 +295,38 @@ def generate(cfg: ScenarioConfig) -> ReadingStream:
     ReadingStream
         Monotone cumulative readings tagged ``synthetic:<seed>``.
     """
+    t_start, t_end = _run_span(cfg)
+    # Every step advances at least 900 + lo seconds, which bounds the count.
+    most = 1 + (t_end - t_start) // (900 + cfg.jitter[0])
+    epochs, litres = np.empty(most, dtype=np.int64), np.empty(most)
+    n = 0
+    for block in generate_blocks(cfg):
+        m = len(block[0])
+        epochs[n : n + m], litres[n : n + m] = block
+        n += m
+    return ReadingStream(epochs[:n], litres[:n], source_id=f"synthetic:{cfg.seed}")
+
+
+def _run_span(cfg: ScenarioConfig) -> tuple[int, int]:
+    """The epoch seconds of local midnight of ``cfg.start`` and after ``cfg.end``."""
     tz = ZoneInfo(cfg.timezone)
     t_start = int(datetime.combine(cfg.start, time(0), tz).timestamp())
     t_end = int(datetime.combine(cfg.end + timedelta(days=1), time(0), tz).timestamp())
+    return t_start, t_end
+
+
+def generate_blocks(cfg: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The readings :func:`generate` returns, as (epoch_s, litres) blocks:
+    the anchor reading alone, then the kept readings of each block of steps.
+
+    Raises InvalidConfig, before passing it on, at the first block whose
+    counter reaches infinity.
+    """
+    t_start, t_end = _run_span(cfg)
     lo, hi = cfg.jitter
-    # Every step advances at least 900 + lo seconds, which bounds the count.
-    most = 1 + (t_end - t_start) // (900 + lo)
-    epochs, litres = np.empty(most, dtype=np.int64), np.empty(most)
     total = float(cfg.initial_litres)
-    epochs[0], litres[0], n = t_start, total, 1
-    to_local = local_clock(tz)
+    yield np.array([t_start], dtype=np.int64), np.array([total])
+    to_local = local_clock(ZoneInfo(cfg.timezone))
     templates = np.array((cfg.weekday_template,) * 5 + (cfg.saturday_template, cfg.sunday_template))
     start_day = (cfg.start - date(1970, 1, 1)).days
     # Local days run from cfg.start to the day after cfg.end, whose midnight ends the run.
@@ -313,30 +334,29 @@ def generate(cfg: ScenarioConfig) -> ReadingStream:
         (first, last, DayClass.VACATION) for first, last in cfg.vacations
     ).normal_mask(cfg.start, (cfg.end - cfg.start).days + 2)
     for t, noises, draws in _draw_steps(cfg.seed, lo, hi, t_start, t_end):
-        if cfg.daily_pattern is not None:
-            tone = cfg.daily_pattern
-            phase = 2.0 * math.pi * ((t - t_start) / 3600.0) / tone.period_hours
-            # math.cos per step: np.cos need not round the same in the last bit.
-            base = tone.amplitude * (1.0 + np.array([math.cos(p) for p in phase.tolist()]))
-        else:
-            local_day, second = np.divmod(to_local(t), 86400)
-            # 1970-01-01 was a Thursday, weekday 3.
-            base = templates[(local_day + 3) % 7, second // 900]
-            base[vacation[local_day - start_day]] = cfg.vacation_level
-        usage = base + cfg.noise_sd * noises
-        usage = np.where(usage > 0.0, usage, 0.0)  # as max(0.0, usage): -0.0 becomes 0.0
-        # cumsum adds in sequence, exactly as a running counter += usage does.
-        usage[0] += total
-        counter = np.cumsum(usage, out=usage)
+        # Not across the yield, where the caller runs: a generator shares its caller's error state.
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            if cfg.daily_pattern is not None:
+                tone = cfg.daily_pattern
+                phase = 2.0 * math.pi * ((t - t_start) / 3600.0) / tone.period_hours
+                # math.cos per step: np.cos need not round the same in the last bit.
+                base = tone.amplitude * (1.0 + np.array([math.cos(p) for p in phase.tolist()]))
+            else:
+                local_day, second = np.divmod(to_local(t), 86400)
+                # 1970-01-01 was a Thursday, weekday 3.
+                base = templates[(local_day + 3) % 7, second // 900]
+                base[vacation[local_day - start_day]] = cfg.vacation_level
+            usage = base + cfg.noise_sd * noises
+            usage = np.where(usage > 0.0, usage, 0.0)  # as max(0.0, usage): -0.0 becomes 0.0
+            # cumsum adds in sequence, exactly as a running counter += usage does.
+            usage[0] += total
+            counter = np.cumsum(usage, out=usage)
         total = counter[-1]
+        # The counter never decreases, so a finite last total means every one is.
+        if not math.isfinite(total):
+            raise InvalidConfig("the scenario's usage overflows the counter: litres reach infinity")
         kept = draws >= cfg.dropout_rate
-        m = int(np.count_nonzero(kept))
-        epochs[n : n + m], litres[n : n + m] = t[kept], counter[kept]
-        n += m
-    # The counter never decreases, so a finite last total means every one is.
-    if not math.isfinite(total):
-        raise InvalidConfig("the scenario's usage overflows the counter: litres reach infinity")
-    return ReadingStream(epochs[:n], litres[:n], source_id=f"synthetic:{cfg.seed}")
+        yield t[kept], counter[kept]
 
 
 def _draw_steps(

@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flowrhythm
-from flowrhythm import binning, spectral, tracking
+from conftest import kernel_only
+from flowrhythm import binning, readings, spectral, tracking
 from flowrhythm.cli import _sha256_file, build_parser, main
 
 # sha256 of readings.csv from the packaged demo scenario; pinned because the
@@ -374,7 +376,9 @@ def test_manifest_config_digest_stable(tmp_path, flat_dir):
     assert digests[0] == digests[1]
 
 
-@pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 5 * (1 << 19) + 7])
+@pytest.mark.parametrize("size", [
+    0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 5 * (1 << 19) + 7,
+])
 def test_manifest_input_digest_is_the_whole_files_sha256(tmp_path, size):
     path = tmp_path / "input.bin"
     path.write_bytes(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes())
@@ -716,3 +720,149 @@ def test_simulate_dates_outside_the_stream_range_exit_two(tmp_path, capsys, date
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "InvalidConfig"
     assert "0001-01-03 to 9999-12-29" in payload["message"]
+
+
+# --- one streaming pass against the array path ---------------------------------
+
+
+def edge_case_stream(seed: int) -> readings.ReadingStream:
+    """Two stretches of Dublin readings, around the 2021 spring-forward day
+    and around the fall-back day, with a counter that drops at three
+    readings in a row, three outage gaps in a row, and a burst of readings a
+    minute apart. Runs of three put a reader's block edge on a reset and on
+    an outage whenever its blocks hold three lines or fewer."""
+    rng = np.random.default_rng(seed)
+    spring = np.cumsum(rng.integers(900, 930, 14 * 96))
+    autumn = np.cumsum(rng.integers(900, 930, 12 * 96))
+    epochs = np.concatenate([1_616_544_000 + spring, 1_635_120_000 + autumn])  # 2021-03-24, 2021-10-25 UTC
+    at = rng.integers(100, len(epochs) - 100, 3)
+    epochs[at[1] :] += 7200 * np.arange(1, 4).repeat([1, 1, len(epochs) - at[1] - 2])
+    epochs[at[2] : at[2] + 10] = epochs[at[2] - 1] + 60 * np.arange(1, 11)  # readings a minute apart
+    litres = rng.uniform(0.0, 5.0, len(epochs)).cumsum() + rng.uniform(0.0, 1e4)
+    for k, restart in enumerate((0.3, 0.2, 0.1)):  # the counter drops at three readings in a row
+        litres[at[0] + k :] -= litres[at[0] + k] - restart
+    return readings.ReadingStream(epochs, litres)
+
+
+def _spied_blocks(monkeypatch) -> list[int]:
+    """The length of each block the CLI pass hands to binning._clean_blocks."""
+    lengths: list[int] = []
+    clean = binning._clean_blocks
+
+    def spy(blocks, source_id):
+        def seen():
+            for block in blocks:
+                lengths.append(len(block[0]))
+                yield block
+        return clean(seen(), source_id)
+
+    monkeypatch.setattr(binning, "_clean_blocks", spy)
+    return lengths
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 4096])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_the_streaming_pass_equals_the_array_path(tmp_path, monkeypatch, caplog, fmt, block_rows):
+    stream = edge_case_stream(block_rows)
+    path = tmp_path / f"input.{fmt}"
+    (readings.write_stream_jsonl if fmt == "jsonl" else readings.write_stream_csv)(stream, path)
+    tz = "Europe/Dublin"
+
+    # The array path: the whole stream, then its days.
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    caplog.clear()
+    whole = readings.read_stream(path)
+    days = binning.readings_to_days(whole, binning.zone_named(tz))
+    array_log = [r.getMessage() for r in caplog.records]
+    readings.write_stream_csv(whole, expected / "readings.csv")
+    summary = {
+        "n_readings": len(whole),
+        "first": datetime.fromtimestamp(int(whole.epoch_s[0]), timezone.utc).isoformat(),
+        "last": datetime.fromtimestamp(int(whole.epoch_s[-1]), timezone.utc).isoformat(),
+        "total_litres": readings.segment_litres(whole),
+        "n_binned_days": int(days.retained.sum()),
+        "timezone": tz,
+    }
+    (expected / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    for group in binning.GROUPS:
+        binning.write_profile_csv(binning.profile(days, group), expected / f"profile_{group}.csv")
+    track = tracking.compute_track(days, tracking.WindowConfig())
+    tracking.write_intensity_csv(track, expected / "intensity.csv")
+    tracking.write_overlay_csv(track, expected / "overlay.csv")
+    assert len(track.emitted) > 0
+
+    monkeypatch.setattr(readings, "BLOCK_ROWS", block_rows)
+    lengths = _spied_blocks(monkeypatch)
+    got = tmp_path / "got"
+    with kernel_only():  # every block is the fast path's
+        for command in ("ingest", "profile", "track"):
+            caplog.clear()
+            assert main([command, str(path), "--timezone", tz, "--out", str(got)]) == 0
+            assert [r.getMessage() for r in caplog.records] == array_log
+    assert sorted(p.name for p in got.iterdir()) == sorted([p.name for p in expected.iterdir()] + ["manifest.json"])
+    for name in [p.name for p in expected.iterdir()]:
+        assert (got / name).read_bytes() == (expected / name).read_bytes(), name
+    assert "10 reading pair(s) closer" in array_log[0]
+    assert [m.split()[0] for m in array_log[1:]] == ["cumulative", "discarded", "dropped"]
+
+    # Where the last track pass's blocks start, as reading indices.
+    starts = set(np.cumsum(lengths[-len(lengths) // 3 :])[:-1].tolist())
+    assert sum(lengths) == 3 * len(whole)
+    local_days = {
+        (datetime.fromtimestamp(int(whole.epoch_s[i]), timezone.utc).astimezone(binning.zone_named(tz))).date()
+        for i in starts
+    }
+    assert {date(2021, 3, 28), date(2021, 10, 31)} <= local_days or block_rows == 4096
+    if block_rows == 1:
+        drops = set(np.flatnonzero(whole.litres[1:] < whole.litres[:-1]) + 1)
+        gaps = set(np.flatnonzero(np.diff(whole.epoch_s) > 2700) + 1)
+        assert starts & drops and starts & gaps
+
+
+def test_a_last_value_the_fast_path_declines_ingests_as_the_row_parser_reads_it(tmp_path, flat_dir, monkeypatch):
+    # `1e3` does not decode, so the file's last line sends it to the row
+    # parser before any block is read; the output is that of the array path.
+    path = tmp_path / "late.csv"
+    lines = (flat_dir / "readings.csv").read_text().splitlines()
+    lines[-1] = lines[-1].split(",")[0] + ",1e3"
+    path.write_text("\n".join(lines) + "\n")
+
+    def no_chunks(fh):
+        raise AssertionError("the fast path read a block of a file its last line declines")
+
+    with open(path, "rb") as fh, monkeypatch.context() as patched:
+        patched.setattr(readings, "_chunks", no_chunks)
+        with pytest.raises(readings._Declined):
+            readings._fast_blocks(fh, "csv")
+    stream = readings.read_stream(path)
+    assert stream.litres[-1] == 1000.0
+    readings.write_stream_csv(stream, tmp_path / "expected.csv")
+    assert main(["ingest", str(path), "--out", str(tmp_path / "ing")]) == 0
+    assert (tmp_path / "ing" / "readings.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    summary = json.loads((tmp_path / "ing" / "summary.json").read_text())
+    assert summary["n_readings"] == len(stream) and summary["total_litres"] == readings.segment_litres(stream)
+
+
+def test_a_last_row_repeating_its_stamp_exits_three_and_writes_nothing(tmp_path, flat_dir, capsys, monkeypatch):
+    # In blocks of about 90 lines, every block but the last is taken and
+    # passed on; the last fails the check across rows, so what was written
+    # is dropped, and the row parser names the row.
+    monkeypatch.setattr(readings, "BLOCK_ROWS", 64)
+    lines = (flat_dir / "readings.csv").read_text().splitlines()
+    lines[-1] = lines[-2].split(",")[0] + "," + lines[-1].split(",")[1]
+    path = tmp_path / "repeat.csv"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "ing"
+    assert main(["ingest", str(path), "--out", str(out)]) == 3
+    assert f"row {len(lines)}: timestamp does not increase" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_an_overflowing_scenario_leaves_no_readings_file(tmp_path, fmt):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**FLAT_SCENARIO, "noise_sd": 1e308}))
+    out = tmp_path / "x"
+    assert main(["simulate", "--scenario", str(scenario), "--format", fmt, "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []

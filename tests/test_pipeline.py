@@ -2,6 +2,7 @@
 edges, and the memory that reading, binning, generating and writing a long
 stream take."""
 
+import json
 import math
 import tracemalloc
 from collections import defaultdict
@@ -230,3 +231,56 @@ def test_row_parser_keeps_typed_buffers_not_a_tuple_per_reading(tmp_path):
         tracemalloc.stop()
     assert stream.epoch_s.tolist() == epochs.tolist()
     assert peak <= 2 * size + 160 * n + 2**20
+
+
+def test_building_a_stream_takes_no_full_length_temporary():
+    # The checks compare neighbouring views, a byte per reading at a time;
+    # np.diff of the instants would take eight.
+    n = 500_000
+    epochs = 1_600_000_000 + 900 * np.arange(n)
+    litres = np.linspace(0.0, 1e5, n)
+    tracemalloc.start()
+    try:
+        ReadingStream(epochs, litres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n + 2**20
+
+
+@pytest.mark.parametrize("command", ["simulate", "ingest", "profile"])
+def test_a_command_holds_its_days_not_its_readings(tmp_path, command):
+    # A command passes the readings from their source to its outputs block
+    # by block, so its traced peak is one block's scratch arrays plus a term
+    # per day: for ingest and profile the day matrix and its copies, 9 bytes
+    # per slot each; for simulate its day mask and the zone's offset cache.
+    # The readings, 16 bytes each, are never held: a two-year stream at a
+    # 5-minute cadence, 288 readings a day, would add 4.6 KB per day.
+    from flowrhythm.cli import main
+
+    scenario = tmp_path / "scenario.json"
+    start, end = date(2016, 1, 1), date(2017, 12, 31)
+    scenario.write_text(json.dumps({"start": start.isoformat(), "end": end.isoformat(),
+                                    "timezone": "America/New_York", "seed": 3, "noise_sd": 0.8}))
+    if command == "simulate":
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps({"start": "2016-01-01", "end": "2016-01-01"}))
+        assert main(["simulate", "--scenario", str(tiny), "--out", str(tmp_path / "warm")]) == 0  # loads the tables
+        argv, allowance = ["simulate", "--scenario", str(scenario)], (2 * 2**20, 256)
+        days = (end - start).days + 1
+    else:
+        rng = np.random.default_rng(4)
+        n = 731 * 288
+        epochs = 1_451_606_400 + np.cumsum(rng.integers(290, 310, n))
+        path = tmp_path / "readings.csv"
+        write_stream_csv(ReadingStream(epochs, np.cumsum(rng.uniform(0.0, 2.0, n))), path)
+        argv, allowance = [command, str(path), "--timezone", "America/New_York"], (3 * 2**20, 2048)
+        days = (epochs[-1] - epochs[0]) // 86400 + 1
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fixed, per_day = allowance
+    assert peak <= fixed + per_day * days
