@@ -39,14 +39,16 @@ from . import (
 from .errors import ConfigError, FlowRhythmError, InvalidConfig
 
 
-def _timestamp() -> str:
-    # SOURCE_DATE_EPOCH makes the manifest itself reproducible.
+def _source_date() -> datetime | None:
+    """The manifest time SOURCE_DATE_EPOCH pins, which makes the manifest
+    itself reproducible; None when it is unset."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        when = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        when = datetime.now(tz=timezone.utc)
-    return when.isoformat(timespec="seconds")
+    if epoch is None:
+        return None
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise InvalidConfig(f"bad SOURCE_DATE_EPOCH value {epoch!r}: {exc}") from None
 
 
 def _utc_stamp(epoch_s) -> str:
@@ -73,12 +75,13 @@ def _sha256_config(config: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path], **extra) -> None:
+def _write_manifest(args, out_dir: Path, config: dict, inputs: list[Path], **extra) -> None:
+    when = args.source_date or datetime.now(tz=timezone.utc)
     manifest = {
         "tool": "flowrhythm",
         "tool_version": __version__,
-        "command": command,
-        "timestamp": _timestamp(),
+        "command": args.command,
+        "timestamp": when.isoformat(timespec="seconds"),
         "config": config,
         "config_digest": _sha256_config(config),
         "inputs": {str(p): _sha256_file(p) for p in inputs},
@@ -91,7 +94,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path
 def _config(args, **resolved) -> dict:
     """The manifest config: every flag of the subcommand except the input and
     output paths, with `resolved` values in place of the parsed ones."""
-    not_flags = {"readings", "out", "command", "func", "json_errors"}
+    not_flags = {"readings", "out", "command", "func", "json_errors", "source_date"}
     return {k: v for k, v in vars(args).items() if k not in not_flags} | resolved
 
 
@@ -211,7 +214,7 @@ def cmd_simulate(args) -> int:
         "scenario_file": str(scenario_path) if scenario_path else "packaged demo",
         "format": args.format,
     }
-    _write_manifest(out, "simulate", config, [scenario_path] if scenario_path else [])
+    _write_manifest(args, out, config, [scenario_path] if scenario_path else [])
     print(f"wrote {n} readings to {target}" + (" (+ calendar.txt)" if len(written) > 1 else ""))
     return 0
 
@@ -240,7 +243,7 @@ def cmd_ingest(args) -> int:
         "timezone": args.timezone,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(out, "ingest", _config(args), inputs)
+    _write_manifest(args, out, _config(args), inputs)
     print(f"ingested {totals.n} readings covering {n_days} day(s)")
     return 0
 
@@ -255,7 +258,7 @@ def cmd_profile(args) -> int:
     profiles = {f"profile_{group}.csv": profile(days, group, std_kind=args.std) for group in GROUPS}
     for name, p in profiles.items():
         write_profile_csv(p, out / name)
-    _write_manifest(out, "profile", _config(args), inputs)
+    _write_manifest(args, out, _config(args), inputs)
     print(f"wrote {', '.join(profiles)} from {int(days.retained.sum())} day(s)")
     return 0
 
@@ -286,7 +289,7 @@ def cmd_periodogram(args) -> int:
     }
     (out / "periodogram.meta.json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
     config = _config(args, periods=list(track.cfg.target_periods), start=start.isoformat())
-    _write_manifest(out, "periodogram", config, inputs)
+    _write_manifest(args, out, config, inputs)
     print(f"wrote periodogram.csv for window starting {start}")
     return 0
 
@@ -300,7 +303,7 @@ def cmd_track(args) -> int:
     write_overlay_csv(track, out / "overlay.csv")
     vacations = calendar.vacation_ranges() if calendar is not None else []
     _write_manifest(
-        out, "track", _config(args, periods=list(track.cfg.target_periods)), inputs,
+        args, out, _config(args, periods=list(track.cfg.target_periods)), inputs,
         vacation_ranges=[[a.isoformat(), b.isoformat()] for a, b in vacations],
     )
     print(f"wrote intensity.csv ({len(track.emitted)} emitted window(s)) and overlay.csv")
@@ -392,6 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.source_date = _source_date()  # before any input is read or output written
         return args.func(args)
     except FlowRhythmError as exc:
         code = 2 if isinstance(exc, ConfigError) else 3
@@ -409,11 +413,26 @@ def run() -> None:
     The cyclic garbage collector is off for the process. A run is one short
     batch pass over numpy arrays whose memory reference counting frees, so
     the collections that the objects allocated by imports would set off find
-    nothing to free. main() itself leaves the collector as it finds it, so a
-    test or another caller that runs it in process keeps its own setting.
+    nothing to free.
+
+    Once main() has ended, by a return code, a SystemExit from argparse or
+    an uncaught exception, the whole heap is frozen. Interpreter
+    finalization still runs cyclic collections, and they would walk and
+    tear down every object that numpy and the stages made; frozen objects
+    are skipped, and the OS reclaims their memory at exit. atexit handlers
+    still run and the standard streams are still flushed. Nothing else is
+    left to a finalizer: every file a command writes is closed before
+    main() returns.
+
+    main() itself leaves the collector as it finds it and freezes nothing,
+    so a test or another caller that runs it in process keeps its own
+    setting.
     """
     gc.disable()
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

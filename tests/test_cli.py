@@ -2,6 +2,7 @@ import gc
 import hashlib
 import inspect
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -102,8 +103,8 @@ def test_manifest_scenario_simulates_the_same_readings(tmp_path, scenario, fmt):
 
 def test_main_module_runs_the_cli_only_as_a_script(tmp_path, flat_dir):
     # pydoc and other tools import flowrhythm.__main__; that must not run the
-    # CLI, nor switch off the cyclic collector, which only the process entry
-    # point does.
+    # CLI, nor switch off the cyclic collector or freeze the heap, which only
+    # the process entry point does.
     env = dict(os.environ, PYTHONPATH=str(Path(flowrhythm.__file__).resolve().parents[1]))
 
     def run(*args):
@@ -111,20 +112,95 @@ def test_main_module_runs_the_cli_only_as_a_script(tmp_path, flat_dir):
         return done.returncode, done.stdout, done.stderr
 
     assert run("-c", "import flowrhythm.__main__") == (0, "", "")
-    assert run("-c", "import gc, flowrhythm.__main__; print(gc.isenabled())") == (0, "True\n", "")
+    assert run("-c", "import gc, flowrhythm.__main__; print(gc.isenabled(), gc.get_freeze_count())") == (
+        0, "True 0\n", "")
     assert run("-m", "flowrhythm", "--version") == (0, f"flowrhythm {flowrhythm.__version__}\n", "")
-    entry = ("import atexit, gc, sys; atexit.register(lambda: print(gc.isenabled())); "
-             "sys.argv[1:] = ['--version']; from flowrhythm.cli import run; run()")
-    assert run("-c", entry) == (0, f"flowrhythm {flowrhythm.__version__}\nFalse\n", "")
-    # In process, main() leaves the collector as it found it.
+
+    # run() freezes the heap once main() has ended, by whatever route; an
+    # atexit hook, which runs before finalization's collections, sees it.
+    def entry(argv, before=""):
+        return run("-c", "import atexit, gc, sys\n"
+                         "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+                         f"sys.argv[1:] = {[str(a) for a in argv]!r}\n"
+                         "from flowrhythm import cli\n"
+                         f"{before}cli.run()")
+
+    frozen = "False True\n"
+    readings_csv = flat_dir / "readings.csv"
+    code, out, err = entry(["ingest", readings_csv, "--out", tmp_path / "ok"])
+    assert code == 0 and "Traceback" not in err and out.startswith("ingested ") and out.endswith(f" day(s)\n{frozen}")
+    assert (tmp_path / "ok" / "manifest.json").is_file()
+    missing = tmp_path / "missing.txt"
+    assert entry(["profile", readings_csv, "--calendar", missing, "--out", tmp_path / "x"]) == (
+        2, frozen, f"flowrhythm: error: calendar file not found: {missing}\n")
+    lines = readings_csv.read_text().splitlines()
+    lines[-1] = lines[-2].split(",")[0] + "," + lines[-1].split(",")[1]
+    (tmp_path / "repeat.csv").write_text("\n".join(lines) + "\n")
+    code, out, err = entry(["ingest", tmp_path / "repeat.csv", "--out", tmp_path / "repeat"])
+    assert (code, out) == (3, frozen) and f"row {len(lines)}: timestamp does not increase" in err
+    assert entry(["--version"]) == (0, f"flowrhythm {flowrhythm.__version__}\n{frozen}", "")
+    code, out, err = entry(["track"])
+    assert (code, out) == (2, frozen) and err.startswith("usage: ") and "required: readings, --out" in err
+    code, out, err = entry([], before="def boom(): raise RuntimeError('boom')\ncli.main = boom\n")
+    assert (code, out) == (1, frozen) and err.startswith("Traceback") and err.endswith("RuntimeError: boom\n")
+
+    # In process, main() leaves the collector as it found it and freezes nothing.
     was = gc.isenabled()
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            assert main(["ingest", str(flat_dir / "readings.csv"), "--out", str(tmp_path / "in")]) == 0
+            frozen_before = gc.get_freeze_count()
+            assert main(["ingest", str(readings_csv), "--out", str(tmp_path / "in")]) == 0
             assert gc.isenabled() == enabled
+            assert gc.get_freeze_count() == frozen_before
     finally:
         (gc.enable if was else gc.disable)()
+
+
+DEMO_COMMANDS = [
+    ["simulate", "--out", "sim"],
+    ["ingest", "sim/readings.csv", "--timezone", "Europe/Dublin", "--out", "ing"],
+    *([command, "sim/readings.csv", "--timezone", "Europe/Dublin", "--calendar", "sim/calendar.txt", "--out", out]
+      for command, out in [("profile", "prof"), ("periodogram", "pg"), ("track", "trk")]),
+]
+
+
+def test_entry_point_outputs_equal_in_process_outputs(tmp_path, monkeypatch, capsys, caplog):
+    # Every file and every line a command prints reaches its destination
+    # through the process entry point, which freezes the heap before exit,
+    # as it does in process. Redirected to files, the standard streams are
+    # block-buffered, so output left to an exit-time flush that was lost
+    # would show.
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    env = dict(os.environ, PYTHONPATH=str(Path(flowrhythm.__file__).resolve().parents[1]))
+    by_process, in_process, streams = tmp_path / "process", tmp_path / "in_process", tmp_path / "streams"
+    for d in (by_process, in_process, streams):
+        d.mkdir()
+    printed = {}
+    for i, argv in enumerate(DEMO_COMMANDS):
+        with open(streams / f"{i}.out", "wb") as out, open(streams / f"{i}.err", "wb") as err:
+            done = subprocess.run([sys.executable, "-m", "flowrhythm", *argv], cwd=by_process, env=env,
+                                  stdout=out, stderr=err, timeout=300)
+        printed[i] = (done.returncode, (streams / f"{i}.out").read_text(), (streams / f"{i}.err").read_text())
+    monkeypatch.chdir(in_process)
+    for i, argv in enumerate(DEMO_COMMANDS):
+        caplog.clear()
+        code = main(argv)
+        captured = capsys.readouterr()
+        # A process with no logging set up writes each warning to stderr as
+        # its bare message; in process, pytest's handler takes the records.
+        warned = "".join(f"{r.getMessage()}\n" for r in caplog.records if r.levelno >= logging.WARNING)
+        assert printed[i] == (code, captured.out, warned + captured.err), argv
+    assert any(err for _, _, err in printed.values())  # the demo's warnings are compared too
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    expected = files(in_process)
+    assert len(expected) == 16
+    assert files(by_process) == expected
+    assert json.loads(expected[Path("trk", "manifest.json")])["timestamp"] == "1970-01-01T00:00:00+00:00"
 
 
 CLI_ONLY = {"flowrhythm.cli", "flowrhythm.errors"}
@@ -374,6 +450,21 @@ def test_manifest_config_digest_stable(tmp_path, flat_dir):
             assert v.startswith("sha256:")
         digests.append(manifest["config_digest"])
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("epoch", ["abc", "99999999999999", "1.5"])
+@pytest.mark.parametrize("command", ["ingest", "simulate"])
+def test_a_bad_source_date_epoch_exits_two_before_any_output(tmp_path, flat_dir, capsys, monkeypatch, command, epoch):
+    # SOURCE_DATE_EPOCH is read before any input is read or any output is
+    # written, so a value that is not an integer, or is outside datetime's
+    # range, leaves --out as it was rather than without its manifest.
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, str(flat_dir / "readings.csv")] if command == "ingest" else [command]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"flowrhythm: error: bad SOURCE_DATE_EPOCH value {epoch!r}: ")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("size", [
