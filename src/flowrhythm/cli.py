@@ -75,7 +75,12 @@ def _sha256_config(config: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_manifest(args, out_dir: Path, config: dict, inputs: list[Path], **extra) -> None:
+def _digests(inputs: list[Path]) -> dict[str, str]:
+    """The manifest's `inputs`: each input file's path and sha256."""
+    return {str(p): _sha256_file(p) for p in inputs}
+
+
+def _write_manifest(args, out_dir: Path, config: dict, inputs: dict[str, str], **extra) -> None:
     when = args.source_date or datetime.now(tz=timezone.utc)
     manifest = {
         "tool": "flowrhythm",
@@ -84,7 +89,7 @@ def _write_manifest(args, out_dir: Path, config: dict, inputs: list[Path], **ext
         "timestamp": when.isoformat(timespec="seconds"),
         "config": config,
         "config_digest": _sha256_config(config),
-        "inputs": {str(p): _sha256_file(p) for p in inputs},
+        "inputs": inputs,
         **extra,
     }
     path = out_dir / "manifest.json"
@@ -214,7 +219,7 @@ def cmd_simulate(args) -> int:
         "scenario_file": str(scenario_path) if scenario_path else "packaged demo",
         "format": args.format,
     }
-    _write_manifest(args, out, config, [scenario_path] if scenario_path else [])
+    _write_manifest(args, out, config, _digests([scenario_path] if scenario_path else []))
     print(f"wrote {n} readings to {target}" + (" (+ calendar.txt)" if len(written) > 1 else ""))
     return 0
 
@@ -233,6 +238,7 @@ def cmd_ingest(args) -> int:
             return days, totals
 
         days, totals = read_blocks(inputs[0], ingest)
+        digests = _digests(inputs)  # before the output is renamed into place, maybe over the input
     n_days = int(days.retained.sum())
     summary = {
         "n_readings": totals.n,
@@ -243,7 +249,7 @@ def cmd_ingest(args) -> int:
         "timezone": args.timezone,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(args, out, _config(args), inputs)
+    _write_manifest(args, out, _config(args), digests)
     print(f"ingested {totals.n} readings covering {n_days} day(s)")
     return 0
 
@@ -258,7 +264,7 @@ def cmd_profile(args) -> int:
     profiles = {f"profile_{group}.csv": profile(days, group, std_kind=args.std) for group in GROUPS}
     for name, p in profiles.items():
         write_profile_csv(p, out / name)
-    _write_manifest(args, out, _config(args), inputs)
+    _write_manifest(args, out, _config(args), _digests(inputs))
     print(f"wrote {', '.join(profiles)} from {int(days.retained.sum())} day(s)")
     return 0
 
@@ -289,7 +295,7 @@ def cmd_periodogram(args) -> int:
     }
     (out / "periodogram.meta.json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
     config = _config(args, periods=list(track.cfg.target_periods), start=start.isoformat())
-    _write_manifest(args, out, config, inputs)
+    _write_manifest(args, out, config, _digests(inputs))
     print(f"wrote periodogram.csv for window starting {start}")
     return 0
 
@@ -303,7 +309,7 @@ def cmd_track(args) -> int:
     write_overlay_csv(track, out / "overlay.csv")
     vacations = calendar.vacation_ranges() if calendar is not None else []
     _write_manifest(
-        args, out, _config(args, periods=list(track.cfg.target_periods)), inputs,
+        args, out, _config(args, periods=list(track.cfg.target_periods)), _digests(inputs),
         vacation_ranges=[[a.isoformat(), b.isoformat()] for a, b in vacations],
     )
     print(f"wrote intensity.csv ({len(track.emitted)} emitted window(s)) and overlay.csv")

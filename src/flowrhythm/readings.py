@@ -94,6 +94,17 @@ class ReadingStream:
         object.__setattr__(self, "epoch_s", epoch)
         object.__setattr__(self, "litres", litres)
 
+    @classmethod
+    def from_blocks(cls, blocks: Iterable[tuple[np.ndarray, np.ndarray]], source_id: str = "") -> ReadingStream:
+        """The stream of consecutive (epoch_s, litres) blocks, joined once they end."""
+        epochs, litres = [], []
+        for epoch, values in blocks:
+            epochs.append(epoch)
+            litres.append(values)
+        epoch = np.concatenate(epochs)
+        epochs.clear()  # so the instants are not held twice while the litres are joined
+        return cls(epoch, np.concatenate(litres), source_id)
+
     def __len__(self) -> int:
         return len(self.epoch_s)
 
@@ -280,28 +291,6 @@ def _checked_blocks(fh, fmt: str, last_s: int) -> Iterator[tuple[np.ndarray, np.
         raise _Declined
 
 
-def _fast(fh, fmt: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of the rest of a binary file, collected from
-    _fast_blocks, or None to leave the file to the row parser.
-
-    A first pass counts the lines, so the rows go straight into two arrays
-    allocated once, with room for one row per line.
-    """
-    start = fh.tell()
-    lines = sum(chunk.count(b"\n") for chunk in _chunks(fh)) + 1
-    fh.seek(start)
-    epoch, litres = np.empty(lines, dtype=np.int64), np.empty(lines, dtype=np.float64)
-    n = 0
-    try:
-        for block in _fast_blocks(fh, fmt)[2]:
-            m = len(block[0])
-            epoch[n : n + m], litres[n : n + m] = block
-            n += m
-    except _Declined:
-        return None
-    return epoch[:n], litres[:n]
-
-
 def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
     """The `width` bytes of buf from each offset in `at`, a row each, gathered as one item a row."""
     return np.ndarray((len(buf) - width + 1,), f"V{width}", buf, 0, (1,))[at].view(np.uint8).reshape(-1, width)
@@ -418,7 +407,7 @@ def parse_stream(source, fmt: str = "csv", source_id: str = "") -> ReadingStream
         raise ValueError(f"unknown stream format {fmt!r}")
     raw = source if isinstance(source, (bytes, str)) else source.read()
     data = raw if isinstance(raw, bytes) else raw.encode("utf-8", "surrogatepass")
-    return _parse(io.BytesIO(data), fmt, source_id, raw)
+    return _read(io.BytesIO(data), fmt, source_id, lambda blocks, *_: ReadingStream.from_blocks(blocks, source_id), raw)
 
 
 def _format(path: Path) -> str:
@@ -429,12 +418,11 @@ def _format(path: Path) -> str:
 def read_stream(path: str | Path) -> ReadingStream:
     """Read a stream file; `.jsonl` and `.ndjson` files are JSONL, others CSV.
 
-    The fast path reads the file block by block; only the row parser reads
-    it whole.
+    The readings are collected from the blocks read_blocks passes on.
     """
     p = Path(path)
     with open(p, "rb") as fh:
-        return _parse(fh, _format(p), str(p))
+        return _read(fh, _format(p), str(p), lambda blocks, *_: ReadingStream.from_blocks(blocks, str(p)))
 
 
 def read_blocks(path: str | Path, consume: Callable[[Iterator, int, int], T]) -> T:
@@ -450,39 +438,29 @@ def read_blocks(path: str | Path, consume: Callable[[Iterator, int, int], T]) ->
     once the blocks end.
     """
     p = Path(path)
-    fmt, source_id = _format(p), str(p)
     with open(p, "rb") as fh:
-        start = _skip_bom(fh)
-        try:
-            first_s, last_s, blocks = _fast_blocks(fh, fmt)
-            return consume(_with_sub_nominal_warning(blocks, source_id), first_s, last_s)
-        except _Declined:
-            pass
-        stream = _parse_rows(fh, fmt, source_id, start)
-    blocks = _with_sub_nominal_warning(stream.blocks(), source_id)
-    return consume(blocks, int(stream.epoch_s[0]), int(stream.epoch_s[-1]))
+        return _read(fh, _format(p), str(p), consume)
 
 
-def _skip_bom(fh) -> int:
-    """Move a binary file past a leading UTF-8 byte order mark; where its text starts."""
-    start = len(_BOM) if fh.read(len(_BOM)) == _BOM else 0
-    fh.seek(start)
-    return start
-
-
-def _parse(fh, fmt: str, source_id: str, raw: bytes | str | None = None) -> ReadingStream:
-    """The readings in a seekable binary file, as parse_stream describes.
+def _read(fh, fmt: str, source_id: str, consume: Callable[[Iterator, int, int], T],
+          raw: bytes | str | None = None) -> T:
+    """consume(blocks, first_s, last_s) over the readings of a seekable
+    binary file, as read_blocks describes.
 
     A leading UTF-8 byte order mark is dropped before either parser reads
     the file. The row parser reads `raw`, the whole input, or else the
     whole file after the mark.
     """
-    start = _skip_bom(fh)
-    parsed = _fast(fh, fmt)
-    stream = ReadingStream(*parsed, source_id) if parsed is not None else _parse_rows(fh, fmt, source_id, start, raw)
-    for _ in _with_sub_nominal_warning(stream.blocks(), source_id):
+    start = len(_BOM) if fh.read(len(_BOM)) == _BOM else 0
+    fh.seek(start)
+    try:
+        first_s, last_s, blocks = _fast_blocks(fh, fmt)
+        return consume(_with_sub_nominal_warning(blocks, source_id), first_s, last_s)
+    except _Declined:
         pass
-    return stream
+    stream = _parse_rows(fh, fmt, source_id, start, raw)
+    blocks = _with_sub_nominal_warning(stream.blocks(), source_id)
+    return consume(blocks, int(stream.epoch_s[0]), int(stream.epoch_s[-1]))
 
 
 def _parse_rows(fh, fmt: str, source_id: str, start: int, raw: bytes | str | None = None) -> ReadingStream:

@@ -295,24 +295,7 @@ def generate(cfg: ScenarioConfig) -> ReadingStream:
     ReadingStream
         Monotone cumulative readings tagged ``synthetic:<seed>``.
     """
-    t_start, t_end = _run_span(cfg)
-    # Every step advances at least 900 + lo seconds, which bounds the count.
-    most = 1 + (t_end - t_start) // (900 + cfg.jitter[0])
-    epochs, litres = np.empty(most, dtype=np.int64), np.empty(most)
-    n = 0
-    for block in generate_blocks(cfg):
-        m = len(block[0])
-        epochs[n : n + m], litres[n : n + m] = block
-        n += m
-    return ReadingStream(epochs[:n], litres[:n], source_id=f"synthetic:{cfg.seed}")
-
-
-def _run_span(cfg: ScenarioConfig) -> tuple[int, int]:
-    """The epoch seconds of local midnight of ``cfg.start`` and after ``cfg.end``."""
-    tz = ZoneInfo(cfg.timezone)
-    t_start = int(datetime.combine(cfg.start, time(0), tz).timestamp())
-    t_end = int(datetime.combine(cfg.end + timedelta(days=1), time(0), tz).timestamp())
-    return t_start, t_end
+    return ReadingStream.from_blocks(generate_blocks(cfg), f"synthetic:{cfg.seed}")
 
 
 def generate_blocks(cfg: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -322,11 +305,14 @@ def generate_blocks(cfg: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarra
     Raises InvalidConfig, before passing it on, at the first block whose
     counter reaches infinity.
     """
-    t_start, t_end = _run_span(cfg)
+    tz = ZoneInfo(cfg.timezone)
+    # Local midnight of cfg.start and after cfg.end.
+    t_start = int(datetime.combine(cfg.start, time(0), tz).timestamp())
+    t_end = int(datetime.combine(cfg.end + timedelta(days=1), time(0), tz).timestamp())
     lo, hi = cfg.jitter
     total = float(cfg.initial_litres)
     yield np.array([t_start], dtype=np.int64), np.array([total])
-    to_local = local_clock(ZoneInfo(cfg.timezone))
+    to_local = local_clock(tz)
     templates = np.array((cfg.weekday_template,) * 5 + (cfg.saturday_template, cfg.sunday_template))
     start_day = (cfg.start - date(1970, 1, 1)).days
     # Local days run from cfg.start to the day after cfg.end, whose midnight ends the run.

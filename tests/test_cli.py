@@ -476,6 +476,18 @@ def test_manifest_input_digest_is_the_whole_files_sha256(tmp_path, size):
     assert _sha256_file(path) == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def test_an_in_place_ingest_records_the_digest_of_the_input_it_read(tmp_path, flat_dir):
+    # ingest rewrites a CR LF file with LF line ends, here over the file it
+    # read; the manifest holds the digest of the input as read.
+    path = tmp_path / "d" / "readings.csv"
+    path.parent.mkdir()
+    path.write_bytes((flat_dir / "readings.csv").read_bytes().replace(b"\n", b"\r\n"))
+    before = sha(path)
+    assert main(["ingest", str(path), "--out", str(path.parent)]) == 0
+    assert path.read_bytes() == (flat_dir / "readings.csv").read_bytes()
+    assert json.loads((path.parent / "manifest.json").read_text())["inputs"] == {str(path): "sha256:" + before}
+
+
 def test_track_bad_stride_exits_two(tmp_path, flat_dir):
     rc = main(["track", str(flat_dir / "readings.csv"),
                "--stride-days", "0", "--out", str(tmp_path / "x")])

@@ -4,7 +4,7 @@ import json
 import math
 import re
 import tempfile
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from unittest.mock import patch
 
@@ -26,11 +26,13 @@ from flowrhythm.readings import (
     ReadingStream,
     difference_cumulative,
     parse_stream,
+    read_blocks,
     read_stream,
     segment_litres,
     write_stream_csv,
     write_stream_jsonl,
 )
+from flowrhythm.synth import ScenarioConfig, generate, generate_blocks
 
 CSV = """timestamp,cumulative_litres
 2021-03-01T00:00:00+00:00,100.0
@@ -371,8 +373,13 @@ def test_instants_outside_the_range_are_malformed_rows(fmt, stamp):
 
 
 def fast_path(text: str, fmt: str = "csv"):
-    """What the array fast path makes of text: (epoch_s, litres), or None."""
-    return readings._fast(io.BytesIO(text.encode()), fmt)
+    """What the array fast path makes of text: (epoch_s, litres) joined from
+    its blocks, or None where it declines the text."""
+    try:
+        epochs, litres = zip(*readings._fast_blocks(io.BytesIO(text.encode()), fmt)[2])
+    except readings._Declined:
+        return None
+    return np.concatenate(epochs), np.concatenate(litres)
 
 
 def takes(number: str, fmt: str = "csv") -> bool:
@@ -404,7 +411,7 @@ def parsed(parse, fmt: str, fast: bool):
     the fast path declines every input, so the row parser reads it."""
     with contextlib.ExitStack() as stack:
         if not fast:
-            stack.enter_context(patch.object(readings, "_fast", lambda fh, fmt: None))
+            stack.enter_context(patch.object(readings, "_fast_blocks", side_effect=readings._Declined))
         try:
             s = parse()
         except Exception as exc:  # every error type must agree, not just DataError
@@ -763,3 +770,56 @@ def test_a_first_field_over_the_csv_size_limit_is_a_malformed_row():
     assert fast_path(text) is None
     assert outcome(text) == outcome(text, fast=False)
     assert outcome(text)[0] is MalformedRow
+
+
+def test_every_whole_stream_is_collected_from_the_blocks_a_command_reads(tmp_path, monkeypatch, caplog, demo_config):
+    # read_stream, parse_stream and a read_blocks collector read each file to
+    # the same bits with the same log records: one the fast path takes, one
+    # whose last line it declines before any block is read, and one whose
+    # block it declines mid-file, after a consumer has taken blocks. The
+    # pair 55 s apart makes the sub-nominal warning. generate joins the
+    # blocks generate_blocks yields.
+    monkeypatch.setattr(readings, "BLOCK_ROWS", 8)
+    epochs = 1_600_000_000 + np.cumsum(np.r_[0, np.full(59, 905)])
+    epochs[20:] -= 850
+    stream = ReadingStream(epochs, np.cumsum(np.linspace(0.25, 3.0, 60)))
+    write_stream_csv(stream, tmp_path / "plain.csv")
+    write_stream_jsonl(stream, tmp_path / "plain.jsonl")
+    lines = (tmp_path / "plain.csv").read_bytes().splitlines(keepends=True)
+    files = {  # name -> (data, the consumer calls of read_blocks)
+        "plain.csv": (b"".join(lines), 1),
+        "plain.jsonl": ((tmp_path / "plain.jsonl").read_bytes(), 1),
+        "bom.csv": (b"\xef\xbb\xbftime,litres\r\n" + b"".join(lines[1:]), 1),
+        "late.csv": (b"".join(lines[:-1] + [lines[-1].replace(b"+00:00,", b".0+00:00,")]), 1),
+        "mid.csv": (b"".join(lines[:40] + [lines[40].split(b",")[0] + b",1e3\n"] + lines[41:]), 2),
+    }
+    for name, (data, calls) in files.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        starts = []
+
+        def collect(blocks, first_s, last_s):
+            starts.append(first_s)
+            epoch, litres = (np.concatenate(parts) for parts in zip(*blocks))
+            assert (first_s, last_s) == (epoch[0], epoch[-1])
+            return ReadingStream(epoch, litres)
+
+        fmt = "jsonl" if name.endswith(".jsonl") else "csv"
+        read = []
+        for parse in (lambda: read_stream(path), lambda: parse_stream(data, fmt, str(path)),
+                      lambda: read_blocks(path, collect)):
+            caplog.clear()
+            got = parse()
+            records = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+            read.append((got.epoch_s.tobytes(), got.litres.tobytes(), records))
+        assert read[0] == read[1] == read[2], name
+        assert "1 reading pair(s) closer than" in read[0][2][0][2]
+        assert len(starts) == calls
+        if name.startswith("plain"):
+            assert read[0][:2] == (stream.epoch_s.tobytes(), stream.litres.tobytes())
+    dropout = ScenarioConfig(date(2021, 1, 1), date(2021, 2, 28), "Europe/Dublin", seed=9,
+                             noise_sd=0.5, dropout_rate=0.2)
+    for cfg in (demo_config, dropout):
+        got, joined = generate(cfg), ReadingStream.from_blocks(generate_blocks(cfg))
+        assert got.epoch_s.tobytes() == joined.epoch_s.tobytes() and got.litres.tobytes() == joined.litres.tobytes()
+        assert got.source_id == f"synthetic:{cfg.seed}"
