@@ -25,7 +25,8 @@ wall-clock slot, in which case their litres add.
 A stream is cleaned and binned block by block: a ReadingStream in blocks
 of BLOCK_ROWS readings, or a file's blocks as readings.read_blocks reads
 them. The reading at a block's edge is carried on, to open the first
-interval of the next.
+interval of the next. Nothing is read ahead of a block: the days grow as
+later ones arrive.
 
 Binned days are laid out once, as a DayMatrix: row i of its (span x 96)
 `values` holds the local day `first + i`, and `retained[i]` says whether
@@ -268,21 +269,18 @@ def readings_to_days(
     min_valid_slots: int = DEFAULT_MIN_VALID_SLOTS,
 ) -> DayMatrix:
     """Clean one household stream and bin what is left into days (see the module docstring)."""
-    ends = stream.epoch_s[1:]  # the instants intervals close at
-    first_s, last_s = (int(ends[0]), int(ends[-1])) if len(ends) else (0, 0)
     blocks = _clean_blocks(stream.blocks(BLOCK_ROWS), stream.source_id)
-    return bin_blocks(blocks, first_s, last_s, tz, min_valid_slots)
+    return bin_blocks(blocks, tz, min_valid_slots)
 
 
 def bin_blocks(
     blocks: Iterable[tuple[np.ndarray, np.ndarray]],
-    first_s: int,
-    last_s: int,
     tz: tzinfo = UTC,
     min_valid_slots: int = DEFAULT_MIN_VALID_SLOTS,
 ) -> DayMatrix:
     """Bin blocks of (closing instant, litres) arrays into the local day and
-    slot of each instant; every instant lies in [first_s, last_s].
+    slot of each instant; the instants must be in time order, within and
+    across blocks.
 
     Litres closing in the same slot add up in block and interval order;
     slots no interval closes in are Missing (NaN). Days with fewer than
@@ -292,24 +290,41 @@ def bin_blocks(
     all-NaN rows that are not retained; with no retained day the matrix has
     no rows.
 
-    The sums go into one array of every slot from the local day before
-    first_s's UTC day to the day after last_s's, which holds every local day
-    a UTC offset of less than a day can reach; the result is a slice of it.
-    min_valid_slots must lie in [0, 96]; 0 keeps every observed day.
+    The sums go into one array of every slot from the local day before the
+    first instant's, the earliest a later instant's local day can be while
+    a UTC offset changes by less than a day. It grows in whole days, by at
+    least half again, as later days arrive, and is trimmed to the last day
+    used once the blocks end; the result is a slice of it. min_valid_slots
+    must lie in [0, 96]; 0 keeps every observed day.
     """
     check_min_valid_slots(min_valid_slots)
-    first = first_s // 86400 - 1
-    size = (last_s // 86400 + 2 - first) * SLOTS_PER_DAY
-    sums, seen = np.zeros(size), np.zeros(size, dtype=bool)
     to_local = local_clock(tz)
+    # The local day the arrays start at, and the days from it to the last
+    # one an instant falls on, none before the first instant.
+    first = used = 0
+    sums, seen = np.zeros(0), np.zeros(0, dtype=bool)
     for end_s, litres in blocks:
+        if not len(end_s):
+            continue
         slot = to_local(end_s)
+        if not used:
+            first = int(slot[0]) // 86400 - 1
         slot -= first * 86400
         slot //= SLOT_MINUTES * 60
+        used = max(used, int(slot.max()) // SLOTS_PER_DAY + 1)
+        if used * SLOTS_PER_DAY > len(sums):
+            # In place: no view of either array is held.
+            size = max(used, len(sums) // SLOTS_PER_DAY * 3 // 2) * SLOTS_PER_DAY
+            sums.resize(size, refcheck=False)
+            seen.resize(size, refcheck=False)
         # add.at adds in index order, one value at a time, as a per-slot
         # running sum across the blocks does.
         np.add.at(sums, slot, litres)
         seen[slot] = True
+    if not used:
+        return DayMatrix.from_days([])
+    sums.resize(used * SLOTS_PER_DAY, refcheck=False)
+    seen.resize(used * SLOTS_PER_DAY, refcheck=False)
     sums, seen = sums.reshape(-1, SLOTS_PER_DAY), seen.reshape(-1, SLOTS_PER_DAY)
     sums[~seen] = np.nan
     observed = np.count_nonzero(seen, axis=1)

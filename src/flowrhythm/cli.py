@@ -140,10 +140,11 @@ def _load_inputs(args):
     Every check that needs no readings comes first, so a mistake is reported
     before a long file is read: the flags, the readings path, the calendar
     path, the calendar's parse, then making --out. `inputs` are the files the
-    manifest digests. `binned(blocks, first_s, last_s)` cleans and bins one
-    pass of readings.read_blocks over inputs[0] into days, block by block;
-    days the calendar excludes are cleared from `days.retained` by
-    DayMatrix.excluding. `calendar` is None without --calendar.
+    manifest digests. `binned(blocks)` cleans and bins one pass of
+    readings.read_blocks over inputs[0] into days, block by block, growing
+    the days as they arrive; days the calendar excludes are cleared from
+    `days.retained` by DayMatrix.excluding. `calendar` is None without
+    --calendar.
     """
     from .binning import _clean_blocks, bin_blocks, check_min_valid_slots, zone_named
 
@@ -158,8 +159,8 @@ def _load_inputs(args):
         calendar = load_calendar(inputs[1])
     out = _out_dir(args)
 
-    def binned(blocks, first_s: int, last_s: int):
-        days = bin_blocks(_clean_blocks(blocks, str(inputs[0])), first_s, last_s, tz, args.min_valid_slots)
+    def binned(blocks):
+        days = bin_blocks(_clean_blocks(blocks, str(inputs[0])), tz, args.min_valid_slots)
         return days.excluding(calendar)
 
     return out, inputs, binned, calendar
@@ -230,11 +231,11 @@ def cmd_ingest(args) -> int:
     out, inputs, binned, _ = _load_inputs(args)
     with _staged(out / "readings.csv") as part:
 
-        def ingest(blocks, first_s: int, last_s: int):
+        def ingest(blocks):
             # One pass: each block is counted, written and binned in turn.
             totals = Totals()
             with open(part, "wb") as fh:
-                days = binned(_write_rows(totals.through(blocks), fh, "csv"), first_s, last_s)
+                days = binned(_write_rows(totals.through(blocks), fh, "csv"))
             return days, totals
 
         days, totals = read_blocks(inputs[0], ingest)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -118,6 +117,7 @@ class ReadingStream:
 # --- parsing -------------------------------------------------------------------
 
 _BOM = b"\xef\xbb\xbf"
+_BLANKS = b" \t"  # what a line may hold and still be empty to either parser
 # Format -> (first line, head, mid, tail): the writers write the first
 # line, then per reading head, its stamp, mid, its litres and tail, which
 # ends with the newline. The fast path reads that layout back.
@@ -206,12 +206,13 @@ class _Declined(Exception):
 
 
 def _skip_header(fh) -> None:
-    """Move a CSV file past its first line that is not empty, if that line
-    is a header the row parser skips: printable ASCII (where str.splitlines
-    finds no line end) whose fields _is_header accepts."""
+    """Move a CSV file past its first line that is not blank (see
+    _layout_block), if that line is a header the row parser skips: printable
+    ASCII (where str.splitlines finds no line end) whose fields _is_header
+    accepts."""
     start = fh.tell()
     line = b""
-    while not line and (raw := fh.readline()):
+    while not line.strip(_BLANKS) and (raw := fh.readline()):
         line = raw.removesuffix(b"\n").removesuffix(b"\r")
     printable = not line.translate(None, bytes(range(0x20, 0x7F)))
     try:
@@ -222,58 +223,21 @@ def _skip_header(fh) -> None:
         fh.seek(start)
 
 
-# Longer than any line the fast path takes: a layout's literals, a stamp and
-# a FIELD_BYTES number, with room to spare.
-_LONGEST_LINE = 256
+def _fast_blocks(fh, fmt: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The readings of the rest of a binary file as checked blocks of
+    (epoch_s, litres) arrays in the format's layout, as _layout_block reads
+    it, each a chunk of whole lines (see _chunks), so the file is never held
+    whole.
 
-
-def _last_line(fh, start: int) -> bytes:
-    """The last line that is not empty of a binary file from `start` on,
-    without its line end; b"" if there is none, or if it is longer than
-    _LONGEST_LINE, which no layout takes. It is read back from the end in
-    windows of a few such lines."""
-    end = fh.seek(0, 2)
-    while True:
-        at = max(start, end - 4 * _LONGEST_LINE)
-        fh.seek(at)
-        text = fh.read(end - at).rstrip(b"\r\n")
-        line = text[text.rfind(b"\n") + 1 :]
-        if len(line) > _LONGEST_LINE:
-            return b""
-        if len(line) < len(text) or at == start:
-            return line
-        end = at + len(text)  # the window held line ends, or a line's end: read back from there
-
-
-def _fast_blocks(fh, fmt: str) -> tuple[int, int, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """(first_s, last_s, blocks) of the rest of a binary file: its first and
-    last instants, and its readings as checked blocks of (epoch_s, litres)
-    arrays in the format's layout, as _layout_block reads it.
-
-    A CSV's first line that is not empty may be a header, which is skipped.
-    The last line is read first, for last_s; the blocks, each a chunk of
-    whole lines (see _chunks), as they are taken, so the file is never held
-    whole. No block is empty. Its values are finite and >= 0, and its
-    instants lie in FIRST_EPOCH_S..last_s and strictly increase, within it
-    and from the block before; the last block ends at last_s. Raises
-    _Declined, to leave the file to the row parser, as soon as a line is
-    not in the layout or a block fails a check.
+    A CSV's first line that is not blank may be a header, which is skipped.
+    No block is empty. Its values are finite and >= 0, and its instants lie
+    in FIRST_EPOCH_S..LAST_EPOCH_S and strictly increase, within it and
+    from the block before. Raises _Declined, to leave the file to the row
+    parser, as soon as a line is not in the layout or a block fails a
+    check, and at the end if the file held no reading.
     """
     if fmt == "csv":
         _skip_header(fh)
-    start = fh.tell()
-    tail = _layout_block(_last_line(fh, start), fmt)
-    if tail is None or len(tail[0]) != 1 or not FIRST_EPOCH_S <= tail[0][0] <= LAST_EPOCH_S:
-        raise _Declined
-    last_s = int(tail[0][0])
-    fh.seek(start)
-    blocks = _checked_blocks(fh, fmt, last_s)
-    first = next(blocks)
-    return int(first[0][0]), last_s, itertools.chain([first], blocks)
-
-
-def _checked_blocks(fh, fmt: str, last_s: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The blocks _fast_blocks describes, from the file's position on."""
     before = FIRST_EPOCH_S - 1  # the instant of the reading before the block
     for chunk in _chunks(fh):
         rows = _layout_block(chunk, fmt)
@@ -282,12 +246,12 @@ def _checked_blocks(fh, fmt: str, last_s: int) -> Iterator[tuple[np.ndarray, np.
         epoch, litres = rows
         if not len(epoch):
             continue
-        if not (before < epoch[0] and epoch[-1] <= last_s and np.all(epoch[1:] > epoch[:-1])
+        if not (before < epoch[0] and epoch[-1] <= LAST_EPOCH_S and np.all(epoch[1:] > epoch[:-1])
                 and np.all(np.isfinite(litres) & (litres >= 0))):
             raise _Declined
         before = epoch[-1]
         yield epoch, litres
-    if before != last_s:
+    if before < FIRST_EPOCH_S:
         raise _Declined
 
 
@@ -309,8 +273,9 @@ _PAD = 32  # NULs each side of a block, so every line has a stamp's window and a
 def _layout_block(block: bytes, fmt: str) -> tuple[np.ndarray, np.ndarray] | None:
     """(epoch_s, litres) of a block of whole lines in the format's layout, else None.
 
-    Empty lines are skipped, and a CR that ends a line, before its
-    newline or at the end of the input, is dropped. The literals are
+    A CR that ends a line, before its newline or at the end of the input,
+    is dropped; then lines of only spaces and tabs, or of nothing, are
+    skipped, as the row parser skips them. The literals are
     compared at their fixed offsets, the stamps decoded by
     _decode_timestamps, and the numbers read by floattext.parse_fields,
     bit for bit as float() reads them. It takes plain decimals only, and
@@ -328,6 +293,8 @@ def _layout_block(block: bytes, fmt: str) -> tuple[np.ndarray, np.ndarray] | Non
     ends = np.append(ends, len(block) + _PAD)  # the last line, empty or without a newline
     ends -= text[ends - 1] == ord("\r")
     lines = ends > starts
+    for i in np.flatnonzero(lines & np.isin(text[starts], list(_BLANKS))).tolist():
+        lines[i] = bool(block[starts[i] - _PAD : ends[i] - _PAD].strip(_BLANKS))
     starts, ends = starts[lines], ends[lines]
     if not len(starts):
         return np.empty(0, dtype=np.int64), np.empty(0)
@@ -395,19 +362,18 @@ def parse_stream(source, fmt: str = "csv", source_id: str = "") -> ReadingStream
 
     Input in the writers' line layout, with whole-second `...Z` or
     `...+HH:MM` timestamps, plain decimals that floattext.parse_fields
-    reads, LF or CR LF line ends and maybe empty lines, is decoded as
-    arrays, block by block, to what the row parser would read. Anything
-    else, including every input with a defect, goes through the row parser,
-    which raises MalformedRow /
-    NonMonotonicTimestamp / EmptyInput with 1-based physical line numbers in
-    the diagnostics. Timestamps must strictly increase once rounded to whole
+    reads, LF or CR LF line ends and maybe lines of only spaces and tabs,
+    is decoded as arrays, block by block, to what the row parser would
+    read. Anything else, including every input with a defect, goes through
+    the row parser, which raises MalformedRow / NonMonotonicTimestamp /
+    EmptyInput with 1-based physical line numbers in the diagnostics. Timestamps must strictly increase once rounded to whole
     seconds.
     """
     if fmt not in _PARSERS:
         raise ValueError(f"unknown stream format {fmt!r}")
     raw = source if isinstance(source, (bytes, str)) else source.read()
     data = raw if isinstance(raw, bytes) else raw.encode("utf-8", "surrogatepass")
-    return _read(io.BytesIO(data), fmt, source_id, lambda blocks, *_: ReadingStream.from_blocks(blocks, source_id), raw)
+    return _read(io.BytesIO(data), fmt, source_id, lambda blocks: ReadingStream.from_blocks(blocks, source_id), raw)
 
 
 def _format(path: Path) -> str:
@@ -422,30 +388,29 @@ def read_stream(path: str | Path) -> ReadingStream:
     """
     p = Path(path)
     with open(p, "rb") as fh:
-        return _read(fh, _format(p), str(p), lambda blocks, *_: ReadingStream.from_blocks(blocks, str(p)))
+        return _read(fh, _format(p), str(p), lambda blocks: ReadingStream.from_blocks(blocks, str(p)))
 
 
-def read_blocks(path: str | Path, consume: Callable[[Iterator, int, int], T]) -> T:
-    """consume(blocks, first_s, last_s) over the readings of a stream file,
-    read as read_stream reads it, one block at a time.
+def read_blocks(path: str | Path, consume: Callable[[Iterator], T]) -> T:
+    """consume(blocks) over the readings of a stream file, read as
+    read_stream reads it, one block at a time.
 
     `blocks` are checked blocks of (epoch_s, litres) arrays: consecutive,
-    their instants strictly increasing within and across blocks, from
-    first_s to last_s. On the fast path they come straight from the file,
-    which is never held whole. If the fast path declines a block, consume's
-    work so far is dropped, and consume is called again with the blocks of
-    the row parser's stream. Either way the sub-nominal warning is logged
-    once the blocks end.
+    their instants strictly increasing within and across blocks. On the
+    fast path they come straight from the file in one pass, which never
+    reads ahead and never holds the file whole. If the fast path declines a
+    block, the last included, consume's work so far is dropped, and consume
+    is called again with the blocks of the row parser's stream. Either way
+    the sub-nominal warning is logged once the blocks end.
     """
     p = Path(path)
     with open(p, "rb") as fh:
         return _read(fh, _format(p), str(p), consume)
 
 
-def _read(fh, fmt: str, source_id: str, consume: Callable[[Iterator, int, int], T],
-          raw: bytes | str | None = None) -> T:
-    """consume(blocks, first_s, last_s) over the readings of a seekable
-    binary file, as read_blocks describes.
+def _read(fh, fmt: str, source_id: str, consume: Callable[[Iterator], T], raw: bytes | str | None = None) -> T:
+    """consume(blocks) over the readings of a seekable binary file, as
+    read_blocks describes.
 
     A leading UTF-8 byte order mark is dropped before either parser reads
     the file. The row parser reads `raw`, the whole input, or else the
@@ -454,13 +419,11 @@ def _read(fh, fmt: str, source_id: str, consume: Callable[[Iterator, int, int], 
     start = len(_BOM) if fh.read(len(_BOM)) == _BOM else 0
     fh.seek(start)
     try:
-        first_s, last_s, blocks = _fast_blocks(fh, fmt)
-        return consume(_with_sub_nominal_warning(blocks, source_id), first_s, last_s)
+        return consume(_with_sub_nominal_warning(_fast_blocks(fh, fmt), source_id))
     except _Declined:
         pass
     stream = _parse_rows(fh, fmt, source_id, start, raw)
-    blocks = _with_sub_nominal_warning(stream.blocks(), source_id)
-    return consume(blocks, int(stream.epoch_s[0]), int(stream.epoch_s[-1]))
+    return consume(_with_sub_nominal_warning(stream.blocks(), source_id))
 
 
 def _parse_rows(fh, fmt: str, source_id: str, start: int, raw: bytes | str | None = None) -> ReadingStream:

@@ -57,8 +57,7 @@ def bin_closing(intervals: Intervals, tz, min_valid_slots: int) -> DayMatrix:
     end_s, litres = intervals
     rows = binning.BLOCK_ROWS
     blocks = [(end_s[a : a + rows], litres[a : a + rows]) for a in range(0, len(end_s), rows)]
-    first_s, last_s = (int(end_s.min()), int(end_s.max())) if len(end_s) else (0, 0)
-    return bin_blocks(blocks, first_s, last_s, tz, min_valid_slots)
+    return bin_blocks(blocks, tz, min_valid_slots)
 
 
 def complete_day(day: date, litres=1.0) -> Intervals:
@@ -269,6 +268,71 @@ def test_slot_sums_run_across_block_edges_in_interval_order(block_rows):
         running[k] = running.get(k, 0.0) + litres
     assert whole.first == MON
     assert {k: whole.values.flat[k] for k in running} == running
+
+
+def kept_intervals(stream: ReadingStream) -> Intervals:
+    """The intervals readings_to_days keeps, pair by pair: no decrease, no outage."""
+    pairs = zip(stream.epoch_s.tolist(), stream.epoch_s[1:].tolist(), stream.litres.tolist(), stream.litres[1:].tolist())
+    gap = binning.DEFAULT_MAX_GAP.total_seconds()
+    kept = [(end, b - a) for start, end, a, b in pairs if b >= a and end - start <= gap]
+    return np.array([end for end, _ in kept], dtype=np.int64), np.array([litres for _, litres in kept])
+
+
+def assert_oracle_days(days: DayMatrix, intervals: Intervals, tz) -> None:
+    expected = oracle_days(intervals, tz, min_valid_slots=0)
+    assert dates(days) == list(expected)
+    for day, bins in day_rows(days):
+        assert np.array_equal(bins, expected[day], equal_nan=True)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7])
+@pytest.mark.parametrize("opening", ["decrease", "outage"])
+def test_days_grow_from_a_first_cleaned_block_that_is_empty(block_rows, opening):
+    # The first eight readings make no interval, so the first cleaned block
+    # holds none at every block size: the days start at the first one kept.
+    start = midnight(MON, DUBLIN) + 1800
+    if opening == "decrease":
+        head = start + 900 * np.arange(8), 100.0 - np.arange(8.0)
+    else:
+        head = start + 3600 * np.arange(8), np.arange(8.0)
+    tail = head[0][-1] + np.cumsum(np.full(500, 900)), head[1][-1] + np.cumsum(np.full(500, 0.5))
+    stream = ReadingStream(np.r_[head[0], tail[0]], np.r_[head[1], tail[1]])
+    with patch.object(binning, "BLOCK_ROWS", block_rows):
+        days = readings_to_days(stream, DUBLIN, min_valid_slots=0)
+    assert_oracle_days(days, kept_intervals(stream), DUBLIN)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7])
+def test_days_grow_across_clusters_years_apart(block_rows):
+    first = midnight(MON, DUBLIN) + 900 * np.arange(1, 300)
+    later = midnight(MON.replace(year=2027), DUBLIN) + 900 * np.arange(1, 300) + 420
+    intervals = joined(closing_at(first, 1.5), closing_at(later, 2.5))
+    with patch.object(binning, "BLOCK_ROWS", block_rows):
+        days = bin_closing(intervals, DUBLIN, min_valid_slots=0)
+    assert_oracle_days(days, intervals, DUBLIN)
+    assert len(days.retained) == (date(2027, 3, 4) - MON).days + 1
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7])
+@pytest.mark.parametrize("zone", ["America/New_York", "Australia/Lord_Howe"])
+def test_days_grow_at_intervals_a_minute_either_side_of_local_midnight(block_rows, zone):
+    # The arrays grow by whole local days, so each growth edge is a local
+    # midnight; intervals close a minute before and after each of 40, across
+    # a clock change, and a day's litres stay on that day.
+    tz = ZoneInfo(zone)
+    nights = [midnight(date(2021, 3, 1) + timedelta(days=k), tz) for k in range(40)]
+    intervals = closing_at([t + step for t in nights for step in (-60, 60)], 0.25)
+    with patch.object(binning, "BLOCK_ROWS", block_rows):
+        days = bin_closing(intervals, tz, min_valid_slots=0)
+    assert_oracle_days(days, intervals, tz)
+    assert len(days.retained) == 41
+
+
+@pytest.mark.parametrize("readings", [[], [5.0], [5.0, 1.0], [5.0, 6.0, 7.0]], ids=["none", "one", "decrease", "outage"])
+def test_readings_to_days_on_no_intervals_has_no_rows(readings):
+    epochs = 1_600_000_000 + 3600 * np.arange(len(readings))
+    days = readings_to_days(ReadingStream(epochs, np.array(readings)), DUBLIN)
+    assert days.values.shape == (0, SLOTS_PER_DAY) and days.retained.shape == (0,)
 
 
 def test_local_clock_resolves_instants_inside_a_transition_hour():

@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -80,6 +81,33 @@ def test_simulate_decade_golden_digest(tmp_path):
     (tmp_path / "scenario.json").write_text(json.dumps(DECADE_SCENARIO))
     assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "sim")]) == 0
     assert sha(tmp_path / "sim" / "readings.csv") == GOLDEN_DECADE_DIGEST
+
+
+def test_a_decade_with_a_trailing_blank_line_is_read_on_the_fast_path(tmp_path):
+    # The row parser skips a line of spaces, and so does the fast path: the
+    # file is still read and binned block by block, within the bound of a
+    # command that holds its days, where the row parser holds every line.
+    (tmp_path / "scenario.json").write_text(json.dumps(DECADE_SCENARIO))
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "sim")]) == 0
+    plain, blank = tmp_path / "sim" / "readings.csv", tmp_path / "blank.csv"
+    blank.write_bytes(plain.read_bytes() + b"   \n")
+    tz = binning.zone_named(DECADE_SCENARIO["timezone"])
+
+    def days_of(path):
+        tracemalloc.start()
+        try:
+            days = readings.read_blocks(path, lambda blocks: binning.bin_blocks(binning._clean_blocks(blocks, ""), tz))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return days, peak
+
+    with kernel_only():
+        (days, peak), (blank_days, blank_peak) = days_of(plain), days_of(blank)
+    bound = 3 * 2**20 + 2048 * len(days.retained)
+    assert peak <= bound and blank_peak <= bound
+    assert blank_days.first == days.first and blank_days.retained.tolist() == days.retained.tolist()
+    assert blank_days.values.tobytes() == days.values.tobytes()
 
 
 @pytest.mark.parametrize("scenario, fmt", [
@@ -923,21 +951,16 @@ def test_the_streaming_pass_equals_the_array_path(tmp_path, monkeypatch, caplog,
         assert starts & drops and starts & gaps
 
 
-def test_a_last_value_the_fast_path_declines_ingests_as_the_row_parser_reads_it(tmp_path, flat_dir, monkeypatch):
+def test_a_last_value_the_fast_path_declines_ingests_as_the_row_parser_reads_it(tmp_path, flat_dir):
     # `1e3` does not decode, so the file's last line sends it to the row
-    # parser before any block is read; the output is that of the array path.
+    # parser once the blocks before it are read; the output is that of the
+    # array path.
     path = tmp_path / "late.csv"
     lines = (flat_dir / "readings.csv").read_text().splitlines()
     lines[-1] = lines[-1].split(",")[0] + ",1e3"
     path.write_text("\n".join(lines) + "\n")
-
-    def no_chunks(fh):
-        raise AssertionError("the fast path read a block of a file its last line declines")
-
-    with open(path, "rb") as fh, monkeypatch.context() as patched:
-        patched.setattr(readings, "_chunks", no_chunks)
-        with pytest.raises(readings._Declined):
-            readings._fast_blocks(fh, "csv")
+    with open(path, "rb") as fh, pytest.raises(readings._Declined):
+        list(readings._fast_blocks(fh, "csv"))
     stream = readings.read_stream(path)
     assert stream.litres[-1] == 1000.0
     readings.write_stream_csv(stream, tmp_path / "expected.csv")

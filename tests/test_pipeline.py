@@ -222,7 +222,7 @@ def test_row_parser_keeps_typed_buffers_not_a_tuple_per_reading(tmp_path):
     path.write_text(path.read_text().replace("+00:00,", ".0+00:00,"))
     size = path.stat().st_size
     with open(path, "rb") as fh, pytest.raises(readings._Declined):
-        readings._fast_blocks(fh, "csv")
+        list(readings._fast_blocks(fh, "csv"))
     tracemalloc.start()
     try:
         stream = read_stream(path)

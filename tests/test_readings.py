@@ -376,7 +376,7 @@ def fast_path(text: str, fmt: str = "csv"):
     """What the array fast path makes of text: (epoch_s, litres) joined from
     its blocks, or None where it declines the text."""
     try:
-        epochs, litres = zip(*readings._fast_blocks(io.BytesIO(text.encode()), fmt)[2])
+        epochs, litres = zip(*readings._fast_blocks(io.BytesIO(text.encode()), fmt))
     except readings._Declined:
         return None
     return np.concatenate(epochs), np.concatenate(litres)
@@ -570,11 +570,13 @@ def test_fast_jsonl_edges_match_row_parser(line, canonical):
 
 
 # A defect in a line of the second half of a file, which sits in a later
-# chunk than the first line: (kind, what the line becomes).
+# chunk than the first line: (kind, what the line becomes). A blank line put
+# before it is no defect to either parser.
 DEFECTS = {
     "nul": lambda line: line[:3] + b"\x00" + line[3:],
     "non-utf-8": lambda line: line[:3] + b"\xff" + line[3:],
     "malformed": lambda line: line.replace(b"-", b"/", 1),
+    "blank": lambda line: b" \t \n" + line,
 }
 
 
@@ -612,7 +614,10 @@ def test_fast_blocks_equal_row_parser(fmt, rows, block_rows, final_newline, defe
             assert outcome(text, fmt) == outcome(text, fmt, fast=False)
         expected = file_outcome(raw, fmt, fast=False)
         assert file_outcome(raw, fmt) == expected
-    if defect is not None:
+    if defect == "blank":
+        assert (fast_path(raw.decode(), fmt) is not None) == all(takes(repr(v), fmt) for _, v in rows)
+        assert expected == outcome(text, fmt, fast=False)
+    elif defect is not None:
         assert expected[0] is MalformedRow and expected[1].startswith(f"row {at + 1}: ")
 
 
@@ -756,6 +761,34 @@ def test_the_fast_path_skips_any_header_the_row_parser_skips(head):
     assert fast == outcome(text, fast=False) == outcome(csv_text(rows, header=False))
 
 
+@pytest.mark.parametrize("blank", [" ", "\t", "   ", " \t "])
+@pytest.mark.parametrize("at", ["before a header", "after a header", "mid-file", "at the end"])
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_blank_lines_stay_on_the_fast_path(blank, at, end):
+    # A line of only spaces and tabs is empty to the row parser, which
+    # skips it by raw.strip(), and so to the fast path, wherever it stands.
+    rows = [f"2021-03-01T00:{m:02d}:00Z,{m / 4}" for m in (0, 15, 30, 45)]
+    lines = {
+        "before a header": [blank, "timestamp,cumulative_litres", *rows],
+        "after a header": ["timestamp,cumulative_litres", blank, blank, *rows],
+        "mid-file": [*rows[:2], blank, *rows[2:]],
+        "at the end": [*rows, blank],
+    }[at]
+    text = end.join(lines) + end
+    with kernel_only():
+        fast = outcome(text)
+    assert fast == outcome(text, fast=False) == outcome("\n".join(rows))
+
+
+@pytest.mark.parametrize("blank", ["\x0b", "\x0c", " \x1c ", "\xa0", "\u3000", "\t\x85"])
+def test_a_line_of_other_whitespace_goes_to_the_row_parser(blank):
+    # str.strip() and str.splitlines() take these as whitespace or line
+    # ends; the fast path takes only spaces and tabs, and declines the rest.
+    text = f"2021-03-01T00:00:00Z,1.0\n{blank}\n2021-03-01T00:15:00Z,2.0\n"
+    assert fast_path(text) is None
+    assert outcome(text) == outcome(text, fast=False) == outcome("2021-03-01T00:00:00Z,1.0\n2021-03-01T00:15:00Z,2.0\n")
+
+
 def test_a_header_line_str_splitlines_would_split_goes_to_the_row_parser():
     # str.splitlines ends the first line at \x0b, so the row parser skips
     # only "time,litres" and keeps the reading after it.
@@ -774,9 +807,9 @@ def test_a_first_field_over_the_csv_size_limit_is_a_malformed_row():
 
 def test_every_whole_stream_is_collected_from_the_blocks_a_command_reads(tmp_path, monkeypatch, caplog, demo_config):
     # read_stream, parse_stream and a read_blocks collector read each file to
-    # the same bits with the same log records: one the fast path takes, one
-    # whose last line it declines before any block is read, and one whose
-    # block it declines mid-file, after a consumer has taken blocks. The
+    # the same bits with the same log records: one the fast path takes, and
+    # two whose block it declines, at the last line and mid-file, after a
+    # consumer has taken blocks. The
     # pair 55 s apart makes the sub-nominal warning. generate joins the
     # blocks generate_blocks yields.
     monkeypatch.setattr(readings, "BLOCK_ROWS", 8)
@@ -790,18 +823,17 @@ def test_every_whole_stream_is_collected_from_the_blocks_a_command_reads(tmp_pat
         "plain.csv": (b"".join(lines), 1),
         "plain.jsonl": ((tmp_path / "plain.jsonl").read_bytes(), 1),
         "bom.csv": (b"\xef\xbb\xbftime,litres\r\n" + b"".join(lines[1:]), 1),
-        "late.csv": (b"".join(lines[:-1] + [lines[-1].replace(b"+00:00,", b".0+00:00,")]), 1),
+        "late.csv": (b"".join(lines[:-1] + [lines[-1].replace(b"+00:00,", b".0+00:00,")]), 2),
         "mid.csv": (b"".join(lines[:40] + [lines[40].split(b",")[0] + b",1e3\n"] + lines[41:]), 2),
     }
     for name, (data, calls) in files.items():
         path = tmp_path / name
         path.write_bytes(data)
-        starts = []
+        consumed = []
 
-        def collect(blocks, first_s, last_s):
-            starts.append(first_s)
+        def collect(blocks):
+            consumed.append(name)
             epoch, litres = (np.concatenate(parts) for parts in zip(*blocks))
-            assert (first_s, last_s) == (epoch[0], epoch[-1])
             return ReadingStream(epoch, litres)
 
         fmt = "jsonl" if name.endswith(".jsonl") else "csv"
@@ -814,7 +846,7 @@ def test_every_whole_stream_is_collected_from_the_blocks_a_command_reads(tmp_pat
             read.append((got.epoch_s.tobytes(), got.litres.tobytes(), records))
         assert read[0] == read[1] == read[2], name
         assert "1 reading pair(s) closer than" in read[0][2][0][2]
-        assert len(starts) == calls
+        assert len(consumed) == calls
         if name.startswith("plain"):
             assert read[0][:2] == (stream.epoch_s.tobytes(), stream.litres.tobytes())
     dropout = ScenarioConfig(date(2021, 1, 1), date(2021, 2, 28), "Europe/Dublin", seed=9,
