@@ -25,8 +25,8 @@ wall-clock slot, in which case their litres add.
 A stream is cleaned and binned block by block: a ReadingStream in blocks
 of BLOCK_ROWS readings, or a file's blocks as readings.read_blocks reads
 them. The reading at a block's edge is carried on, to open the first
-interval of the next. Nothing is read ahead of a block: the days grow as
-later ones arrive.
+interval of the next. Nothing is read ahead of a block, and no block is
+binned twice: the days grow as later ones arrive.
 
 Binned days are laid out once, as a DayMatrix: row i of its (span x 96)
 `values` holds the local day `first + i`, and `retained[i]` says whether

@@ -140,11 +140,11 @@ def _load_inputs(args):
     Every check that needs no readings comes first, so a mistake is reported
     before a long file is read: the flags, the readings path, the calendar
     path, the calendar's parse, then making --out. `inputs` are the files the
-    manifest digests. `binned(blocks)` cleans and bins one pass of
-    readings.read_blocks over inputs[0] into days, block by block, growing
-    the days as they arrive; days the calendar excludes are cleared from
-    `days.retained` by DayMatrix.excluding. `calendar` is None without
-    --calendar.
+    manifest digests. `binned(blocks)` cleans and bins the blocks of
+    readings.read_blocks(inputs[0]) into days as they arrive, growing the
+    days, in the one pass that reads each chunk of the file once; days the
+    calendar excludes are cleared from `days.retained` by
+    DayMatrix.excluding. `calendar` is None without --calendar.
     """
     from .binning import _clean_blocks, bin_blocks, check_min_valid_slots, zone_named
 
@@ -185,7 +185,7 @@ def _windowed(args):
     )
     cfg.grid()  # before a long file is read
     out, inputs, binned, calendar = _load_inputs(args)
-    return out, inputs, read_blocks(inputs[0], binned), calendar, cfg
+    return out, inputs, binned(read_blocks(inputs[0])), calendar, cfg
 
 
 def cmd_simulate(args) -> int:
@@ -229,16 +229,11 @@ def cmd_ingest(args) -> int:
     from .readings import Totals, _write_rows, read_blocks
 
     out, inputs, binned, _ = _load_inputs(args)
+    totals = Totals()
     with _staged(out / "readings.csv") as part:
-
-        def ingest(blocks):
+        with open(part, "wb") as fh:
             # One pass: each block is counted, written and binned in turn.
-            totals = Totals()
-            with open(part, "wb") as fh:
-                days = binned(_write_rows(totals.through(blocks), fh, "csv"))
-            return days, totals
-
-        days, totals = read_blocks(inputs[0], ingest)
+            days = binned(_write_rows(totals.through(read_blocks(inputs[0])), fh, "csv"))
         digests = _digests(inputs)  # before the output is renamed into place, maybe over the input
     n_days = int(days.retained.sum())
     summary = {
@@ -260,7 +255,7 @@ def cmd_profile(args) -> int:
     from .readings import read_blocks
 
     out, inputs, binned, _ = _load_inputs(args)
-    days = read_blocks(inputs[0], binned)
+    days = binned(read_blocks(inputs[0]))
     # Every profile before any file, so a group with no days writes nothing.
     profiles = {f"profile_{group}.csv": profile(days, group, std_kind=args.std) for group in GROUPS}
     for name, p in profiles.items():

@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -47,13 +47,12 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-T = TypeVar("T")
 
 NOMINAL_PERIOD = timedelta(minutes=15)
 # Readings handled per step of every block loop: reading and parsing a
 # file, generating, cleaning, binning, zone offset lookup and writing. A
 # long stream's scratch arrays are never held in memory whole, nor is its
-# text, unless the row parser reads it.
+# text.
 BLOCK_ROWS = 1 << 12
 # The instants a stream may hold, 0001-01-02T00:00:00Z to
 # 9999-12-30T23:59:59Z, in epoch seconds. A day inside datetime's years 1-9999
@@ -201,19 +200,16 @@ def _chunks(fh) -> Iterator[bytes]:
         yield block
 
 
-class _Declined(Exception):
-    """The fast path does not take the file; the row parser reads it."""
-
-
-def _skip_header(fh) -> None:
+def _skip_header(fh) -> int:
     """Move a CSV file past its first line that is not blank (see
     _layout_block), if that line is a header the row parser skips: printable
     ASCII (where str.splitlines finds no line end) whose fields _is_header
-    accepts."""
+    accepts. Returns the number of lines skipped, 0 if none."""
     start = fh.tell()
-    line = b""
+    line, lines = b"", 0
     while not line.strip(_BLANKS) and (raw := fh.readline()):
         line = raw.removesuffix(b"\n").removesuffix(b"\r")
+        lines += 1
     printable = not line.translate(None, bytes(range(0x20, 0x7F)))
     try:
         header = printable and _is_header(next(csv.reader([line.decode()])))
@@ -221,38 +217,98 @@ def _skip_header(fh) -> None:
         header = False
     if not header:
         fh.seek(start)
+        return 0
+    return lines
 
 
-def _fast_blocks(fh, fmt: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The readings of the rest of a binary file as checked blocks of
-    (epoch_s, litres) arrays in the format's layout, as _layout_block reads
-    it, each a chunk of whole lines (see _chunks), so the file is never held
-    whole.
+def _blocks(fh, fmt: str, source_id: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The readings of a seekable binary file as checked blocks of
+    (epoch_s, litres) arrays, one per chunk of whole lines (see _chunks), in
+    one pass that never reads ahead and never holds more than a chunk.
 
-    A CSV's first line that is not blank may be a header, which is skipped.
-    No block is empty. Its values are finite and >= 0, and its instants lie
-    in FIRST_EPOCH_S..LAST_EPOCH_S and strictly increase, within it and
-    from the block before. Raises _Declined, to leave the file to the row
-    parser, as soon as a line is not in the layout or a block fails a
-    check, and at the end if the file held no reading.
+    A leading UTF-8 byte order mark is dropped, and a CSV's first line that
+    is not blank may be a header, which is skipped. Each chunk is read by
+    _layout_block; a chunk it declines, or whose readings fail the checks,
+    is read alone by the row parser (see _row_block), which raises
+    MalformedRow or NonMonotonicTimestamp at its first defect. No block is
+    empty. Its values are finite and >= 0, and its instants lie in
+    FIRST_EPOCH_S..LAST_EPOCH_S and strictly increase, within it and from
+    the block before. Raises EmptyInput at the end if the file held no
+    reading; else warns of the reading pairs closer than the nominal
+    period, if any.
     """
-    if fmt == "csv":
-        _skip_header(fh)
-    before = FIRST_EPOCH_S - 1  # the instant of the reading before the block
+    if fh.read(len(_BOM)) != _BOM:
+        fh.seek(0)
+    # The physical lines before the chunk, as str.splitlines counts them,
+    # and whether the row parser would still take a line as a header.
+    lines = _skip_header(fh) if fmt == "csv" else 0
+    header = not lines
+    before = FIRST_EPOCH_S - 1  # the instant of the reading before the chunk
+    pairs, nominal = 0, NOMINAL_PERIOD.total_seconds()
     for chunk in _chunks(fh):
         rows = _layout_block(chunk, fmt)
-        if rows is None:
-            raise _Declined
-        epoch, litres = rows
+        if rows is not None and _checked(*rows[:2], before):
+            epoch, litres, newlines = rows
+            lines += newlines
+            header = header and not len(epoch)
+        else:
+            epoch, litres, lines, header = _row_block(chunk, fmt, lines, header, before)
         if not len(epoch):
             continue
-        if not (before < epoch[0] and epoch[-1] <= LAST_EPOCH_S and np.all(epoch[1:] > epoch[:-1])
-                and np.all(np.isfinite(litres) & (litres >= 0))):
-            raise _Declined
-        before = epoch[-1]
+        pairs += int(np.count_nonzero(np.diff(epoch) < nominal))
+        pairs += int(before >= FIRST_EPOCH_S and epoch[0] - before < nominal)  # the first reading opens no pair
+        before = int(epoch[-1])
         yield epoch, litres
     if before < FIRST_EPOCH_S:
-        raise _Declined
+        raise EmptyInput("no readings found")
+    if pairs:
+        log.warning(
+            "%d reading pair(s) closer than the 15-minute nominal period "
+            "(source %r); the sampling contract says this should not happen",
+            pairs,
+            source_id,
+        )
+
+
+def _checked(epoch: np.ndarray, litres: np.ndarray, before: int) -> bool:
+    """Whether a block's instants strictly increase from `before` on, to at
+    most LAST_EPOCH_S, and its values are finite and >= 0, as every block's
+    must."""
+    return not len(epoch) or bool(
+        before < epoch[0] and epoch[-1] <= LAST_EPOCH_S and np.all(epoch[1:] > epoch[:-1])
+        and np.all(np.isfinite(litres) & (litres >= 0))
+    )
+
+
+def _row_block(chunk: bytes, fmt: str, lines: int, header: bool, before: int):
+    """(epoch_s, litres, lines, header): the readings the row parser reads
+    from a chunk of whole lines that follows `lines` physical lines, and
+    `lines` and `header` (see _blocks) carried past the chunk.
+
+    The instants must strictly increase from `before` on. MalformedRow or
+    NonMonotonicTimestamp at the first defect, with its 1-based physical
+    line number.
+    """
+    try:
+        text = chunk.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines are counted as the row parsers count them, by
+        # str.splitlines; the "x" stands in for the bad byte's line.
+        line_no = lines + len((chunk[: exc.start].decode("utf-8") + "x").splitlines())
+        raise MalformedRow(line_no, f"not UTF-8 text: {exc.reason}") from None
+    # Typed buffers, not a tuple of Python objects per row. The import
+    # stays on this path: loading array adds about 70 KB to any process.
+    from array import array
+    epoch, litres = array("q"), array("d")
+    for line_no, t, value in _PARSERS[fmt](text, lines, header):
+        if t <= before:
+            raise NonMonotonicTimestamp(line_no)
+        before = t
+        epoch.append(t)
+        litres.append(value)
+    # A chunk whose lines are all blank leaves `header` as it was.
+    return (np.frombuffer(epoch, np.int64), np.frombuffer(litres, np.float64),
+            lines + len(text.splitlines()), header and not text.strip())
 
 
 def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
@@ -270,8 +326,9 @@ _DIGITS[list(b"0123456789")] = True
 _PAD = 32  # NULs each side of a block, so every line has a stamp's window and a value's
 
 
-def _layout_block(block: bytes, fmt: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """(epoch_s, litres) of a block of whole lines in the format's layout, else None.
+def _layout_block(block: bytes, fmt: str) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """(epoch_s, litres, newlines) of a block of whole lines in the format's
+    layout, else None.
 
     A CR that ends a line, before its newline or at the end of the input,
     is dropped; then lines of only spaces and tabs, or of nothing, are
@@ -283,12 +340,15 @@ def _layout_block(block: bytes, fmt: str) -> tuple[np.ndarray, np.ndarray] | Non
     a leading 0 followed by the point or by nothing. So every byte of a
     line taken is a literal, a stamp's, a digit or the point, and the
     block reads as the row parser reads it; any other block is declined.
+    The newlines of a block taken are then its lines as str.splitlines
+    counts them, but for a last line with no newline.
     """
     _, head, mid, tail = _LAYOUTS[fmt]
     close = tail[:-1]  # what ends a line before its newline
     text = np.zeros(len(block) + 2 * _PAD, dtype=np.uint8)
     text[_PAD:-_PAD] = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(text == ord("\n"))
+    newlines = len(ends)
     starts = np.append(_PAD, ends + 1)
     ends = np.append(ends, len(block) + _PAD)  # the last line, empty or without a newline
     ends -= text[ends - 1] == ord("\r")
@@ -297,7 +357,7 @@ def _layout_block(block: bytes, fmt: str) -> tuple[np.ndarray, np.ndarray] | Non
         lines[i] = bool(block[starts[i] - _PAD : ends[i] - _PAD].strip(_BLANKS))
     starts, ends = starts[lines], ends[lines]
     if not len(starts):
-        return np.empty(0, dtype=np.int64), np.empty(0)
+        return np.empty(0, dtype=np.int64), np.empty(0), newlines
     if np.any(ends - starts < len(head) + 20 + len(mid) + 1 + len(close)):
         return None
     at = starts + len(head)
@@ -322,7 +382,7 @@ def _layout_block(block: bytes, fmt: str) -> tuple[np.ndarray, np.ndarray] | Non
         return None
     del stamps
     litres = floattext.parse_fields(fields, last - first)
-    return None if litres is None else (epoch, litres)
+    return None if litres is None else (epoch, litres, newlines)
 
 
 def _parse_timestamp(text: str) -> int:
@@ -360,20 +420,22 @@ def parse_stream(source, fmt: str = "csv", source_id: str = "") -> ReadingStream
     fmt="csv": rows of `timestamp,cumulative_litres`, optional header row.
     fmt="jsonl": one object per line with keys `ts` and `litres_total`.
 
-    Input in the writers' line layout, with whole-second `...Z` or
+    Text is read as its UTF-8 bytes, in one pass of chunks of whole lines.
+    A chunk in the writers' line layout, with whole-second `...Z` or
     `...+HH:MM` timestamps, plain decimals that floattext.parse_fields
-    reads, LF or CR LF line ends and maybe lines of only spaces and tabs,
-    is decoded as arrays, block by block, to what the row parser would
-    read. Anything else, including every input with a defect, goes through
-    the row parser, which raises MalformedRow / NonMonotonicTimestamp /
-    EmptyInput with 1-based physical line numbers in the diagnostics. Timestamps must strictly increase once rounded to whole
-    seconds.
+    reads, LF or CR LF line ends and maybe lines of only spaces and tabs, is
+    decoded as arrays to what the row parser would read. Any other chunk,
+    including every chunk with a defect, is read alone by the row parser,
+    which raises MalformedRow / NonMonotonicTimestamp / EmptyInput with
+    1-based physical line numbers in the diagnostics. Timestamps must
+    strictly increase once rounded to whole seconds.
     """
     if fmt not in _PARSERS:
         raise ValueError(f"unknown stream format {fmt!r}")
-    raw = source if isinstance(source, (bytes, str)) else source.read()
-    data = raw if isinstance(raw, bytes) else raw.encode("utf-8", "surrogatepass")
-    return _read(io.BytesIO(data), fmt, source_id, lambda blocks: ReadingStream.from_blocks(blocks, source_id), raw)
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    return ReadingStream.from_blocks(_blocks(io.BytesIO(data), fmt, source_id), source_id)
 
 
 def _format(path: Path) -> str:
@@ -384,102 +446,29 @@ def _format(path: Path) -> str:
 def read_stream(path: str | Path) -> ReadingStream:
     """Read a stream file; `.jsonl` and `.ndjson` files are JSONL, others CSV.
 
-    The readings are collected from the blocks read_blocks passes on.
+    The readings are collected from the blocks read_blocks yields.
+    """
+    return ReadingStream.from_blocks(read_blocks(path), str(Path(path)))
+
+
+def read_blocks(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The readings of a stream file, read as read_stream reads it, as
+    checked blocks of (epoch_s, litres) arrays: consecutive, their instants
+    strictly increasing within and across blocks.
+
+    The file is read in one pass of chunks, each decoded by the fast path
+    or, where that declines it, by the row parser, so no chunk is read
+    twice and nothing beyond one chunk's text is held. The sub-nominal
+    warning is logged once the blocks end.
     """
     p = Path(path)
     with open(p, "rb") as fh:
-        return _read(fh, _format(p), str(p), lambda blocks: ReadingStream.from_blocks(blocks, str(p)))
+        yield from _blocks(fh, _format(p), str(p))
 
 
-def read_blocks(path: str | Path, consume: Callable[[Iterator], T]) -> T:
-    """consume(blocks) over the readings of a stream file, read as
-    read_stream reads it, one block at a time.
-
-    `blocks` are checked blocks of (epoch_s, litres) arrays: consecutive,
-    their instants strictly increasing within and across blocks. On the
-    fast path they come straight from the file in one pass, which never
-    reads ahead and never holds the file whole. If the fast path declines a
-    block, the last included, consume's work so far is dropped, and consume
-    is called again with the blocks of the row parser's stream. Either way
-    the sub-nominal warning is logged once the blocks end.
-    """
-    p = Path(path)
-    with open(p, "rb") as fh:
-        return _read(fh, _format(p), str(p), consume)
-
-
-def _read(fh, fmt: str, source_id: str, consume: Callable[[Iterator], T], raw: bytes | str | None = None) -> T:
-    """consume(blocks) over the readings of a seekable binary file, as
-    read_blocks describes.
-
-    A leading UTF-8 byte order mark is dropped before either parser reads
-    the file. The row parser reads `raw`, the whole input, or else the
-    whole file after the mark.
-    """
-    start = len(_BOM) if fh.read(len(_BOM)) == _BOM else 0
-    fh.seek(start)
-    try:
-        return consume(_with_sub_nominal_warning(_fast_blocks(fh, fmt), source_id))
-    except _Declined:
-        pass
-    stream = _parse_rows(fh, fmt, source_id, start, raw)
-    return consume(_with_sub_nominal_warning(stream.blocks(), source_id))
-
-
-def _parse_rows(fh, fmt: str, source_id: str, start: int, raw: bytes | str | None = None) -> ReadingStream:
-    """The readings the row parser reads from `raw`, or else from a binary
-    file from `start` on; MalformedRow, NonMonotonicTimestamp or EmptyInput
-    at the first defect, with its 1-based physical line number."""
-    if raw is None or start:
-        fh.seek(start)
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    except UnicodeDecodeError as exc:
-        # Lines are counted as the row parsers count them, by
-        # str.splitlines; the "x" stands in for the bad byte's line.
-        line_no = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
-        raise MalformedRow(line_no, f"not UTF-8 text: {exc.reason}") from None
-    # Typed buffers, not a tuple of Python objects per row. The import
-    # stays on this path: loading array adds about 70 KB to any process.
-    from array import array
-    lines, epoch, litres = array("q"), array("q"), array("d")
-    for line_no, t, value in _PARSERS[fmt](text):
-        lines.append(line_no)
-        epoch.append(t)
-        litres.append(value)
-    if not epoch:
-        raise EmptyInput("no readings found")
-    lines, epoch = np.frombuffer(lines, np.int64), np.frombuffer(epoch, np.int64)
-    bad = np.flatnonzero(epoch[1:] <= epoch[:-1])
-    if len(bad):
-        raise NonMonotonicTimestamp(int(lines[bad[0] + 1]))
-    return ReadingStream(epoch, np.frombuffer(litres, np.float64), source_id)
-
-
-def _with_sub_nominal_warning(blocks: Iterable[tuple[np.ndarray, np.ndarray]], source_id: str):
-    """Pass blocks of a stream on; once they end, warn of the reading pairs
-    closer than the nominal period, if any."""
-    pairs, before = 0, None
-    nominal = NOMINAL_PERIOD.total_seconds()
-    for epoch, litres in blocks:
-        if len(epoch):
-            pairs += int(np.count_nonzero(np.diff(epoch) < nominal))
-            pairs += before is not None and int(epoch[0] - before) < nominal
-            before = epoch[-1]
-        yield epoch, litres
-    if pairs:
-        log.warning(
-            "%d reading pair(s) closer than the 15-minute nominal period "
-            "(source %r); the sampling contract says this should not happen",
-            pairs,
-            source_id,
-        )
-
-
-def _parse_csv_rows(text: str) -> Iterator[tuple[int, int, float]]:
-    first_data_row = True
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+def _parse_csv_rows(text: str, lines: int = 0, header: bool = True) -> Iterator[tuple[int, int, float]]:
+    first_data_row = header
+    for line_no, raw in enumerate(text.splitlines(), start=lines + 1):
         if not raw.strip():
             continue
         try:
@@ -505,8 +494,8 @@ def _parse_csv_rows(text: str) -> Iterator[tuple[int, int, float]]:
         yield line_no, epoch, value
 
 
-def _parse_jsonl_rows(text: str) -> Iterator[tuple[int, int, float]]:
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+def _parse_jsonl_rows(text: str, lines: int = 0, header: bool = False) -> Iterator[tuple[int, int, float]]:
+    for line_no, raw in enumerate(text.splitlines(), start=lines + 1):
         if not raw.strip():
             continue
         try:
@@ -531,7 +520,8 @@ def _parse_jsonl_rows(text: str) -> Iterator[tuple[int, int, float]]:
         yield line_no, epoch, value
 
 
-# Format -> row parser.
+# Format -> row parser of text after `lines` lines; `header` is whether a
+# CSV's first line that is not blank may be a header.
 _PARSERS = {"csv": _parse_csv_rows, "jsonl": _parse_jsonl_rows}
 
 

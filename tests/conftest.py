@@ -36,6 +36,23 @@ def kernel_only():
         yield
 
 
+@contextlib.contextmanager
+def row_parser_calls():
+    """A patch under which the row parsers still read what they are given,
+    and the length of each text they read, one a chunk, is listed in the
+    list yielded."""
+    calls: list[int] = []
+
+    def spied(parse):
+        def spy(text, *args):
+            calls.append(len(text))
+            return parse(text, *args)
+        return spy
+
+    with patch.dict(readings._PARSERS, {fmt: spied(parse) for fmt, parse in readings._PARSERS.items()}):
+        yield calls
+
+
 @pytest.fixture(scope="session")
 def demo_config():
     return demo_scenario()

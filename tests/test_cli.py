@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import flowrhythm
-from conftest import kernel_only
+from conftest import kernel_only, row_parser_calls
 from flowrhythm import binning, readings, spectral, tracking
 from flowrhythm.cli import _sha256_file, build_parser, main
 
@@ -86,28 +86,45 @@ def test_simulate_decade_golden_digest(tmp_path):
 def test_a_decade_with_a_trailing_blank_line_is_read_on_the_fast_path(tmp_path):
     # The row parser skips a line of spaces, and so does the fast path: the
     # file is still read and binned block by block, within the bound of a
-    # command that holds its days, where the row parser holds every line.
+    # command that holds its days. A chunk the fast path declines, at the
+    # last line or mid-file, is read alone by the row parser, and the pass
+    # goes on, within the same bound, to the same days.
     (tmp_path / "scenario.json").write_text(json.dumps(DECADE_SCENARIO))
     assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "sim")]) == 0
-    plain, blank = tmp_path / "sim" / "readings.csv", tmp_path / "blank.csv"
-    blank.write_bytes(plain.read_bytes() + b"   \n")
+    plain = tmp_path / "sim" / "readings.csv"
+    lines = plain.read_bytes().splitlines(keepends=True)
+    mid = len(lines) // 2
+    copies = {
+        "blank": b"".join(lines) + b"   \n",
+        "late": b"".join(lines[:-1] + [lines[-1].replace(b"+00:00,", b".0+00:00,")]),
+        "spaced": b"".join(lines[:mid] + [lines[mid].replace(b",", b", ")] + lines[mid + 1 :]),
+    }
+    del lines
     tz = binning.zone_named(DECADE_SCENARIO["timezone"])
 
     def days_of(path):
         tracemalloc.start()
         try:
-            days = readings.read_blocks(path, lambda blocks: binning.bin_blocks(binning._clean_blocks(blocks, ""), tz))
+            days = binning.bin_blocks(binning._clean_blocks(readings.read_blocks(path), ""), tz)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         return days, peak
 
     with kernel_only():
-        (days, peak), (blank_days, blank_peak) = days_of(plain), days_of(blank)
+        days, peak = days_of(plain)
     bound = 3 * 2**20 + 2048 * len(days.retained)
-    assert peak <= bound and blank_peak <= bound
-    assert blank_days.first == days.first and blank_days.retained.tolist() == days.retained.tolist()
-    assert blank_days.values.tobytes() == days.values.tobytes()
+    assert peak <= bound
+    for name, data in copies.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        with row_parser_calls() as calls:
+            copy_days, copy_peak = days_of(path)
+        assert copy_peak <= bound, name
+        # The blank line stays on the fast path; the row parser reads the one chunk of each other defect.
+        assert len(calls) == (name != "blank"), name
+        assert copy_days.first == days.first and copy_days.retained.tolist() == days.retained.tolist(), name
+        assert copy_days.values.tobytes() == days.values.tobytes(), name
 
 
 @pytest.mark.parametrize("scenario, fmt", [
@@ -952,16 +969,16 @@ def test_the_streaming_pass_equals_the_array_path(tmp_path, monkeypatch, caplog,
 
 
 def test_a_last_value_the_fast_path_declines_ingests_as_the_row_parser_reads_it(tmp_path, flat_dir):
-    # `1e3` does not decode, so the file's last line sends it to the row
-    # parser once the blocks before it are read; the output is that of the
-    # array path.
+    # `1e3` does not decode, so the row parser reads the chunk that holds
+    # the file's last line, after the fast path has read the chunks before
+    # it; the output is that of the array path.
     path = tmp_path / "late.csv"
     lines = (flat_dir / "readings.csv").read_text().splitlines()
     lines[-1] = lines[-1].split(",")[0] + ",1e3"
     path.write_text("\n".join(lines) + "\n")
-    with open(path, "rb") as fh, pytest.raises(readings._Declined):
-        list(readings._fast_blocks(fh, "csv"))
-    stream = readings.read_stream(path)
+    with row_parser_calls() as calls:
+        stream = readings.read_stream(path)
+    assert len(calls) == 1
     assert stream.litres[-1] == 1000.0
     readings.write_stream_csv(stream, tmp_path / "expected.csv")
     assert main(["ingest", str(path), "--out", str(tmp_path / "ing")]) == 0
@@ -972,8 +989,8 @@ def test_a_last_value_the_fast_path_declines_ingests_as_the_row_parser_reads_it(
 
 def test_a_last_row_repeating_its_stamp_exits_three_and_writes_nothing(tmp_path, flat_dir, capsys, monkeypatch):
     # In blocks of about 90 lines, every block but the last is taken and
-    # passed on; the last fails the check across rows, so what was written
-    # is dropped, and the row parser names the row.
+    # passed on; the last fails the check across rows, so the row parser
+    # reads it alone and names the row, and what was written is dropped.
     monkeypatch.setattr(readings, "BLOCK_ROWS", 64)
     lines = (flat_dir / "readings.csv").read_text().splitlines()
     lines[-1] = lines[-2].split(",")[0] + "," + lines[-1].split(",")[1]

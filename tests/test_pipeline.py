@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import day_rows, kernel_only
+from conftest import day_rows, kernel_only, row_parser_calls
 from flowrhythm import binning, readings
 from flowrhythm.binning import DEFAULT_MAX_GAP, readings_to_days
 from flowrhythm.readings import (
@@ -209,28 +209,27 @@ def test_generating_a_multi_year_stream_stays_in_a_bounded_working_set():
 
 
 def test_row_parser_keeps_typed_buffers_not_a_tuple_per_reading(tmp_path):
-    # Sub-second stamps make the fast path decline the file, so the row
-    # parser reads it. It holds the file, its decoded text (the same size for
-    # ASCII) and the text's lines, about 100 bytes each, while it collects
-    # 24 bytes per reading; a tuple of Python objects per reading would cost
-    # about 150 bytes more.
-    n = 20_000
+    # Sub-second stamps make the fast path decline every chunk, so the row
+    # parser reads each one alone. It holds one chunk's bytes, text and
+    # lines at a time, and collects 24 bytes per reading of the chunk; the
+    # stream is then held to the fast path's bound. A tuple of Python
+    # objects per reading would cost about 150 bytes more.
+    n = 70_000
     rng = np.random.default_rng(5)
     epochs = 1_600_000_000 + np.cumsum(rng.integers(900, 960, n))
     path = tmp_path / "readings.csv"
     write_stream_csv(ReadingStream(epochs, np.cumsum(rng.uniform(0.0, 5.0, n))), path)
     path.write_text(path.read_text().replace("+00:00,", ".0+00:00,"))
-    size = path.stat().st_size
-    with open(path, "rb") as fh, pytest.raises(readings._Declined):
-        list(readings._fast_blocks(fh, "csv"))
     tracemalloc.start()
     try:
-        stream = read_stream(path)
+        with row_parser_calls() as calls:
+            stream = read_stream(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert stream.epoch_s.tolist() == epochs.tolist()
-    assert peak <= 2 * size + 160 * n + 2**20
+    assert len(calls) > 1  # a chunk at a time
+    assert peak <= 32 * n + 2**20
 
 
 def test_building_a_stream_takes_no_full_length_temporary():

@@ -1,4 +1,3 @@
-import contextlib
 import io
 import json
 import math
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import kernel_only
+from conftest import kernel_only, row_parser_calls
 from flowrhythm import floattext, readings
 from flowrhythm.errors import (
     CounterDecrease,
@@ -372,12 +371,18 @@ def test_instants_outside_the_range_are_malformed_rows(fmt, stamp):
 # --- array fast path against the row parser ---------------------------------------
 
 
+class RowParser(Exception):
+    """The fast path left a chunk to the row parser."""
+
+
 def fast_path(text: str, fmt: str = "csv"):
     """What the array fast path makes of text: (epoch_s, litres) joined from
-    its blocks, or None where it declines the text."""
+    its blocks, or None where it leaves a chunk to the row parser or reads
+    no reading."""
     try:
-        epochs, litres = zip(*readings._fast_blocks(io.BytesIO(text.encode()), fmt))
-    except readings._Declined:
+        with patch.object(readings, "_row_block", side_effect=RowParser):
+            epochs, litres = zip(*readings._blocks(io.BytesIO(text.encode()), fmt, ""))
+    except (RowParser, EmptyInput):
         return None
     return np.concatenate(epochs), np.concatenate(litres)
 
@@ -395,7 +400,7 @@ def takes(number: str, fmt: str = "csv") -> bool:
 
 def outcome(text: str, fmt: str = "csv", fast: bool = True):
     """What parse_stream makes of text: the stream's bits, or the error."""
-    return parsed(lambda: parse_stream(text, fmt), fmt, fast)
+    return parsed(lambda: parse_stream(text, fmt), text.encode("utf-8", "surrogatepass"), fmt, fast)
 
 
 def file_outcome(data: bytes, fmt: str, fast: bool = True):
@@ -403,19 +408,28 @@ def file_outcome(data: bytes, fmt: str, fast: bool = True):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"readings.{fmt}"
         path.write_bytes(data)
-        return parsed(lambda: read_stream(path), fmt, fast)
+        return parsed(lambda: read_stream(path), data, fmt, fast)
 
 
-def parsed(parse, fmt: str, fast: bool):
+def whole_file(data: bytes, fmt: str) -> ReadingStream:
+    """The stream the row parser reads from all of data after a byte order
+    mark, as one chunk: a reading with no chunks, line counts or header
+    carried from chunk to chunk."""
+    epoch, litres, _, _ = readings._row_block(
+        data.removeprefix(b"\xef\xbb\xbf"), fmt, 0, fmt == "csv", readings.FIRST_EPOCH_S - 1
+    )
+    if not len(epoch):
+        raise EmptyInput("no readings found")
+    return ReadingStream(epoch, litres)
+
+
+def parsed(parse, data: bytes, fmt: str, fast: bool):
     """The bits of the stream parse() returns, or its error; with fast=False
-    the fast path declines every input, so the row parser reads it."""
-    with contextlib.ExitStack() as stack:
-        if not fast:
-            stack.enter_context(patch.object(readings, "_fast_blocks", side_effect=readings._Declined))
-        try:
-            s = parse()
-        except Exception as exc:  # every error type must agree, not just DataError
-            return type(exc), str(exc)
+    those of whole_file(data), the row parser's reading of it."""
+    try:
+        s = parse() if fast else whole_file(data, fmt)
+    except Exception as exc:  # every error type must agree, not just DataError
+        return type(exc), str(exc)
     return s.epoch_s.tolist(), [v.hex() for v in s.litres.tolist()]
 
 
@@ -554,7 +568,7 @@ def test_csv_bytes_float_reads_differently_go_to_the_row_parser(char):
     ('{"ts": 20210301, "litres_total": 1.0}', False),
     ('{"ts": "2021-03-01T00:00:00\\u00e9", "litres_total": 1.0}', False),
     ('["2021-03-01T00:00:00Z", 1.0]', False),
-    ('\ufeff{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.0}', False),
+    ('\ufeff{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.0}', True),  # the mark is dropped first
     ('{"ts": "2021-03-01T00:00:00Z", "litres_total": 1.0}\r{"ts": "2021-03-01T00:15:00Z", "litres_total": 2.0}', False),
     # CR LF and an empty line; spaces round a number, which JSON allows,
     # go to the row parser.
@@ -577,6 +591,9 @@ DEFECTS = {
     "non-utf-8": lambda line: line[:3] + b"\xff" + line[3:],
     "malformed": lambda line: line.replace(b"-", b"/", 1),
     "blank": lambda line: b" \t \n" + line,
+    # `.0` after the stamp's seconds: the row parser reads the line, the
+    # fast path declines its chunk, and the chunks after it are fast again.
+    "fraction": lambda line: line[: line.index(b"T") + 9] + b".0" + line[line.index(b"T") + 9 :],
 }
 
 
@@ -616,6 +633,9 @@ def test_fast_blocks_equal_row_parser(fmt, rows, block_rows, final_newline, defe
         assert file_outcome(raw, fmt) == expected
     if defect == "blank":
         assert (fast_path(raw.decode(), fmt) is not None) == all(takes(repr(v), fmt) for _, v in rows)
+        assert expected == outcome(text, fmt, fast=False)
+    elif defect == "fraction":
+        assert fast_path(raw.decode(), fmt) is None
         assert expected == outcome(text, fmt, fast=False)
     elif defect is not None:
         assert expected[0] is MalformedRow and expected[1].startswith(f"row {at + 1}: ")
@@ -740,7 +760,7 @@ def test_a_leading_byte_order_mark_is_dropped(fmt, header):
     rows = [("2021-03-01T00:00:00Z", 1.0), ("2021-03-01T00:15:00+00:00", 2.5)]
     data = (csv_text(rows, header) if fmt == "csv" else jsonl_text(rows)).encode()
     # The fast path takes the file: the row parser is not called.
-    with patch.dict(readings._PARSERS, {fmt: lambda text: pytest.fail("the row parser read the file")}):
+    with patch.dict(readings._PARSERS, {fmt: lambda *args: pytest.fail("the row parser read the file")}):
         assert file_outcome(b"\xef\xbb\xbf" + data, fmt) == file_outcome(data, fmt)
     assert file_outcome(b"\xef\xbb\xbf" + data, fmt, fast=False) == file_outcome(data, fmt)
     assert outcome("\ufeff" + data.decode(), fmt) == file_outcome(data, fmt)
@@ -808,8 +828,8 @@ def test_a_first_field_over_the_csv_size_limit_is_a_malformed_row():
 def test_every_whole_stream_is_collected_from_the_blocks_a_command_reads(tmp_path, monkeypatch, caplog, demo_config):
     # read_stream, parse_stream and a read_blocks collector read each file to
     # the same bits with the same log records: one the fast path takes, and
-    # two whose block it declines, at the last line and mid-file, after a
-    # consumer has taken blocks. The
+    # two with a chunk it declines, at the last line and mid-file, which the
+    # row parser alone reads, after a consumer has taken blocks. The
     # pair 55 s apart makes the sub-nominal warning. generate joins the
     # blocks generate_blocks yields.
     monkeypatch.setattr(readings, "BLOCK_ROWS", 8)
@@ -819,34 +839,33 @@ def test_every_whole_stream_is_collected_from_the_blocks_a_command_reads(tmp_pat
     write_stream_csv(stream, tmp_path / "plain.csv")
     write_stream_jsonl(stream, tmp_path / "plain.jsonl")
     lines = (tmp_path / "plain.csv").read_bytes().splitlines(keepends=True)
-    files = {  # name -> (data, the consumer calls of read_blocks)
-        "plain.csv": (b"".join(lines), 1),
-        "plain.jsonl": ((tmp_path / "plain.jsonl").read_bytes(), 1),
-        "bom.csv": (b"\xef\xbb\xbftime,litres\r\n" + b"".join(lines[1:]), 1),
-        "late.csv": (b"".join(lines[:-1] + [lines[-1].replace(b"+00:00,", b".0+00:00,")]), 2),
-        "mid.csv": (b"".join(lines[:40] + [lines[40].split(b",")[0] + b",1e3\n"] + lines[41:]), 2),
+    files = {  # name -> (data, the chunks the row parser reads)
+        "plain.csv": (b"".join(lines), 0),
+        "plain.jsonl": ((tmp_path / "plain.jsonl").read_bytes(), 0),
+        "bom.csv": (b"\xef\xbb\xbftime,litres\r\n" + b"".join(lines[1:]), 0),
+        "late.csv": (b"".join(lines[:-1] + [lines[-1].replace(b"+00:00,", b".0+00:00,")]), 1),
+        "mid.csv": (b"".join(lines[:40] + [lines[40].split(b",")[0] + b",1e3\n"] + lines[41:]), 1),
     }
-    for name, (data, calls) in files.items():
+    def collect(blocks):
+        epoch, litres = (np.concatenate(parts) for parts in zip(*blocks))
+        return ReadingStream(epoch, litres)
+
+    for name, (data, chunks) in files.items():
         path = tmp_path / name
         path.write_bytes(data)
-        consumed = []
-
-        def collect(blocks):
-            consumed.append(name)
-            epoch, litres = (np.concatenate(parts) for parts in zip(*blocks))
-            return ReadingStream(epoch, litres)
 
         fmt = "jsonl" if name.endswith(".jsonl") else "csv"
         read = []
         for parse in (lambda: read_stream(path), lambda: parse_stream(data, fmt, str(path)),
-                      lambda: read_blocks(path, collect)):
+                      lambda: collect(read_blocks(path))):
             caplog.clear()
-            got = parse()
+            with row_parser_calls() as calls:
+                got = parse()
             records = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
-            read.append((got.epoch_s.tobytes(), got.litres.tobytes(), records))
+            read.append((got.epoch_s.tobytes(), got.litres.tobytes(), records, len(calls)))
         assert read[0] == read[1] == read[2], name
         assert "1 reading pair(s) closer than" in read[0][2][0][2]
-        assert len(consumed) == calls
+        assert read[0][3] == chunks, name
         if name.startswith("plain"):
             assert read[0][:2] == (stream.epoch_s.tobytes(), stream.litres.tobytes())
     dropout = ScenarioConfig(date(2021, 1, 1), date(2021, 2, 28), "Europe/Dublin", seed=9,
