@@ -1,12 +1,14 @@
 """From a reading stream to binned days, and day-of-week usage profiles.
 
-readings_to_days is the one path from a stream to days. It differences
-neighbouring readings into intervals and drops two kinds: the pair of
-readings across a counter decrease is not usage, so no interval straddles a
-meter reset; and the volume accumulated across an outage cannot be placed
-within it, so an interval longer than DEFAULT_MAX_GAP is dropped rather
-than masquerade as a burst, and the slots it covers stay Missing. Each
-kind of drop is logged in one warning per stream.
+readings_to_days is the one path from a stream to days, and Cleaner the
+one pass that judges neighbouring readings. It differences them into
+intervals and drops two kinds: the pair of readings across a counter
+decrease is not usage, so no interval straddles a meter reset; and the
+volume accumulated across an outage cannot be placed within it, so an
+interval longer than DEFAULT_MAX_GAP is dropped rather than masquerade as a
+burst, and the slots it covers stay Missing. Pairs closer than the nominal
+period are kept. Each of the three is logged in one warning per stream, and
+the same pass totals the stream's readings and litres.
 
 A day is a grid of 96 quarter-hour slots in local civil time; slot k covers
 [15k, 15(k+1)) minutes after local midnight, so slot 28 is always 07:00
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import DEFAULT_MIN_VALID_SLOTS
 from .errors import DataError, InvalidConfig, NoMatchingDays
-from .readings import BLOCK_ROWS, ReadingStream
+from .readings import BLOCK_ROWS, NOMINAL_PERIOD, ReadingStream
 
 __all__ = [
     "SLOTS_PER_DAY",
@@ -218,49 +220,75 @@ def _lookup(t: np.ndarray, offset_at) -> np.ndarray:
     return np.array([offset_at(s) for s in t.tolist()], dtype=np.int64)
 
 
-def _clean_blocks(
-    blocks: Iterable[tuple[np.ndarray, np.ndarray]], source_id: str
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(end_s, litres) of the kept intervals of a stream's (epoch_s, litres)
-    blocks, a block each.
+class Cleaner:
+    """The one pass that judges a stream's neighbouring readings, block by
+    block, and keeps the stream's totals: its reading count `n`, its first
+    and last instants `first_s` and `last_s`, and its segment `litres` (see
+    readings.segment_litres), summed segment by segment in stream order and
+    set once the blocks end."""
 
-    The reading at a block's edge is carried on, to open the first interval
-    of the next. Once the last block has been taken, the counter decreases
-    and the outage intervals of the whole stream are logged, one warning
-    each.
-    """
-    resets, outages = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    edge = None  # the (instant, total) of the last reading taken
-    a = 0  # the index in the stream of the block's first reading, the carried one if any
-    for epoch, litres in blocks:
-        if edge is not None:
-            epoch, litres = np.concatenate(([edge[0]], epoch)), np.concatenate(([edge[1]], litres))
-        diffs = np.diff(litres)
-        keep = diffs >= 0
-        resets.append(np.flatnonzero(~keep) + a + 1)
-        long = np.diff(epoch) > DEFAULT_MAX_GAP.total_seconds()
-        long &= keep
-        outages.append(diffs[long])
-        keep &= ~long
-        yield epoch[1:][keep], diffs[keep]
-        a += len(epoch) - 1
-        edge = epoch[-1], litres[-1]
-    resets, outages = np.concatenate(resets), np.concatenate(outages)
-    if len(resets):
-        log.warning(
-            "cumulative counter decreases at reading index(es) %s (source %r); "
-            "no interval spans a decrease",
-            resets.tolist(),
-            source_id,
-        )
-    if len(outages):
-        log.warning(
-            "discarded %d interval(s) longer than %s covering %.3f litres; "
-            "the affected slots stay missing",
-            len(outages),
-            DEFAULT_MAX_GAP,
-            float(outages.sum()),
-        )
+    def __init__(self, source_id: str = "") -> None:
+        self.source_id = source_id
+        self.n = self.first_s = self.last_s = 0
+        self.litres = 0.0
+
+    def intervals(self, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(end_s, litres) of the kept intervals of a stream's (epoch_s,
+        litres) blocks, a block each.
+
+        The reading at a block's edge is carried on, to open the first
+        interval of the next, and each block's instants and totals are
+        differenced once. Once the last block has been taken, the pairs
+        closer than NOMINAL_PERIOD, the counter decreases and the outage
+        intervals of the whole stream are logged, one warning each.
+        """
+        close, resets, outages = 0, [np.empty(0, dtype=np.int64)], [np.empty(0)]
+        # The litres of the segments a decrease has ended, and the open one's first and latest totals.
+        closed = start = last = 0.0
+        for epoch, litres in blocks:
+            a = max(self.n - 1, 0)  # the index in the stream of the block's first reading, the carried one if any
+            if self.n:
+                epoch, litres = np.concatenate(([self.last_s], epoch)), np.concatenate(([last], litres))
+            else:
+                self.first_s, start = int(epoch[0]), litres[0]
+            steps, diffs = np.diff(epoch), np.diff(litres)
+            close += int(np.count_nonzero(steps < NOMINAL_PERIOD.total_seconds()))
+            keep = diffs >= 0
+            drops = np.flatnonzero(~keep)
+            for i in drops.tolist():
+                closed += float(litres[i] - start)
+                start = litres[i + 1]
+            resets.append(drops + a + 1)
+            long = steps > DEFAULT_MAX_GAP.total_seconds()
+            long &= keep
+            outages.append(diffs[long])
+            keep &= ~long
+            self.n, self.last_s, last = a + len(epoch), int(epoch[-1]), litres[-1]
+            yield epoch[1:][keep], diffs[keep]
+        self.litres = closed + float(last - start)
+        resets, outages = np.concatenate(resets), np.concatenate(outages)
+        if close:
+            log.warning(
+                "%d reading pair(s) closer than the 15-minute nominal period "
+                "(source %r); the sampling contract says this should not happen",
+                close,
+                self.source_id,
+            )
+        if len(resets):
+            log.warning(
+                "cumulative counter decreases at reading index(es) %s (source %r); "
+                "no interval spans a decrease",
+                resets.tolist(),
+                self.source_id,
+            )
+        if len(outages):
+            log.warning(
+                "discarded %d interval(s) longer than %s covering %.3f litres; "
+                "the affected slots stay missing",
+                len(outages),
+                DEFAULT_MAX_GAP,
+                float(outages.sum()),
+            )
 
 
 def readings_to_days(
@@ -269,7 +297,7 @@ def readings_to_days(
     min_valid_slots: int = DEFAULT_MIN_VALID_SLOTS,
 ) -> DayMatrix:
     """Clean one household stream and bin what is left into days (see the module docstring)."""
-    blocks = _clean_blocks(stream.blocks(BLOCK_ROWS), stream.source_id)
+    blocks = Cleaner(stream.source_id).intervals(stream.blocks(BLOCK_ROWS))
     return bin_blocks(blocks, tz, min_valid_slots)
 
 

@@ -142,11 +142,13 @@ def _load_inputs(args):
     path, the calendar's parse, then making --out. `inputs` are the files the
     manifest digests. `binned(blocks)` cleans and bins the blocks of
     readings.read_blocks(inputs[0]) into days as they arrive, growing the
-    days, in the one pass that reads each chunk of the file once; days the
-    calendar excludes are cleared from `days.retained` by
-    DayMatrix.excluding. `calendar` is None without --calendar.
+    days, in the one pass that reads each chunk of the file once, and
+    returns (days, cleaner): days the calendar excludes are cleared from
+    `days.retained` by DayMatrix.excluding, and the binning.Cleaner holds
+    the stream's totals and has logged its warnings. `calendar` is None
+    without --calendar.
     """
-    from .binning import _clean_blocks, bin_blocks, check_min_valid_slots, zone_named
+    from .binning import Cleaner, bin_blocks, check_min_valid_slots, zone_named
 
     tz = zone_named(args.timezone)
     check_min_valid_slots(args.min_valid_slots)
@@ -160,8 +162,9 @@ def _load_inputs(args):
     out = _out_dir(args)
 
     def binned(blocks):
-        days = bin_blocks(_clean_blocks(blocks, str(inputs[0])), tz, args.min_valid_slots)
-        return days.excluding(calendar)
+        cleaner = Cleaner(str(inputs[0]))
+        days = bin_blocks(cleaner.intervals(blocks), tz, args.min_valid_slots)
+        return days.excluding(calendar), cleaner
 
     return out, inputs, binned, calendar
 
@@ -185,7 +188,7 @@ def _windowed(args):
     )
     cfg.grid()  # before a long file is read
     out, inputs, binned, calendar = _load_inputs(args)
-    return out, inputs, binned(read_blocks(inputs[0])), calendar, cfg
+    return out, inputs, binned(read_blocks(inputs[0]))[0], calendar, cfg
 
 
 def cmd_simulate(args) -> int:
@@ -226,27 +229,26 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    from .readings import Totals, _write_rows, read_blocks
+    from .readings import _write_rows, read_blocks
 
     out, inputs, binned, _ = _load_inputs(args)
-    totals = Totals()
     with _staged(out / "readings.csv") as part:
         with open(part, "wb") as fh:
-            # One pass: each block is counted, written and binned in turn.
-            days = binned(_write_rows(totals.through(read_blocks(inputs[0])), fh, "csv"))
+            # One pass: each block is written, then cleaned, totalled and binned.
+            days, cleaner = binned(_write_rows(read_blocks(inputs[0]), fh, "csv"))
         digests = _digests(inputs)  # before the output is renamed into place, maybe over the input
     n_days = int(days.retained.sum())
     summary = {
-        "n_readings": totals.n,
-        "first": _utc_stamp(totals.first_s),
-        "last": _utc_stamp(totals.last_s),
-        "total_litres": totals.litres,
+        "n_readings": cleaner.n,
+        "first": _utc_stamp(cleaner.first_s),
+        "last": _utc_stamp(cleaner.last_s),
+        "total_litres": cleaner.litres,
         "n_binned_days": n_days,
         "timezone": args.timezone,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     _write_manifest(args, out, _config(args), digests)
-    print(f"ingested {totals.n} readings covering {n_days} day(s)")
+    print(f"ingested {cleaner.n} readings covering {n_days} day(s)")
     return 0
 
 
@@ -255,7 +257,7 @@ def cmd_profile(args) -> int:
     from .readings import read_blocks
 
     out, inputs, binned, _ = _load_inputs(args)
-    days = binned(read_blocks(inputs[0]))
+    days, _ = binned(read_blocks(inputs[0]))
     # Every profile before any file, so a group with no days writes nothing.
     profiles = {f"profile_{group}.csv": profile(days, group, std_kind=args.std) for group in GROUPS}
     for name, p in profiles.items():

@@ -3,13 +3,15 @@
 A reading stream is a strictly time-ordered sequence of (timestamp,
 cumulative litres) pairs from one meter. The expected cadence is one reading
 every 15 minutes plus a small transmission delay, so consecutive readings are
-never closer than 15 minutes; streams that violate that are accepted with a
-warning because the defect lives in the data, not the parser.
+never closer than 15 minutes; streams that violate that are read as they
+are, because the defect lives in the data, not the parser, and
+binning.Cleaner warns of them when it cleans the stream. Reading logs
+nothing.
 
 Differencing turns n readings into n-1 usage intervals. The cumulative
 counter never decreases on a healthy meter: difference_cumulative rejects a
-decrease, while binning.readings_to_days drops the one pair across it, so
-the data on either side survive a counter reset.
+decrease, while binning.Cleaner drops the one pair across it, so the data on
+either side survive a counter reset.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -45,8 +46,6 @@ __all__ = [
     "write_stream_csv",
     "write_stream_jsonl",
 ]
-
-log = logging.getLogger(__name__)
 
 NOMINAL_PERIOD = timedelta(minutes=15)
 # Readings handled per step of every block loop: reading and parsing a
@@ -221,7 +220,7 @@ def _skip_header(fh) -> int:
     return lines
 
 
-def _blocks(fh, fmt: str, source_id: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _blocks(fh, fmt: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The readings of a seekable binary file as checked blocks of
     (epoch_s, litres) arrays, one per chunk of whole lines (see _chunks), in
     one pass that never reads ahead and never holds more than a chunk.
@@ -234,8 +233,7 @@ def _blocks(fh, fmt: str, source_id: str) -> Iterator[tuple[np.ndarray, np.ndarr
     empty. Its values are finite and >= 0, and its instants lie in
     FIRST_EPOCH_S..LAST_EPOCH_S and strictly increase, within it and from
     the block before. Raises EmptyInput at the end if the file held no
-    reading; else warns of the reading pairs closer than the nominal
-    period, if any.
+    reading.
     """
     if fh.read(len(_BOM)) != _BOM:
         fh.seek(0)
@@ -244,7 +242,6 @@ def _blocks(fh, fmt: str, source_id: str) -> Iterator[tuple[np.ndarray, np.ndarr
     lines = _skip_header(fh) if fmt == "csv" else 0
     header = not lines
     before = FIRST_EPOCH_S - 1  # the instant of the reading before the chunk
-    pairs, nominal = 0, NOMINAL_PERIOD.total_seconds()
     for chunk in _chunks(fh):
         rows = _layout_block(chunk, fmt)
         if rows is not None and _checked(*rows[:2], before):
@@ -255,19 +252,10 @@ def _blocks(fh, fmt: str, source_id: str) -> Iterator[tuple[np.ndarray, np.ndarr
             epoch, litres, lines, header = _row_block(chunk, fmt, lines, header, before)
         if not len(epoch):
             continue
-        pairs += int(np.count_nonzero(np.diff(epoch) < nominal))
-        pairs += int(before >= FIRST_EPOCH_S and epoch[0] - before < nominal)  # the first reading opens no pair
         before = int(epoch[-1])
         yield epoch, litres
     if before < FIRST_EPOCH_S:
         raise EmptyInput("no readings found")
-    if pairs:
-        log.warning(
-            "%d reading pair(s) closer than the 15-minute nominal period "
-            "(source %r); the sampling contract says this should not happen",
-            pairs,
-            source_id,
-        )
 
 
 def _checked(epoch: np.ndarray, litres: np.ndarray, before: int) -> bool:
@@ -435,7 +423,7 @@ def parse_stream(source, fmt: str = "csv", source_id: str = "") -> ReadingStream
     data = source if isinstance(source, (bytes, str)) else source.read()
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
-    return ReadingStream.from_blocks(_blocks(io.BytesIO(data), fmt, source_id), source_id)
+    return ReadingStream.from_blocks(_blocks(io.BytesIO(data), fmt), source_id)
 
 
 def _format(path: Path) -> str:
@@ -458,12 +446,12 @@ def read_blocks(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
     The file is read in one pass of chunks, each decoded by the fast path
     or, where that declines it, by the row parser, so no chunk is read
-    twice and nothing beyond one chunk's text is held. The sub-nominal
-    warning is logged once the blocks end.
+    twice and nothing beyond one chunk's text is held. Nothing is logged:
+    binning.Cleaner judges neighbouring readings.
     """
     p = Path(path)
     with open(p, "rb") as fh:
-        yield from _blocks(fh, _format(p), str(p))
+        yield from _blocks(fh, _format(p))
 
 
 def _parse_csv_rows(text: str, lines: int = 0, header: bool = True) -> Iterator[tuple[int, int, float]]:
@@ -551,48 +539,16 @@ def difference_cumulative(stream: ReadingStream) -> np.recarray:
 
 def segment_litres(stream: ReadingStream) -> float:
     """Litres the meter counted: last - first within each segment between
-    counter decreases, summed. Without a decrease it is last - first."""
-    totals = Totals()
-    for block in stream.blocks():
-        totals.add(*block)
-    return totals.litres
-
-
-class Totals:
-    """Running totals of a stream read block by block: its reading count
-    `n`, its first and last instants, and its segment `litres` (see
-    segment_litres), summed segment by segment in stream order."""
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.first_s = self.last_s = 0
-        self._closed = 0.0  # the litres of the segments a decrease has ended
-        self._start = self._last = 0.0  # the open segment's first and latest totals
-
-    def add(self, epoch: np.ndarray, litres: np.ndarray) -> None:
-        if not len(epoch):
-            return
-        if not self.n:
-            self.first_s, self._start, self._last = int(epoch[0]), litres[0], litres[0]
-        # Readings after a decrease: at the block's first, from the reading before it.
-        drops = np.flatnonzero(litres[1:] < litres[:-1]) + 1
-        if litres[0] < self._last:
-            drops = np.append(0, drops)
-        for i in drops.tolist():
-            self._closed += float((litres[i - 1] if i else self._last) - self._start)
-            self._start = litres[i]
-        self.n += len(epoch)
-        self.last_s, self._last = int(epoch[-1]), litres[-1]
-
-    def through(self, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Pass blocks on, adding each to the totals."""
-        for block in blocks:
-            self.add(*block)
-            yield block
-
-    @property
-    def litres(self) -> float:
-        return self._closed + float(self._last - self._start)
+    counter decreases, summed in stream order. Without a decrease it is
+    last - first; an empty stream counted 0.0."""
+    litres = stream.litres
+    if not len(litres):
+        return 0.0
+    total, start = 0.0, litres[0]
+    for i in np.flatnonzero(litres[1:] < litres[:-1]).tolist():
+        total += float(litres[i] - start)
+        start = litres[i + 1]
+    return total + float(litres[-1] - start)
 
 
 # --- writing -------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_a_decade_with_a_trailing_blank_line_is_read_on_the_fast_path(tmp_path):
     def days_of(path):
         tracemalloc.start()
         try:
-            days = binning.bin_blocks(binning._clean_blocks(readings.read_blocks(path), ""), tz)
+            days = binning.bin_blocks(binning.Cleaner().intervals(readings.read_blocks(path)), tz)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -893,18 +893,18 @@ def edge_case_stream(seed: int) -> readings.ReadingStream:
 
 
 def _spied_blocks(monkeypatch) -> list[int]:
-    """The length of each block the CLI pass hands to binning._clean_blocks."""
+    """The length of each block the CLI pass hands to binning.Cleaner.intervals."""
     lengths: list[int] = []
-    clean = binning._clean_blocks
+    intervals = binning.Cleaner.intervals
 
-    def spy(blocks, source_id):
+    def spy(cleaner, blocks):
         def seen():
             for block in blocks:
                 lengths.append(len(block[0]))
                 yield block
-        return clean(seen(), source_id)
+        return intervals(cleaner, seen())
 
-    monkeypatch.setattr(binning, "_clean_blocks", spy)
+    monkeypatch.setattr(binning.Cleaner, "intervals", spy)
     return lengths
 
 
@@ -944,19 +944,19 @@ def test_the_streaming_pass_equals_the_array_path(tmp_path, monkeypatch, caplog,
     lengths = _spied_blocks(monkeypatch)
     got = tmp_path / "got"
     with kernel_only():  # every block is the fast path's
-        for command in ("ingest", "profile", "track"):
+        for command, out in (("ingest", got), ("profile", got), ("track", got), ("periodogram", tmp_path / "pg")):
             caplog.clear()
-            assert main([command, str(path), "--timezone", tz, "--out", str(got)]) == 0
-            assert [r.getMessage() for r in caplog.records] == array_log
+            assert main([command, str(path), "--timezone", tz, "--out", str(out)]) == 0
+            assert [r.getMessage() for r in caplog.records] == array_log, command
     assert sorted(p.name for p in got.iterdir()) == sorted([p.name for p in expected.iterdir()] + ["manifest.json"])
     for name in [p.name for p in expected.iterdir()]:
         assert (got / name).read_bytes() == (expected / name).read_bytes(), name
     assert "10 reading pair(s) closer" in array_log[0]
     assert [m.split()[0] for m in array_log[1:]] == ["cumulative", "discarded", "dropped"]
 
-    # Where the last track pass's blocks start, as reading indices.
-    starts = set(np.cumsum(lengths[-len(lengths) // 3 :])[:-1].tolist())
-    assert sum(lengths) == 3 * len(whole)
+    # Where the last pass's blocks start, as reading indices.
+    starts = set(np.cumsum(lengths[-len(lengths) // 4 :])[:-1].tolist())
+    assert sum(lengths) == 4 * len(whole)
     local_days = {
         (datetime.fromtimestamp(int(whole.epoch_s[i]), timezone.utc).astimezone(binning.zone_named(tz))).date()
         for i in starts

@@ -76,6 +76,17 @@ def test_litres_balance_through_cleaning_and_binning(case, min_valid_slots):
         assert len(closing[day]) >= min_valid_slots
 
 
+@settings(max_examples=100, deadline=None)
+@given(messy_streams(), st.sampled_from([1, 2, 3, 7, 4096]))
+def test_the_cleaner_totals_what_the_oracle_counts(case, block_rows):
+    stream, _ = case
+    cleaner = binning.Cleaner()
+    for _ in cleaner.intervals(stream.blocks(block_rows)):
+        pass
+    assert (cleaner.n, cleaner.first_s, cleaner.last_s) == (len(stream), stream.epoch_s[0], stream.epoch_s[-1])
+    assert cleaner.litres == segment_litres(stream)
+
+
 def dublin_clock_changes_stream() -> ReadingStream:
     """Four days around Dublin's 2021 spring-forward day, then four around
     its fall-back hour, with a counter reset at reading 14 and an outage
@@ -105,8 +116,9 @@ def test_block_edges_leave_days_and_warnings_unchanged(caplog, block_rows):
     whole, whole_log = run()
     with patch.object(binning, "BLOCK_ROWS", block_rows):
         blocks, blocks_log = run()
-    assert [message.split()[0] for _, _, message in whole_log] == ["cumulative", "discarded", "dropped"]
-    assert "[14]" in whole_log[0][2] and date(2021, 3, 28).isoformat() in whole_log[2][2]
+    assert [message.split()[0] for _, _, message in whole_log] == ["56", "cumulative", "discarded", "dropped"]
+    assert whole_log[0][2].startswith("56 reading pair(s) closer than the 15-minute nominal period")
+    assert "[14]" in whole_log[1][2] and date(2021, 3, 28).isoformat() in whole_log[3][2]
     assert blocks_log == whole_log
     assert blocks.first == whole.first
     assert blocks.values.tobytes() == whole.values.tobytes()

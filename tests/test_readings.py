@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import kernel_only, row_parser_calls
 from flowrhythm import floattext, readings
+from flowrhythm.binning import readings_to_days
 from flowrhythm.errors import (
     CounterDecrease,
     EmptyInput,
@@ -206,6 +207,7 @@ def test_segment_litres_sums_within_counter_segments():
     assert segment_litres(s) == 1.0 + 2.5 + 0.0
     s = make_stream([0, 900], [0.25, 7.5])
     assert segment_litres(s) == 7.25
+    assert segment_litres(make_stream([], [])) == 0.0
 
 
 def test_writers_match_per_reading_isoformat_across_blocks(tmp_path, monkeypatch):
@@ -381,7 +383,7 @@ def fast_path(text: str, fmt: str = "csv"):
     no reading."""
     try:
         with patch.object(readings, "_row_block", side_effect=RowParser):
-            epochs, litres = zip(*readings._blocks(io.BytesIO(text.encode()), fmt, ""))
+            epochs, litres = zip(*readings._blocks(io.BytesIO(text.encode()), fmt))
     except (RowParser, EmptyInput):
         return None
     return np.concatenate(epochs), np.concatenate(litres)
@@ -827,11 +829,11 @@ def test_a_first_field_over_the_csv_size_limit_is_a_malformed_row():
 
 def test_every_whole_stream_is_collected_from_the_blocks_a_command_reads(tmp_path, monkeypatch, caplog, demo_config):
     # read_stream, parse_stream and a read_blocks collector read each file to
-    # the same bits with the same log records: one the fast path takes, and
-    # two with a chunk it declines, at the last line and mid-file, which the
-    # row parser alone reads, after a consumer has taken blocks. The
-    # pair 55 s apart makes the sub-nominal warning. generate joins the
-    # blocks generate_blocks yields.
+    # the same bits and log nothing: one the fast path takes, and two with a
+    # chunk it declines, at the last line and mid-file, which the row parser
+    # alone reads, after a consumer has taken blocks. The pair 55 s apart
+    # makes readings_to_days warn of one sub-nominal pair. generate joins
+    # the blocks generate_blocks yields.
     monkeypatch.setattr(readings, "BLOCK_ROWS", 8)
     epochs = 1_600_000_000 + np.cumsum(np.r_[0, np.full(59, 905)])
     epochs[20:] -= 850
@@ -864,7 +866,10 @@ def test_every_whole_stream_is_collected_from_the_blocks_a_command_reads(tmp_pat
             records = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
             read.append((got.epoch_s.tobytes(), got.litres.tobytes(), records, len(calls)))
         assert read[0] == read[1] == read[2], name
-        assert "1 reading pair(s) closer than" in read[0][2][0][2]
+        assert read[0][2] == [], name
+        caplog.clear()
+        readings_to_days(read_stream(path))
+        assert "1 reading pair(s) closer than" in caplog.records[0].getMessage(), name
         assert read[0][3] == chunks, name
         if name.startswith("plain"):
             assert read[0][:2] == (stream.epoch_s.tobytes(), stream.litres.tobytes())
