@@ -143,24 +143,12 @@ def _starts(days: DayMatrix, cfg: WindowConfig) -> np.ndarray:
     return np.arange(0, len(days.retained) - cfg.window_days + 1, cfg.stride_days)
 
 
-def _hole_inside(present: np.ndarray, starts: np.ndarray, window_days: int) -> np.ndarray:
-    """Whether each window's present slots form more than one run, so that
-    the classic estimator cannot take them as evenly spaced."""
-    seen, offsets, width = present.reshape(-1), starts * SLOTS_PER_DAY, window_days * SLOTS_PER_DAY
-    rises = np.concatenate([[0], np.cumsum(seen[1:] & ~seen[:-1])])
-    return seen[offsets] + rises[offsets + width - 1] - rises[offsets] > 1
-
-
-def _window_moments(day: Moments, starts: np.ndarray, window_days: int, k: np.ndarray) -> Moments:
-    """The Moments of the windows whose first day rows are `starts`: day j's
-    sums turned by e^(2 pi i k j / W) at the grid frequency k / (24 W) cph,
-    twice that at 2 w, with k j reduced mod W in integers first."""
-    roots = np.exp(2j * np.pi * np.arange(window_days) / window_days)
-    sums = Moments(*(np.zeros((len(starts), a.shape[1]), a.dtype) for a in day))
-    for j in range(window_days):
-        turn = roots[k * j % window_days]
-        for total, a, by in zip(sums, day, (1, 1, 1, turn, turn, roots[2 * k * j % window_days])):
-            total += a[starts + j] * by
+def _window_sums(a: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """The sums of a's rows over [s, s + width) for each s in starts: a's running
+    sums, which replace a in place, at the window's end less those before it."""
+    np.cumsum(a, axis=0, out=a)
+    sums = a[starts + width - 1]
+    sums[starts > 0] -= a[starts[starts > 0] - 1]
     return sums
 
 
@@ -176,27 +164,39 @@ def _unestimated(days: Days, cfg: WindowConfig, estimator: str, normalization: s
     starts = _starts(days, cfg)
     values = np.where(days.retained[:, None], days.values, np.nan)
     present = ~np.isnan(values)
-    # Valid days and present samples of every window, off one running sum over day rows.
-    sums = np.cumsum(np.column_stack([days.retained, present.sum(axis=1)]), axis=0)
-    sums = np.concatenate([[[0, 0]], sums])
-    valid_days, n_samples = (sums[starts + cfg.window_days] - sums[starts]).T
+    counts = np.column_stack([days.retained, present.sum(axis=1)])
+    valid_days, n_samples = _window_sums(counts, starts, cfg.window_days).T
 
     skip = np.full(len(starts), ESTIMATED, dtype=np.int8)
     skip[valid_days < cfg.min_valid_days] = FEW_VALID_DAYS
     skip[(skip == ESTIMATED) & (n_samples < minimum)] = FEW_SAMPLES
-    if estimator == "classic":
-        skip[(skip == ESTIMATED) & _hole_inside(present, starts, cfg.window_days)] = UNEVEN
+    if estimator == "classic":  # present slots in more than one run are not evenly spaced
+        seen, offsets = present.reshape(-1), starts * SLOTS_PER_DAY
+        rises = np.concatenate([[0], seen[1:] & ~seen[:-1]])
+        runs = seen[offsets] + _window_sums(rises, offsets + 1, cfg.window_days * SLOTS_PER_DAY - 1)
+        skip[(skip == ESTIMATED) & (runs > 1)] = UNEVEN
     for row in np.flatnonzero(skip > FEW_VALID_DAYS):
         reason = UNEVEN_SPACING if skip[row] == UNEVEN else too_few_samples(estimator, n_samples[row])
         log.warning("window %s skipped: %s", days.first + timedelta(days=int(starts[row])), reason)
     power = np.full((len(starts), len(grid)), np.nan)
 
     def estimate(rows: np.ndarray) -> None:
-        if len(rows):  # day Moments of the whole matrix; every later step is per window
-            slot_hours = (np.arange(SLOTS_PER_DAY) + 0.5) * (SLOT_MINUTES / 60.0)
-            day = moments(values, *(phases(slot_hours, h * grid.frequencies_cph) for h in (1, 2)))
-            k = np.rint(grid.frequencies_cph * cfg.window_hours).astype(np.int64)
-            power[rows] = closed_form(_window_moments(day, starts[rows], cfg.window_days, k), normalization)
+        if not len(rows):
+            return
+        # Whole-matrix day Moments: a row's product is the same whichever windows are estimated.
+        slot_hours = (np.arange(SLOTS_PER_DAY) + 0.5) * (SLOT_MINUTES / 60.0)
+        day = moments(values, *(phases(slot_hours, h * grid.frequencies_cph) for h in (1, 2)))
+        # Up to the last window's end, day row d's sums are turned by e^(2 pi i k d / W) at
+        # the grid frequency k / (24 W) cph and twice that at 2 w, with k d reduced mod W in
+        # integers first. That puts every window on row 0's clock, where no power moves, but
+        # a phase read off window s must be turned back by e^(-2 pi i k s / W).
+        end, w = int(starts[rows].max()) + cfg.window_days, cfg.window_days
+        turn = np.arange(end)[:, None] * np.rint(grid.frequencies_cph * cfg.window_hours).astype(np.int64) % w
+        roots = np.exp(2j * np.pi * np.arange(w) / w)
+        for a, by in zip(day[3:], (roots, roots, roots[2 * np.arange(w) % w])):
+            a[:end] *= by[turn]
+        sums = (_window_sums(a[:end], starts[rows], w) for a in day)
+        power[rows] = closed_form(Moments(*sums), normalization)
 
     return Track(days.first, starts, valid_days, n_samples, skip, power, grid, label, normalization, cfg), estimate
 
@@ -215,10 +215,10 @@ def compute_track(
 
     Every window is a row slice of the DayMatrix, sampled at the slot
     midpoints 24 j + 0.25 (k + 0.5) hours after window-start midnight for
-    day j, slot k, with missing slots and rows not retained as NaN. Each
-    grid frequency is a whole number of cycles per window, so a window's
-    Moments are its days' Moments, each turned by its day's phase; those
-    are built once, from the 96 slot times, when some window is estimated.
+    day j, slot k, with missing slots and rows not retained as NaN. Each grid
+    frequency is a whole number of cycles per window and no power moves with
+    the clock, so a window's Moments are differences of running sums of the
+    days' Moments on row 0's clock, built only when some window is estimated.
     """
     track, estimate = _unestimated(days, cfg, estimator, normalization)
     estimate(track.emitted)

@@ -159,6 +159,24 @@ def test_circular_shift_invariance():
     assert rel_close(base, shifted, 1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 10), st.integers(1, 60), st.sampled_from(["raw", "variance"]), st.integers(0, 2**32 - 1),
+)
+def test_powers_stay_when_the_clock_moves_by_whole_days(window_days, days, normalization, seed):
+    # Tracking puts every window's sums on the clock of its first day row, not
+    # of its own start, so no power may move when every time moves by 24 d h.
+    grid = FrequencyGrid.for_window(24.0 * window_days)
+    rng = np.random.default_rng(seed)
+    times = (np.arange(96 * window_days) + 0.5) * 0.25
+    values = 3.0 + np.cos(2 * np.pi * times / 24.0) + rng.normal(0, 1.0, len(times))
+    gapped = np.sort(rng.choice(len(times), size=len(times) * 3 // 4, replace=False))
+    for estimate, kept in ((lomb_scargle, gapped), (classic_periodogram, slice(None))):
+        base = estimate(Samples(times[kept], values[kept]), grid, normalization).power
+        moved = estimate(Samples(times[kept] + 24.0 * days, values[kept]), grid, normalization).power
+        assert np.max(np.abs(moved - base)) <= 1e-12 * np.max(base)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.1, max_value=10.0, allow_nan=False))
 def test_amplitude_scaling_is_quadratic(c):

@@ -232,6 +232,28 @@ def test_windows_count_the_valid_days_and_present_slots_of_their_rows(data):
         assert track.skip[row] == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_window_sums_are_the_sums_of_their_rows(data):
+    rows = data.draw(st.integers(1, 40), label="rows")
+    width = data.draw(st.integers(1, rows), label="width")
+    starts = np.array(sorted(data.draw(st.lists(st.integers(0, rows - width), min_size=1), label="starts")))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    counts = rng.integers(-1000, 1000, (rows, 2))
+    scale = np.exp(rng.uniform(-5.0, 5.0, (rows, 1)))
+    phased = scale * (rng.normal(0.0, 1.0, (rows, 3)) + 1j * rng.normal(0.0, 1.0, (rows, 3)))
+    # The helper turns its argument into running sums in place, so it gets copies.
+    for a in (counts, counts[:, 0]):
+        expected = np.array([a[s : s + width].sum(axis=0) for s in starts])
+        assert np.array_equal(tracking._window_sums(a.copy(), starts, width), expected)
+    expected = np.array([phased[s : s + width].sum(axis=0) for s in starts])
+    got = tracking._window_sums(phased.copy(), starts, width)
+    assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(phased).sum(axis=0))
+    # A window that ends by row `end` reads nothing after it.
+    end = data.draw(st.integers(int(starts.max()) + width, rows), label="end")
+    assert np.array_equal(tracking._window_sums(phased[:end].copy(), starts, width), got)
+
+
 @pytest.mark.parametrize("estimator", ["ls", "classic"])
 def test_values_of_rows_not_retained_never_reach_a_window(estimator):
     # Row 4 is not retained but still holds values: the windows must read it
@@ -350,6 +372,26 @@ def test_batched_matches_single_series_at_every_window_length(
     for row in emitted[np.unique(np.linspace(0, len(emitted) - 1, 5).round().astype(int))]:
         samples = reference_samples(days, calendar, track.start_date(row), window_days)
         assert_matches_reference(track, row, single(samples, grid), columns)
+
+
+@pytest.mark.parametrize("window_days", [10, 60])
+def test_windows_of_a_decade_keep_their_precision(window_days):
+    # Every window's sums are differences of running sums from row 0, so the
+    # rounding of a late window grows with the rows before it.
+    rng = np.random.default_rng(35)
+    mid = SLOT_HOURS * (np.arange(SLOTS_PER_DAY) + 0.5)
+    values = 4.0 + 2.0 * np.cos(2 * np.pi * mid / 24.0) + rng.uniform(0.0, 3.0, (3650, SLOTS_PER_DAY))
+    values[rng.random(values.shape) < 0.05] = np.nan
+    retained = rng.random(3650) >= 0.03
+    values[~retained] = np.nan
+    days = DayMatrix(START, values, retained)
+    cfg = WindowConfig(window_days=window_days)
+    track = compute_track(days, cfg)
+    emitted = track.emitted
+    assert len(emitted) > 3000
+    for row in (emitted[0], emitted[len(emitted) // 2], emitted[-1]):
+        samples = reference_samples(days, None, track.start_date(row), window_days)
+        assert_matches_reference(track, row, lomb_scargle(samples, cfg.grid()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -625,6 +667,29 @@ def test_one_window_estimate_is_its_track_row_bit_for_bit(
         assert at == row
         assert np.array_equal(one.power[row], track.power[row])
         assert one.n_samples[row] == track.n_samples[row]
+
+
+@pytest.mark.parametrize("estimator", ["ls", "classic"])
+def test_rows_after_a_window_never_reach_its_power(estimator):
+    # Later rows, whatever they hold, must leave a window's power the same bit
+    # for bit, whether the whole track or that window alone is estimated.
+    rng = np.random.default_rng(12)
+    values = rng.uniform(0.0, 5.0, (40, SLOTS_PER_DAY))
+    retained = np.ones(40, dtype=bool)
+    cfg = WindowConfig()
+    track = compute_track(DayMatrix(START, values, retained), cfg, estimator)
+    for row in (0, 7, 15):
+        assert track.skip[row] == ESTIMATED
+        end = track.starts[row] + cfg.window_days
+        other, kept = values.copy(), retained.copy()
+        other[end:] = rng.uniform(0.0, 50.0, other[end:].shape)
+        other[end:][rng.random(other[end:].shape) < 0.2] = np.nan
+        kept[end::3] = False
+        changed = DayMatrix(START, other, kept)
+        assert np.array_equal(compute_track(changed, cfg, estimator).power[row], track.power[row])
+        one, at = periodogram_window(changed, cfg, estimator, start=track.start_date(row))
+        assert at == row
+        assert np.array_equal(one.power[row], track.power[row])
 
 
 def test_one_window_estimate_needs_an_emitted_window(vacation_fixture):
